@@ -234,11 +234,12 @@ def from_dict(data: dict) -> AlgebraPresentation:
         raise PresentationFormatError("duplicate kind names")
 
     central = data.get("central_kinds", [])
-    if not isinstance(central, list) or any(c not in by_name for c in central):
+    if not isinstance(central, list) or any(
+            not isinstance(c, str) or c not in by_name for c in central):
         raise PresentationFormatError("'central_kinds' must list declared kind names")
 
     def resolve(kname, where):
-        if kname not in by_name:
+        if not isinstance(kname, str) or kname not in by_name:
             raise PresentationFormatError(f"{where}: unknown kind {kname!r}")
         return by_name[kname]
 
@@ -268,7 +269,10 @@ def from_dict(data: dict) -> AlgebraPresentation:
                 raise PresentationFormatError(f"{tw}: 'offset' must be an integer")
             terms.append(BracketTerm(target, _parse_coeff(t.get("coeff", {}), tw), offset))
         central_terms = []
-        for j, t in enumerate(item.get("central_terms", [])):
+        raw_central = item.get("central_terms", [])
+        if not isinstance(raw_central, list):
+            raise PresentationFormatError(f"{where}: 'central_terms' must be a list")
+        for j, t in enumerate(raw_central):
             tw = f"{where}.central_terms[{j}]"
             if not isinstance(t, dict):
                 raise PresentationFormatError(f"{tw}: must be an object")

@@ -3,10 +3,12 @@
 Basis elements come in named families ("kinds"), each carrying a Z2 x Z2
 degree and indexed over Z.  The bracket of two families is a finite sum of
 target families whose coefficients are affine polynomials in the two
-indices, so a presentation evaluates [x_m, y_n] lazily for arbitrary
-integers with no truncation.  One rule is stored per unordered pair of
-families; the reversed bracket is derived by negation, which removes a
-whole class of sign-inconsistency bugs at the source.
+indices, so a presentation evaluates [x_m, y_n] on demand for arbitrary
+integers with no truncation.  Each pair of basis elements is evaluated once
+per presentation: the result is cached, and the same Element is shared by
+every later caller.  One rule is stored per unordered pair of families; the
+reversed bracket is derived by negation, which removes a whole class of
+sign-inconsistency bugs at the source.
 
 A kind may be marked central: it then has a single basis element at index
 0, brackets trivially with everything, and can only appear in a bracket as
@@ -332,6 +334,7 @@ class AlgebraPresentation:
         self._rules = dict(sorted(
             stored.items(),
             key=lambda kv: (self._order[kv[0][0]], self._order[kv[0][1]])))
+        self._brackets: dict[tuple[BasisElement, BasisElement], Element] = {}
 
     def __eq__(self, other):
         return (isinstance(other, AlgebraPresentation)
@@ -397,8 +400,21 @@ class AlgebraPresentation:
         return None, False
 
     def bracket_basis(self, x: BasisElement, y: BasisElement) -> Element:
-        self._check_owned(x)
-        self._check_owned(y)
+        """[x, y] for two basis elements, evaluated once per presentation.
+
+        The result is cached and the same Element is returned to every later
+        call; Element has no mutating API, so sharing it is safe.  Both
+        arguments are checked before a pair is first evaluated, so a rejected
+        pair is never cached.
+        """
+        cached = self._brackets.get((x, y))
+        if cached is None:
+            self._check_owned(x)
+            self._check_owned(y)
+            cached = self._brackets[(x, y)] = self._evaluate(x, y)
+        return cached
+
+    def _evaluate(self, x: BasisElement, y: BasisElement) -> Element:
         rule, swapped = self.rule_for(x.kind, y.kind)
         if rule is None:
             return Element.zero()
@@ -496,9 +512,14 @@ def validate_presentation(p: AlgebraPresentation, window: int) -> ValidationRepo
             y = basis[j]
             for k in range(j + 1, len(basis)):
                 z = basis[k]
-                jac = (bracket(p, x, p.bracket_basis(y, z))
-                       + bracket(p, y, p.bracket_basis(z, x))
-                       + bracket(p, z, p.bracket_basis(x, y)))
+                # sum over cyclic (a, b, c) of [a, [b, c]], where [b, c] is
+                # sum u*t and each [a, t] is sum v*s, read from the cache
+                acc: dict[BasisElement, Fraction] = {}
+                for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+                    for t, u in p.bracket_basis(b, c).items():
+                        for s, v in p.bracket_basis(a, t).items():
+                            acc[s] = acc.get(s, 0) + u * v
+                jac = Element(acc)
                 report.triples_checked += 1
                 if not jac.is_zero:
                     report.passed = False

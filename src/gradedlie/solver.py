@@ -31,8 +31,7 @@ from typing import Iterable, Sequence
 
 from .core import (AlgebraPresentation, BasisElement, BasisKind, Element,
                    GradingDegree, format_rational)
-from .linalg import (SparseMatrix, VectorBasis, nullspace, project_basis,
-                     rank_of_projection)
+from .linalg import SparseMatrix, VectorBasis, nullspace, project_basis
 
 
 class SolverError(Exception):
@@ -120,9 +119,6 @@ class UnknownLayout:
 
     def column_of(self, kind_name: str, m: int) -> int | None:
         return self.index.get((kind_name, m))
-
-    def interior_columns(self, interior: int) -> list[int]:
-        return [i for i, (_, m) in enumerate(self.columns) if abs(m) <= interior]
 
 
 def unknown_layout(problem: HomogeneousSolveProblem) -> UnknownLayout:

@@ -134,6 +134,27 @@ def test_from_dict_rejects_central_terms_on_noncentral_targets():
         catalog.from_dict(data)
 
 
+@pytest.mark.parametrize("path,value", [
+    (["brackets", 0, "central_terms"], 5),
+    (["central_kinds"], [["C"]]),
+    (["brackets", 0, "left"], ["L"]),
+    (["brackets", 0, "right"], ["L"]),
+    (["brackets", 0, "terms", 0, "kind"], {"name": "L"}),
+    (["brackets", 0, "central_terms", 0, "kind"], {"name": "C"}),
+], ids=["central-terms-int", "central-kind-list", "left-list", "right-list",
+        "term-kind-dict", "central-term-kind-dict"])
+def test_from_dict_rejects_wrongly_typed_fields(path, value):
+    # these shapes once escaped as a TypeError instead of a format error
+    data = catalog.to_dict(catalog.get("virasoro"))
+    *parents, last = path
+    target = data
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(PresentationFormatError):
+        catalog.from_dict(data)
+
+
 def test_from_dict_rejects_missing_name_and_kinds():
     with pytest.raises(PresentationFormatError):
         catalog.from_dict({"kinds": [{"name": "L", "z2_degree": [0, 0]}]})

@@ -6,10 +6,14 @@ or serialization shows up as a diff against them.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import gradedlie
 from gradedlie import catalog
 from gradedlie.cli import (EXIT_MATH_FAIL, EXIT_OK, EXIT_USAGE,
                            canonical_json, main)
@@ -115,6 +119,22 @@ def test_malformed_presentation_file_is_a_usage_error(tmp_path, capsys):
                        capsys)
     assert code == EXIT_USAGE
     assert "name" in err
+
+
+def test_wrongly_typed_presentation_field_exits_without_traceback(tmp_path):
+    data = catalog.to_dict(catalog.get("virasoro"))
+    data["brackets"][0]["central_terms"] = 5
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    src = Path(gradedlie.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "gradedlie", "solve", "--algebra", str(path),
+         "--window", "6"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == EXIT_USAGE
+    assert "Traceback" not in done.stderr
+    assert "central_terms" in done.stderr
 
 
 # ---------------------------------------------------------------------------

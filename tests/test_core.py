@@ -171,6 +171,44 @@ def test_jacobi_identity_holds_on_sampled_triples(a, b, c):
     assert jac == Element.zero()
 
 
+def test_warm_bracket_cache_still_rejects_foreign_elements():
+    p = catalog.get("virasoro")
+    for x in p.basis_elements(4):
+        for y in p.basis_elements(4):
+            p.bracket_basis(x, y)
+    impostor = BasisElement(BasisKind("L", (1, 0)), 1)
+    with pytest.raises(PresentationError, match="does not belong"):
+        p.bracket_basis(impostor, el(p, "L", 2))
+    with pytest.raises(PresentationError, match="does not belong"):
+        p.bracket_basis(el(p, "L", 2), impostor)
+    with pytest.raises(PresentationError, match="only has index 0"):
+        p.bracket_basis(el(p, "C", 1), el(p, "L", -1))
+    with pytest.raises(PresentationError, match="only has index 0"):
+        p.bracket_basis(el(p, "L", -1), el(p, "C", 1))
+
+
+@pytest.mark.parametrize("key,pairs", [
+    ("virasoro", [(("L", 2), ("L", -2)), (("L", 3), ("L", -3)),
+                  (("L", 0), ("L", 0)), (("L", 5), ("L", 1)),
+                  (("C", 0), ("L", 3))]),
+    ("pgca", [(("L", 2), ("H", -1)), (("H", 1), ("I", 2)),
+              (("H", 1), ("J", 2)), (("L", 1), ("I", 4)),
+              (("I", -3), ("I", 3))]),
+])
+def test_warm_and_fresh_presentations_return_equal_brackets(key, pairs):
+    # both argument orders, so a cache that forgot the order would show; the
+    # virasoro pairs at m + n = 0 carry the central term C_0
+    warm = catalog.get(key)
+    for x, y in pairs:
+        for a, b in ((x, y), (y, x)):
+            warm.bracket_basis(el(warm, *a), el(warm, *b))
+    for x, y in pairs:
+        for a, b in ((x, y), (y, x)):
+            fresh = catalog.get(key)
+            got = warm.bracket_basis(el(warm, *a), el(warm, *b))
+            assert got == fresh.bracket_basis(el(fresh, *a), el(fresh, *b))
+
+
 # ---------------------------------------------------------------------------
 # coefficient polynomials
 
@@ -233,10 +271,15 @@ def test_central_kinds_only_carry_index_zero():
 # windowed validation
 
 
+def _names(elements):
+    return [(b.kind.name, b.index) for b in elements]
+
+
 def test_validate_passes_on_pgca():
     report = validate_presentation(PGCA, 3)
     assert report.passed
-    assert report.pairs_checked > 0 and report.triples_checked > 0
+    # 28 basis elements: every ordered pair, every increasing triple
+    assert (report.pairs_checked, report.triples_checked) == (784, 3276)
     assert "PASS" in report.describe()
 
 
@@ -260,7 +303,10 @@ def test_validate_catches_a_sign_error_via_jacobi():
     report = validate_presentation(broken, 3)
     assert not report.passed
     assert report.check == "jacobi"
-    assert {w.kind.name for w in report.witnesses} == {"L", "I"}
+    # the first failing triple in enumeration order, and the counts so far
+    assert _names(report.witnesses) == [("L", -3), ("L", -2), ("I", -3)]
+    assert report.detail == "jacobiator = 4*I_-8"
+    assert (report.pairs_checked, report.triples_checked) == (784, 13)
     assert "FAIL" in report.describe()
 
 
@@ -277,6 +323,20 @@ def test_validate_catches_nonzero_self_bracket():
     report = validate_presentation(bad, 2)
     assert not report.passed
     assert report.check == "skew-symmetry"
+    assert _names(report.witnesses) == [("L", -2), ("L", -2)]
+    assert report.detail == "[L_-2,L_-2] + [L_-2,L_-2] = 2*L_-4"
+
+
+def test_validate_reports_a_grading_violation():
+    data = catalog.to_dict(catalog.get("witt"))
+    data["brackets"][0]["terms"][0]["offset"] = 1
+    report = validate_presentation(catalog.from_dict(data), 2)
+    assert not report.passed
+    assert report.check == "grading"
+    assert _names(report.witnesses) == [("L", -2), ("L", -1)]
+    assert report.detail == ("[L_-2,L_-1] contains L_-2 of degree (0,0,-2), "
+                             "expected (0,0,-3)")
+    assert (report.pairs_checked, report.triples_checked) == (1, 0)
 
 
 def test_validate_passes_every_catalog_entry():
