@@ -324,6 +324,12 @@ class AlgebraPresentation:
                 if self._kind_by_name.get(k.name) != k:
                     raise PresentationError(
                         f"rule references kind {k.name!r} not declared in {name!r}")
+            for t in rule.terms:
+                if t.target.name in self.central:
+                    raise PresentationError(
+                        f"rule [{rule.left.name},{rule.right.name}]: ordinary term "
+                        f"targets central kind {t.target.name!r}; a central kind "
+                        f"has only index 0 and may appear only as a central term")
             if self._order[rule.left.name] > self._order[rule.right.name]:
                 rule = rule.reversed()
             key = (rule.left.name, rule.right.name)

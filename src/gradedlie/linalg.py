@@ -1,9 +1,16 @@
 """Exact sparse linear algebra over the rationals.
 
-Everything here is Fraction arithmetic end to end; there is no floating
-point fallback anywhere.  Matrices are stored row-wise as {column: value}
-dicts, which matches the constraint systems this package produces: very
-many short rows over a modest number of columns.
+Everything here is exact: Fractions at the interface, integers inside;
+there is no floating point fallback anywhere.  Matrices are stored
+row-wise as {column: value} dicts, which matches the constraint systems
+this package produces: very many short rows over a modest number of
+columns.
+
+Elimination streams the rows in order, fraction-free, and stops as soon
+as every column holds a pivot: at that point the kernel is zero, which is
+exact, and no later row can change the reduced form.  The kernel check
+in nullspace multiplies integer-scaled copies of each kernel vector
+through integer-scaled copies of every row of the original matrix.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ class SparseMatrix:
         m = cls(len(rows), cols)
         for r, row in enumerate(rows):
             for c, v in row.items():
-                m._set(r, c, Fraction(v))
+                m._set(r, c, v if isinstance(v, Fraction) else Fraction(v))
         return m
 
     @classmethod
@@ -91,83 +98,96 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
 
+def _integers(row: dict[int, Fraction]) -> dict[int, int]:
+    """The row scaled by the lcm of its denominators: same zeros, all ints."""
+    den = lcm(*(q.denominator for q in row.values()))
+    return {c: q.numerator * (den // q.denominator) for c, q in row.items()}
+
+
 def _rref_rows(rows: list[dict[int, Fraction]], cols: int):
     """In-place reduced row echelon; returns list of (pivot_col, row_id).
 
-    The sweep itself is fraction-free: rows are first scaled to coprime
-    integers, eliminations use cross-multiplication, and updated rows are
-    divided by their content, so no rational gcd runs inside the hot loop.
-    Pivot rows are rescaled to leading-1 Fractions on exit.  Pivot choice
-    within a column: the candidate entry with the smallest bit length, to
-    limit coefficient growth.  Full reduction is maintained as the sweep
-    advances, so settled pivot rows stay short.
+    On return rows[row_id] holds each pivot row and every other slot is
+    empty.  Slots are rebound, never mutated, so the caller may pass a
+    shallow copy of a matrix's row list without copying its rows.
+
+    Rows are streamed in order and turned into integers only when reached.
+    Pivot rows are kept fully reduced as primitive integer rows, so each
+    pivot column in an incoming row is eliminated once, by
+    cross-multiplication.  What remains is divided by its content; its
+    smallest column becomes a new pivot, which is then cleared from the
+    pivot rows holding it.  Once every column holds a pivot the remaining
+    rows can only reduce to zero, so the stream stops there.  The reduced
+    row echelon form of a row space is unique, so the result does not
+    depend on which rows were read.  Pivot rows are rescaled to leading-1
+    Fractions on exit.
     """
-    work: list[dict[int, int]] = []
-    for row in rows:
+    work: dict[int, dict[int, int]] = {}   # row id -> reduced integer row
+    pivot_row: dict[int, int] = {}         # pivot column -> row id
+    holders: dict[int, set[int]] = {}      # non-pivot column -> pivot row ids
+    for rid, row in enumerate(rows):
+        if len(pivot_row) == cols:
+            break
         if not row:
-            work.append({})
             continue
-        den = lcm(*(q.denominator for q in row.values()))
-        ints = {c: q.numerator * (den // q.denominator) for c, q in row.items()}
-        g = gcd(*ints.values())
-        if g > 1:
-            ints = {c: v // g for c, v in ints.items()}
-        work.append(ints)
-
-    colmap: dict[int, set[int]] = {}
-    for rid, row in enumerate(work):
-        for c in row:
-            colmap.setdefault(c, set()).add(rid)
-
-    pivots: list[tuple[int, int]] = []
-    used: set[int] = set()
-    for col in range(cols):
-        holders = colmap.get(col)
-        if not holders:
+        new = _integers(row)
+        for col in [c for c in new if c in pivot_row]:
+            _eliminate(new, work[pivot_row[col]], col)
+        if not new:
             continue
-        cands = [rid for rid in holders if rid not in used]
-        if not cands:
-            continue
-        rid = min(cands, key=lambda r: (abs(work[r][col]).bit_length(), r))
-        used.add(rid)
-        pivot_row = work[rid]
-        a = pivot_row[col]
-        for other in [r for r in holders if r != rid]:
+        _divide_content(new)
+        col = min(new)
+        for c in new:
+            if c != col:
+                holders.setdefault(c, set()).add(rid)
+        for other in holders.pop(col, ()):
             target = work[other]
-            b = target.pop(col)
-            if a != 1:
-                for c in target:
-                    target[c] *= a
-            for c, v in pivot_row.items():
-                if c == col:
-                    continue
-                nv = target.get(c, 0) - b * v
-                if nv:
-                    if c not in target:
-                        colmap.setdefault(c, set()).add(other)
-                    target[c] = nv
-                elif c in target:
-                    del target[c]
-                    colmap[c].discard(other)
-            if target:
-                g = gcd(*target.values())
-                if g > 1:
-                    for c in target:
-                        target[c] //= g
-        colmap[col] = {rid}
-        pivots.append((col, rid))
+            _eliminate(target, new, col)
+            for c in new:
+                if c in target:
+                    holders[c].add(other)
+                elif c != col:
+                    holders[c].discard(other)
+            _divide_content(target)
+        work[rid] = new
+        pivot_row[col] = rid
 
-    for row in rows:
-        row.clear()
-    for col, rid in pivots:
-        a = work[rid][col]
-        rows[rid].update((c, Fraction(v, a)) for c, v in work[rid].items())
+    pivots = sorted(pivot_row.items())
+    reduced = {rid: {c: Fraction(v, work[rid][col]) for c, v in work[rid].items()}
+               for col, rid in pivots}
+    rows[:] = [reduced.get(rid, {}) for rid in range(len(rows))]
     return pivots
+
+
+def _divide_content(row: dict[int, int]):
+    """Make an integer row primitive: divide out the gcd of its entries."""
+    g = gcd(*row.values())
+    if g > 1:
+        for c in row:
+            row[c] //= g
+
+
+def _eliminate(target: dict[int, int], pivot: dict[int, int], col: int):
+    """target <- a*target - b*pivot, cancelling target's entry at col."""
+    a, b = pivot[col], target.pop(col)
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        for c in target:
+            target[c] *= a
+    for c, v in pivot.items():
+        if c == col:
+            continue
+        nv = target.get(c, 0) - b * v
+        if nv:
+            target[c] = nv
+        else:
+            target.pop(c, None)
 
 
 def rref(m: SparseMatrix) -> tuple[SparseMatrix, list[int]]:
     """Reduced row echelon form and the list of pivot columns."""
-    rows = [dict(row) for row in m._rows]
+    rows = list(m._rows)
     pivots = _rref_rows(rows, m.cols)
     out = SparseMatrix(m.rows, m.cols)
     for pos, (_, rid) in enumerate(pivots):
@@ -176,8 +196,7 @@ def rref(m: SparseMatrix) -> tuple[SparseMatrix, list[int]]:
 
 
 def rank(m: SparseMatrix) -> int:
-    rows = [dict(row) for row in m._rows]
-    return len(_rref_rows(rows, m.cols))
+    return len(_rref_rows(list(m._rows), m.cols))
 
 
 @dataclass
@@ -199,9 +218,11 @@ class VectorBasis:
 def nullspace(m: SparseMatrix) -> VectorBasis:
     """Basis of the exact kernel {v : m v = 0}.
 
-    Every returned vector is re-multiplied through the original matrix as a
-    hard postcondition; a nonzero residue means a bug in the elimination,
-    not bad data, hence the internal error.
+    Every returned vector is re-multiplied through every row of the
+    original matrix as a hard postcondition, in integers: each vector and
+    each row is scaled by the lcm of its denominators, which keeps zero
+    residues zero.  A nonzero residue means a bug in the elimination, not
+    bad data, hence the internal error.
     """
     reduced, pivot_cols = rref(m)
     pivot_set = set(pivot_cols)
@@ -215,9 +236,12 @@ def nullspace(m: SparseMatrix) -> VectorBasis:
             if coef:
                 v[pcol] = -coef
         vectors.append(tuple(v))
-    for v in vectors:
-        if any(m.mul_vec(v)):
-            raise LinalgError("internal error: kernel vector fails verification")
+    if vectors:
+        rows = [_integers(row) for row in m._rows if row]
+        for v in vectors:
+            w = _integers(dict(enumerate(v)))
+            if any(sum(a * w[c] for c, a in row.items()) for row in rows):
+                raise LinalgError("internal error: kernel vector fails verification")
     return VectorBasis(m.cols, vectors)
 
 

@@ -139,16 +139,6 @@ def unknown_layout(problem: HomogeneousSolveProblem) -> UnknownLayout:
     return UnknownLayout(columns, partner)
 
 
-def _image(p: AlgebraPresentation, layout: UnknownLayout, gamma: int,
-           source: BasisElement) -> tuple[int, BasisElement] | None:
-    """Column and formal target of D(source), or None if structurally zero."""
-    col = layout.column_of(source.kind.name, source.index)
-    if col is None:
-        return None
-    target = layout.partner[source.kind.name]
-    return col, BasisElement(target, source.index + gamma)
-
-
 def assemble(problem: HomogeneousSolveProblem,
              layout: UnknownLayout | None = None) -> SparseMatrix:
     """Constraint matrix whose kernel is the degree-homogeneous solution set.
@@ -160,36 +150,47 @@ def assemble(problem: HomogeneousSolveProblem,
     p = problem.presentation
     if layout is None:
         layout = unknown_layout(problem)
-    delta = problem.delta
+    neg_delta = -problem.delta
     gamma = problem.gamma
     N = problem.window
     basis = p.basis_elements(N)
-    rows: list[dict[int, Fraction]] = []
+    images: dict[BasisElement, tuple[int, BasisElement] | None] = {}
 
+    def image(b: BasisElement) -> tuple[int, BasisElement] | None:
+        """Column and formal target of D(b), or None if structurally zero."""
+        try:
+            return images[b]
+        except KeyError:
+            col = layout.column_of(b.kind.name, b.index)
+            hit = images[b] = None if col is None else (
+                col, BasisElement(layout.partner[b.kind.name], b.index + gamma))
+            return hit
+
+    def add(acc: dict, out: BasisElement, col: int, coeff: Fraction):
+        row = acc.setdefault(out, {})
+        prev = row.get(col)
+        row[col] = coeff if prev is None else prev + coeff
+
+    rows: list[dict[int, Fraction]] = []
     for i, x in enumerate(basis):
-        img_x = _image(p, layout, gamma, x)
+        img_x = image(x)
         for y in basis[i + 1:]:
             if abs(x.index + y.index) > N:
                 continue
             acc: dict[BasisElement, dict[int, Fraction]] = {}
-
-            def add(out: BasisElement, col: int, coeff: Fraction):
-                row = acc.setdefault(out, {})
-                row[col] = row.get(col, Fraction(0)) + coeff
-
             for t, c in p.bracket_basis(x, y).items():
-                hit = _image(p, layout, gamma, t)
+                hit = image(t)
                 if hit is not None:
-                    add(hit[1], hit[0], c)
+                    add(acc, hit[1], hit[0], c)
             if img_x is not None:
                 col, dx = img_x
                 for t, c in p.bracket_basis(dx, y).items():
-                    add(t, col, -delta * c)
-            img_y = _image(p, layout, gamma, y)
+                    add(acc, t, col, neg_delta * c)
+            img_y = image(y)
             if img_y is not None:
                 col, dy = img_y
                 for t, c in p.bracket_basis(x, dy).items():
-                    add(t, col, -delta * c)
+                    add(acc, t, col, neg_delta * c)
 
             for out in sorted(acc):
                 row = {c: v for c, v in acc[out].items() if v}

@@ -134,6 +134,15 @@ def test_from_dict_rejects_central_terms_on_noncentral_targets():
         catalog.from_dict(data)
 
 
+def test_from_dict_rejects_ordinary_terms_on_central_targets():
+    data = catalog.to_dict(catalog.get("virasoro"))
+    data["brackets"][0]["terms"].append(
+        {"kind": "C", "coeff": {"cm": "1", "cn": "-1"}})
+    with pytest.raises(PresentationFormatError,
+                       match="ordinary term targets central kind 'C'"):
+        catalog.from_dict(data)
+
+
 @pytest.mark.parametrize("path,value", [
     (["brackets", 0, "central_terms"], 5),
     (["central_kinds"], [["C"]]),

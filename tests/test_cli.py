@@ -137,6 +137,23 @@ def test_wrongly_typed_presentation_field_exits_without_traceback(tmp_path):
     assert "central_terms" in done.stderr
 
 
+def test_ordinary_term_targeting_a_central_kind_exits_without_traceback(tmp_path):
+    data = catalog.to_dict(catalog.get("virasoro"))
+    data["brackets"][0]["terms"].append(
+        {"kind": "C", "coeff": {"cm": "1", "cn": "-1"}})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    src = Path(gradedlie.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "gradedlie", "validate", "--algebra", str(path),
+         "--window", "4"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == EXIT_USAGE
+    assert "Traceback" not in done.stderr
+    assert "ordinary term targets central kind 'C'" in done.stderr
+
+
 # ---------------------------------------------------------------------------
 # solve
 

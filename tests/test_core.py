@@ -254,6 +254,17 @@ def test_presentation_rejects_undeclared_central_kind():
         AlgebraPresentation("bad", (L,), central=("C",))
 
 
+def test_presentation_rejects_an_ordinary_term_targeting_a_central_kind():
+    # a central kind has only C_0, so it may appear only as a central term
+    L = BasisKind("L", (0, 0))
+    C = BasisKind("C", (0, 0))
+    rule = BracketRule(L, L, (BracketTerm(L, affine(cm=1, cn=-1)),
+                              BracketTerm(C, affine(cm=1, cn=-1))))
+    with pytest.raises(PresentationError,
+                       match=r"rule \[L,L\]: ordinary term targets central kind 'C'"):
+        AlgebraPresentation("bad", (L, C), (rule,), central=("C",))
+
+
 def test_unknown_kind_lookup_lists_the_available_kinds():
     with pytest.raises(PresentationError, match="L, H, I, J"):
         PGCA.kind("X")

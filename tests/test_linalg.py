@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gradedlie import linalg
 from gradedlie.linalg import (LinalgError, SparseMatrix, VectorBasis,
                               nullspace, project_basis, rank,
                               rank_of_projection, rref)
@@ -95,14 +96,17 @@ def test_zero_matrix_has_full_nullspace():
 # independent dense oracle
 
 
-def _dense_rank(data):
-    """Textbook dense elimination, no pivot strategy, no sparsity."""
+def _dense_rref(data):
+    """Textbook dense Gauss-Jordan, no pivot strategy, no sparsity.
+
+    Returns every row of the reduced matrix (pivot rows first, in column
+    order, then zero rows) and the list of pivot columns.
+    """
     rows = [list(map(Fraction, r)) for r in data]
-    if not rows:
-        return 0
-    cols = len(rows[0])
-    r = 0
+    cols = len(rows[0]) if rows else 0
+    pivots = []
     for c in range(cols):
+        r = len(pivots)
         pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
@@ -113,10 +117,12 @@ def _dense_rank(data):
             if i != r and rows[i][c]:
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+        pivots.append(c)
+    return rows, pivots
+
+
+def _dense_rank(data):
+    return len(_dense_rref(data)[1])
 
 
 small_fractions = st.builds(
@@ -150,6 +156,98 @@ def test_rref_preserves_the_row_space_dimension(data):
     m = SparseMatrix.from_dense(data)
     reduced, pivots = rref(m)
     assert rank(reduced) == len(pivots) == rank(m)
+
+
+nonzero_fractions = small_fractions.filter(bool)
+
+
+@st.composite
+def tall_full_rank_matrices(draw):
+    """More rows than columns, with full column rank reached before the end."""
+    cols = draw(st.integers(1, 5))
+    triangle = [[Fraction(0)] * c + [draw(nonzero_fractions)]
+                + draw(st.lists(small_fractions, min_size=cols - c - 1,
+                                max_size=cols - c - 1))
+                for c in range(cols)]
+    extra = draw(st.lists(st.lists(small_fractions, min_size=cols, max_size=cols),
+                          min_size=1, max_size=4))
+    rows = draw(st.permutations(triangle + extra[:-1]))
+    return rows + extra[-1:]
+
+
+@st.composite
+def late_left_pivot_matrices(draw):
+    """An early row leads late; a later row brings a pivot to its left."""
+    cols = draw(st.integers(2, 5))
+    lead = draw(st.integers(1, cols - 1))
+    first = ([Fraction(0)] * lead + [draw(nonzero_fractions)]
+             + draw(st.lists(small_fractions, min_size=cols - lead - 1,
+                             max_size=cols - lead - 1)))
+    later = draw(st.lists(
+        st.tuples(nonzero_fractions,
+                  st.lists(small_fractions, min_size=cols - 1, max_size=cols - 1)
+                  ).map(lambda t: [t[0]] + t[1]),
+        min_size=1, max_size=4))
+    return [first] + later
+
+
+def _assert_rref_matches_oracle(data):
+    m = SparseMatrix.from_dense(data)
+    reduced, pivots = rref(m)
+    want_rows, want_pivots = _dense_rref(data)
+    assert pivots == want_pivots
+    assert reduced.to_dense() == want_rows
+
+
+@given(dense_matrices)
+def test_rref_equals_dense_gauss_jordan(data):
+    _assert_rref_matches_oracle(data)
+
+
+@given(tall_full_rank_matrices())
+def test_rref_equals_dense_gauss_jordan_on_tall_full_rank_input(data):
+    assert _dense_rank(data) == len(data[0])
+    _assert_rref_matches_oracle(data)
+
+
+@given(late_left_pivot_matrices())
+def test_rref_equals_dense_gauss_jordan_when_a_later_row_leads_left(data):
+    _assert_rref_matches_oracle(data)
+
+
+@given(dense_matrices)
+def test_rref_and_nullspace_leave_their_input_unchanged(data):
+    m = SparseMatrix.from_dense(data)
+    before = [m.row(r) for r in range(m.rows)]
+    rref(m)
+    assert [m.row(r) for r in range(m.rows)] == before
+    nullspace(m)
+    assert [m.row(r) for r in range(m.rows)] == before
+    assert m == SparseMatrix.from_dense(data)
+
+
+# ---------------------------------------------------------------------------
+# nullspace postcondition
+
+
+@pytest.mark.parametrize("data", [
+    # the corrupted kernel vector fails the first row
+    [[0, 1, 2], [1, 0, 1], [1, 1, 3]],
+    # ... and here only the last row of the original matrix exposes it
+    [[1, 0, 1], [2, 0, 2], [0, 1, 2]],
+])
+def test_nullspace_postcondition_catches_a_corrupted_reduction(data, monkeypatch):
+    original = linalg.rref
+
+    def corrupted(m):
+        reduced, pivots = original(m)
+        reduced._rows[1][2] += 1
+        return reduced, pivots
+
+    monkeypatch.setattr(linalg, "rref", corrupted)
+    with pytest.raises(LinalgError,
+                       match="^internal error: kernel vector fails verification$"):
+        nullspace(SparseMatrix.from_dense(data))
 
 
 # ---------------------------------------------------------------------------

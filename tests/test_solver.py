@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from gradedlie import catalog
+from gradedlie import catalog, linalg, solver
 from gradedlie.core import (AlgebraPresentation, BasisKind, GradingDegree)
 from gradedlie.solver import (AmbiguousSectorError, HomogeneousSolveProblem,
                               SolveReport, SolverError, VERDICT_NOT_SCALAR_ONLY,
@@ -326,3 +326,43 @@ def test_scan_json_shape():
     assert data["algebra"] == "witt"
     assert data["delta"] == "1/2"
     assert len(data["reports"]) == 4
+
+
+# ---------------------------------------------------------------------------
+# layer boundaries
+
+
+@pytest.mark.parametrize("delta,degree,projected", [
+    (HALF, (0, 1, 0), False),         # certified: the kernel is zero
+    (Fraction(1), (0, 0, 0), True),   # a degree with a kernel
+])
+def test_solve_degree_crosses_each_layer_once(delta, degree, projected,
+                                              monkeypatch):
+    # assemble -> nullspace -> rref are looked up as module globals, one
+    # call each per degree; per-layer tracing wraps exactly these names.
+    # Each call is logged with its nesting depth among the wrapped names.
+    log = []
+    depth = [0]
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            log.append((name, depth[0]))
+            depth[0] += 1
+            try:
+                return original(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(solver, "assemble")
+    counted(solver, "nullspace")
+    counted(linalg, "rref")
+    report = solve_degree(problem(PGCA, delta, degree, 6))
+    want = [("assemble", 0), ("nullspace", 0), ("rref", 1)]
+    if projected:
+        # reporting reduces the nonzero kernel's interior projection
+        want.append(("rref", 0))
+    assert log == want
+    assert (report.full_dim > 0) == projected
