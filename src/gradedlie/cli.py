@@ -23,7 +23,7 @@ from . import catalog
 from .catalog import (CatalogKeyError, PresentationFormatError,
                       PresentationValidationError)
 from .core import PresentationError, parse_rational, validate_presentation
-from .poisson import classify_products
+from .poisson import ProductError, classify_products
 from .recurrences import check_lemma_conclusions
 from .solver import SolverError, WindowTooSmallError, required_window, scan
 
@@ -42,7 +42,10 @@ def canonical_json(data) -> str:
 
 def _emit(text: str, output: str | None):
     if output:
-        Path(output).write_text(text)
+        try:
+            Path(output).write_text(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {output}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -225,7 +228,7 @@ def main(argv=None) -> int:
     except PresentationValidationError as exc:
         print(f"validation failed: {exc}", file=sys.stderr)
         return EXIT_MATH_FAIL
-    except (SolverError, PresentationError) as exc:
+    except (SolverError, PresentationError, ProductError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -4,11 +4,15 @@ Basis elements come in named families ("kinds"), each carrying a Z2 x Z2
 degree and indexed over Z.  The bracket of two families is a finite sum of
 target families whose coefficients are affine polynomials in the two
 indices, so a presentation evaluates [x_m, y_n] on demand for arbitrary
-integers with no truncation.  Each pair of basis elements is evaluated once
-per presentation: the result is cached, and the same Element is shared by
-every later caller.  One rule is stored per unordered pair of families; the
-reversed bracket is derived by negation, which removes a whole class of
-sign-inconsistency bugs at the source.
+integers with no truncation.  One rule is stored per unordered pair of
+families; the reversed bracket is derived by negation, which removes a
+whole class of sign-inconsistency bugs at the source.
+
+`bracket_basis` is the one exact evaluator and caches nothing.  The hot
+loops (validation, row assembly, the membership system) read brackets
+through `bracket_indexed` instead: an integer view keyed by (kind
+position, index), with every coefficient multiplied by the presentation's
+`scale`, memoised per presentation and filled from `bracket_basis`.
 
 A kind may be marked central: it then has a single basis element at index
 0, brackets trivially with everything, and can only appear in a bracket as
@@ -19,8 +23,9 @@ the two indices sum to zero).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Mapping
 
 
@@ -340,7 +345,14 @@ class AlgebraPresentation:
         self._rules = dict(sorted(
             stored.items(),
             key=lambda kv: (self._order[kv[0][0]], self._order[kv[0][1]])))
-        self._brackets: dict[tuple[BasisElement, BasisElement], Element] = {}
+        # every coefficient times scale is an integer at integer indices
+        self.scale = lcm(1, *(
+            q.denominator for rule in self._rules.values()
+            for t in rule.terms + rule.central_terms for q in astuple(t.coeff)))
+        # rank of each kind position in BasisElement order (kinds sort by name)
+        self.kind_rank = tuple(sorted(names).index(n) for n in names)
+        self._indexed: dict[tuple[int, int, int, int],
+                            tuple[tuple[tuple[int, int], int], ...]] = {}
 
     def __eq__(self, other):
         return (isinstance(other, AlgebraPresentation)
@@ -406,19 +418,41 @@ class AlgebraPresentation:
         return None, False
 
     def bracket_basis(self, x: BasisElement, y: BasisElement) -> Element:
-        """[x, y] for two basis elements, evaluated once per presentation.
+        """[x, y] for two basis elements, evaluated exactly on every call.
 
-        The result is cached and the same Element is returned to every later
-        call; Element has no mutating API, so sharing it is safe.  Both
-        arguments are checked before a pair is first evaluated, so a rejected
-        pair is never cached.
+        Both arguments are checked on every call.  Nothing is cached here;
+        bracket_indexed memoises its integer view of these results.
         """
-        cached = self._brackets.get((x, y))
-        if cached is None:
-            self._check_owned(x)
-            self._check_owned(y)
-            cached = self._brackets[(x, y)] = self._evaluate(x, y)
-        return cached
+        self._check_owned(x)
+        self._check_owned(y)
+        return self._evaluate(x, y)
+
+    def bracket_indexed(self, a: int, m: int, b: int, n: int
+                        ) -> tuple[tuple[tuple[int, int], int], ...]:
+        """[kinds[a]_m, kinds[b]_n] as ((kind position, index), int) pairs.
+
+        Each int is the exact coefficient times self.scale, and the terms
+        come in bracket_basis order.  Results are memoised per presentation
+        under (a, m, b, n); a miss evaluates through bracket_basis, so a
+        rejected pair raises before anything is stored.
+        """
+        key = (a, m, b, n)
+        try:
+            return self._indexed[key]
+        except KeyError:
+            pass
+        kinds, order, scale = self.kinds, self._order, self.scale
+        terms = []
+        for t, c in self.bracket_basis(BasisElement(kinds[a], m),
+                                       BasisElement(kinds[b], n)).items():
+            q, r = divmod(scale, c.denominator)
+            if r:
+                raise ArithmeticError(
+                    f"internal error: {c} in [{kinds[a].name}_{m},{kinds[b].name}_{n}] "
+                    f"times scale {scale} is not an integer")
+            terms.append(((order[t.kind.name], t.index), c.numerator * q))
+        hit = self._indexed[key] = tuple(terms)
+        return hit
 
     def _evaluate(self, x: BasisElement, y: BasisElement) -> Element:
         rule, swapped = self.rule_for(x.kind, y.kind)
@@ -441,6 +475,18 @@ class AlgebraPresentation:
                     b = BasisElement(t.target, 0)
                     acc[b] = acc.get(b, Fraction(0)) + sign * c
         return Element(acc)
+
+
+class ScaledFractions(dict):
+    """Fraction(v, den) for each integer v, built once and then shared."""
+
+    def __init__(self, den: int):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, v: int) -> Fraction:
+        q = self[v] = Fraction(v, self.den)
+        return q
 
 
 def _as_element(x) -> Element:
@@ -481,56 +527,75 @@ class ValidationReport:
         return (f"{self.presentation}: FAIL [{self.check}] at ({where}): {self.detail}")
 
 
+def _scaled_element(p: AlgebraPresentation, acc: dict[tuple[int, int], int],
+                    den: int) -> Element:
+    """The Element sum(v/den * kinds[a]_i) of an integer accumulator."""
+    return Element({BasisElement(p.kinds[a], i): Fraction(v, den)
+                    for (a, i), v in acc.items()})
+
+
 def validate_presentation(p: AlgebraPresentation, window: int) -> ValidationReport:
     """Exhaustively check grading, skew-symmetry and Jacobi on a window.
 
     Jacobi is alternating once skew-symmetry holds, so after the pair pass
-    it suffices to expand strictly increasing triples.
+    it suffices to expand strictly increasing triples.  Sums run on
+    bracket_indexed's integers: a bracket carries one factor of p.scale and
+    a Jacobiator two.
     """
     if window < 2:
         raise ValueError("validation window must be at least 2")
     basis = p.basis_elements(window)
+    keys = [(p.kind_order(b.kind), b.index) for b in basis]
+    z2 = [k.z2 for k in p.kinds]
+    br = p.bracket_indexed
     report = ValidationReport(p.name, window, True)
 
-    for x in basis:
-        for y in basis:
-            br = p.bracket_basis(x, y)
-            want = x.degree + y.degree
-            for b, _ in br.items():
-                if b.degree != want:
+    for x, (a, m) in zip(basis, keys):
+        for y, (b, n) in zip(basis, keys):
+            xy = br(a, m, b, n)
+            want = ((z2[a][0] + z2[b][0]) % 2, (z2[a][1] + z2[b][1]) % 2)
+            for (c, i), _ in xy:
+                if i != m + n or z2[c] != want:
+                    t = BasisElement(p.kinds[c], i)
                     report.passed = False
                     report.check = "grading"
                     report.witnesses = (x, y)
-                    report.detail = (f"[{x},{y}] contains {b} of degree {b.degree}, "
-                                     f"expected {want}")
+                    report.detail = (f"[{x},{y}] contains {t} of degree {t.degree}, "
+                                     f"expected {x.degree + y.degree}")
                     return report
-            anti = br + p.bracket_basis(y, x)
-            if not anti.is_zero:
+            anti = dict(xy)
+            for t, v in br(b, n, a, m):
+                anti[t] = anti.get(t, 0) + v
+            if any(anti.values()):
                 report.passed = False
                 report.check = "skew-symmetry"
                 report.witnesses = (x, y)
-                report.detail = f"[{x},{y}] + [{y},{x}] = {anti!r}"
+                report.detail = (f"[{x},{y}] + [{y},{x}] = "
+                                 f"{_scaled_element(p, anti, p.scale)!r}")
                 return report
             report.pairs_checked += 1
 
-    for i, x in enumerate(basis):
-        for j in range(i + 1, len(basis)):
-            y = basis[j]
-            for k in range(j + 1, len(basis)):
-                z = basis[k]
+    size = len(keys)
+    for i in range(size):
+        x = keys[i]
+        for j in range(i + 1, size):
+            y = keys[j]
+            xy = br(*x, *y)
+            for k in range(j + 1, size):
+                z = keys[k]
                 # sum over cyclic (a, b, c) of [a, [b, c]], where [b, c] is
-                # sum u*t and each [a, t] is sum v*s, read from the cache
-                acc: dict[BasisElement, Fraction] = {}
-                for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-                    for t, u in p.bracket_basis(b, c).items():
-                        for s, v in p.bracket_basis(a, t).items():
+                # sum u*t and each [a, t] is sum v*s
+                acc: dict[tuple[int, int], int] = {}
+                for a, bc in ((x, br(*y, *z)), (y, br(*z, *x)), (z, xy)):
+                    for t, u in bc:
+                        for s, v in br(*a, *t):
                             acc[s] = acc.get(s, 0) + u * v
-                jac = Element(acc)
                 report.triples_checked += 1
-                if not jac.is_zero:
+                if any(acc.values()):
                     report.passed = False
                     report.check = "jacobi"
-                    report.witnesses = (x, y, z)
-                    report.detail = f"jacobiator = {jac!r}"
+                    report.witnesses = (basis[i], basis[j], basis[k])
+                    report.detail = (f"jacobiator = "
+                                     f"{_scaled_element(p, acc, p.scale ** 2)!r}")
                     return report
     return report

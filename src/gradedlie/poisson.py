@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .core import AlgebraPresentation, BasisElement, Element, bracket
+from .core import (AlgebraPresentation, BasisElement, Element, ScaledFractions,
+                   bracket)
 from .linalg import SparseMatrix, nullspace
 from .solver import VERDICT_SCALAR_ONLY, ScanResult
 
@@ -219,48 +220,56 @@ def _membership_system(p: AlgebraPresentation, delta: Fraction, window: int):
     and source pair (x_m, y_n) with m, n, m+n in the window, the operator
     w -> z.w must satisfy the delta-derivation identity; rows are indexed
     by output basis elements, which may lie outside the window (they are
-    equation labels, not unknowns).
+    equation labels, not unknowns).  As in solver.assemble, entries are
+    accumulated as integers over p.scale * dd for delta = dn/dd.
     """
-    basis = p.basis_elements(window)
-    pairs = []
-    pair_index: dict[tuple, int] = {}
-    for i, x in enumerate(basis):
-        for y in basis[i:]:
-            pair_index[_pair_key(x, y)] = len(pairs)
-            pairs.append((x, y))
-    columns = [(pi, t) for pi in range(len(pairs)) for t in range(len(basis))]
-    col_index = {key: i for i, key in enumerate(columns)}
-
-    def product_cols(z: BasisElement, w: BasisElement):
-        pi = pair_index[_pair_key(z, w)]
-        return [(col_index[(pi, t)], basis[t]) for t in range(len(basis))]
+    basis = [(p.kind_order(b.kind), b.index) for b in p.basis_elements(window)]
+    width = len(basis)
+    position = {key: i for i, key in enumerate(basis)}
+    pair_of = [[0] * width for _ in range(width)]
+    pairs = 0
+    for i in range(width):
+        for j in range(i, width):
+            pair_of[i][j] = pair_of[j][i] = pairs
+            pairs += 1
+    columns = [(pi, t) for pi in range(pairs) for t in range(width)]
+    # (column, target) of each product z.w, one column int object shared by
+    # every row that holds it
+    col_ids = list(range(len(columns)))
+    products = [list(zip(col_ids[pi * width:(pi + 1) * width], basis))
+                for pi in range(pairs)]
+    dn, dd = delta.numerator, delta.denominator
+    scaled = ScaledFractions(p.scale * dd)
+    br = p.bracket_indexed
+    rank = p.kind_rank
 
     rows = []
-    for z in basis:
-        for i, x in enumerate(basis):
-            for y in basis[i + 1:]:
-                if abs(x.index + y.index) > window:
+    for z in range(width):
+        pairs_z = pair_of[z]
+        for i, (a, m) in enumerate(basis):
+            for j in range(i + 1, width):
+                b, n = basis[j]
+                if abs(m + n) > window:
                     continue
-                lie = p.bracket_basis(x, y)
-                if any(abs(t.index) > window for t, _ in lie.items()):
+                lie = br(a, m, b, n)
+                if any(abs(t[1]) > window for t, _ in lie):
                     continue  # z.[x,y] undefined on the window; skip, don't truncate
-                acc: dict[BasisElement, dict[int, Fraction]] = {}
-
-                def add(out, col, coeff):
-                    row = acc.setdefault(out, {})
-                    row[col] = row.get(col, Fraction(0)) + coeff
-
-                for t, c in lie.items():
-                    for col, target in product_cols(z, t):
-                        add(target, col, c)
-                for col, target in product_cols(z, x):
-                    for t, c in p.bracket_basis(target, y).items():
-                        add(t, col, -delta * c)
-                for col, target in product_cols(z, y):
-                    for t, c in p.bracket_basis(x, target).items():
-                        add(t, col, -delta * c)
-                for out in sorted(acc):
-                    row = {c: v for c, v in acc[out].items() if v}
+                acc: dict[tuple[int, int], dict[int, int]] = {}
+                for t, c in lie:
+                    c *= dd
+                    for col, out in products[pairs_z[position[t]]]:
+                        row = acc.setdefault(out, {})
+                        row[col] = row.get(col, 0) + c
+                for col, (ta, tm) in products[pairs_z[i]]:
+                    for t, c in br(ta, tm, b, n):
+                        row = acc.setdefault(t, {})
+                        row[col] = row.get(col, 0) - dn * c
+                for col, (ta, tm) in products[pairs_z[j]]:
+                    for t, c in br(a, m, ta, tm):
+                        row = acc.setdefault(t, {})
+                        row[col] = row.get(col, 0) - dn * c
+                for out in sorted(acc, key=lambda t: (rank[t[0]], t[1])):
+                    row = {c: scaled[v] for c, v in acc[out].items() if v}
                     if row:
                         rows.append(row)
     return SparseMatrix.from_rows(len(columns), rows), columns
@@ -274,6 +283,8 @@ def classify_products(p: AlgebraPresentation, scan_result: ScanResult | str,
     decides which path applies.  The verdict is 'trivial' only when the
     zero product is the sole solution of the windowed system.
     """
+    if window < 0:
+        raise ProductError("window must be non-negative")
     verdict = scan_result if isinstance(scan_result, str) else scan_result.verdict
     basis_count = len(p.basis_elements(window))
 

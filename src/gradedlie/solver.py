@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import (AlgebraPresentation, BasisElement, BasisKind, Element,
-                   GradingDegree, format_rational)
+from .core import (AlgebraPresentation, BasisKind, GradingDegree,
+                   ScaledFractions, format_rational)
 from .linalg import SparseMatrix, VectorBasis, nullspace, project_basis
 
 
@@ -145,55 +145,53 @@ def assemble(problem: HomogeneousSolveProblem,
 
     One scalar row per (unordered source pair, output basis element) of
     D[x, y] - delta([Dx, y] + [x, Dy]); a pair contributes only when m, n
-    and m+n all lie inside the window.
+    and m+n all lie inside the window.  Basis elements are (kind position,
+    index) pairs and brackets come from bracket_indexed, so with
+    delta = dn/dd each entry is accumulated as an integer over
+    p.scale * dd; rows sort their outputs in BasisElement order.
     """
     p = problem.presentation
     if layout is None:
         layout = unknown_layout(problem)
-    neg_delta = -problem.delta
+    dn, dd = problem.delta.numerator, problem.delta.denominator
+    scaled = ScaledFractions(p.scale * dd)
     gamma = problem.gamma
     N = problem.window
-    basis = p.basis_elements(N)
-    images: dict[BasisElement, tuple[int, BasisElement] | None] = {}
-
-    def image(b: BasisElement) -> tuple[int, BasisElement] | None:
-        """Column and formal target of D(b), or None if structurally zero."""
-        try:
-            return images[b]
-        except KeyError:
-            col = layout.column_of(b.kind.name, b.index)
-            hit = images[b] = None if col is None else (
-                col, BasisElement(layout.partner[b.kind.name], b.index + gamma))
-            return hit
-
-    def add(acc: dict, out: BasisElement, col: int, coeff: Fraction):
-        row = acc.setdefault(out, {})
-        prev = row.get(col)
-        row[col] = coeff if prev is None else prev + coeff
+    br = p.bracket_indexed
+    rank = p.kind_rank
+    # D(k_m) = u[k, m] * partner(k)_{m+gamma}: its column and formal target
+    images = {(p.kind_order(p.kind(name)), m):
+              (col, (p.kind_order(layout.partner[name]), m + gamma))
+              for (name, m), col in layout.index.items()}
+    basis = [(p.kind_order(b.kind), b.index) for b in p.basis_elements(N)]
 
     rows: list[dict[int, Fraction]] = []
-    for i, x in enumerate(basis):
-        img_x = image(x)
-        for y in basis[i + 1:]:
-            if abs(x.index + y.index) > N:
+    for i, (a, m) in enumerate(basis):
+        img_x = images.get((a, m))
+        for b, n in basis[i + 1:]:
+            if abs(m + n) > N:
                 continue
-            acc: dict[BasisElement, dict[int, Fraction]] = {}
-            for t, c in p.bracket_basis(x, y).items():
-                hit = image(t)
+            acc: dict[tuple[int, int], dict[int, int]] = {}
+            for t, c in br(a, m, b, n):
+                hit = images.get(t)
                 if hit is not None:
-                    add(acc, hit[1], hit[0], c)
+                    col, out = hit
+                    row = acc.setdefault(out, {})
+                    row[col] = row.get(col, 0) + dd * c
             if img_x is not None:
-                col, dx = img_x
-                for t, c in p.bracket_basis(dx, y).items():
-                    add(acc, t, col, neg_delta * c)
-            img_y = image(y)
+                col, (da, dm) = img_x
+                for t, c in br(da, dm, b, n):
+                    row = acc.setdefault(t, {})
+                    row[col] = row.get(col, 0) - dn * c
+            img_y = images.get((b, n))
             if img_y is not None:
-                col, dy = img_y
-                for t, c in p.bracket_basis(x, dy).items():
-                    add(acc, t, col, neg_delta * c)
+                col, (db, dm) = img_y
+                for t, c in br(a, m, db, dm):
+                    row = acc.setdefault(t, {})
+                    row[col] = row.get(col, 0) - dn * c
 
-            for out in sorted(acc):
-                row = {c: v for c, v in acc[out].items() if v}
+            for out in sorted(acc, key=lambda t: (rank[t[0]], t[1])):
+                row = {c: scaled[v] for c, v in acc[out].items() if v}
                 if row:
                     rows.append(row)
 

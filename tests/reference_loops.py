@@ -1,0 +1,121 @@
+"""Element-based reference versions of the two constraint-row assemblers.
+
+`solver.assemble` and `poisson._membership_system` run on integer keys
+and scaled integer coefficients.  These loops build the same systems from
+BasisElement and Element objects: they read brackets only through the
+public `bracket_basis` and accumulate exact Fractions, so comparing
+matrices checks the integer loops (their scaling, their keys, their row
+order) against a direct transcription of the same definition.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from gradedlie.core import BasisElement
+from gradedlie.linalg import SparseMatrix
+from gradedlie.poisson import _pair_key
+from gradedlie.solver import unknown_layout
+
+
+def _bracket(p):
+    """p.bracket_basis with a per-call memo, so the references stay quick."""
+    memo = {}
+
+    def br(x, y):
+        try:
+            return memo[(x, y)]
+        except KeyError:
+            hit = memo[(x, y)] = p.bracket_basis(x, y)
+            return hit
+    return br
+
+
+def assemble(problem) -> SparseMatrix:
+    """Rows of D[x, y] - delta([Dx, y] + [x, Dy]), as in `solver.assemble`."""
+    p = problem.presentation
+    br = _bracket(p)
+    layout = unknown_layout(problem)
+    neg_delta = -problem.delta
+    gamma = problem.gamma
+    N = problem.window
+    basis = p.basis_elements(N)
+
+    def image(b):
+        col = layout.column_of(b.kind.name, b.index)
+        if col is None:
+            return None
+        return col, BasisElement(layout.partner[b.kind.name], b.index + gamma)
+
+    def add(acc, out, col, coeff):
+        row = acc.setdefault(out, {})
+        row[col] = row.get(col, Fraction(0)) + coeff
+
+    rows = []
+    for i, x in enumerate(basis):
+        for y in basis[i + 1:]:
+            if abs(x.index + y.index) > N:
+                continue
+            acc = {}
+            for t, c in br(x, y).items():
+                hit = image(t)
+                if hit is not None:
+                    add(acc, hit[1], hit[0], c)
+            for src, other, left in ((x, y, True), (y, x, False)):
+                hit = image(src)
+                if hit is None:
+                    continue
+                col, d = hit
+                out = br(d, other) if left else br(other, d)
+                for t, c in out.items():
+                    add(acc, t, col, neg_delta * c)
+            for out in sorted(acc):
+                row = {c: v for c, v in acc[out].items() if v}
+                if row:
+                    rows.append(row)
+    return SparseMatrix.from_rows(len(layout.columns), rows)
+
+
+def membership_system(p, delta: Fraction, window: int) -> SparseMatrix:
+    """Rows of the product-membership system, as in `poisson._membership_system`."""
+    br = _bracket(p)
+    basis = p.basis_elements(window)
+    pair_index = {}
+    for i, x in enumerate(basis):
+        for y in basis[i:]:
+            pair_index[_pair_key(x, y)] = len(pair_index)
+    width = len(basis)
+
+    def product_cols(z, w):
+        base = pair_index[_pair_key(z, w)] * width
+        return [(base + t, basis[t]) for t in range(width)]
+
+    rows = []
+    for z in basis:
+        for i, x in enumerate(basis):
+            for y in basis[i + 1:]:
+                if abs(x.index + y.index) > window:
+                    continue
+                lie = br(x, y)
+                if any(abs(t.index) > window for t, _ in lie.items()):
+                    continue
+                acc = {}
+
+                def add(out, col, coeff):
+                    row = acc.setdefault(out, {})
+                    row[col] = row.get(col, Fraction(0)) + coeff
+
+                for t, c in lie.items():
+                    for col, target in product_cols(z, t):
+                        add(target, col, c)
+                for col, target in product_cols(z, x):
+                    for t, c in br(target, y).items():
+                        add(t, col, -delta * c)
+                for col, target in product_cols(z, y):
+                    for t, c in br(x, target).items():
+                        add(t, col, -delta * c)
+                for out in sorted(acc):
+                    row = {c: v for c, v in acc[out].items() if v}
+                    if row:
+                        rows.append(row)
+    return SparseMatrix.from_rows(len(pair_index) * width, rows)

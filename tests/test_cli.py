@@ -154,6 +154,20 @@ def test_ordinary_term_targeting_a_central_kind_exits_without_traceback(tmp_path
     assert "ordinary term targets central kind 'C'" in done.stderr
 
 
+def test_unwritable_output_exits_without_traceback(tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    src = Path(gradedlie.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "gradedlie", "validate", "--algebra", "pgca",
+         "--window", "2", "--output", str(target)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == EXIT_USAGE
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith(f"error: cannot write {target}")
+    assert not target.parent.exists()
+
+
 # ---------------------------------------------------------------------------
 # solve
 
@@ -253,3 +267,12 @@ def test_tp_classify_json_includes_both_verdicts(capsys):
     assert data["derivation_verdict"] == "not-scalar-only"
     assert data["path"] == "derivation-membership"
     assert out == canonical_json(data)
+
+
+def test_tp_classify_negative_window_is_a_usage_error(capsys):
+    # a negative window has no basis elements, which would read as 'trivial'
+    code, out, err = run(["tp-classify", "--algebra", "witt", "--window", "-1",
+                          "--gamma-max", "1"], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "window must be non-negative" in err

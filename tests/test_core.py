@@ -171,11 +171,20 @@ def test_jacobi_identity_holds_on_sampled_triples(a, b, c):
     assert jac == Element.zero()
 
 
+HV = catalog.get("heisenberg-virasoro")
+
+
+def _indexed_as_element(p, x, y):
+    """bracket_indexed(x, y) divided back by p.scale, as an Element."""
+    got = p.bracket_indexed(p.kind_order(x.kind), x.index, p.kind_order(y.kind), y.index)
+    return Element({BasisElement(p.kinds[a], i): Fraction(v, p.scale)
+                    for (a, i), v in got})
+
+
 def test_warm_bracket_cache_still_rejects_foreign_elements():
+    # validation fills the integer memo for every pair on the window
     p = catalog.get("virasoro")
-    for x in p.basis_elements(4):
-        for y in p.basis_elements(4):
-            p.bracket_basis(x, y)
+    assert validate_presentation(p, 4).passed
     impostor = BasisElement(BasisKind("L", (1, 0)), 1)
     with pytest.raises(PresentationError, match="does not belong"):
         p.bracket_basis(impostor, el(p, "L", 2))
@@ -201,12 +210,61 @@ def test_warm_and_fresh_presentations_return_equal_brackets(key, pairs):
     warm = catalog.get(key)
     for x, y in pairs:
         for a, b in ((x, y), (y, x)):
-            warm.bracket_basis(el(warm, *a), el(warm, *b))
+            _indexed_as_element(warm, el(warm, *a), el(warm, *b))
     for x, y in pairs:
         for a, b in ((x, y), (y, x)):
             fresh = catalog.get(key)
-            got = warm.bracket_basis(el(warm, *a), el(warm, *b))
+            got = _indexed_as_element(warm, el(warm, *a), el(warm, *b))
             assert got == fresh.bracket_basis(el(fresh, *a), el(fresh, *b))
+
+
+@given(st.sampled_from([PGCA, VIRASORO, HV]), st.data())
+def test_bracket_indexed_scaled_back_equals_bracket_basis(p, data):
+    ka, kb = data.draw(st.lists(st.sampled_from(p.kinds), min_size=2, max_size=2))
+    m = data.draw(st.integers(-8, 8))
+    # half the draws sit on m + n = 0, where central terms fire
+    n = -m if data.draw(st.booleans()) else data.draw(st.integers(-8, 8))
+    x = BasisElement(ka, 0 if p.is_central(ka) else m)
+    y = BasisElement(kb, 0 if p.is_central(kb) else n)
+    want = p.bracket_basis(x, y)
+    assert _indexed_as_element(p, x, y) == want
+    # a memo hit returns the stored tuple, whose terms keep Element order
+    key = (p.kind_order(x.kind), x.index, p.kind_order(y.kind), y.index)
+    got = p.bracket_indexed(*key)
+    assert p.bracket_indexed(*key) is got
+    assert [b for b, _ in want.items()] == [BasisElement(p.kinds[a], i)
+                                            for (a, i), _ in got]
+
+
+def test_virasoro_cocycle_is_scaled_to_an_integer():
+    p = catalog.get("virasoro")
+    assert p.scale == 12
+    # [L_2, L_-2] = 4 L_0 + (8 - 2)/12 C_0
+    assert p.bracket_indexed(0, 2, 0, -2) == (((0, 0), 48), ((1, 0), 6))
+    assert (PGCA.scale, HV.scale) == (1, 1)
+
+
+def test_scale_is_the_lcm_of_every_rule_denominator():
+    data = catalog.to_dict(catalog.get("virasoro"))
+    data["brackets"][0]["terms"][0]["coeff"] = {"c0": "1/10", "cm": "1", "cn": "-1"}
+    assert catalog.from_dict(data).scale == 60
+
+
+def test_bracket_indexed_integrality_check_fires():
+    p = catalog.get("virasoro")
+    p.scale = 1
+    with pytest.raises(ArithmeticError, match="internal error"):
+        p.bracket_indexed(0, 2, 0, -2)
+    # nothing was stored, so the check fires again
+    with pytest.raises(ArithmeticError, match="internal error"):
+        p.bracket_indexed(0, 2, 0, -2)
+
+
+def test_bracket_indexed_rejects_missing_elements_every_time():
+    p = catalog.get("virasoro")
+    for _ in range(2):
+        with pytest.raises(PresentationError, match="only has index 0"):
+            p.bracket_indexed(1, 1, 0, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +406,26 @@ def test_validate_reports_a_grading_violation():
     assert report.detail == ("[L_-2,L_-1] contains L_-2 of degree (0,0,-2), "
                              "expected (0,0,-3)")
     assert (report.pairs_checked, report.triples_checked) == (1, 0)
+
+
+def test_validate_reports_a_rational_skew_residue():
+    # the constant 1/3 survives in [x, x], so the residue keeps its denominator
+    data = catalog.to_dict(catalog.get("witt"))
+    data["brackets"][0]["terms"][0]["coeff"] = {"c0": "1/3", "cm": "1", "cn": "-1"}
+    report = validate_presentation(catalog.from_dict(data), 3)
+    assert report.describe() == ("witt: FAIL [skew-symmetry] at (L_-3, L_-3): "
+                                 "[L_-3,L_-3] + [L_-3,L_-3] = 2/3*L_-6")
+    assert (report.pairs_checked, report.triples_checked) == (0, 0)
+
+
+def test_validate_reports_a_rational_jacobiator():
+    # [H, I] = (2/3 + m/5) J: the jacobiator is a product of two rational
+    # coefficients, so its denominator is not the rules' own
+    broken = _pgca_with_coeff("H", "I", {"c0": "2/3", "cm": "1/5"})
+    report = validate_presentation(broken, 3)
+    assert report.describe() == ("pgca: FAIL [jacobi] at (L_-3, H_-3, I_-3): "
+                                 "jacobiator = 9/5*J_-9")
+    assert (report.pairs_checked, report.triples_checked) == (784, 148)
 
 
 def test_validate_passes_every_catalog_entry():

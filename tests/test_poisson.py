@@ -9,13 +9,15 @@ from fractions import Fraction
 
 import pytest
 
+import reference_loops
 from gradedlie import catalog
 from gradedlie.core import (AlgebraPresentation, BasisElement, BasisKind,
                             Element)
 from gradedlie.linalg import SparseMatrix, nullspace
 from gradedlie.poisson import (AxiomReport, ProductError, ProductTable,
                                TP_NONTRIVIAL_POSSIBLE, TP_TRIVIAL,
-                               check_axioms, classify_products)
+                               _membership_system, check_axioms,
+                               classify_products)
 from gradedlie.solver import (VERDICT_NOT_SCALAR_ONLY, VERDICT_SCALAR_ONLY,
                               scan)
 
@@ -211,7 +213,28 @@ def test_classify_accepts_a_scan_result_directly():
     assert result.verdict == TP_TRIVIAL
 
 
+@pytest.mark.parametrize("verdict", [VERDICT_SCALAR_ONLY, VERDICT_NOT_SCALAR_ONLY])
+def test_classify_rejects_a_negative_window(verdict):
+    with pytest.raises(ProductError, match="non-negative"):
+        classify_products(WITT, verdict, -1)
+
+
 def test_classification_json_shape():
     data = classify_products(WITT, VERDICT_SCALAR_ONLY, 2).to_json_dict()
     assert set(data) == {"algebra", "window", "verdict", "solution_dim",
                          "path", "basis_count", "derivation_verdict"}
+
+
+# ---------------------------------------------------------------------------
+# integer-keyed membership rows against the Element-based reference
+
+
+@pytest.mark.parametrize("key", [k for k in catalog.keys() if k != "pgca"])
+@pytest.mark.parametrize("delta", [HALF, Fraction(1), Fraction(2, 3), Fraction(-3, 5)],
+                         ids=str)
+def test_membership_system_equals_the_element_reference(key, delta):
+    # pgca at N=3 is a 248,668-row system, too large for a unit test
+    p = catalog.get(key)
+    matrix, columns = _membership_system(p, delta, 3)
+    assert matrix == reference_loops.membership_system(p, delta, 3)
+    assert len(columns) == matrix.cols

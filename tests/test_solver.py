@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference_loops
 from gradedlie import catalog, linalg, solver
 from gradedlie.core import (AlgebraPresentation, BasisKind, GradingDegree)
 from gradedlie.solver import (AmbiguousSectorError, HomogeneousSolveProblem,
@@ -366,3 +367,22 @@ def test_solve_degree_crosses_each_layer_once(delta, degree, projected,
         want.append(("rref", 0))
     assert log == want
     assert (report.full_dim > 0) == projected
+
+
+# ---------------------------------------------------------------------------
+# integer-keyed assembly against the Element-based reference
+
+
+DELTAS = (HALF, Fraction(1), Fraction(2, 3), Fraction(-3, 5))
+
+
+@pytest.mark.parametrize("key", catalog.keys())
+@pytest.mark.parametrize("delta", DELTAS, ids=str)
+def test_assemble_equals_the_element_reference(key, delta):
+    # same rows, in the same order, with the same exact values; pgca's
+    # declared kind order (L, H, I, J) is not its sorted one, so the row
+    # order within a pair is exercised too
+    p = catalog.get(key)
+    for degree in ((0, 0, 0), (0, 0, 1), (1, 1, -1), (0, 1, 1), (1, 0, 0)):
+        prob = problem(p, delta, degree, 6)
+        assert assemble(prob) == reference_loops.assemble(prob), degree
