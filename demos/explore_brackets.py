@@ -6,7 +6,7 @@ Run:  python3 demos/explore_brackets.py
 import json
 
 from gradedlie import catalog
-from gradedlie.core import BasisElement, Element, degree_of, validate_presentation
+from gradedlie.core import BasisElement, Element, validate_presentation
 
 
 def show_bracket(p, x, y):
@@ -29,7 +29,7 @@ def main():
     print()
 
     x = BasisElement(H, 3)
-    print(f"degree of {x}: {degree_of(x)}")
+    print(f"degree of {x}: {x.degree}")
     combo = Element.basis(BasisElement(L, 1)).scale(2) - Element.basis(x)
     print(f"an element: {combo}")
     print()

@@ -14,10 +14,10 @@ from .catalog import (CatalogEntry, CatalogKeyError, PresentationFormatError,
 from .core import (AffinePoly, AlgebraPresentation, BasisElement, BasisKind,
                    BracketRule, BracketTerm, CentralTerm, CubicPoly, Element,
                    GradingDegree, PresentationError, ValidationReport, affine,
-                   bracket, degree_of, format_rational, parse_rational,
+                   bracket, format_rational, parse_rational,
                    validate_presentation)
 from .linalg import (LinalgError, SparseMatrix, VectorBasis, nullspace,
-                     project_basis, rank, rank_of_projection, rref)
+                     project_basis, rank, rref)
 from .poisson import (AxiomReport, ProductError, ProductTable,
                       TPClassification, TP_NONTRIVIAL_POSSIBLE, TP_TRIVIAL,
                       check_axioms, classify_products)
@@ -48,9 +48,9 @@ __all__ = [
     "VERDICT_NOT_SCALAR_ONLY", "VERDICT_SCALAR_ONLY", "WindowTooSmallError",
     "affine", "assemble", "bracket", "check_axioms",
     "check_lemma_conclusions", "classify_interior", "classify_products",
-    "degree_of", "entry", "format_rational", "get", "keys", "load",
-    "nullspace", "parse_rational", "partner_kind", "project_basis", "rank",
-    "rank_of_projection", "recurrence_kernel", "required_window", "rref",
+    "entry", "format_rational", "get", "keys", "load", "nullspace",
+    "parse_rational", "partner_kind", "project_basis", "rank",
+    "recurrence_kernel", "required_window", "rref",
     "save", "scan", "solve_case", "solve_degree", "unknown_layout",
     "validate_presentation",
 ]

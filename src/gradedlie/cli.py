@@ -155,6 +155,8 @@ def _cmd_lemmas(args) -> int:
 
 
 def _cmd_tp_classify(args) -> int:
+    if args.window < 0:
+        raise UsageError("window must be non-negative")
     p = _resolve_algebra(args.algebra)
     delta = _parse_delta(args.delta)
     # the derivation scan needs its own minimum window; the product table

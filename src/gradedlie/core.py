@@ -112,11 +112,6 @@ class BasisElement:
         return f"{self.kind.name}_{self.index}"
 
 
-def degree_of(element: BasisElement) -> GradingDegree:
-    """Z2 x Z2 x Z degree of a basis element."""
-    return element.degree
-
-
 class Element:
     """Finite rational linear combination of basis elements.
 

@@ -43,10 +43,18 @@ class SparseMatrix:
     @classmethod
     def from_rows(cls, cols: int, rows: Iterable[dict]) -> "SparseMatrix":
         rows = list(rows)
-        m = cls(len(rows), cols)
+        m = cls(0, cols)
+        m.rows = len(rows)
         for r, row in enumerate(rows):
+            kept = {}
             for c, v in row.items():
-                m._set(r, c, v if isinstance(v, Fraction) else Fraction(v))
+                if not 0 <= c < cols:
+                    raise LinalgError(f"entry ({r},{c}) outside {m.rows}x{cols}")
+                if not isinstance(v, Fraction):
+                    v = Fraction(v)
+                if v:
+                    kept[c] = v
+            m._rows.append(kept)
         return m
 
     @classmethod
@@ -245,23 +253,12 @@ def nullspace(m: SparseMatrix) -> VectorBasis:
     return VectorBasis(m.cols, vectors)
 
 
-def rank_of_projection(basis: VectorBasis, coords: Iterable[int]) -> int:
-    """Rank of the basis vectors restricted to the given coordinates."""
+def project_basis(basis: VectorBasis, coords: Iterable[int]) -> VectorBasis:
+    """Row-reduced basis of the projection onto the given coordinates."""
     cols = sorted(set(coords))
     for c in cols:
         if not (0 <= c < basis.dimension):
             raise LinalgError(f"coordinate {c} outside dimension {basis.dimension}")
-    if not cols or not basis.vectors:
-        return 0
-    proj = SparseMatrix.from_rows(
-        len(cols),
-        [{i: vec[c] for i, c in enumerate(cols) if vec[c]} for vec in basis.vectors])
-    return rank(proj)
-
-
-def project_basis(basis: VectorBasis, coords: Iterable[int]) -> VectorBasis:
-    """Row-reduced basis of the projection onto the given coordinates."""
-    cols = sorted(set(coords))
     if not cols or not basis.vectors:
         return VectorBasis(len(cols), [])
     proj = SparseMatrix.from_rows(

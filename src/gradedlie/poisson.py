@@ -29,10 +29,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .core import (AlgebraPresentation, BasisElement, Element, ScaledFractions,
-                   bracket)
+from .core import AlgebraPresentation, BasisElement, Element, bracket
 from .linalg import SparseMatrix, nullspace
-from .solver import VERDICT_SCALAR_ONLY, ScanResult
+from .solver import VERDICT_SCALAR_ONLY, ScanResult, identity_rows
 
 
 class ProductError(Exception):
@@ -199,33 +198,27 @@ class TPClassification:
 
 
 def _scalar_path_dim(p: AlgebraPresentation, window: int) -> int:
-    """Dimension of {c : c(x) y = c(y) x for all basis x, y}."""
-    basis = p.basis_elements(window)
-    index = {b: i for i, b in enumerate(basis)}
-    rows = []
-    for i, x in enumerate(basis):
-        for y in basis[i + 1:]:
-            # coordinate at y gives c(x) = 0, coordinate at x gives c(y) = 0
-            rows.append({index[x]: Fraction(1)})
-            rows.append({index[y]: Fraction(-1)})
-    matrix = SparseMatrix.from_rows(len(basis), rows)
-    return len(nullspace(matrix))
+    """Dimension of {c : c(x) y = c(y) x for all basis x, y}.
+
+    For basis x != y the coordinates at y and at x read c(x) = 0 and
+    c(y) = 0, so two or more basis elements force c = 0, and a single one
+    leaves c free.
+    """
+    return 1 if len(p.basis_elements(window)) == 1 else 0
 
 
 def _membership_system(p: AlgebraPresentation, delta: Fraction, window: int):
     """Unknown product coefficients constrained by the derivation identity.
 
     Unknowns: q[{x, y}, t] for unordered in-window pairs and in-window
-    targets t, already commutative by construction.  For every in-window z
-    and source pair (x_m, y_n) with m, n, m+n in the window, the operator
-    w -> z.w must satisfy the delta-derivation identity; rows are indexed
-    by output basis elements, which may lie outside the window (they are
-    equation labels, not unknowns).  As in solver.assemble, entries are
-    accumulated as integers over p.scale * dd for delta = dn/dd.
+    targets t, already commutative by construction.  For every in-window
+    z the operator w -> z.w must satisfy the delta-derivation identity;
+    its rows are those of solver.identity_rows with D(w) the product
+    columns of {z, w}.  Rows are indexed by output basis elements, which
+    may lie outside the window (they are equation labels, not unknowns).
     """
     basis = [(p.kind_order(b.kind), b.index) for b in p.basis_elements(window)]
     width = len(basis)
-    position = {key: i for i, key in enumerate(basis)}
     pair_of = [[0] * width for _ in range(width)]
     pairs = 0
     for i in range(width):
@@ -238,40 +231,10 @@ def _membership_system(p: AlgebraPresentation, delta: Fraction, window: int):
     col_ids = list(range(len(columns)))
     products = [list(zip(col_ids[pi * width:(pi + 1) * width], basis))
                 for pi in range(pairs)]
-    dn, dd = delta.numerator, delta.denominator
-    scaled = ScaledFractions(p.scale * dd)
-    br = p.bracket_indexed
-    rank = p.kind_rank
-
-    rows = []
+    rows: list[dict[int, Fraction]] = []
     for z in range(width):
-        pairs_z = pair_of[z]
-        for i, (a, m) in enumerate(basis):
-            for j in range(i + 1, width):
-                b, n = basis[j]
-                if abs(m + n) > window:
-                    continue
-                lie = br(a, m, b, n)
-                if any(abs(t[1]) > window for t, _ in lie):
-                    continue  # z.[x,y] undefined on the window; skip, don't truncate
-                acc: dict[tuple[int, int], dict[int, int]] = {}
-                for t, c in lie:
-                    c *= dd
-                    for col, out in products[pairs_z[position[t]]]:
-                        row = acc.setdefault(out, {})
-                        row[col] = row.get(col, 0) + c
-                for col, (ta, tm) in products[pairs_z[i]]:
-                    for t, c in br(ta, tm, b, n):
-                        row = acc.setdefault(t, {})
-                        row[col] = row.get(col, 0) - dn * c
-                for col, (ta, tm) in products[pairs_z[j]]:
-                    for t, c in br(a, m, ta, tm):
-                        row = acc.setdefault(t, {})
-                        row[col] = row.get(col, 0) - dn * c
-                for out in sorted(acc, key=lambda t: (rank[t[0]], t[1])):
-                    row = {c: scaled[v] for c, v in acc[out].items() if v}
-                    if row:
-                        rows.append(row)
+        images = {w: products[pi] for w, pi in zip(basis, pair_of[z])}
+        identity_rows(p, delta, images, window, rows)
     return SparseMatrix.from_rows(len(columns), rows), columns
 
 

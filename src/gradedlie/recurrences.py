@@ -3,8 +3,10 @@
 The generic solver derives its constraint rows mechanically from structure
 constants.  This module is the cross-check: for each of the four Z2 x Z2
 sectors of pgca the coefficient recurrences were derived by hand, and the
-row generators below encode those displayed equations literally, one tag
-(e1..e20) per equation, with no substitutions folded in.  The two code
+table below encodes those displayed equations literally, one tag
+(e1..e20) per equation, with no substitutions folded in: each term of
+e1..e17 is an unknown and its integer coefficients of m, n, gamma and 1,
+e18/e19 are one index slice and e20 keeps its rational row.  The two code
 paths share exact linear algebra and report formatting but no assembly
 logic, so agreement between them checks the assembler and the hand
 derivation against each other.
@@ -28,180 +30,48 @@ from .solver import (SolveReport, WindowTooSmallError, report_from_kernel,
 FAMILIES = ("L", "H", "I", "J")
 
 
-def _acc(pairs) -> dict:
-    row: dict[tuple[str, int], Fraction] = {}
-    for key, coeff in pairs:
-        c = row.get(key, Fraction(0)) + coeff
-        if c:
-            row[key] = c
-        else:
-            row.pop(key, None)
-    return row
+# Where a term's unknown sits: f_{m+n}, f_m or f_n, as multiples of (m, n).
+_SLOTS = {"m+n": (1, 1), "m": (1, 0), "n": (0, 1)}
 
 
-def _index_pairs(N: int):
-    for m in range(-N, N + 1):
+def _pair_rows(*terms):
+    """Rows of one displayed recurrence over every pair m, n with m+n in [-N, N].
+
+    Each term is (family, slot, (a, b, g, c)): the unknown family_slot with
+    coefficient a*m + b*n + g*gamma + c, on the side that makes the row
+    "left-hand side minus right-hand side".
+    """
+    terms = [(fam, *_SLOTS[slot], coeff) for fam, slot, coeff in terms]
+
+    def rows(gamma: int, N: int) -> list[dict]:
+        out = []
+        for m in range(-N, N + 1):
+            for n in range(max(-N, -N - m), min(N, N - m) + 1):
+                row: dict[tuple[str, int], int] = {}
+                for fam, sm, sn, (a, b, g, c) in terms:
+                    key = (fam, sm * m + sn * n)
+                    row[key] = row.get(key, 0) + a * m + b * n + g * gamma + c
+                row = {key: v for key, v in row.items() if v}
+                if row:
+                    out.append(row)
+        return out
+    return rows
+
+
+def _slice_rows(skip_resonant: bool):
+    # (g-n) i_n = g i_0, over n in [-N, N]; e19 leaves out n = g
+    def rows(gamma: int, N: int) -> list[dict]:
+        out = []
         for n in range(-N, N + 1):
-            if abs(m + n) <= N:
-                yield m, n
-
-
-def _witt_form(fam: str):
-    # 2(m-n) f_{m+n} = (m+g-n) f_m + (m-n-g) f_n
-    def rows(gamma: int, N: int):
-        out = []
-        for m, n in _index_pairs(N):
-            row = _acc([((fam, m + n), Fraction(2 * (m - n))),
-                        ((fam, m), Fraction(-(m + gamma - n))),
-                        ((fam, n), Fraction(-(m - n - gamma)))])
+            if skip_resonant and n == gamma:
+                continue
+            row = {("L", n): gamma - n}
+            row[("L", 0)] = row.get(("L", 0), 0) - gamma
+            row = {key: v for key, v in row.items() if v}
             if row:
                 out.append(row)
         return out
     return rows
-
-
-def _tail_form(fam: str):
-    # 2(m-n) f_{m+n} = (m-n-g) f_n
-    def rows(gamma: int, N: int):
-        out = []
-        for m, n in _index_pairs(N):
-            row = _acc([((fam, m + n), Fraction(2 * (m - n))),
-                        ((fam, n), Fraction(-(m - n - gamma)))])
-            if row:
-                out.append(row)
-        return out
-    return rows
-
-
-def _damped_form(fam: str):
-    # 2(m-n) f_{m+n} = (-n-g) f_n
-    def rows(gamma: int, N: int):
-        out = []
-        for m, n in _index_pairs(N):
-            row = _acc([((fam, m + n), Fraction(2 * (m - n))),
-                        ((fam, n), Fraction(n + gamma))])
-            if row:
-                out.append(row)
-        return out
-    return rows
-
-
-def _e4_rows(gamma: int, N: int):
-    # -2n b_{m+n} = -n a_m + (-n-g) b_n
-    out = []
-    for m, n in _index_pairs(N):
-        row = _acc([(("H", m + n), Fraction(-2 * n)),
-                    (("L", m), Fraction(n)),
-                    (("H", n), Fraction(n + gamma))])
-        if row:
-            out.append(row)
-    return out
-
-
-def _e6_rows(gamma: int, N: int):
-    # -2n y_{m+n} = -x_m + (m-n-g) y_n
-    out = []
-    for m, n in _index_pairs(N):
-        row = _acc([(("H", m + n), Fraction(-2 * n)),
-                    (("L", m), Fraction(1)),
-                    (("H", n), Fraction(-(m - n - gamma)))])
-        if row:
-            out.append(row)
-    return out
-
-
-def _e10_rows(gamma: int, N: int):
-    # -2n e_{m+n} = h_m + (m-n-g) e_n
-    out = []
-    for m, n in _index_pairs(N):
-        row = _acc([(("H", m + n), Fraction(-2 * n)),
-                    (("L", m), Fraction(-1)),
-                    (("H", n), Fraction(-(m - n - gamma)))])
-        if row:
-            out.append(row)
-    return out
-
-
-def _e13_rows(gamma: int, N: int):
-    # -2n j_{m+n} = (m-n-g) j_n
-    out = []
-    for m, n in _index_pairs(N):
-        row = _acc([(("H", m + n), Fraction(-2 * n)),
-                    (("H", n), Fraction(-(m - n - gamma)))])
-        if row:
-            out.append(row)
-    return out
-
-
-def _e14_rows(gamma: int, N: int):
-    # 2n j_{m+n} = (n-m) j_n, the gamma = 0 rearrangement of e13
-    out = []
-    for m, n in _index_pairs(N):
-        row = _acc([(("H", m + n), Fraction(2 * n)),
-                    (("H", n), Fraction(-(n - m)))])
-        if row:
-            out.append(row)
-    return out
-
-
-def _e15_rows(gamma: int, N: int):
-    # 2(m-n) k_{m+n} = i_m + (m-n-g) k_n
-    out = []
-    for m, n in _index_pairs(N):
-        row = _acc([(("I", m + n), Fraction(2 * (m - n))),
-                    (("L", m), Fraction(-1)),
-                    (("I", n), Fraction(-(m - n - gamma)))])
-        if row:
-            out.append(row)
-    return out
-
-
-def _e16_rows(gamma: int, N: int):
-    # 2(m-n) l_{m+n} = -i_m + (m-n-g) l_n
-    out = []
-    for m, n in _index_pairs(N):
-        row = _acc([(("J", m + n), Fraction(2 * (m - n))),
-                    (("L", m), Fraction(1)),
-                    (("J", n), Fraction(-(m - n - gamma)))])
-        if row:
-            out.append(row)
-    return out
-
-
-def _e17_rows(gamma: int, N: int):
-    # 2(m-n) i_{m+n} = (m+g) i_m + (-n-g) i_n
-    out = []
-    for m, n in _index_pairs(N):
-        row = _acc([(("L", m + n), Fraction(2 * (m - n))),
-                    (("L", m), Fraction(-(m + gamma))),
-                    (("L", n), Fraction(n + gamma))])
-        if row:
-            out.append(row)
-    return out
-
-
-def _e18_rows(gamma: int, N: int):
-    # -2n i_n = g i_0 + (-n-g) i_n, the m = 0 slice of e17
-    out = []
-    for n in range(-N, N + 1):
-        row = _acc([(("L", n), Fraction(gamma - n)),
-                    (("L", 0), Fraction(-gamma))])
-        if row:
-            out.append(row)
-    return out
-
-
-def _e19_rows(gamma: int, N: int):
-    # (g-n) i_n = g i_0 for n != g
-    out = []
-    for n in range(-N, N + 1):
-        if n == gamma:
-            continue
-        row = _acc([(("L", n), Fraction(gamma - n)),
-                    (("L", 0), Fraction(-gamma))])
-        if row:
-            out.append(row)
-    return out
 
 
 def _e20_rows(gamma: int, N: int):
@@ -217,30 +87,6 @@ def _e20_rows(gamma: int, N: int):
     return out
 
 
-def _e2_rows(gamma: int, N: int):
-    # 2(m-n) c_{m+n} = (m+g-n) a_m + (m-n-g) c_n
-    out = []
-    for m, n in _index_pairs(N):
-        row = _acc([(("I", m + n), Fraction(2 * (m - n))),
-                    (("L", m), Fraction(-(m + gamma - n))),
-                    (("I", n), Fraction(-(m - n - gamma)))])
-        if row:
-            out.append(row)
-    return out
-
-
-def _e3_rows(gamma: int, N: int):
-    # 2(m-n) d_{m+n} = (m+g-n) a_m + (m-n-g) d_n
-    out = []
-    for m, n in _index_pairs(N):
-        row = _acc([(("J", m + n), Fraction(2 * (m - n))),
-                    (("L", m), Fraction(-(m + gamma - n))),
-                    (("J", n), Fraction(-(m - n - gamma)))])
-        if row:
-            out.append(row)
-    return out
-
-
 @dataclass(frozen=True)
 class Recurrence:
     """One displayed recurrence: a tag, the families it touches, its rows."""
@@ -250,26 +96,72 @@ class Recurrence:
     rows: Callable[[int, int], list[dict]]
 
 
+# Coefficients are (m, n, gamma, 1) multipliers; "g" is gamma.
+_WITT = (  # 2(m-n) f_{m+n} = (m+g-n) f_m + (m-n-g) f_n
+    ("L", "m+n", (2, -2, 0, 0)), ("L", "m", (-1, 1, -1, 0)),
+    ("L", "n", (-1, 1, 1, 0)))
+
+
+def _tail(fam: str):
+    # 2(m-n) f_{m+n} = (m-n-g) f_n
+    return ((fam, "m+n", (2, -2, 0, 0)), (fam, "n", (-1, 1, 1, 0)))
+
+
+def _damped(fam: str):
+    # 2(m-n) f_{m+n} = (-n-g) f_n
+    return ((fam, "m+n", (2, -2, 0, 0)), (fam, "n", (0, 1, 1, 0)))
+
+
 RECURRENCES: dict[str, Recurrence] = {
-    "e1": Recurrence("e1", ("L",), _witt_form("L")),
-    "e2": Recurrence("e2", ("L", "I"), _e2_rows),
-    "e3": Recurrence("e3", ("L", "J"), _e3_rows),
-    "e4": Recurrence("e4", ("L", "H"), _e4_rows),
-    "e5": Recurrence("e5", ("L",), _witt_form("L")),
-    "e6": Recurrence("e6", ("L", "H"), _e6_rows),
-    "e7": Recurrence("e7", ("I",), _tail_form("I")),
-    "e8": Recurrence("e8", ("J",), _damped_form("J")),
-    "e9": Recurrence("e9", ("L",), _witt_form("L")),
-    "e10": Recurrence("e10", ("L", "H"), _e10_rows),
-    "e11": Recurrence("e11", ("I",), _damped_form("I")),
-    "e12": Recurrence("e12", ("J",), _tail_form("J")),
-    "e13": Recurrence("e13", ("H",), _e13_rows),
-    "e14": Recurrence("e14", ("H",), _e14_rows),
-    "e15": Recurrence("e15", ("L", "I"), _e15_rows),
-    "e16": Recurrence("e16", ("L", "J"), _e16_rows),
-    "e17": Recurrence("e17", ("L",), _e17_rows),
-    "e18": Recurrence("e18", ("L",), _e18_rows),
-    "e19": Recurrence("e19", ("L",), _e19_rows),
+    "e1": Recurrence("e1", ("L",), _pair_rows(*_WITT)),
+    # 2(m-n) c_{m+n} = (m+g-n) a_m + (m-n-g) c_n
+    "e2": Recurrence("e2", ("L", "I"), _pair_rows(
+        ("I", "m+n", (2, -2, 0, 0)), ("L", "m", (-1, 1, -1, 0)),
+        ("I", "n", (-1, 1, 1, 0)))),
+    # 2(m-n) d_{m+n} = (m+g-n) a_m + (m-n-g) d_n
+    "e3": Recurrence("e3", ("L", "J"), _pair_rows(
+        ("J", "m+n", (2, -2, 0, 0)), ("L", "m", (-1, 1, -1, 0)),
+        ("J", "n", (-1, 1, 1, 0)))),
+    # -2n b_{m+n} = -n a_m + (-n-g) b_n
+    "e4": Recurrence("e4", ("L", "H"), _pair_rows(
+        ("H", "m+n", (0, -2, 0, 0)), ("L", "m", (0, 1, 0, 0)),
+        ("H", "n", (0, 1, 1, 0)))),
+    "e5": Recurrence("e5", ("L",), _pair_rows(*_WITT)),
+    # -2n y_{m+n} = -x_m + (m-n-g) y_n
+    "e6": Recurrence("e6", ("L", "H"), _pair_rows(
+        ("H", "m+n", (0, -2, 0, 0)), ("L", "m", (0, 0, 0, 1)),
+        ("H", "n", (-1, 1, 1, 0)))),
+    "e7": Recurrence("e7", ("I",), _pair_rows(*_tail("I"))),
+    "e8": Recurrence("e8", ("J",), _pair_rows(*_damped("J"))),
+    "e9": Recurrence("e9", ("L",), _pair_rows(*_WITT)),
+    # -2n e_{m+n} = h_m + (m-n-g) e_n
+    "e10": Recurrence("e10", ("L", "H"), _pair_rows(
+        ("H", "m+n", (0, -2, 0, 0)), ("L", "m", (0, 0, 0, -1)),
+        ("H", "n", (-1, 1, 1, 0)))),
+    "e11": Recurrence("e11", ("I",), _pair_rows(*_damped("I"))),
+    "e12": Recurrence("e12", ("J",), _pair_rows(*_tail("J"))),
+    # -2n j_{m+n} = (m-n-g) j_n
+    "e13": Recurrence("e13", ("H",), _pair_rows(
+        ("H", "m+n", (0, -2, 0, 0)), ("H", "n", (-1, 1, 1, 0)))),
+    # 2n j_{m+n} = (n-m) j_n, the gamma = 0 rearrangement of e13
+    "e14": Recurrence("e14", ("H",), _pair_rows(
+        ("H", "m+n", (0, 2, 0, 0)), ("H", "n", (1, -1, 0, 0)))),
+    # 2(m-n) k_{m+n} = i_m + (m-n-g) k_n
+    "e15": Recurrence("e15", ("L", "I"), _pair_rows(
+        ("I", "m+n", (2, -2, 0, 0)), ("L", "m", (0, 0, 0, -1)),
+        ("I", "n", (-1, 1, 1, 0)))),
+    # 2(m-n) l_{m+n} = -i_m + (m-n-g) l_n
+    "e16": Recurrence("e16", ("L", "J"), _pair_rows(
+        ("J", "m+n", (2, -2, 0, 0)), ("L", "m", (0, 0, 0, 1)),
+        ("J", "n", (-1, 1, 1, 0)))),
+    # 2(m-n) i_{m+n} = (m+g) i_m + (-n-g) i_n
+    "e17": Recurrence("e17", ("L",), _pair_rows(
+        ("L", "m+n", (2, -2, 0, 0)), ("L", "m", (-1, 0, -1, 0)),
+        ("L", "n", (0, 1, 1, 0)))),
+    # -2n i_n = g i_0 + (-n-g) i_n, the m = 0 slice of e17
+    "e18": Recurrence("e18", ("L",), _slice_rows(False)),
+    # (g-n) i_n = g i_0 for n != g
+    "e19": Recurrence("e19", ("L",), _slice_rows(True)),
     "e20": Recurrence("e20", ("L",), _e20_rows),
 }
 

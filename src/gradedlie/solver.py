@@ -139,62 +139,74 @@ def unknown_layout(problem: HomogeneousSolveProblem) -> UnknownLayout:
     return UnknownLayout(columns, partner)
 
 
+def identity_rows(p: AlgebraPresentation, delta: Fraction,
+                  images: dict[tuple[int, int], list[tuple[int, tuple[int, int]]]],
+                  window: int, rows: list[dict[int, Fraction]]) -> None:
+    """Append the rows of D[x, y] - delta([Dx, y] + [x, Dy]) to rows.
+
+    D is given by images: a (kind position, index) basis key maps to D of
+    that element as (column, target key) pairs, and a missing key means
+    D = 0 there.  One row per (unordered source pair, output basis
+    element), over pairs whose indices m, n and m+n lie in the window; a
+    pair whose bracket has a target outside the window is skipped, not
+    truncated.  Brackets come from bracket_indexed, so with
+    delta = dn/dd each entry is accumulated as an integer over
+    p.scale * dd; rows sort their outputs in BasisElement order.
+    """
+    dn, dd = delta.numerator, delta.denominator
+    scaled = ScaledFractions(p.scale * dd)
+    br = p.bracket_indexed
+    rank = p.kind_rank
+    basis = [(p.kind_order(b.kind), b.index) for b in p.basis_elements(window)]
+    source = [images.get(key, ()) for key in basis]
+    for i, (a, m) in enumerate(basis):
+        img_x = source[i]
+        for j in range(i + 1, len(basis)):
+            b, n = basis[j]
+            if abs(m + n) > window:
+                continue
+            acc: dict[tuple[int, int], dict[int, int]] = {}
+            for t, c in br(a, m, b, n):
+                img = images.get(t)
+                if img is None:
+                    if abs(t[1]) > window:
+                        break  # D[x, y] undefined on the window
+                    continue
+                c *= dd
+                for col, out in img:
+                    row = acc.setdefault(out, {})
+                    row[col] = row.get(col, 0) + c
+            else:
+                for col, (ta, tm) in img_x:
+                    for t, c in br(ta, tm, b, n):
+                        row = acc.setdefault(t, {})
+                        row[col] = row.get(col, 0) - dn * c
+                for col, (ta, tm) in source[j]:
+                    for t, c in br(a, m, ta, tm):
+                        row = acc.setdefault(t, {})
+                        row[col] = row.get(col, 0) - dn * c
+                for out in sorted(acc, key=lambda t: (rank[t[0]], t[1])):
+                    row = {c: scaled[v] for c, v in acc[out].items() if v}
+                    if row:
+                        rows.append(row)
+
+
 def assemble(problem: HomogeneousSolveProblem,
              layout: UnknownLayout | None = None) -> SparseMatrix:
     """Constraint matrix whose kernel is the degree-homogeneous solution set.
 
-    One scalar row per (unordered source pair, output basis element) of
-    D[x, y] - delta([Dx, y] + [x, Dy]); a pair contributes only when m, n
-    and m+n all lie inside the window.  Basis elements are (kind position,
-    index) pairs and brackets come from bracket_indexed, so with
-    delta = dn/dd each entry is accumulated as an integer over
-    p.scale * dd; rows sort their outputs in BasisElement order.
+    D(k_m) = u[k, m] * partner(k)_{m+gamma}, one column per source; the
+    rows are those of identity_rows on the problem's window.
     """
     p = problem.presentation
     if layout is None:
         layout = unknown_layout(problem)
-    dn, dd = problem.delta.numerator, problem.delta.denominator
-    scaled = ScaledFractions(p.scale * dd)
     gamma = problem.gamma
-    N = problem.window
-    br = p.bracket_indexed
-    rank = p.kind_rank
-    # D(k_m) = u[k, m] * partner(k)_{m+gamma}: its column and formal target
     images = {(p.kind_order(p.kind(name)), m):
-              (col, (p.kind_order(layout.partner[name]), m + gamma))
+              [(col, (p.kind_order(layout.partner[name]), m + gamma))]
               for (name, m), col in layout.index.items()}
-    basis = [(p.kind_order(b.kind), b.index) for b in p.basis_elements(N)]
-
     rows: list[dict[int, Fraction]] = []
-    for i, (a, m) in enumerate(basis):
-        img_x = images.get((a, m))
-        for b, n in basis[i + 1:]:
-            if abs(m + n) > N:
-                continue
-            acc: dict[tuple[int, int], dict[int, int]] = {}
-            for t, c in br(a, m, b, n):
-                hit = images.get(t)
-                if hit is not None:
-                    col, out = hit
-                    row = acc.setdefault(out, {})
-                    row[col] = row.get(col, 0) + dd * c
-            if img_x is not None:
-                col, (da, dm) = img_x
-                for t, c in br(da, dm, b, n):
-                    row = acc.setdefault(t, {})
-                    row[col] = row.get(col, 0) - dn * c
-            img_y = images.get((b, n))
-            if img_y is not None:
-                col, (db, dm) = img_y
-                for t, c in br(a, m, db, dm):
-                    row = acc.setdefault(t, {})
-                    row[col] = row.get(col, 0) - dn * c
-
-            for out in sorted(acc, key=lambda t: (rank[t[0]], t[1])):
-                row = {c: scaled[v] for c, v in acc[out].items() if v}
-                if row:
-                    rows.append(row)
-
+    identity_rows(p, problem.delta, images, problem.window, rows)
     return SparseMatrix.from_rows(len(layout.columns), rows)
 
 

@@ -29,6 +29,7 @@ from gradedlie.recurrences import check_lemma_conclusions, solve_case
 from gradedlie.solver import (HomogeneousSolveProblem, VERDICT_NOT_SCALAR_ONLY,
                               VERDICT_SCALAR_ONLY, assemble, scan,
                               solve_degree, unknown_layout)
+from test_recurrences import _generic_interior_basis, _oracle_interior_basis
 
 PGCA = catalog.get("pgca")
 HALF = Fraction(1, 2)
@@ -86,13 +87,25 @@ def test_recurrence_lemma_conclusions_hold_at_window_twelve():
 
 @pytest.mark.parametrize("degree", ALL_DEGREES)
 def test_oracle_and_generic_solver_agree_at_full_window(degree):
-    """Hand-coded recurrences and mechanical assembly give the same answer."""
+    """Hand-coded recurrences and mechanical assembly give the same answer.
+
+    Not just the same dimension and verdict: the same column layout and
+    the same reduced interior basis vectors.
+    """
     eps1, eps2, gamma = degree
     generic = solve_degree(HomogeneousSolveProblem(
         PGCA, HALF, GradingDegree(eps1, eps2, gamma), WINDOW, INTERIOR))
     oracle = solve_case((eps1, eps2), gamma, WINDOW, INTERIOR)
     assert generic.interior_dim == oracle.interior_dim
     assert generic.classification == oracle.classification
+
+    layout_g, basis_g = _generic_interior_basis((eps1, eps2), gamma,
+                                                WINDOW, INTERIOR)
+    layout_o, basis_o = _oracle_interior_basis((eps1, eps2), gamma,
+                                               WINDOW, INTERIOR)
+    assert layout_g == layout_o
+    assert basis_g.vectors == basis_o.vectors
+    assert len(basis_g) == generic.interior_dim
 
 
 @pytest.mark.parametrize("key", catalog.keys())

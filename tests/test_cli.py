@@ -276,3 +276,15 @@ def test_tp_classify_negative_window_is_a_usage_error(capsys):
     assert code == EXIT_USAGE
     assert out == ""
     assert "window must be non-negative" in err
+
+
+def test_tp_classify_rejects_a_negative_window_before_scanning(monkeypatch, capsys):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scan ran before the window was checked")
+
+    monkeypatch.setattr(gradedlie.cli, "scan", no_scan)
+    code, out, err = run(["tp-classify", "--algebra", "pgca", "--window", "-1"],
+                         capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: window must be non-negative\n"

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from gradedlie import linalg
 from gradedlie.linalg import (LinalgError, SparseMatrix, VectorBasis,
-                              nullspace, project_basis, rank,
-                              rank_of_projection, rref)
+                              nullspace, project_basis, rank, rref)
 
 
 def F(x):
@@ -38,6 +37,23 @@ def test_sparse_matrix_bounds_and_shape_checks():
         SparseMatrix(-1, 2)
     with pytest.raises(LinalgError):
         SparseMatrix.from_dense([[1, 2], [3]])
+
+
+def test_from_rows_checks_columns_converts_and_drops_zeros():
+    m = SparseMatrix.from_rows(3, [{0: 1, 2: F("1/2")}, {}, {1: 0, 2: "2/3"}])
+    assert m.rows == 3 and m.cols == 3
+    assert m.to_dense() == [[F(1), F(0), F("1/2")], [F(0)] * 3,
+                            [F(0), F(0), F("2/3")]]
+    assert all(type(v) is Fraction for v in m.entries.values())
+    assert m.row(2) == {2: F("2/3")}
+    assert SparseMatrix.from_rows(2, [{0: "0", 1: F(0)}]).nnz == 0
+    with pytest.raises(LinalgError, match=r"^entry \(1,3\) outside 2x3$"):
+        SparseMatrix.from_rows(3, [{0: 1}, {0: 1, 3: 1}])
+    with pytest.raises(LinalgError, match=r"^entry \(0,-1\) outside 1x3$"):
+        SparseMatrix.from_rows(3, [{-1: 1, 2: 1}])
+    # an out-of-range column is rejected even when its value is zero
+    with pytest.raises(LinalgError):
+        SparseMatrix.from_rows(3, [{3: 0}])
 
 
 def test_mul_vec_matches_hand_computation():
@@ -256,8 +272,8 @@ def test_nullspace_postcondition_catches_a_corrupted_reduction(data, monkeypatch
 
 def test_projection_rank_and_basis():
     basis = VectorBasis(3, [(F(1), F(0), F(2)), (F(0), F(1), F(3))])
-    assert rank_of_projection(basis, [0, 1]) == 2
-    assert rank_of_projection(basis, [2]) == 1
+    assert len(project_basis(basis, [0, 1])) == 2
+    assert len(project_basis(basis, [2])) == 1
     proj = project_basis(basis, [2])
     assert proj.dimension == 1
     assert proj.vectors == [(F(1),)]
@@ -272,8 +288,13 @@ def test_projection_is_row_reduced_and_canonical():
 
 def test_projection_coordinate_bounds():
     basis = VectorBasis(2, [(F(1), F(0))])
+    with pytest.raises(LinalgError, match="coordinate 5 outside dimension 2"):
+        project_basis(basis, [5])
+    with pytest.raises(LinalgError, match="coordinate -1 outside dimension 2"):
+        project_basis(basis, [-1, 0])
+    # the bounds hold even when there is nothing to project
     with pytest.raises(LinalgError):
-        rank_of_projection(basis, [5])
+        project_basis(VectorBasis(2, []), [2])
 
 
 def test_vector_basis_length_check():

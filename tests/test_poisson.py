@@ -238,3 +238,14 @@ def test_membership_system_equals_the_element_reference(key, delta):
     matrix, columns = _membership_system(p, delta, 3)
     assert matrix == reference_loops.membership_system(p, delta, 3)
     assert len(columns) == matrix.cols
+
+
+@pytest.mark.parametrize("window", [2, 3])
+def test_membership_system_skips_pairs_whose_bracket_leaves_the_window(window):
+    # with [L_m, L_n] = (m-n) L_{m+n+1}, z.[x, y] is undefined on the
+    # window whenever m+n = window; the reference skips those pairs too
+    data = catalog.to_dict(WITT)
+    data["brackets"][0]["terms"][0]["offset"] = 1
+    p = catalog.from_dict(data)
+    matrix, _ = _membership_system(p, HALF, window)
+    assert matrix == reference_loops.membership_system(p, HALF, window)

@@ -84,6 +84,69 @@ def test_e20_coefficients_are_nonzero_off_the_resonant_indices():
             assert value != 0
 
 
+# ---------------------------------------------------------------------------
+# the coefficient table itself
+
+
+def test_pair_recurrence_rows_are_nonzero_plain_ints():
+    for tag, rec in RECURRENCES.items():
+        if tag == "e20":
+            continue
+        for row in rec.rows(-2, 8) + rec.rows(3, 8):
+            assert row
+            assert all(type(v) is int and v for v in row.values()), tag
+            assert {fam for fam, _ in row} <= set(rec.families), tag
+
+
+def test_e5_and_e9_repeat_e1():
+    for gamma in (-2, 0, 3):
+        e1 = RECURRENCES["e1"].rows(gamma, 8)
+        assert RECURRENCES["e5"].rows(gamma, 8) == e1
+        assert RECURRENCES["e9"].rows(gamma, 8) == e1
+
+
+@pytest.mark.parametrize("N", [8, 10])
+def test_e14_is_e13_negated_at_gamma_zero(N):
+    e13 = RECURRENCES["e13"].rows(0, N)
+    e14 = RECURRENCES["e14"].rows(0, N)
+    assert e13
+    assert e14 == [{key: -v for key, v in row.items()} for row in e13]
+
+
+@pytest.mark.parametrize("gamma", [-3, -1, 0, 2, 4])
+def test_e18_is_e19_plus_the_resonant_row(gamma):
+    N = 8
+    e18 = RECURRENCES["e18"].rows(gamma, N)
+    e19 = RECURRENCES["e19"].rows(gamma, N)
+    # row n reads (g-n) i_n - g i_0; it is empty at n = 0, and at n = g
+    # it is the row -g i_0 that e19 leaves out
+    before = sum(1 for n in range(-N, gamma) if n != 0)
+    resonant = [{("L", 0): -gamma}] if gamma else []
+    assert e18 == e19[:before] + resonant + e19[before:]
+    assert len(e19) == 2 * N - (1 if gamma else 0)
+
+
+def test_oracle_imports_no_bracket_or_row_code():
+    # the oracle must stay a hand transcription: of core it may only use
+    # the degree type, and of solver only window sizing and reporting
+    import ast
+    import gradedlie.recurrences as mod
+
+    imported = {}
+    for node in ast.walk(ast.parse(open(mod.__file__).read())):
+        if isinstance(node, ast.ImportFrom):
+            imported.setdefault(node.module, set()).update(
+                a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("gradedlie") for a in node.names)
+    assert imported.get("core", set()) <= {"GradingDegree"}
+    assert imported.get("solver", set()) <= {
+        "SolveReport", "WindowTooSmallError", "report_from_kernel",
+        "required_window"}
+    assert set(imported) <= {"__future__", "dataclasses", "fractions",
+                             "typing", "core", "linalg", "solver"}
+
+
 def test_recurrence_kernel_enforces_window_sizing():
     with pytest.raises(WindowTooSmallError):
         recurrence_kernel("e1", 3, 6)
