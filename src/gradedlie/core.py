@@ -472,18 +472,6 @@ class AlgebraPresentation:
         return Element(acc)
 
 
-class ScaledFractions(dict):
-    """Fraction(v, den) for each integer v, built once and then shared."""
-
-    def __init__(self, den: int):
-        super().__init__()
-        self.den = den
-
-    def __missing__(self, v: int) -> Fraction:
-        q = self[v] = Fraction(v, self.den)
-        return q
-
-
 def _as_element(x) -> Element:
     if isinstance(x, Element):
         return x

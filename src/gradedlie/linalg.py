@@ -1,16 +1,17 @@
 """Exact sparse linear algebra over the rationals.
 
 Everything here is exact: Fractions at the interface, integers inside;
-there is no floating point fallback anywhere.  Matrices are stored
-row-wise as {column: value} dicts, which matches the constraint systems
-this package produces: very many short rows over a modest number of
-columns.
+there is no floating point fallback anywhere.  A matrix is stored row-wise:
+each row is a {column: int} dict over one positive int denominator.  That
+is how the constraint systems of this package arrive, very many short
+integer rows over a common denominator and a modest number of columns.
+The constructors are the only place rationals are converted.
 
-Elimination streams the rows in order, fraction-free, and stops as soon
-as every column holds a pivot: at that point the kernel is zero, which is
-exact, and no later row can change the reduced form.  The kernel check
-in nullspace multiplies integer-scaled copies of each kernel vector
-through integer-scaled copies of every row of the original matrix.
+Elimination streams the stored rows in order, fraction-free, and stops as
+soon as every column holds a pivot: at that point the kernel is zero,
+which is exact, and no later row can change the reduced form.  Each reduced
+row is primitive, over its leading entry.  nullspace checks the integer
+form of every kernel vector against every stored row of the input.
 """
 
 from __future__ import annotations
@@ -26,63 +27,60 @@ class LinalgError(Exception):
 
 
 class SparseMatrix:
-    """Immutable-ish sparse rational matrix; zero entries are never stored."""
+    """Immutable-ish sparse rational matrix: row r is _rows[r] / _dens[r].
 
-    __slots__ = ("rows", "cols", "_rows")
+    Rows are {column: int} dicts that never store zeros; _dens are ints > 0.
+    """
+
+    __slots__ = ("rows", "cols", "_rows", "_dens")
 
     def __init__(self, rows: int, cols: int, entries=None):
         if rows < 0 or cols < 0:
             raise LinalgError("negative matrix dimensions")
         self.rows = rows
         self.cols = cols
-        self._rows: list[dict[int, Fraction]] = [dict() for _ in range(rows)]
+        self._rows: list[dict[int, int]] = [{} for _ in range(rows)]
+        self._dens = [1] * rows
         if entries:
             for (r, c), v in entries.items():
-                self._set(r, c, Fraction(v))
+                if not 0 <= r < rows:
+                    raise LinalgError(f"entry ({r},{c}) outside {rows}x{cols}")
+                self._rows[r][c] = v
+            self._rows, self._dens = _normalised(self._rows, cols, None)
 
     @classmethod
-    def from_rows(cls, cols: int, rows: Iterable[dict]) -> "SparseMatrix":
+    def from_rows(cls, cols: int, rows: Iterable[dict],
+                  den: int | None = None) -> "SparseMatrix":
+        """Matrix from {column: value} rows.
+
+        With den, the values are ints and each stands for value / den; they
+        are stored as they are.  Without it they are any rationals Fraction
+        accepts, stored per row as ints over the lcm of their denominators.
+        """
+        if den is not None and den < 1:
+            raise LinalgError("row denominator must be positive")
         rows = list(rows)
         m = cls(0, cols)
         m.rows = len(rows)
-        for r, row in enumerate(rows):
-            kept = {}
-            for c, v in row.items():
-                if not 0 <= c < cols:
-                    raise LinalgError(f"entry ({r},{c}) outside {m.rows}x{cols}")
-                if not isinstance(v, Fraction):
-                    v = Fraction(v)
-                if v:
-                    kept[c] = v
-            m._rows.append(kept)
+        m._rows, m._dens = _normalised(rows, cols, den)
         return m
 
     @classmethod
     def from_dense(cls, data: Sequence[Sequence]) -> "SparseMatrix":
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        m = cls(rows, cols)
-        for r, row in enumerate(data):
-            if len(row) != cols:
-                raise LinalgError("ragged dense input")
-            for c, v in enumerate(row):
-                m._set(r, c, Fraction(v))
-        return m
-
-    def _set(self, r: int, c: int, v: Fraction):
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise LinalgError(f"entry ({r},{c}) outside {self.rows}x{self.cols}")
-        if v:
-            self._rows[r][c] = v
-        else:
-            self._rows[r].pop(c, None)
+        cols = len(data[0]) if data else 0
+        if any(len(row) != cols for row in data):
+            raise LinalgError("ragged dense input")
+        return cls.from_rows(cols, [dict(enumerate(row)) for row in data])
 
     def row(self, r: int) -> dict[int, Fraction]:
-        return dict(self._rows[r])
+        den = self._dens[r]
+        return {c: Fraction(v, den) for c, v in self._rows[r].items()}
 
     @property
     def entries(self) -> dict[tuple[int, int], Fraction]:
-        return {(r, c): v for r, row in enumerate(self._rows) for c, v in row.items()}
+        return {(r, c): Fraction(v, den)
+                for r, (row, den) in enumerate(zip(self._rows, self._dens))
+                for c, v in row.items()}
 
     @property
     def nnz(self) -> int:
@@ -91,44 +89,57 @@ class SparseMatrix:
     def mul_vec(self, v: Sequence[Fraction]) -> list[Fraction]:
         if len(v) != self.cols:
             raise LinalgError("vector length does not match column count")
-        return [sum((coef * v[c] for c, coef in row.items()), Fraction(0))
-                for row in self._rows]
+        return [sum((a * v[c] for c, a in row.items()), Fraction(0)) / den
+                for row, den in zip(self._rows, self._dens)]
 
     def to_dense(self) -> list[list[Fraction]]:
-        return [[self._rows[r].get(c, Fraction(0)) for c in range(self.cols)]
-                for r in range(self.rows)]
+        return [[Fraction(row.get(c, 0), den) for c in range(self.cols)]
+                for row, den in zip(self._rows, self._dens)]
 
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self._rows == other._rows)
+                and self.cols == other.cols and self.entries == other.entries)
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
 
-def _integers(row: dict[int, Fraction]) -> dict[int, int]:
-    """The row scaled by the lcm of its denominators: same zeros, all ints."""
-    den = lcm(*(q.denominator for q in row.values()))
-    return {c: q.numerator * (den // q.denominator) for c, q in row.items()}
+def _normalised(rows: list[dict], cols: int, den: int | None):
+    """Bound-checked int rows without zeros, and their denominators: int
+    rows over a common den as they are, rationals over each row's lcm."""
+    out, dens = [], []
+    for r, row in enumerate(rows):
+        kept = {}
+        for c, v in row.items():
+            if not 0 <= c < cols:
+                raise LinalgError(f"entry ({r},{c}) outside {len(rows)}x{cols}")
+            if den is None and not isinstance(v, Fraction):
+                v = Fraction(v)
+            if v:
+                kept[c] = v
+        if den is None:
+            d = lcm(*(q.denominator for q in kept.values()))
+            kept = {c: q.numerator * (d // q.denominator) for c, q in kept.items()}
+            dens.append(d)
+        out.append(kept)
+    return out, dens if den is None else [den] * len(out)
 
 
-def _rref_rows(rows: list[dict[int, Fraction]], cols: int):
-    """In-place reduced row echelon; returns list of (pivot_col, row_id).
+def _rref_rows(rows: list[dict[int, int]], cols: int) -> list[tuple[int, dict[int, int]]]:
+    """Reduced row echelon form of int rows: sorted (pivot column, row) pairs.
 
-    On return rows[row_id] holds each pivot row and every other slot is
-    empty.  Slots are rebound, never mutated, so the caller may pass a
-    shallow copy of a matrix's row list without copying its rows.
+    Each returned row is primitive, positive at its pivot column and zero
+    at every other pivot column; divided by its pivot entry it is the
+    leading-1 row.  The input rows are read, never mutated.
 
-    Rows are streamed in order and turned into integers only when reached.
-    Pivot rows are kept fully reduced as primitive integer rows, so each
-    pivot column in an incoming row is eliminated once, by
-    cross-multiplication.  What remains is divided by its content; its
-    smallest column becomes a new pivot, which is then cleared from the
-    pivot rows holding it.  Once every column holds a pivot the remaining
-    rows can only reduce to zero, so the stream stops there.  The reduced
-    row echelon form of a row space is unique, so the result does not
-    depend on which rows were read.  Pivot rows are rescaled to leading-1
-    Fractions on exit.
+    Rows are streamed in order and copied only when reached.  Pivot rows
+    are kept fully reduced as primitive integer rows, so each pivot column
+    in an incoming row is eliminated once, by cross-multiplication.  What
+    remains is divided by its content; its smallest column becomes a new
+    pivot, which is then cleared from the pivot rows holding it.  Once
+    every column holds a pivot the remaining rows can only reduce to zero,
+    so the stream stops there.  The reduced row echelon form of a row space
+    is unique, so the result does not depend on which rows were read.
     """
     work: dict[int, dict[int, int]] = {}   # row id -> reduced integer row
     pivot_row: dict[int, int] = {}         # pivot column -> row id
@@ -138,7 +149,7 @@ def _rref_rows(rows: list[dict[int, Fraction]], cols: int):
             break
         if not row:
             continue
-        new = _integers(row)
+        new = dict(row)
         for col in [c for c in new if c in pivot_row]:
             _eliminate(new, work[pivot_row[col]], col)
         if not new:
@@ -160,10 +171,11 @@ def _rref_rows(rows: list[dict[int, Fraction]], cols: int):
         work[rid] = new
         pivot_row[col] = rid
 
-    pivots = sorted(pivot_row.items())
-    reduced = {rid: {c: Fraction(v, work[rid][col]) for c, v in work[rid].items()}
-               for col, rid in pivots}
-    rows[:] = [reduced.get(rid, {}) for rid in range(len(rows))]
+    pivots = [(col, work[rid]) for col, rid in sorted(pivot_row.items())]
+    for col, row in pivots:
+        if row[col] < 0:
+            for c in row:
+                row[c] = -row[c]
     return pivots
 
 
@@ -195,16 +207,16 @@ def _eliminate(target: dict[int, int], pivot: dict[int, int], col: int):
 
 def rref(m: SparseMatrix) -> tuple[SparseMatrix, list[int]]:
     """Reduced row echelon form and the list of pivot columns."""
-    rows = list(m._rows)
-    pivots = _rref_rows(rows, m.cols)
+    pivots = _rref_rows(m._rows, m.cols)
     out = SparseMatrix(m.rows, m.cols)
-    for pos, (_, rid) in enumerate(pivots):
-        out._rows[pos] = rows[rid]
+    for pos, (col, row) in enumerate(pivots):
+        out._rows[pos] = row
+        out._dens[pos] = row[col]
     return out, [col for col, _ in pivots]
 
 
 def rank(m: SparseMatrix) -> int:
-    return len(_rref_rows(list(m._rows), m.cols))
+    return len(_rref_rows(m._rows, m.cols))
 
 
 @dataclass
@@ -227,29 +239,29 @@ def nullspace(m: SparseMatrix) -> VectorBasis:
     """Basis of the exact kernel {v : m v = 0}.
 
     Every returned vector is re-multiplied through every row of the
-    original matrix as a hard postcondition, in integers: each vector and
-    each row is scaled by the lcm of its denominators, which keeps zero
-    residues zero.  A nonzero residue means a bug in the elimination, not
-    bad data, hence the internal error.
+    original matrix as a hard postcondition, in integers: the vector of a
+    free column is scaled by the lcm of the denominators of the pivot rows
+    holding that column, and checked against the stored int rows.  A
+    nonzero residue means a bug in the elimination, not bad data, hence
+    the internal error.
     """
     reduced, pivot_cols = rref(m)
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
+    holding: dict[int, list] = {}  # column -> (pivot column, entry, den)
+    for pcol, row, den in zip(pivot_cols, reduced._rows, reduced._dens):
+        for c, a in row.items():
+            holding.setdefault(c, []).append((pcol, a, den))
+    checked = [row for row in m._rows if row]
     vectors = []
-    for f in free_cols:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for row_pos, pcol in enumerate(pivot_cols):
-            coef = reduced._rows[row_pos].get(f)
-            if coef:
-                v[pcol] = -coef
+    for f in sorted(set(range(m.cols)) - set(pivot_cols)):
+        terms = holding.get(f, ())
+        scale = lcm(*(den for _, _, den in terms))
+        v, w = [Fraction(0)] * m.cols, [0] * m.cols
+        v[f], w[f] = Fraction(1), scale
+        for pcol, a, den in terms:
+            v[pcol], w[pcol] = Fraction(-a, den), -a * (scale // den)
+        if any(sum(a * w[c] for c, a in row.items()) for row in checked):
+            raise LinalgError("internal error: kernel vector fails verification")
         vectors.append(tuple(v))
-    if vectors:
-        rows = [_integers(row) for row in m._rows if row]
-        for v in vectors:
-            w = _integers(dict(enumerate(v)))
-            if any(sum(a * w[c] for c, a in row.items()) for row in rows):
-                raise LinalgError("internal error: kernel vector fails verification")
     return VectorBasis(m.cols, vectors)
 
 
@@ -265,6 +277,5 @@ def project_basis(basis: VectorBasis, coords: Iterable[int]) -> VectorBasis:
         len(cols),
         [{i: vec[c] for i, c in enumerate(cols) if vec[c]} for vec in basis.vectors])
     reduced, pivots = rref(proj)
-    vectors = [tuple(reduced._rows[i].get(c, Fraction(0)) for c in range(len(cols)))
-               for i in range(len(pivots))]
+    vectors = [tuple(row) for row in reduced.to_dense()[:len(pivots)]]
     return VectorBasis(len(cols), vectors)

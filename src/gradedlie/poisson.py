@@ -231,11 +231,12 @@ def _membership_system(p: AlgebraPresentation, delta: Fraction, window: int):
     col_ids = list(range(len(columns)))
     products = [list(zip(col_ids[pi * width:(pi + 1) * width], basis))
                 for pi in range(pairs)]
-    rows: list[dict[int, Fraction]] = []
+    rows: list[dict[int, int]] = []
     for z in range(width):
         images = {w: products[pi] for w, pi in zip(basis, pair_of[z])}
         identity_rows(p, delta, images, window, rows)
-    return SparseMatrix.from_rows(len(columns), rows), columns
+    return (SparseMatrix.from_rows(len(columns), rows, p.scale * delta.denominator),
+            columns)
 
 
 def classify_products(p: AlgebraPresentation, scan_result: ScanResult | str,

@@ -94,6 +94,7 @@ class Recurrence:
     tag: str
     families: tuple[str, ...]
     rows: Callable[[int, int], list[dict]]
+    integral: bool = True  # rows of plain ints; e20's are rational
 
 
 # Coefficients are (m, n, gamma, 1) multipliers; "g" is gamma.
@@ -162,7 +163,7 @@ RECURRENCES: dict[str, Recurrence] = {
     "e18": Recurrence("e18", ("L",), _slice_rows(False)),
     # (g-n) i_n = g i_0 for n != g
     "e19": Recurrence("e19", ("L",), _slice_rows(True)),
-    "e20": Recurrence("e20", ("L",), _e20_rows),
+    "e20": Recurrence("e20", ("L",), _e20_rows, integral=False),
 }
 
 
@@ -175,13 +176,15 @@ SECTOR_SYSTEMS: dict[tuple[int, int], tuple[str, ...]] = {
 }
 
 
-def _solve_rows(rows: list[dict], families: tuple[str, ...], gamma: int,
+def _solve_rows(recs: list[Recurrence], families: tuple[str, ...], gamma: int,
                 window: int, interior: int, degree: GradingDegree) -> SolveReport:
     layout = [(fam, m) for fam in families for m in range(-window, window + 1)]
     index = {key: i for i, key in enumerate(layout)}
     matrix = SparseMatrix.from_rows(
         len(layout),
-        [{index[key]: v for key, v in row.items()} for row in rows])
+        [{index[key]: v for key, v in row.items()}
+         for rec in recs for row in rec.rows(gamma, window)],
+        1 if all(rec.integral for rec in recs) else None)
     kernel = nullspace(matrix)
     return report_from_kernel(kernel, layout, list(families), degree,
                               Fraction(1, 2), window, interior)
@@ -197,11 +200,9 @@ def solve_case(shift: tuple[int, int], gamma: int, window: int,
         raise WindowTooSmallError(window, gamma, need)
     if interior is None:
         interior = window // 2
-    rows = []
-    for tag in SECTOR_SYSTEMS[shift]:
-        rows.extend(RECURRENCES[tag].rows(gamma, window))
     degree = GradingDegree(shift[0], shift[1], gamma)
-    return _solve_rows(rows, FAMILIES, gamma, window, interior, degree)
+    return _solve_rows([RECURRENCES[tag] for tag in SECTOR_SYSTEMS[shift]],
+                       FAMILIES, gamma, window, interior, degree)
 
 
 def recurrence_kernel(tag: str, gamma: int, window: int,
@@ -214,8 +215,7 @@ def recurrence_kernel(tag: str, gamma: int, window: int,
     if interior is None:
         interior = window // 2
     degree = GradingDegree(0, 0, gamma)
-    return _solve_rows(rec.rows(gamma, window), rec.families, gamma,
-                       window, interior, degree)
+    return _solve_rows([rec], rec.families, gamma, window, interior, degree)
 
 
 LEMMA_EXPECTATIONS = {

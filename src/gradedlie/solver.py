@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import (AlgebraPresentation, BasisKind, GradingDegree,
-                   ScaledFractions, format_rational)
+                   format_rational)
 from .linalg import SparseMatrix, VectorBasis, nullspace, project_basis
 
 
@@ -141,7 +141,7 @@ def unknown_layout(problem: HomogeneousSolveProblem) -> UnknownLayout:
 
 def identity_rows(p: AlgebraPresentation, delta: Fraction,
                   images: dict[tuple[int, int], list[tuple[int, tuple[int, int]]]],
-                  window: int, rows: list[dict[int, Fraction]]) -> None:
+                  window: int, rows: list[dict[int, int]]) -> None:
     """Append the rows of D[x, y] - delta([Dx, y] + [x, Dy]) to rows.
 
     D is given by images: a (kind position, index) basis key maps to D of
@@ -150,11 +150,10 @@ def identity_rows(p: AlgebraPresentation, delta: Fraction,
     element), over pairs whose indices m, n and m+n lie in the window; a
     pair whose bracket has a target outside the window is skipped, not
     truncated.  Brackets come from bracket_indexed, so with
-    delta = dn/dd each entry is accumulated as an integer over
+    delta = dn/dd each entry is an integer over the common denominator
     p.scale * dd; rows sort their outputs in BasisElement order.
     """
     dn, dd = delta.numerator, delta.denominator
-    scaled = ScaledFractions(p.scale * dd)
     br = p.bracket_indexed
     rank = p.kind_rank
     basis = [(p.kind_order(b.kind), b.index) for b in p.basis_elements(window)]
@@ -186,7 +185,7 @@ def identity_rows(p: AlgebraPresentation, delta: Fraction,
                         row = acc.setdefault(t, {})
                         row[col] = row.get(col, 0) - dn * c
                 for out in sorted(acc, key=lambda t: (rank[t[0]], t[1])):
-                    row = {c: scaled[v] for c, v in acc[out].items() if v}
+                    row = {c: v for c, v in acc[out].items() if v}
                     if row:
                         rows.append(row)
 
@@ -205,9 +204,10 @@ def assemble(problem: HomogeneousSolveProblem,
     images = {(p.kind_order(p.kind(name)), m):
               [(col, (p.kind_order(layout.partner[name]), m + gamma))]
               for (name, m), col in layout.index.items()}
-    rows: list[dict[int, Fraction]] = []
+    rows: list[dict[int, int]] = []
     identity_rows(p, problem.delta, images, problem.window, rows)
-    return SparseMatrix.from_rows(len(layout.columns), rows)
+    return SparseMatrix.from_rows(len(layout.columns), rows,
+                                  p.scale * problem.delta.denominator)
 
 
 def describe_values(values: dict[int, Fraction]) -> str:

@@ -5,12 +5,14 @@ written inline, so the two implementations share no code.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gradedlie import linalg
+from gradedlie import catalog, linalg, poisson, recurrences, solver
+from gradedlie.core import GradingDegree
 from gradedlie.linalg import (LinalgError, SparseMatrix, VectorBasis,
                               nullspace, project_basis, rank, rref)
 
@@ -54,6 +56,120 @@ def test_from_rows_checks_columns_converts_and_drops_zeros():
     # an out-of-range column is rejected even when its value is zero
     with pytest.raises(LinalgError):
         SparseMatrix.from_rows(3, [{3: 0}])
+
+
+def test_constructor_error_texts():
+    with pytest.raises(LinalgError, match=r"^entry \(2,0\) outside 2x2$"):
+        SparseMatrix(2, 2, {(2, 0): 1})
+    with pytest.raises(LinalgError, match=r"^entry \(0,2\) outside 2x2$"):
+        SparseMatrix(2, 2, {(0, 2): 1})
+    with pytest.raises(LinalgError, match=r"^entry \(1,-1\) outside 2x2$"):
+        SparseMatrix(2, 2, {(1, -1): 0})
+    with pytest.raises(LinalgError, match="^negative matrix dimensions$"):
+        SparseMatrix(2, -1)
+    with pytest.raises(LinalgError, match="^negative matrix dimensions$"):
+        SparseMatrix.from_rows(-1, [])
+    with pytest.raises(LinalgError, match="^ragged dense input$"):
+        SparseMatrix.from_dense([[1, 2], [3]])
+    with pytest.raises(LinalgError, match="^ragged dense input$"):
+        SparseMatrix.from_dense([[1], [2, 3]])
+
+
+def test_int_rows_are_bound_checked_and_zero_free():
+    with pytest.raises(LinalgError, match=r"^entry \(1,3\) outside 2x3$"):
+        SparseMatrix.from_rows(3, [{0: 1}, {0: 1, 3: 1}], 6)
+    with pytest.raises(LinalgError, match=r"^entry \(0,-1\) outside 1x3$"):
+        SparseMatrix.from_rows(3, [{-1: 0}], 1)
+    with pytest.raises(LinalgError, match="^row denominator must be positive$"):
+        SparseMatrix.from_rows(3, [{0: 1}], 0)
+    m = SparseMatrix.from_rows(3, [{0: 0, 2: 3}, {1: 0}], 6)
+    assert m.nnz == 1
+    assert m.row(0) == {2: F("1/2")}
+    assert m.row(1) == {}
+
+
+# ---------------------------------------------------------------------------
+# storage: int rows over positive int denominators, Fractions at the interface
+
+
+def _assert_int_storage(m):
+    assert len(m._rows) == len(m._dens) == m.rows
+    assert all(type(d) is int and d > 0 for d in m._dens)
+    assert all(type(v) is int and v for row in m._rows for v in row.values())
+
+
+def _assert_fraction_interface(m):
+    assert all(type(v) is Fraction for v in m.entries.values())
+    for r in range(m.rows):
+        assert all(type(v) is Fraction for v in m.row(r).values())
+    assert all(type(v) is Fraction for row in m.to_dense() for v in row)
+    assert all(type(v) is Fraction for v in m.mul_vec([F(1)] * m.cols))
+
+
+def test_every_constructor_stores_int_rows_and_hands_back_fractions():
+    built = [
+        SparseMatrix(2, 3, {(0, 0): 1, (0, 2): F("1/2"), (1, 1): "2/3"}),
+        SparseMatrix(2, 2),
+        SparseMatrix.from_dense([[1, F("-1/4")], [0, 3]]),
+        SparseMatrix.from_rows(3, [{0: 2, 1: -3}, {}, {2: 5}], 6),
+        SparseMatrix.from_rows(2, [{0: 1, 1: F("3/4")}, {1: "1/6"}]),
+    ]
+    for m in built:
+        _assert_int_storage(m)
+        _assert_fraction_interface(m)
+    # a rational row is stored over the lcm of its denominators
+    assert built[0]._rows[0] == {0: 2, 2: 1} and built[0]._dens[0] == 2
+    assert built[3]._dens == [6, 6, 6]
+
+
+def test_int_rows_over_a_denominator_equal_their_fraction_values():
+    ints = SparseMatrix.from_rows(3, [{0: 4, 2: -2}, {1: 3}], 6)
+    fracs = SparseMatrix.from_rows(3, [{0: F("2/3"), 2: F("-1/3")}, {1: F("1/2")}])
+    assert ints == fracs and fracs == ints
+    assert ints.entries == fracs.entries
+    assert ints.to_dense() == fracs.to_dense()
+    # equal values over another denominator
+    assert ints == SparseMatrix.from_rows(3, [{0: 8, 2: -4}, {1: 6}], 12)
+    # one value differs
+    assert ints != SparseMatrix.from_rows(3, [{0: 4, 2: -2}, {1: 2}], 6)
+    assert ints != SparseMatrix.from_rows(3, [{0: F("2/3"), 2: F("-1/3")}, {1: F("1/3")}])
+    assert ints != SparseMatrix.from_rows(3, [{0: 4, 2: -2}, {1: 3, 2: 1}], 6)
+    assert ints != SparseMatrix.from_rows(3, [{0: 4, 2: -2}], 6)
+
+
+@pytest.mark.parametrize("delta", [F("1/2"), F(1), F("2/3")], ids=str)
+def test_assembled_pgca_matrices_store_int_rows(delta):
+    p = catalog.get("pgca")
+    for degree in ((0, 0, 0), (1, 1, -1), (0, 1, 1)):
+        m = solver.assemble(solver.HomogeneousSolveProblem(
+            p, delta, GradingDegree(*degree), 4, 2))
+        assert m.nnz
+        _assert_int_storage(m)
+        assert set(m._dens) == {p.scale * delta.denominator}
+
+
+def test_membership_system_stores_int_rows():
+    p = catalog.get("witt")
+    m, _ = poisson._membership_system(p, F("1/2"), 3)
+    assert m.nnz
+    _assert_int_storage(m)
+
+
+def test_oracle_matrices_store_int_rows(monkeypatch):
+    seen = []
+
+    def capture(m):
+        seen.append(m)
+        return nullspace(m)
+
+    monkeypatch.setattr(recurrences, "nullspace", capture)
+    recurrences.solve_case((1, 1), 1, 8)
+    recurrences.recurrence_kernel("e20", 2, 8)
+    assert len(seen) == 2
+    for m in seen:
+        assert m.nnz
+        _assert_int_storage(m)
+    assert set(seen[0]._dens) == {1}
 
 
 def test_mul_vec_matches_hand_computation():
@@ -240,6 +356,18 @@ def test_rref_and_nullspace_leave_their_input_unchanged(data):
     nullspace(m)
     assert [m.row(r) for r in range(m.rows)] == before
     assert m == SparseMatrix.from_dense(data)
+
+
+@given(dense_matrices)
+def test_rref_rows_are_primitive_over_their_leading_entry(data):
+    reduced, pivots = rref(SparseMatrix.from_dense(data))
+    _assert_int_storage(reduced)
+    for pos, col in enumerate(pivots):
+        row = reduced._rows[pos]
+        assert min(row) == col
+        assert row[col] == reduced._dens[pos]
+        assert gcd(*row.values()) == 1
+    assert not any(reduced._rows[len(pivots):])
 
 
 # ---------------------------------------------------------------------------

@@ -89,8 +89,10 @@ def test_e20_coefficients_are_nonzero_off_the_resonant_indices():
 
 
 def test_pair_recurrence_rows_are_nonzero_plain_ints():
+    # integral rows reach the elimination as they are, over denominator 1
+    assert [tag for tag, rec in RECURRENCES.items() if not rec.integral] == ["e20"]
     for tag, rec in RECURRENCES.items():
-        if tag == "e20":
+        if not rec.integral:
             continue
         for row in rec.rows(-2, 8) + rec.rows(3, 8):
             assert row
@@ -214,6 +216,31 @@ def test_oracle_and_generic_solver_agree_on_the_solution_space(shift, gamma):
     # identical column layouts make reduced bases directly comparable
     assert layout_g == layout_o
     assert basis_g.vectors == basis_o.vectors
+
+
+def _up_to_scale(row):
+    lead = row[min(row)]
+    return tuple(sorted((c, Fraction(v) / lead) for c, v in row.items()))
+
+
+@pytest.mark.parametrize("shift", sorted(SECTOR_SYSTEMS))
+@pytest.mark.parametrize("gamma", range(-2, 3))
+def test_every_oracle_row_is_an_assembled_row_up_to_scale(shift, gamma):
+    # kernel agreement cannot see an oracle row that only over-constrains
+    # a degree whose kernel is already zero; each row must be a multiple
+    # of a row the assembler derives from the bracket
+    N = 8
+    prob = HomogeneousSolveProblem(PGCA, HALF, GradingDegree(*shift, gamma), N, N // 2)
+    layout = unknown_layout(prob)
+    matrix = assemble(prob, layout)
+    derived = {_up_to_scale(matrix.row(r)) for r in range(matrix.rows)}
+    checked = 0
+    for tag in SECTOR_SYSTEMS[shift]:
+        for row in RECURRENCES[tag].rows(gamma, N):
+            mapped = {layout.index[key]: v for key, v in row.items()}
+            assert _up_to_scale(mapped) in derived, (tag, row)
+            checked += 1
+    assert checked
 
 
 @pytest.mark.parametrize("shift,gamma", [((0, 0), 0), ((1, 1), 1)])
