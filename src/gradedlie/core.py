@@ -8,11 +8,13 @@ integers with no truncation.  One rule is stored per unordered pair of
 families; the reversed bracket is derived by negation, which removes a
 whole class of sign-inconsistency bugs at the source.
 
-`bracket_basis` is the one exact evaluator and caches nothing.  The hot
-loops (validation, row assembly, the membership system) read brackets
-through `bracket_indexed` instead: an integer view keyed by (kind
-position, index), with every coefficient multiplied by the presentation's
-`scale`, memoised per presentation and filled from `bracket_basis`.
+`bracket_basis` is the one exact evaluator and caches nothing: it works in
+ints on tables built once per presentation, every rule coefficient times
+the presentation's `scale`.  The hot loops (validation, row assembly, the
+membership system) read brackets through `bracket_indexed` instead: an
+integer view keyed by (kind position, index), with every coefficient
+multiplied by `scale`, memoised per presentation and filled from
+`bracket_basis`.
 
 A kind may be marked central: it then has a single basis element at index
 0, brackets trivially with everything, and can only appear in a bracket as
@@ -270,15 +272,11 @@ class BracketRule:
     def __post_init__(self):
         want = ((self.left.z2[0] + self.right.z2[0]) % 2,
                 (self.left.z2[1] + self.right.z2[1]) % 2)
-        for t in self.terms:
+        for t in self.terms + self.central_terms:
             if t.target.z2 != want:
+                central = "central " if isinstance(t, CentralTerm) else ""
                 raise PresentationError(
-                    f"rule [{self.left.name},{self.right.name}]: target "
-                    f"{t.target.name} has Z2 degree {t.target.z2}, expected {want}")
-        for t in self.central_terms:
-            if t.target.z2 != want:
-                raise PresentationError(
-                    f"rule [{self.left.name},{self.right.name}]: central target "
+                    f"rule [{self.left.name},{self.right.name}]: {central}target "
                     f"{t.target.name} has Z2 degree {t.target.z2}, expected {want}")
         object.__setattr__(self, "terms",
                            tuple(t for t in self.terms if not t.coeff.is_zero))
@@ -293,12 +291,21 @@ class BracketRule:
         )
 
 
+def _int_table(rule: BracketRule, scale: int) -> tuple[tuple, tuple]:
+    """(target, offset, c0, cm, cn) per term and (target, k0, k1, k2, k3) per
+    central term, every coefficient times scale."""
+    return (tuple((t.target, t.offset, *(int(q * scale) for q in astuple(t.coeff)))
+                  for t in rule.terms),
+            tuple((t.target, *(int(q * scale) for q in astuple(t.coeff)))
+                  for t in rule.central_terms))
+
+
 class AlgebraPresentation:
     """A graded Lie algebra given by kinds, bracket rules and central kinds.
 
     Rules are normalised so that the stored left kind does not come after
     the right kind in the declared kind order; the other orientation is
-    derived by negation on lookup.
+    derived by negation when the integer tables are built.
     """
 
     def __init__(self, name: str, kinds: Iterable[BasisKind],
@@ -346,6 +353,14 @@ class AlgebraPresentation:
             for t in rule.terms + rule.central_terms for q in astuple(t.coeff)))
         # rank of each kind position in BasisElement order (kinds sort by name)
         self.kind_rank = tuple(sorted(names).index(n) for n in names)
+        # _evaluate's int tables, over the scale as built: a two-kind rule is
+        # also stored reversed, a same-kind rule only as it is
+        s = self._table_scale = self.scale
+        self._tables = {}
+        for (left, right), rule in self._rules.items():
+            self._tables[left, right] = _int_table(rule, s)
+            if left != right:
+                self._tables[right, left] = _int_table(rule.reversed(), s)
         self._indexed: dict[tuple[int, int, int, int],
                             tuple[tuple[tuple[int, int], int], ...]] = {}
 
@@ -402,21 +417,13 @@ class AlgebraPresentation:
                 out.extend(BasisElement(k, m) for m in range(-window, window + 1))
         return out
 
-    def rule_for(self, left: BasisKind, right: BasisKind):
-        """Stored rule plus a flag telling whether the arguments were swapped."""
-        direct = self._rules.get((left.name, right.name))
-        if direct is not None:
-            return direct, False
-        flipped = self._rules.get((right.name, left.name))
-        if flipped is not None:
-            return flipped, True
-        return None, False
-
     def bracket_basis(self, x: BasisElement, y: BasisElement) -> Element:
         """[x, y] for two basis elements, evaluated exactly on every call.
 
-        Both arguments are checked on every call.  Nothing is cached here;
-        bracket_indexed memoises its integer view of these results.
+        Both arguments are checked on every call.  Coefficients are summed
+        in ints from the presentation's tables and divided by the scale once
+        each.  Nothing is cached here; bracket_indexed memoises its integer
+        view of these results.
         """
         self._check_owned(x)
         self._check_owned(y)
@@ -428,7 +435,7 @@ class AlgebraPresentation:
 
         Each int is the exact coefficient times self.scale, and the terms
         come in bracket_basis order.  Results are memoised per presentation
-        under (a, m, b, n); a miss evaluates through bracket_basis, so a
+        under (a, m, b, n); every miss evaluates through bracket_basis, so a
         rejected pair raises before anything is stored.
         """
         key = (a, m, b, n)
@@ -450,26 +457,21 @@ class AlgebraPresentation:
         return hit
 
     def _evaluate(self, x: BasisElement, y: BasisElement) -> Element:
-        rule, swapped = self.rule_for(x.kind, y.kind)
-        if rule is None:
-            return Element.zero()
-        if swapped:
-            m, n, sign = y.index, x.index, -1
-        else:
-            m, n, sign = x.index, y.index, 1
-        acc: dict[BasisElement, Fraction] = {}
-        for t in rule.terms:
-            c = t.coeff(m, n)
-            if c:
-                b = BasisElement(t.target, m + n + t.offset)
-                acc[b] = acc.get(b, Fraction(0)) + sign * c
-        if rule.central_terms and m + n == 0:
-            for t in rule.central_terms:
-                c = t.coeff(m)
-                if c:
-                    b = BasisElement(t.target, 0)
-                    acc[b] = acc.get(b, Fraction(0)) + sign * c
-        return Element(acc)
+        terms, central = self._tables.get((x.kind.name, y.kind.name), ((), ()))
+        m, n = x.index, y.index
+        acc: dict[BasisElement, int] = {}
+        for target, offset, c0, cm, cn in terms:
+            if c := c0 + cm * m + cn * n:
+                b = BasisElement(target, m + n + offset)
+                acc[b] = acc.get(b, 0) + c
+        if central and m + n == 0:
+            for target, k0, k1, k2, k3 in central:
+                if c := k0 + m * (k1 + m * (k2 + m * k3)):
+                    b = BasisElement(target, 0)
+                    acc[b] = acc.get(b, 0) + c
+        out = Element.__new__(Element)
+        out._terms = {b: Fraction(v, self._table_scale) for b, v in acc.items() if v}
+        return out
 
 
 def _as_element(x) -> Element:

@@ -107,22 +107,23 @@ class SparseMatrix:
 def _normalised(rows: list[dict], cols: int, den: int | None):
     """Bound-checked int rows without zeros, and their denominators: int
     rows over a common den as they are, rationals over each row's lcm."""
+    used = set().union(*rows)
+    if used and (min(used) < 0 or max(used) >= cols):
+        r, c = next((r, c) for r, row in enumerate(rows) for c in row
+                    if not 0 <= c < cols)
+        raise LinalgError(f"entry ({r},{c}) outside {len(rows)}x{cols}")
+    if den is not None:
+        out = [{c: v for c, v in row.items() if v} if 0 in row.values() else dict(row)
+               for row in rows]
+        return out, [den] * len(out)
     out, dens = [], []
-    for r, row in enumerate(rows):
-        kept = {}
-        for c, v in row.items():
-            if not 0 <= c < cols:
-                raise LinalgError(f"entry ({r},{c}) outside {len(rows)}x{cols}")
-            if den is None and not isinstance(v, Fraction):
-                v = Fraction(v)
-            if v:
-                kept[c] = v
-        if den is None:
-            d = lcm(*(q.denominator for q in kept.values()))
-            kept = {c: q.numerator * (d // q.denominator) for c, q in kept.items()}
-            dens.append(d)
-        out.append(kept)
-    return out, dens if den is None else [den] * len(out)
+    for row in rows:
+        kept = {c: q for c, v in row.items()
+                if (q := v if isinstance(v, Fraction) else Fraction(v))}
+        d = lcm(*(q.denominator for q in kept.values()))
+        out.append({c: q.numerator * (d // q.denominator) for c, q in kept.items()})
+        dens.append(d)
+    return out, dens
 
 
 def _rref_rows(rows: list[dict[int, int]], cols: int) -> list[tuple[int, dict[int, int]]]:

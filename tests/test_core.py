@@ -4,13 +4,14 @@ Expected bracket values below are expanded by hand from the defining
 relations of each catalog algebra.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedlie import catalog
+from gradedlie import catalog, solver
 from gradedlie.core import (AffinePoly, AlgebraPresentation, BasisElement,
                             BasisKind, BracketRule, BracketTerm, CentralTerm,
                             CubicPoly, Element, GradingDegree,
@@ -234,6 +235,124 @@ def test_bracket_indexed_scaled_back_equals_bracket_basis(p, data):
     assert p.bracket_indexed(*key) is got
     assert [b for b, _ in want.items()] == [BasisElement(p.kinds[a], i)
                                             for (a, i), _ in got]
+
+
+def _reference_bracket(p, x, y):
+    """[x, y] straight from p.rules in Fractions, independent of bracket_basis.
+
+    A stored rule is evaluated as it is; the other orientation of a two-kind
+    rule is the negated swapped evaluation; a same-kind rule is evaluated as
+    stored in both orders.
+    """
+    for rule in p.rules:
+        if (rule.left, rule.right) == (x.kind, y.kind):
+            sign, m, n = 1, x.index, y.index
+            break
+        if (rule.left, rule.right) == (y.kind, x.kind):
+            sign, m, n = -1, y.index, x.index
+            break
+    else:
+        return Element.zero()
+    out = Element.zero()
+    for t in rule.terms:
+        out = out + Element.basis(BasisElement(t.target, m + n + t.offset),
+                                  sign * t.coeff(m, n))
+    if m + n == 0:
+        for t in rule.central_terms:
+            out = out + Element.basis(BasisElement(t.target, 0), sign * t.coeff(m))
+    return out
+
+
+def _lopsided():
+    """Not a Lie algebra: rational coefficients (scale 420), a non-skew
+    same-kind rule, nonzero offsets, two terms that cancel at m = n, central
+    cubics with every coefficient nonzero, one on a two-kind rule, and a
+    rule written in the order opposite to the declared one."""
+    A, B, D = BasisKind("A", (0, 0)), BasisKind("B", (0, 1)), BasisKind("D", (1, 0))
+    Z, W = BasisKind("Z", (0, 0)), BasisKind("W", (0, 1))
+    q = Fraction
+    rules = (
+        BracketRule(A, A, (BracketTerm(A, affine(q(1, 3), 2, q(-1, 5)), 1),),
+                    (CentralTerm(Z, CubicPoly(q(2, 5), q(-1, 2), q(1), q(3, 7))),)),
+        BracketRule(A, B, (BracketTerm(B, affine(-1, q(-2, 3), q(5, 4)), -2),),
+                    (CentralTerm(W, CubicPoly(q(1, 6), q(1, 2), q(2, 3), q(-1, 5))),)),
+        BracketRule(B, B, (BracketTerm(A, affine(cm=1)), BracketTerm(A, affine(cn=-1)),
+                           BracketTerm(A, affine(q(3, 4), q(1, 2)), 3))),
+        BracketRule(D, A, (BracketTerm(D, affine(2, q(1, 4), -3), 1),)),
+    )
+    return AlgebraPresentation("lopsided", (A, B, D, Z, W), rules, central=("Z", "W"))
+
+
+_REFERENCE_PAIRS = [(p, ka, kb)
+                    for p in [catalog.get(key) for key in catalog.keys()] + [_lopsided()]
+                    for ka in p.kinds for kb in p.kinds]
+
+
+@pytest.mark.parametrize("p,ka,kb", _REFERENCE_PAIRS,
+                         ids=[f"{p.name}-{ka.name}{kb.name}" for p, ka, kb in _REFERENCE_PAIRS])
+@settings(max_examples=25)
+@given(st.data())
+def test_bracket_basis_equals_the_rules_evaluated_in_fractions(p, ka, kb, data):
+    m = data.draw(st.integers(-8, 8))
+    # half the draws sit on m + n = 0, where central terms fire
+    n = -m if data.draw(st.booleans()) else data.draw(st.integers(-8, 8))
+    x = BasisElement(ka, 0 if p.is_central(ka) else m)
+    y = BasisElement(kb, 0 if p.is_central(kb) else n)
+    want = _reference_bracket(p, x, y)
+    assert p.bracket_basis(x, y) == want
+    assert _indexed_as_element(p, x, y) == want
+
+
+def test_the_lopsided_presentation_reaches_every_table_path():
+    p = _lopsided()
+    A, B, D, W = (el(p, k, i) for k, i in (("A", 2), ("B", -2), ("D", 1), ("W", 0)))
+    assert p.scale == 420
+    assert [(r.left.name, r.right.name) for r in p.rules] == [
+        ("A", "A"), ("A", "B"), ("A", "D"), ("B", "B")]
+    # [A_2, A_2] = (1/3 + 4 - 2/5) A_5: not skew; no central term at m + n = 4
+    assert p.bracket_basis(A, A) == Element.basis(el(p, "A", 5), Fraction(59, 15))
+    # [B_-2, B_-2]: the two A_-4 terms cancel, (3/4 - 1) A_-1 is left
+    assert p.bracket_basis(B, B) == Element.basis(el(p, "A", -1), Fraction(-1, 4))
+    # [B_-2, A_2] = -[A_2, B_-2] = -(-1 - 4/3 - 5/2) B_-2 - (1/6 + 1 + 8/3 - 8/5) W_0
+    assert p.bracket_basis(B, A) == (Element.basis(el(p, "B", -2), Fraction(29, 6))
+                                     + Element.basis(W, Fraction(-67, 30)))
+    # [D_1, A_2] is the rule as written, stored reversed: (2 + 1/4 - 6) D_4
+    assert p.bracket_basis(D, A) == Element.basis(el(p, "D", 4), Fraction(-15, 4))
+    assert p.bracket_basis(W, A).is_zero
+
+
+@contextmanager
+def _counted_bracket_basis():
+    """Count AlgebraPresentation.bracket_basis calls, patched on the class
+    as the benchmark tracer patches it, and restore the original after."""
+    original = AlgebraPresentation.bracket_basis
+    calls = [0]
+
+    def counted(presentation, x, y):
+        calls[0] += 1
+        return original(presentation, x, y)
+
+    AlgebraPresentation.bracket_basis = counted
+    try:
+        yield calls
+    finally:
+        AlgebraPresentation.bracket_basis = original
+
+
+def test_every_memo_miss_calls_bracket_basis_once():
+    # the tracer's core.bracket_basis.calls counts memo fills through this
+    # method, so no evaluator may fill bracket_indexed without calling it
+    original = AlgebraPresentation.bracket_basis
+    p = catalog.get("pgca")
+    with _counted_bracket_basis() as calls:
+        solver.scan(p, Fraction(1, 2), 1, 6)
+        assert calls[0] == len(p._indexed) == 2550
+        solver.scan(p, Fraction(1, 2), 1, 6)
+        assert calls[0] == 2550
+    with _counted_bracket_basis() as calls:
+        assert validate_presentation(catalog.get("pgca"), 4).passed
+    assert calls[0] == 2356
+    assert AlgebraPresentation.bracket_basis is original
 
 
 def test_virasoro_cocycle_is_scaled_to_an_integer():
