@@ -2,9 +2,12 @@
 
 Coefficients in files are rational strings "p" or "p/q" (plain ints are
 also accepted); floats are rejected so nothing ever passes through binary
-floating point.  A file is validated on a small window as part of loading,
-so a structurally broken algebra fails at the door rather than deep inside
-a solve.
+floating point.  Loading checks the algebra, so a structurally broken one
+fails at the door rather than deep inside a solve.  Grading, skew-symmetry
+and Jacobi are certified for all indices from the presentation's rule
+tables.  A presentation the certificate does not pass (a broken one, or one
+with a central kind as a bracket argument) is checked exhaustively on the
+window N = LOAD_VALIDATION_WINDOW instead, and that check reports failures.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from pathlib import Path
 
 from .core import (AffinePoly, AlgebraPresentation, BasisKind, BracketRule,
                    BracketTerm, CentralTerm, CubicPoly, PresentationError,
-                   affine, format_rational, parse_rational,
-                   validate_presentation)
+                   affine, certify_presentation, format_rational,
+                   parse_rational, validate_presentation)
 
 
 class CatalogKeyError(PresentationError):
@@ -294,14 +297,19 @@ def from_dict(data: dict) -> AlgebraPresentation:
 
 
 def load(path, validate: bool = True) -> AlgebraPresentation:
-    """Load a presentation file; by default validate it on a small window."""
+    """Load a presentation file; by default check it is a Lie algebra.
+
+    The check is certified for all indices; it is windowed at
+    N = LOAD_VALIDATION_WINDOW only when the certificate does not apply,
+    and a failure there raises PresentationValidationError.
+    """
     text = Path(path).read_text()
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise PresentationFormatError(f"{path}: invalid JSON ({exc})") from None
     p = from_dict(data)
-    if validate:
+    if validate and not certify_presentation(p):
         report = validate_presentation(p, LOAD_VALIDATION_WINDOW)
         if not report.passed:
             raise PresentationValidationError(report)

@@ -14,7 +14,9 @@ the presentation's `scale`.  The hot loops (validation, row assembly, the
 membership system) read brackets through `bracket_indexed` instead: an
 integer view keyed by (kind position, index), with every coefficient
 multiplied by `scale`, memoised per presentation and filled from
-`bracket_basis`.
+`bracket_basis`.  `certify_presentation` reads the same tables to prove
+grading, skew-symmetry and Jacobi for all indices; `validate_presentation`
+checks them exhaustively on a window.
 
 A kind may be marked central: it then has a single basis element at index
 0, brackets trivially with everything, and can only appear in a bracket as
@@ -27,6 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import astuple, dataclass, field
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from typing import Iterable, Iterator, Mapping
 
@@ -394,7 +397,10 @@ class AlgebraPresentation:
         return kind.name in self.central
 
     def owns(self, element: BasisElement) -> bool:
-        return self._kind_by_name.get(element.kind.name) == element.kind
+        # bracket_indexed passes the declared kinds themselves: skip the
+        # dataclass comparison for them
+        kind = self._kind_by_name.get(element.kind.name)
+        return kind is element.kind or kind == element.kind
 
     def _check_owned(self, element: BasisElement):
         if not self.owns(element):
@@ -584,3 +590,77 @@ def validate_presentation(p: AlgebraPresentation, window: int) -> ValidationRepo
                                      f"{_scaled_element(p, acc, p.scale ** 2)!r}")
                     return report
     return report
+
+
+def _poly(*scaled) -> dict:
+    """sum of w * f over (w, f) pairs, polynomials as {exponents: int}."""
+    out = {}
+    for w, f in scaled:
+        for e, v in f.items():
+            out[e] = out.get(e, 0) + w * v
+    return out
+
+
+def _times(*factors) -> dict:
+    """Product of polynomials in (m, n, k); of none, the constant 1."""
+    out = {(0, 0, 0): 1}
+    for f in factors:
+        out = _poly(*((u * v, {(e[0] + d[0], e[1] + d[1], e[2] + d[2]): 1})
+                      for e, u in out.items() for d, v in f.items()))
+    return out
+
+
+def certify_presentation(p: AlgebraPresentation) -> bool:
+    """True only if grading, skew-symmetry and Jacobi hold at every index.
+
+    Reads p's int tables.  Coefficients are affine in the indices (a cubic
+    in m on m + n = 0 for central terms), so each check is a polynomial
+    identity per kind pair or kind triple, expanded here in exact ints in
+    (m, n, k); the central part of a Jacobiator lives on the plane
+    k = -m - n.  False means "not certified", never "invalid": a table with
+    a central kind as an argument, for one, is left to validate_presentation.
+    """
+    lin, cen, declared = {}, {}, p._kind_by_name
+    for (a, b), (terms, central) in p._tables.items():
+        if {a, b} & p.central or any(declared.get(t.name) != t for t, *_ in terms + central) \
+                or any(t.name not in p.central for t, *_ in central):
+            return False
+        f, g = {}, cen.setdefault((a, b), {})
+        for t, offset, *c in terms:
+            f[t.name, offset] = [u + v for u, v in zip(f.get((t.name, offset), (0,) * 3), c)]
+        for t, *c in central:
+            g[t.name] = [u + v for u, v in zip(g.get(t.name, (0,) * 4), c)]
+        if any(offset and any(c) for (_, offset), c in f.items()):
+            return False  # grading: [A_m, B_n] must sit at index m + n
+        lin[a, b] = {t: c for (t, offset), c in f.items() if not offset}
+    for (a, b), f in lin.items():
+        g, h, q = lin.get((b, a), {}), cen[a, b], cen.get((b, a), {})
+        for t in f.keys() | g.keys():  # [A_m, B_n] + [B_n, A_m] at t_{m+n}
+            (c0, cm, cn), (d0, dm, dn) = f.get(t, (0,) * 3), g.get(t, (0,) * 3)
+            if c0 + d0 or cm + dn or cn + dm:
+                return False
+        for t in h.keys() | q.keys():  # [A_m, B_-m] + [B_-m, A_m] = h(m) + q(-m)
+            (k0, k1, k2, k3), (q0, q1, q2, q3) = h.get(t, (0,) * 4), q.get(t, (0,) * 4)
+            if k0 + q0 or k1 - q1 or k2 + q2 or k3 - q3:
+                return False
+    one, m, n, k = _times(), {(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1}
+    plane = _poly((-1, m), (-1, n))
+    ordinary = [x.name for x in p.kinds if x.name not in p.central]
+    for kinds in product(ordinary, repeat=3):
+        # sum over cyclic (X_x, Y_y, Z_z) of [X_x, [Y_y, Z_z]]: the ordinary
+        # part in (m, n, k), the central part on the plane
+        for outer, slots in ((lin, (m, n, k)), (cen, (m, n, plane))):
+            acc, cyc = {}, list(zip(kinds, slots))
+            for i in range(3):
+                (X, x), (Y, y), (Z, z) = cyc[i:] + cyc[:i]
+                for t, c in lin.get((Y, Z), {}).items():
+                    inner = _poly((c[0], one), (c[1], y), (c[2], z))
+                    for s, d in outer.get((X, t), {}).items():
+                        f = (_poly((d[0], one), (d[1], x), (d[2], y), (d[2], z))
+                             if outer is lin else  # [X_x, t_{y+z}]; d0 + d1 x + ... + d3 x^3
+                             _poly(*((w, _times(*[x] * j)) for j, w in enumerate(d))))
+                        for e, v in _times(inner, f).items():
+                            acc[s, e] = acc.get((s, e), 0) + v
+            if any(acc.values()):
+                return False
+    return True

@@ -7,7 +7,7 @@ import pytest
 from gradedlie import catalog
 from gradedlie.catalog import (CatalogKeyError, PresentationFormatError,
                                PresentationValidationError)
-from gradedlie.core import validate_presentation
+from gradedlie.core import certify_presentation, validate_presentation
 
 
 def test_catalog_keys_are_stable():
@@ -199,3 +199,95 @@ def test_load_validates_the_algebra_by_default(tmp_path):
 
     loaded = catalog.load(path, validate=False)
     assert not validate_presentation(loaded, 3).passed
+
+
+# ---------------------------------------------------------------------------
+# the load-time check: certified for all indices, windowed only as a fallback
+
+
+@pytest.fixture
+def windowed_calls(monkeypatch):
+    """The windows of load's calls to the windowed check, which still run."""
+    calls = []
+
+    def counted(p, window):
+        calls.append(window)
+        return validate_presentation(p, window)
+
+    monkeypatch.setattr(catalog, "validate_presentation", counted)
+    return calls
+
+
+def _saved(tmp_path, data):
+    path = tmp_path / "presentation.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("key", catalog.keys())
+def test_a_catalog_file_is_certified_and_loads_with_no_windowed_check(
+        key, tmp_path, windowed_calls):
+    p = catalog.get(key)
+    assert certify_presentation(p)
+    assert catalog.load(_saved(tmp_path, catalog.to_dict(p))) == p
+    assert windowed_calls == []
+
+
+def _edited(key, edit):
+    data = catalog.to_dict(catalog.get(key))
+    edit(data)
+    return data
+
+
+def _set_coeff(left, right, coeff):
+    def edit(data):
+        for rule in data["brackets"]:
+            if (rule["left"], rule["right"]) == (left, right):
+                rule["terms"][0]["coeff"] = coeff
+    return edit
+
+
+def _central_argument(c0):
+    # [L_m, C_0] = (c0 + m) C_0 at m = 0: C is a bracket argument, which the
+    # certificate leaves to the windowed check; c0 = 0 is still a Lie algebra
+    def edit(data):
+        data["brackets"].append({"left": "L", "right": "C", "central_terms": [
+            {"kind": "C", "coeff": {"c0": c0, "c1": "1"}}]})
+    return edit
+
+
+# the broken fixtures of test_core.py, as files, and two files with a central
+# kind as a bracket argument: (data, whether the windowed check passes)
+_NOT_CERTIFIED = {
+    "sign-flip": (lambda: _edited("pgca", _set_coeff("L", "I", {"cm": "-1", "cn": "1"})),
+                  False),
+    "self-bracket": (lambda: _edited("witt", _set_coeff("L", "L", {"c0": "1"})), False),
+    "grading-offset": (lambda: _edited(
+        "witt", lambda d: d["brackets"][0]["terms"][0].update(offset=1)), False),
+    "rational-skew-residue": (lambda: _edited(
+        "witt", _set_coeff("L", "L", {"c0": "1/3", "cm": "1", "cn": "-1"})), False),
+    "rational-jacobiator": (lambda: _edited(
+        "pgca", _set_coeff("H", "I", {"c0": "2/3", "cm": "1/5"})), False),
+    "central-argument": (lambda: _edited("virasoro", _central_argument("0")), True),
+    "central-argument-broken": (lambda: _edited("virasoro", _central_argument("1")), False),
+}
+
+
+@pytest.mark.parametrize("name", _NOT_CERTIFIED)
+def test_an_uncertified_file_loads_as_the_windowed_check_decides(
+        name, tmp_path, windowed_calls):
+    build, passes = _NOT_CERTIFIED[name]
+    data = build()
+    p = catalog.from_dict(data)
+    assert not certify_presentation(p)
+    report = validate_presentation(p, catalog.LOAD_VALIDATION_WINDOW)
+    assert report.passed == passes
+    path = _saved(tmp_path, data)
+    if passes:
+        assert catalog.load(path) == p
+    else:
+        with pytest.raises(PresentationValidationError) as err:
+            catalog.load(path)
+        assert err.value.report.check == report.check
+        assert str(err.value) == report.describe()
+    assert windowed_calls == [catalog.LOAD_VALIDATION_WINDOW] == [4]

@@ -8,7 +8,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradedlie import catalog, solver
@@ -16,8 +16,8 @@ from gradedlie.core import (AffinePoly, AlgebraPresentation, BasisElement,
                             BasisKind, BracketRule, BracketTerm, CentralTerm,
                             CubicPoly, Element, GradingDegree,
                             PresentationError, affine, bracket,
-                            format_rational, parse_rational,
-                            validate_presentation)
+                            certify_presentation, format_rational,
+                            parse_rational, validate_presentation)
 
 PGCA = catalog.get("pgca")
 VIRASORO = catalog.get("virasoro")
@@ -550,3 +550,101 @@ def test_validate_reports_a_rational_jacobiator():
 def test_validate_passes_every_catalog_entry():
     for key in catalog.keys():
         assert validate_presentation(catalog.get(key), 3).passed, key
+
+
+# ---------------------------------------------------------------------------
+# certificate for all indices
+
+_SMALL = st.sampled_from([Fraction(0)] * 3 + [Fraction(v) for v in (1, -1, 2)]
+                         + [Fraction(1, 2), Fraction(-1, 3)])
+
+
+def _swap_a_two_kind_table(p):
+    """Overwrite one orientation of a two-kind rule's tables with the other.
+
+    The constructor always builds them as negatives of each other, and the
+    evaluator reads the tables, not the rules; so this stands for a table
+    compiler that got the reversal wrong, which the certificate, reading the
+    same tables, must catch by itself.
+    """
+    a, b = next((a, b) for a, b in p._tables if a != b)
+    p._tables[b, a] = p._tables[a, b]
+    return p
+
+
+@st.composite
+def _presentations(draw):
+    """1-3 kinds plus an optional central kind Z, with sparse rational affine
+    rules (a same-kind rule skew-shaped half the time, so that a good share
+    are Lie algebras), offsets of +-1 now and then, central cubics with m^2
+    and m^3 terms, rules with Z as an argument now and then, a rule given in
+    either orientation, and rarely a swapped two-kind table."""
+    z2 = st.sampled_from([(0, 0), (0, 1)])
+    kinds = [BasisKind(name, draw(z2)) for name in "ABD"[:draw(st.integers(1, 3))]]
+    central = [BasisKind("Z", draw(z2))] if draw(st.booleans()) else []
+    declared = kinds + central
+    rules = []
+    for i, x in enumerate(declared):
+        for y in declared[i:]:
+            if not draw(st.booleans()) or ({x, y} & set(central) and draw(st.integers(0, 3))):
+                continue
+            want = ((x.z2[0] + y.z2[0]) % 2, (x.z2[1] + y.z2[1]) % 2)
+            terms, targets = [], [k for k in kinds if k.z2 == want]
+            for t in draw(st.lists(st.sampled_from(targets), max_size=2)) if targets else ():
+                c0, cm, cn = draw(_SMALL), draw(_SMALL), draw(_SMALL)
+                if x == y and draw(st.booleans()):
+                    c0, cn = Fraction(0), -cm
+                offset = draw(st.sampled_from([0] * 6 + [1, -1]))
+                terms.append(BracketTerm(t, AffinePoly(c0, cm, cn), offset))
+            cubics = []
+            for z in central:
+                if z.z2 == want and draw(st.booleans()):
+                    k = [draw(_SMALL) for _ in range(4)]
+                    if x == y and draw(st.booleans()):
+                        k[0] = k[2] = Fraction(0)
+                    cubics.append(CentralTerm(z, CubicPoly(*k)))
+            rule = BracketRule(x, y, tuple(terms), tuple(cubics))
+            rules.append(rule.reversed() if draw(st.booleans()) else rule)
+    p = AlgebraPresentation("drawn", declared, rules, central=[z.name for z in central])
+    if any(a != b for a, b in p._tables) and not draw(st.integers(0, 9)):
+        _swap_a_two_kind_table(p)
+    return p
+
+
+def _fixture(kinds, rules, central=()):
+    return AlgebraPresentation("fixture", kinds, rules, central=central)
+
+
+_A, _B, _D = BasisKind("A", (0, 0)), BasisKind("B", (0, 0)), BasisKind("D", (0, 0))
+_Z, _I = BasisKind("Z", (0, 0)), BasisKind("I", (0, 1))
+_WITT_RULE = BracketRule(_A, _A, (BracketTerm(_A, affine(cm=1, cn=-1)),))
+_HV_RULES = (_WITT_RULE, BracketRule(_A, _I, (BracketTerm(_I, affine(cn=-1)),)))
+
+
+@settings(max_examples=150)
+@given(_presentations())
+# witt at offset 1, and two offset terms that cancel
+@example(_fixture((_A,), [BracketRule(_A, _A, (BracketTerm(_A, affine(cm=1, cn=-1), 1),))]))
+@example(_fixture((_A,), [BracketRule(_A, _A, (BracketTerm(_A, affine(cm=1), 1),
+                                               BracketTerm(_A, affine(cm=-1), 1)))]))
+# heisenberg-virasoro with [I_m, I_n] = m^3 Z_0 (Jacobi fails on the central
+# plane only) and with the cocycle m Z_0 (a Lie algebra)
+@example(_fixture((_A, _I, _Z), _HV_RULES + (
+    BracketRule(_I, _I, (), (CentralTerm(_Z, CubicPoly(c3=Fraction(1))),)),), ("Z",)))
+@example(_fixture((_A, _I, _Z), _HV_RULES + (
+    BracketRule(_I, _I, (), (CentralTerm(_Z, CubicPoly(c1=Fraction(1))),)),), ("Z",)))
+# [A, B] = D with D acting trivially, its reversed table swapped: only
+# cross-kind skew-symmetry fails
+@example(_swap_a_two_kind_table(_fixture((_A, _B, _D), [
+    BracketRule(_A, _B, (BracketTerm(_D, affine(c0=1)),))])))
+# [A_m, B_-m] = (1 + m + m^2 + m^3) Z_0: a Lie algebra for any cubic
+@example(_fixture((_A, _B, _Z), [BracketRule(_A, _B, (), (
+    CentralTerm(_Z, CubicPoly(*map(Fraction, (1, 1, 1, 1)))),))], ("Z",)))
+def test_certificate_agrees_with_the_windowed_check(p):
+    # certified implies the N = 4 check passes.  Where no central kind is a
+    # bracket argument the converse holds as well: every identity is a
+    # polynomial of degree at most 2 in each index (at most 4 on the
+    # central plane), so vanishing on the N = 4 window makes it vanish
+    # identically; with a central argument nothing is certified
+    in_scope = not any(a in p.central or b in p.central for a, b in p._tables)
+    assert certify_presentation(p) == (in_scope and validate_presentation(p, 4).passed)
