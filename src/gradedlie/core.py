@@ -334,12 +334,23 @@ class AlgebraPresentation:
                 if self._kind_by_name.get(k.name) != k:
                     raise PresentationError(
                         f"rule references kind {k.name!r} not declared in {name!r}")
+            where = f"rule [{rule.left.name},{rule.right.name}]"
+            for t in rule.terms + rule.central_terms:
+                if self._kind_by_name.get(t.target.name) != t.target:
+                    raise PresentationError(
+                        f"{where}: term targets kind {t.target.name!r} "
+                        f"not declared in {name!r}")
             for t in rule.terms:
                 if t.target.name in self.central:
                     raise PresentationError(
-                        f"rule [{rule.left.name},{rule.right.name}]: ordinary term "
-                        f"targets central kind {t.target.name!r}; a central kind "
-                        f"has only index 0 and may appear only as a central term")
+                        f"{where}: ordinary term targets central kind "
+                        f"{t.target.name!r}; a central kind has only index 0 and "
+                        f"may appear only as a central term")
+            for t in rule.central_terms:
+                if t.target.name not in self.central:
+                    raise PresentationError(
+                        f"{where}: central term targets non-central kind "
+                        f"{t.target.name!r}")
             if self._order[rule.left.name] > self._order[rule.right.name]:
                 rule = rule.reversed()
             key = (rule.left.name, rule.right.name)
@@ -620,10 +631,9 @@ def certify_presentation(p: AlgebraPresentation) -> bool:
     k = -m - n.  False means "not certified", never "invalid": a table with
     a central kind as an argument, for one, is left to validate_presentation.
     """
-    lin, cen, declared = {}, {}, p._kind_by_name
+    lin, cen = {}, {}
     for (a, b), (terms, central) in p._tables.items():
-        if {a, b} & p.central or any(declared.get(t.name) != t for t, *_ in terms + central) \
-                or any(t.name not in p.central for t, *_ in central):
+        if {a, b} & p.central:
             return False
         f, g = {}, cen.setdefault((a, b), {})
         for t, offset, *c in terms:

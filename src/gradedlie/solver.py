@@ -146,18 +146,27 @@ def identity_rows(p: AlgebraPresentation, delta: Fraction,
 
     D is given by images: a (kind position, index) basis key maps to D of
     that element as (column, target key) pairs, and a missing key means
-    D = 0 there.  One row per (unordered source pair, output basis
-    element), over pairs whose indices m, n and m+n lie in the window; a
-    pair whose bracket has a target outside the window is skipped, not
-    truncated.  Brackets come from bracket_indexed, so with
-    delta = dn/dd each entry is an integer over the common denominator
-    p.scale * dd; rows sort their outputs in BasisElement order.
+    D = 0 there.  Each unordered source pair whose indices m, n and m+n
+    lie in the window gives one row dict {column: int} per output basis
+    element, with its outputs in BasisElement order; a pair whose bracket
+    has a target outside the window is skipped, not truncated.  Every
+    entry is a column of D, so when D is zero on the window this returns
+    at once.  Brackets come from bracket_indexed, so with delta = dn/dd
+    each entry is an integer over the common denominator p.scale * dd.
     """
-    dn, dd = delta.numerator, delta.denominator
+    basis = [(p.kind_order(b.kind), b.index) for b in p.basis_elements(window)]
+    image = images.get
+    source = [image(key, ()) for key in basis]
+    if not any(source):
+        return
+    dd, neg = delta.denominator, -delta.numerator
     br = p.bracket_indexed
     rank = p.kind_rank
-    basis = [(p.kind_order(b.kind), b.index) for b in p.basis_elements(window)]
-    source = [images.get(key, ()) for key in basis]
+    emit = rows.append
+
+    def order(t):
+        return rank[t[0]], t[1]
+
     for i, (a, m) in enumerate(basis):
         img_x = source[i]
         for j in range(i + 1, len(basis)):
@@ -166,28 +175,39 @@ def identity_rows(p: AlgebraPresentation, delta: Fraction,
                 continue
             acc: dict[tuple[int, int], dict[int, int]] = {}
             for t, c in br(a, m, b, n):
-                img = images.get(t)
+                img = image(t)
                 if img is None:
                     if abs(t[1]) > window:
                         break  # D[x, y] undefined on the window
                     continue
                 c *= dd
                 for col, out in img:
-                    row = acc.setdefault(out, {})
-                    row[col] = row.get(col, 0) + c
+                    if (row := acc.get(out)) is None:
+                        acc[out] = {col: c}
+                    else:
+                        row[col] = row.get(col, 0) + c
             else:
                 for col, (ta, tm) in img_x:
                     for t, c in br(ta, tm, b, n):
-                        row = acc.setdefault(t, {})
-                        row[col] = row.get(col, 0) - dn * c
+                        c *= neg
+                        if (row := acc.get(t)) is None:
+                            acc[t] = {col: c}
+                        else:
+                            row[col] = row.get(col, 0) + c
                 for col, (ta, tm) in source[j]:
                     for t, c in br(a, m, ta, tm):
-                        row = acc.setdefault(t, {})
-                        row[col] = row.get(col, 0) - dn * c
-                for out in sorted(acc, key=lambda t: (rank[t[0]], t[1])):
-                    row = {c: v for c, v in acc[out].items() if v}
-                    if row:
-                        rows.append(row)
+                        c *= neg
+                        if (row := acc.get(t)) is None:
+                            acc[t] = {col: c}
+                        else:
+                            row[col] = row.get(col, 0) + c
+                for out in sorted(acc, key=order) if len(acc) > 1 else acc:
+                    row = acc[out]
+                    if 0 in row.values():
+                        row = {c: v for c, v in row.items() if v}
+                        if not row:
+                            continue
+                    emit(row)
 
 
 def assemble(problem: HomogeneousSolveProblem,

@@ -5,17 +5,42 @@ and scaled integer coefficients.  These loops build the same systems from
 BasisElement and Element objects: they read brackets only through the
 public `bracket_basis` and accumulate exact Fractions, so comparing
 matrices checks the integer loops (their scaling, their keys, their row
-order) against a direct transcription of the same definition.
+order) against a direct transcription of the same definition.  Both
+skip a source pair whose bracket leaves the window.  `_lopsided` is a
+non-Lie test presentation whose rules reach every path of the integer
+bracket tables, so that the comparisons see more than the catalog does.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from gradedlie.core import BasisElement
+from gradedlie.core import (AlgebraPresentation, BasisElement, BasisKind,
+                            BracketRule, BracketTerm, CentralTerm, CubicPoly,
+                            affine)
 from gradedlie.linalg import SparseMatrix
 from gradedlie.poisson import _pair_key
 from gradedlie.solver import unknown_layout
+
+
+def _lopsided():
+    """Not a Lie algebra: rational coefficients (scale 420), a non-skew
+    same-kind rule, nonzero offsets, two terms that cancel at m = n, central
+    cubics with every coefficient nonzero, one on a two-kind rule, and a
+    rule written in the order opposite to the declared one."""
+    A, B, D = BasisKind("A", (0, 0)), BasisKind("B", (0, 1)), BasisKind("D", (1, 0))
+    Z, W = BasisKind("Z", (0, 0)), BasisKind("W", (0, 1))
+    q = Fraction
+    rules = (
+        BracketRule(A, A, (BracketTerm(A, affine(q(1, 3), 2, q(-1, 5)), 1),),
+                    (CentralTerm(Z, CubicPoly(q(2, 5), q(-1, 2), q(1), q(3, 7))),)),
+        BracketRule(A, B, (BracketTerm(B, affine(-1, q(-2, 3), q(5, 4)), -2),),
+                    (CentralTerm(W, CubicPoly(q(1, 6), q(1, 2), q(2, 3), q(-1, 5))),)),
+        BracketRule(B, B, (BracketTerm(A, affine(cm=1)), BracketTerm(A, affine(cn=-1)),
+                           BracketTerm(A, affine(q(3, 4), q(1, 2)), 3))),
+        BracketRule(D, A, (BracketTerm(D, affine(2, q(1, 4), -3), 1),)),
+    )
+    return AlgebraPresentation("lopsided", (A, B, D, Z, W), rules, central=("Z", "W"))
 
 
 def _bracket(p):
@@ -56,8 +81,11 @@ def assemble(problem) -> SparseMatrix:
         for y in basis[i + 1:]:
             if abs(x.index + y.index) > N:
                 continue
+            lie = br(x, y)
+            if any(abs(t.index) > N for t, _ in lie.items()):
+                continue
             acc = {}
-            for t, c in br(x, y).items():
+            for t, c in lie.items():
                 hit = image(t)
                 if hit is not None:
                     add(acc, hit[1], hit[0], c)

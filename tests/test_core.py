@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference_loops import _lopsided
 
 from gradedlie import catalog, solver
 from gradedlie.core import (AffinePoly, AlgebraPresentation, BasisElement,
@@ -263,26 +264,6 @@ def _reference_bracket(p, x, y):
     return out
 
 
-def _lopsided():
-    """Not a Lie algebra: rational coefficients (scale 420), a non-skew
-    same-kind rule, nonzero offsets, two terms that cancel at m = n, central
-    cubics with every coefficient nonzero, one on a two-kind rule, and a
-    rule written in the order opposite to the declared one."""
-    A, B, D = BasisKind("A", (0, 0)), BasisKind("B", (0, 1)), BasisKind("D", (1, 0))
-    Z, W = BasisKind("Z", (0, 0)), BasisKind("W", (0, 1))
-    q = Fraction
-    rules = (
-        BracketRule(A, A, (BracketTerm(A, affine(q(1, 3), 2, q(-1, 5)), 1),),
-                    (CentralTerm(Z, CubicPoly(q(2, 5), q(-1, 2), q(1), q(3, 7))),)),
-        BracketRule(A, B, (BracketTerm(B, affine(-1, q(-2, 3), q(5, 4)), -2),),
-                    (CentralTerm(W, CubicPoly(q(1, 6), q(1, 2), q(2, 3), q(-1, 5))),)),
-        BracketRule(B, B, (BracketTerm(A, affine(cm=1)), BracketTerm(A, affine(cn=-1)),
-                           BracketTerm(A, affine(q(3, 4), q(1, 2)), 3))),
-        BracketRule(D, A, (BracketTerm(D, affine(2, q(1, 4), -3), 1),)),
-    )
-    return AlgebraPresentation("lopsided", (A, B, D, Z, W), rules, central=("Z", "W"))
-
-
 _REFERENCE_PAIRS = [(p, ka, kb)
                     for p in [catalog.get(key) for key in catalog.keys()] + [_lopsided()]
                     for ka in p.kinds for kb in p.kinds]
@@ -353,6 +334,21 @@ def test_every_memo_miss_calls_bracket_basis_once():
         assert validate_presentation(catalog.get("pgca"), 4).passed
     assert calls[0] == 2356
     assert AlgebraPresentation.bracket_basis is original
+
+
+@pytest.mark.parametrize("shift", [(0, 1), (1, 0), (1, 1)], ids=str)
+def test_a_partnerless_sector_assembles_without_a_bracket(shift):
+    # witt has one kind, of Z2 degree (0, 0), so these sectors have no
+    # unknowns; every row entry is a column of D, so assemble evaluates no
+    # bracket at all, not even D[x, y]'s
+    p = catalog.get("witt")
+    for gamma in (-1, 0, 1):
+        problem = solver.HomogeneousSolveProblem(p, Fraction(1, 2),
+                                                 GradingDegree(*shift, gamma), 6, 3)
+        with _counted_bracket_basis() as calls:
+            matrix = solver.assemble(problem)
+        assert calls[0] == 0 and not p._indexed
+        assert (matrix.rows, matrix.cols) == (0, 0)
 
 
 def test_virasoro_cocycle_is_scaled_to_an_integer():
@@ -440,6 +436,35 @@ def test_presentation_rejects_an_ordinary_term_targeting_a_central_kind():
     with pytest.raises(PresentationError,
                        match=r"rule \[L,L\]: ordinary term targets central kind 'C'"):
         AlgebraPresentation("bad", (L, C), (rule,), central=("C",))
+
+
+_L, _C = BasisKind("L", (0, 0)), BasisKind("C", (0, 0))
+_CUBIC = CubicPoly(c1=Fraction(1))
+
+
+@pytest.mark.parametrize("kinds,rule,central,match", [
+    ((_L,), BracketRule(_L, _L, (BracketTerm(BasisKind("X", (0, 0)), affine(c0=1)),)),
+     (), r"rule \[L,L\]: term targets kind 'X' not declared in 'bad'"),
+    # the declared B has Z2 degree (0, 1); a B of degree (0, 0) is another kind
+    ((_L, BasisKind("B", (0, 1))),
+     BracketRule(_L, _L, (BracketTerm(BasisKind("B", (0, 0)), affine(c0=1)),)),
+     (), r"rule \[L,L\]: term targets kind 'B' not declared"),
+    ((_L,), BracketRule(_L, _L, (), (CentralTerm(_C, _CUBIC),)),
+     (), r"rule \[L,L\]: term targets kind 'C' not declared"),
+    ((_L, BasisKind("C", (0, 1))), BracketRule(_L, _L, (), (CentralTerm(_C, _CUBIC),)),
+     ("C",), r"rule \[L,L\]: term targets kind 'C' not declared"),
+    ((_L, _C), BracketRule(_L, _L, (), (CentralTerm(_L, _CUBIC),)),
+     ("C",), r"rule \[L,L\]: central term targets non-central kind 'L'"),
+    ((_L, _C), BracketRule(_L, _L, (), (CentralTerm(_C, _CUBIC),)),
+     (), r"rule \[L,L\]: central term targets non-central kind 'C'"),
+], ids=["undeclared", "same-name-other-degree", "central-undeclared",
+        "central-same-name-other-degree", "central-on-an-ordinary-kind",
+        "central-on-an-undeclared-centre"])
+def test_presentation_rejects_a_term_target_it_does_not_declare(kinds, rule, central,
+                                                                match):
+    # caught at construction, before any bracket is evaluated
+    with pytest.raises(PresentationError, match=match):
+        AlgebraPresentation("bad", kinds, (rule,), central=central)
 
 
 def test_unknown_kind_lookup_lists_the_available_kinds():

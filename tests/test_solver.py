@@ -376,14 +376,17 @@ def test_solve_degree_crosses_each_layer_once(delta, degree, projected,
 DELTAS = (HALF, Fraction(1), Fraction(2, 3), Fraction(-3, 5))
 
 
-@pytest.mark.parametrize("key", catalog.keys())
+@pytest.mark.parametrize("key", catalog.keys() + ("lopsided",))
 @pytest.mark.parametrize("delta", DELTAS, ids=str)
 def test_assemble_equals_the_element_reference(key, delta):
     # same rows, in the same order, with the same exact values; pgca's
     # declared kind order (L, H, I, J) is not its sorted one, so the row
-    # order within a pair is exercised too
-    p = catalog.get(key)
-    for degree in ((0, 0, 0), (0, 0, 1), (1, 1, -1), (0, 1, 1), (1, 0, 0)):
+    # order within a pair is exercised too.  The lopsided presentation adds
+    # offsets (pairs whose bracket leaves the window), several outputs per
+    # pair, and central partners: Z and W map to themselves at (0, 0, 0)
+    # and to each other at (0, 1, 0)
+    p = reference_loops._lopsided() if key == "lopsided" else catalog.get(key)
+    for degree in ((0, 0, 0), (0, 0, 1), (1, 1, -1), (0, 1, 1), (1, 0, 0), (0, 1, 0)):
         prob = problem(p, delta, degree, 6)
         assert assemble(prob) == reference_loops.assemble(prob), degree
 
