@@ -7,11 +7,15 @@ is how the constraint systems of this package arrive, very many short
 integer rows over a common denominator and a modest number of columns.
 The constructors are the only place rationals are converted.
 
-Elimination streams the stored rows in order, fraction-free, and stops as
-soon as every column holds a pivot: at that point the kernel is zero,
-which is exact, and no later row can change the reduced form.  Each reduced
-row is primitive, over its leading entry.  nullspace checks the integer
-form of every kernel vector against every stored row of the input.
+Elimination streams the stored rows in order, fraction-free.  Once a run
+of rows as long as the column count adds no pivot, or every column holds
+one, it stops eliminating and checks each further row against the integer
+kernel of the pivot rows so far; a row outside their span is eliminated
+and the kernel rebuilt.  With every column pivotal that kernel is empty,
+which is an exact zero-kernel certificate, and the stream stops.  The
+reduced form is that of full elimination, each reduced row primitive over
+its leading entry.  nullspace checks the integer form of every kernel
+vector against every stored row of the input.
 """
 
 from __future__ import annotations
@@ -137,31 +141,51 @@ def _rref_rows(rows: list[dict[int, int]], cols: int) -> list[tuple[int, dict[in
     are kept fully reduced as primitive integer rows, so each pivot column
     in an incoming row is eliminated once, by cross-multiplication.  What
     remains is divided by its content; its smallest column becomes a new
-    pivot, which is then cleared from the pivot rows holding it.  Once
-    every column holds a pivot the remaining rows can only reduce to zero,
-    so the stream stops there.  The reduced row echelon form of a row space
-    is unique, so the result does not depend on which rows were read.
+    pivot, which is then cleared from the pivot rows holding it.
+
+    Once `cols` consecutive rows have added no pivot, or every column holds
+    one, the stream stops eliminating and starts checking: it builds the
+    integer kernel of the pivot rows so far (the candidate kernel, which
+    contains the true one) and multiplies each further row through it.  A
+    row with every product zero lies in the span of the pivot rows and is
+    skipped.  A row with a nonzero product is eliminated as above, which
+    gives a new pivot, and the candidate kernel is rebuilt.  An empty
+    candidate kernel (every column a pivot) fails no row, so the stream
+    stops there: the exact zero-kernel certificate.  A check costs one
+    product per candidate kernel vector, so the switch must not fire while
+    that kernel is still wide; witt's membership system at window 6 has a
+    run of 908 redundant rows with 13 candidate vectors left at 1,183
+    columns, and the `cols` rule keeps it eliminating.  Whichever rows are
+    read, they span the row space of the whole input, whose reduced row
+    echelon form is unique, so the result is that of full elimination.
     """
-    work: dict[int, dict[int, int]] = {}   # row id -> reduced integer row
-    pivot_row: dict[int, int] = {}         # pivot column -> row id
-    holders: dict[int, set[int]] = {}      # non-pivot column -> pivot row ids
-    for rid, row in enumerate(rows):
-        if len(pivot_row) == cols:
-            break
-        if not row:
+    pivots: dict[int, dict[int, int]] = {}  # pivot column -> reduced integer row
+    holders: dict[int, set[int]] = {}       # non-pivot column -> pivot columns
+    kernel: list | None = None              # candidate kernel, once checking
+    idle = 0                                # consecutive rows that added no pivot
+    for row in rows:
+        if kernel is not None:
+            if not kernel:
+                break
+            if not _outside(row, kernel):
+                continue
+        elif not row:
             continue
         new = dict(row)
-        for col in [c for c in new if c in pivot_row]:
-            _eliminate(new, work[pivot_row[col]], col)
+        for col in [c for c in new if c in pivots]:
+            _eliminate(new, pivots[col], col)
         if not new:
+            idle += 1
+            if idle == cols:
+                kernel = _kernel(pivots, cols)
             continue
         _divide_content(new)
         col = min(new)
         for c in new:
             if c != col:
-                holders.setdefault(c, set()).add(rid)
+                holders.setdefault(c, set()).add(col)
         for other in holders.pop(col, ()):
-            target = work[other]
+            target = pivots[other]
             _eliminate(target, new, col)
             for c in new:
                 if c in target:
@@ -169,15 +193,58 @@ def _rref_rows(rows: list[dict[int, int]], cols: int) -> list[tuple[int, dict[in
                 elif c != col:
                     holders[c].discard(other)
             _divide_content(target)
-        work[rid] = new
-        pivot_row[col] = rid
+        pivots[col] = new
+        idle = 0
+        if kernel is not None or len(pivots) == cols:
+            kernel = _kernel(pivots, cols)
 
-    pivots = [(col, work[rid]) for col, rid in sorted(pivot_row.items())]
-    for col, row in pivots:
+    for col, row in pivots.items():
         if row[col] < 0:
             for c in row:
                 row[c] = -row[c]
-    return pivots
+    return sorted(pivots.items())
+
+
+def _kernel(pivots: dict[int, dict[int, int]], cols: int) -> list[tuple[int, list[int]]]:
+    """Integer kernel basis of fully reduced pivot rows ({pivot column: row}).
+
+    One (free column f, dense int vector w) pair per column without a
+    pivot, in column order: w[f] is the lcm of the pivot entries of the
+    rows holding f, and each such row with pivot p and entry a at f gets
+    w[p] = -a * w[f] / row[p]; every other entry is 0.  Divided by w[f], w
+    is the kernel vector with a 1 at f and 0 at every other free column.
+    """
+    free = [f for f in range(cols) if f not in pivots]
+    if not free:
+        return []
+    holding: dict[int, list] = {}  # column -> (pivot column, entry, pivot entry)
+    for pcol, row in pivots.items():
+        lead = row[pcol]
+        for c, a in row.items():
+            if c != pcol:
+                holding.setdefault(c, []).append((pcol, a, lead))
+    kernel = []
+    for f in free:
+        terms = holding.get(f, ())
+        scale = lcm(*(lead for _, _, lead in terms))
+        w = [0] * cols
+        w[f] = scale
+        for pcol, a, lead in terms:
+            w[pcol] = -a * (scale // lead)
+        kernel.append((f, w))
+    return kernel
+
+
+def _outside(row: dict[int, int], kernel) -> bool:
+    """Whether an int row has a nonzero product with some kernel vector,
+    that is, lies outside the span of the rows whose kernel it is."""
+    for _, w in kernel:
+        product = 0
+        for c, a in row.items():
+            product += a * w[c]
+        if product:
+            return True
+    return False
 
 
 def _divide_content(row: dict[int, int]):
@@ -239,30 +306,21 @@ class VectorBasis:
 def nullspace(m: SparseMatrix) -> VectorBasis:
     """Basis of the exact kernel {v : m v = 0}.
 
-    Every returned vector is re-multiplied through every row of the
-    original matrix as a hard postcondition, in integers: the vector of a
-    free column is scaled by the lcm of the denominators of the pivot rows
-    holding that column, and checked against the stored int rows.  A
-    nonzero residue means a bug in the elimination, not bad data, hence
-    the internal error.
+    The vectors are the integer kernel of the reduced rows, built by the
+    helper elimination checks rows against, divided by their free-column
+    entries.  Each is re-multiplied through every stored row of the input
+    as a hard postcondition, in integers, which covers the rows elimination
+    skipped as well as those it reduced.  A nonzero residue means a bug in
+    the elimination, not bad data, hence the internal error.
     """
     reduced, pivot_cols = rref(m)
-    holding: dict[int, list] = {}  # column -> (pivot column, entry, den)
-    for pcol, row, den in zip(pivot_cols, reduced._rows, reduced._dens):
-        for c, a in row.items():
-            holding.setdefault(c, []).append((pcol, a, den))
-    checked = [row for row in m._rows if row]
-    vectors = []
-    for f in sorted(set(range(m.cols)) - set(pivot_cols)):
-        terms = holding.get(f, ())
-        scale = lcm(*(den for _, _, den in terms))
-        v, w = [Fraction(0)] * m.cols, [0] * m.cols
-        v[f], w[f] = Fraction(1), scale
-        for pcol, a, den in terms:
-            v[pcol], w[pcol] = Fraction(-a, den), -a * (scale // den)
-        if any(sum(a * w[c] for c, a in row.items()) for row in checked):
-            raise LinalgError("internal error: kernel vector fails verification")
-        vectors.append(tuple(v))
+    kernel = _kernel(dict(zip(pivot_cols, reduced._rows)), m.cols)
+    if kernel:
+        for row in m._rows:
+            if _outside(row, kernel):
+                raise LinalgError("internal error: kernel vector fails verification")
+    zero = Fraction(0)
+    vectors = [tuple(Fraction(x, w[f]) if x else zero for x in w) for f, w in kernel]
     return VectorBasis(m.cols, vectors)
 
 

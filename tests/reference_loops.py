@@ -9,6 +9,12 @@ order) against a direct transcription of the same definition.  Both
 skip a source pair whose bracket leaves the window.  `_lopsided` is a
 non-Lie test presentation whose rules reach every path of the integer
 bracket tables, so that the comparisons see more than the catalog does.
+
+`rref_rows` is the elimination loop `linalg._rref_rows` ran before it
+learned to check rows against a candidate kernel: it eliminates every row
+until every column holds a pivot.  It shares the two row operations with
+`linalg`, so comparing results checks which rows the stream reads and
+skips, and how it resumes.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from fractions import Fraction
 from gradedlie.core import (AlgebraPresentation, BasisElement, BasisKind,
                             BracketRule, BracketTerm, CentralTerm, CubicPoly,
                             affine)
-from gradedlie.linalg import SparseMatrix
+from gradedlie.linalg import SparseMatrix, _divide_content, _eliminate
 from gradedlie.poisson import _pair_key
 from gradedlie.solver import unknown_layout
 
@@ -147,3 +153,57 @@ def membership_system(p, delta: Fraction, window: int) -> SparseMatrix:
                     if row:
                         rows.append(row)
     return SparseMatrix.from_rows(len(pair_index) * width, rows)
+
+
+def rref_rows(rows: list[dict[int, int]], cols: int) -> list[tuple[int, dict[int, int]]]:
+    """Reduced row echelon form of int rows: sorted (pivot column, row) pairs.
+
+    Each returned row is primitive, positive at its pivot column and zero
+    at every other pivot column; divided by its pivot entry it is the
+    leading-1 row.  The input rows are read, never mutated.
+
+    Rows are streamed in order and copied only when reached.  Pivot rows
+    are kept fully reduced as primitive integer rows, so each pivot column
+    in an incoming row is eliminated once, by cross-multiplication.  What
+    remains is divided by its content; its smallest column becomes a new
+    pivot, which is then cleared from the pivot rows holding it.  Once
+    every column holds a pivot the remaining rows can only reduce to zero,
+    so the stream stops there.  The reduced row echelon form of a row space
+    is unique, so the result does not depend on which rows were read.
+    """
+    work: dict[int, dict[int, int]] = {}   # row id -> reduced integer row
+    pivot_row: dict[int, int] = {}         # pivot column -> row id
+    holders: dict[int, set[int]] = {}      # non-pivot column -> pivot row ids
+    for rid, row in enumerate(rows):
+        if len(pivot_row) == cols:
+            break
+        if not row:
+            continue
+        new = dict(row)
+        for col in [c for c in new if c in pivot_row]:
+            _eliminate(new, work[pivot_row[col]], col)
+        if not new:
+            continue
+        _divide_content(new)
+        col = min(new)
+        for c in new:
+            if c != col:
+                holders.setdefault(c, set()).add(rid)
+        for other in holders.pop(col, ()):
+            target = work[other]
+            _eliminate(target, new, col)
+            for c in new:
+                if c in target:
+                    holders[c].add(other)
+                elif c != col:
+                    holders[c].discard(other)
+            _divide_content(target)
+        work[rid] = new
+        pivot_row[col] = rid
+
+    pivots = [(col, work[rid]) for col, rid in sorted(pivot_row.items())]
+    for col, row in pivots:
+        if row[col] < 0:
+            for c in row:
+                row[c] = -row[c]
+    return pivots

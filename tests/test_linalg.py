@@ -4,13 +4,16 @@ The property tests compare against a deliberately naive dense elimination
 written inline, so the two implementations share no code.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference_loops
 from gradedlie import catalog, linalg, poisson, recurrences, solver
 from gradedlie.core import GradingDegree
 from gradedlie.linalg import (LinalgError, SparseMatrix, VectorBasis,
@@ -368,6 +371,118 @@ def test_rref_rows_are_primitive_over_their_leading_entry(data):
         assert row[col] == reduced._dens[pos]
         assert gcd(*row.values()) == 1
     assert not any(reduced._rows[len(pivots):])
+
+
+# ---------------------------------------------------------------------------
+# checking rows against the candidate kernel instead of eliminating them
+
+
+@contextmanager
+def _kernels_built():
+    """Dimensions of the candidate kernels elimination builds, in order."""
+    built = []
+    original = linalg._kernel
+
+    def record(pivots, cols):
+        kernel = original(pivots, cols)
+        built.append(len(kernel))
+        return kernel
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_kernel", record)
+        yield built
+
+
+def _assert_rref_equals_full_elimination(m):
+    """rref of m equals the eliminate-every-row loop; after the switch to
+    checking, each resume adds one pivot and rebuilds the candidate kernel,
+    and the one the last rows were checked against is the true kernel."""
+    with _kernels_built() as built:
+        reduced, pivots = rref(m)
+    want = reference_loops.rref_rows(m._rows, m.cols)
+    assert pivots == [col for col, _ in want]
+    assert reduced._rows[:len(want)] == [row for _, row in want]
+    assert reduced._dens[:len(want)] == [row[col] for col, row in want]
+    assert all(before - after == 1 for before, after in zip(built, built[1:]))
+    if built:
+        assert built[-1] == m.cols - len(want)
+    return built
+
+
+def _catalog_systems():
+    """Every assembled catalog system at N = 6, delta in {1/2, 1} and
+    |gamma| <= 1, then witt's membership system at N = 6."""
+    for key, delta, eps1, eps2, gamma in product(
+            catalog.keys(), (F("1/2"), F(1)), (0, 1), (0, 1), (-1, 0, 1)):
+        yield solver.assemble(solver.HomogeneousSolveProblem(
+            catalog.get(key), delta, GradingDegree(eps1, eps2, gamma), 6, 3))
+    yield poisson._membership_system(catalog.get("witt"), F("1/2"), 6)[0]
+
+
+def test_rref_equals_full_elimination_on_every_catalog_system():
+    switched = resumed = 0
+    for m in _catalog_systems():
+        built = _assert_rref_equals_full_elimination(m)
+        switched += bool(built and built[0])
+        resumed += len([dim for dim in built[1:] if dim])
+    # the stream did switch to checking, and resumed elimination, on the
+    # catalog itself (pgca's delta = 1 degrees at gamma = 0)
+    assert switched and resumed
+
+
+@st.composite
+def resumed_matrices(draw):
+    """Rows spanning a proper subspace, then at least `cols` nonzero rows of
+    that span, then a row outside it, then a few arbitrary rows.
+
+    Returns the rows and the dimension of that first span."""
+    cols = draw(st.integers(2, 5))
+    leads = sorted(draw(st.sets(st.integers(0, cols - 1),
+                                min_size=1, max_size=cols - 1)))
+    base = [[Fraction(0)] * c + [draw(nonzero_fractions)]
+            + draw(st.lists(small_fractions, min_size=cols - c - 1,
+                            max_size=cols - c - 1))
+            for c in leads]
+
+    def combination(coeffs):
+        return [sum((k * row[c] for k, row in zip(coeffs, base)), Fraction(0))
+                for c in range(cols)]
+
+    coefficients = st.lists(st.integers(-3, 3), min_size=len(base),
+                            max_size=len(base)).filter(any)
+    redundant = [combination(k) for k in draw(st.lists(coefficients, min_size=cols,
+                                                       max_size=cols + 3))]
+    # nonzero at a column no base row leads, so outside the span of the base
+    free = draw(st.sampled_from([c for c in range(cols) if c not in leads]))
+    outside = combination(draw(st.lists(st.integers(-3, 3), min_size=len(base),
+                                        max_size=len(base))))
+    outside[free] += draw(nonzero_fractions)
+    tail = draw(st.lists(st.lists(small_fractions, min_size=cols, max_size=cols),
+                         max_size=3))
+    return draw(st.permutations(base)) + redundant + [outside] + tail, len(base)
+
+
+@given(resumed_matrices())
+def test_rref_resumes_on_a_row_outside_the_checked_span(case):
+    data, span = case
+    cols = len(data[0])
+    _assert_rref_matches_oracle(data)
+    built = _assert_rref_equals_full_elimination(SparseMatrix.from_dense(data))
+    # switched to checking after the redundant run, with the span's kernel,
+    # and resumed on the outside row
+    assert built[:2] == [cols - span, cols - span - 1]
+
+
+def test_rref_checks_rather_than_eliminates_after_a_redundant_run():
+    # counting from 0, rows 2-4 are combinations of rows 0 and 1, as many
+    # as there are columns; row 5 leaves their span
+    data = [[1, 1, 0], [0, 1, 1], [1, 2, 1], [2, 3, 1], [1, 0, -1], [0, 0, 1]]
+    with _kernels_built() as built:
+        _, pivots = rref(SparseMatrix.from_dense(data))
+    assert built == [1, 0]
+    assert pivots == [0, 1, 2]
+    assert nullspace(SparseMatrix.from_dense(data)).vectors == []
+    assert nullspace(SparseMatrix.from_dense(data[:5])).vectors == [(F(1), F(-1), F(1))]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ import pytest
 
 import reference_loops
 from gradedlie import catalog, linalg, solver
-from gradedlie.core import (AlgebraPresentation, BasisKind, GradingDegree)
+from gradedlie.core import (AlgebraPresentation, BasisElement, BasisKind,
+                            GradingDegree)
 from gradedlie.solver import (AmbiguousSectorError, HomogeneousSolveProblem,
                               SolveReport, SolverError, VERDICT_NOT_SCALAR_ONLY,
                               VERDICT_SCALAR_ONLY, WindowTooSmallError,
@@ -327,6 +328,59 @@ def test_scan_json_shape():
     assert data["algebra"] == "witt"
     assert data["delta"] == "1/2"
     assert len(data["reports"]) == 4
+
+
+# ---------------------------------------------------------------------------
+# index reflection: theta(X_m) = s_X X_{-m}
+
+# s_X per catalog algebra, 1 for the kinds not listed; virasoro's cocycle
+# is odd, so C changes sign with L
+REFLECTION_SIGNS = {"pgca": {"L": -1}, "witt": {"L": -1},
+                    "virasoro": {"L": -1, "C": -1},
+                    "heisenberg-virasoro": {"L": -1}, "abelian": {}}
+
+
+def _reflection_signs(key):
+    if key not in REFLECTION_SIGNS:
+        pytest.skip(f"no index reflection known for {key}")
+    return REFLECTION_SIGNS[key]
+
+
+@pytest.mark.parametrize("key", catalog.keys())
+def test_index_reflection_is_an_automorphism(key):
+    # [theta x, theta y] = theta [x, y] for every pair in the N = 4 window
+    signs = _reflection_signs(key)
+    p = catalog.get(key)
+
+    def sign(b):
+        return signs.get(b.kind.name, 1)
+
+    basis = p.basis_elements(4)
+    for x in basis:
+        for y in basis:
+            mirrored = p.bracket_basis(BasisElement(x.kind, -x.index),
+                                       BasisElement(y.kind, -y.index))
+            lhs = {(b.kind.name, b.index): sign(x) * sign(y) * c
+                   for b, c in mirrored.items()}
+            rhs = {(b.kind.name, -b.index): sign(b) * c
+                   for b, c in p.bracket_basis(x, y).items()}
+            assert lhs == rhs, (x, y)
+
+
+@pytest.mark.parametrize("key", catalog.keys())
+@pytest.mark.parametrize("delta", [HALF, Fraction(1)], ids=str)
+def test_reports_at_minus_gamma_mirror_those_at_gamma(key, delta):
+    # theta maps the window and the interior onto themselves, so
+    # D -> theta D theta^-1 carries the system of degree (eps, gamma) row
+    # for row onto that of (eps, -gamma): a sign or offset slip in the
+    # rows of one side shows as a mismatch
+    _reflection_signs(key)
+    reports = {r.degree: (r.full_dim, r.interior_dim, r.classification)
+               for r in scan(catalog.get(key), delta, 3, 8).reports}
+    assert len(reports) == 28
+    for degree, facts in reports.items():
+        mirror = GradingDegree(degree.eps1, degree.eps2, -degree.index)
+        assert reports[mirror] == facts, degree
 
 
 # ---------------------------------------------------------------------------
