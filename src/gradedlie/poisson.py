@@ -25,9 +25,8 @@ past the window boundary is invisible here, which the verdict wording
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .core import AlgebraPresentation, BasisElement, Element, bracket
 from .linalg import SparseMatrix, nullspace
@@ -116,7 +115,7 @@ class AxiomReport:
         return f"FAIL at ({where}): {self.violation}"
 
 
-def check_axioms(table: ProductTable, p: AlgebraPresentation | None = None) -> AxiomReport:
+def check_axioms(table: ProductTable) -> AxiomReport:
     """Verify commutativity, associativity and the compatibility law.
 
     Commutativity is structural (unordered keys).  Associativity is checked
@@ -124,8 +123,7 @@ def check_axioms(table: ProductTable, p: AlgebraPresentation | None = None) -> A
     [x, z.y] needs the product of z with [x, y]; when [x, y] leaves the
     window that triple is skipped and counted, never silently truncated.
     """
-    if p is None:
-        p = table.presentation
+    p = table.presentation
     basis = p.basis_elements(table.window)
     report = AxiomReport(True, table.window)
 

@@ -180,6 +180,6 @@ def test_one_family_scan_is_scalar_only():
 
 
 def test_two_family_centerless_scan_is_scalar_only():
-    """A weight-one current family removes the shift freedom."""
+    """A current family I, [L_m, I_n] = -n I_{m+n}, removes the shift freedom."""
     result = scan(catalog.get("heisenberg-virasoro"), HALF, 4, 12)
     assert result.verdict == VERDICT_SCALAR_ONLY

@@ -247,47 +247,53 @@ def _set_coeff(left, right, coeff):
     return edit
 
 
-def _central_argument(c0):
-    # [L_m, C_0] = (c0 + m) C_0 at m = 0: C is a bracket argument, which the
-    # certificate leaves to the windowed check; c0 = 0 is still a Lie algebra
-    def edit(data):
-        data["brackets"].append({"left": "L", "right": "C", "central_terms": [
-            {"kind": "C", "coeff": {"c0": c0, "c1": "1"}}]})
-    return edit
-
-
-# the broken fixtures of test_core.py, as files, and two files with a central
-# kind as a bracket argument: (data, whether the windowed check passes)
+# the broken fixtures of test_core.py, as files
 _NOT_CERTIFIED = {
-    "sign-flip": (lambda: _edited("pgca", _set_coeff("L", "I", {"cm": "-1", "cn": "1"})),
-                  False),
-    "self-bracket": (lambda: _edited("witt", _set_coeff("L", "L", {"c0": "1"})), False),
-    "grading-offset": (lambda: _edited(
-        "witt", lambda d: d["brackets"][0]["terms"][0].update(offset=1)), False),
-    "rational-skew-residue": (lambda: _edited(
-        "witt", _set_coeff("L", "L", {"c0": "1/3", "cm": "1", "cn": "-1"})), False),
-    "rational-jacobiator": (lambda: _edited(
-        "pgca", _set_coeff("H", "I", {"c0": "2/3", "cm": "1/5"})), False),
-    "central-argument": (lambda: _edited("virasoro", _central_argument("0")), True),
-    "central-argument-broken": (lambda: _edited("virasoro", _central_argument("1")), False),
+    "sign-flip": lambda: _edited("pgca", _set_coeff("L", "I", {"cm": "-1", "cn": "1"})),
+    "self-bracket": lambda: _edited("witt", _set_coeff("L", "L", {"c0": "1"})),
+    "grading-offset": lambda: _edited(
+        "witt", lambda d: d["brackets"][0]["terms"][0].update(offset=1)),
+    "rational-skew-residue": lambda: _edited(
+        "witt", _set_coeff("L", "L", {"c0": "1/3", "cm": "1", "cn": "-1"})),
+    "rational-jacobiator": lambda: _edited(
+        "pgca", _set_coeff("H", "I", {"c0": "2/3", "cm": "1/5"})),
 }
 
 
 @pytest.mark.parametrize("name", _NOT_CERTIFIED)
 def test_an_uncertified_file_loads_as_the_windowed_check_decides(
         name, tmp_path, windowed_calls):
-    build, passes = _NOT_CERTIFIED[name]
-    data = build()
+    # the certificate decides; the window only names the witness
+    data = _NOT_CERTIFIED[name]()
     p = catalog.from_dict(data)
     assert not certify_presentation(p)
     report = validate_presentation(p, catalog.LOAD_VALIDATION_WINDOW)
-    assert report.passed == passes
-    path = _saved(tmp_path, data)
-    if passes:
-        assert catalog.load(path) == p
-    else:
-        with pytest.raises(PresentationValidationError) as err:
-            catalog.load(path)
-        assert err.value.report.check == report.check
-        assert str(err.value) == report.describe()
+    assert not report.passed
+    with pytest.raises(PresentationValidationError) as err:
+        catalog.load(_saved(tmp_path, data))
+    assert err.value.report.check == report.check
+    assert str(err.value) == report.describe()
     assert windowed_calls == [catalog.LOAD_VALIDATION_WINDOW] == [4]
+
+
+@pytest.mark.parametrize("c0", ["0", "1"])
+def test_a_file_with_a_central_kind_as_a_bracket_argument_is_a_format_error(
+        c0, tmp_path, windowed_calls):
+    # [L_m, C_0] = (c0 + m) C_0: c0 = 0 used to load after the windowed check
+    # passed, c0 = 1 failed it; both now stop at the constructor
+    data = _edited("virasoro", lambda d: d["brackets"].append(
+        {"left": "L", "right": "C", "central_terms": [
+            {"kind": "C", "coeff": {"c0": c0, "c1": "1"}}]}))
+    match = r"rule \[L,C\]: central kind 'C' is a bracket argument"
+    with pytest.raises(PresentationFormatError, match=match):
+        catalog.from_dict(data)
+    with pytest.raises(PresentationFormatError, match=match):
+        catalog.load(_saved(tmp_path, data))
+    assert windowed_calls == []
+
+
+def test_a_rejected_file_the_window_passes_is_an_internal_error(tmp_path, monkeypatch):
+    # the certificate is exact, so this can only mean a bug in it
+    monkeypatch.setattr(catalog, "certify_presentation", lambda p: False)
+    with pytest.raises(RuntimeError, match="internal error: the certificate rejects 'witt'"):
+        catalog.load(_saved(tmp_path, catalog.to_dict(catalog.get("witt"))))

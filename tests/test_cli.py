@@ -154,6 +154,29 @@ def test_ordinary_term_targeting_a_central_kind_exits_without_traceback(tmp_path
     assert "ordinary term targets central kind 'C'" in done.stderr
 
 
+def test_central_kind_as_a_bracket_argument_exits_without_traceback(tmp_path):
+    # [A_m, C_0] = A_m with A abelian: D(C_0) = A_0 is a degree-zero
+    # 1/2-derivation that the central ansatz has no column for, so solving
+    # this file would wrongly report scalar-only; it must not load
+    data = {"name": "fake-central",
+            "kinds": [{"name": "A", "z2_degree": [0, 0]},
+                      {"name": "C", "z2_degree": [0, 0]}],
+            "central_kinds": ["C"],
+            "brackets": [{"left": "A", "right": "C",
+                          "terms": [{"kind": "A", "coeff": {"c0": "1"}}]}]}
+    path = tmp_path / "fake.json"
+    path.write_text(json.dumps(data))
+    src = Path(gradedlie.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "gradedlie", "solve", "--algebra", str(path),
+         "--window", "4", "--gamma-max", "1"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == EXIT_USAGE
+    assert "Traceback" not in done.stderr
+    assert "rule [A,C]: central kind 'C' is a bracket argument" in done.stderr
+
+
 def test_unwritable_output_exits_without_traceback(tmp_path):
     target = tmp_path / "missing" / "x.json"
     src = Path(gradedlie.__file__).resolve().parents[1]

@@ -442,6 +442,26 @@ _L, _C = BasisKind("L", (0, 0)), BasisKind("C", (0, 0))
 _CUBIC = CubicPoly(c1=Fraction(1))
 
 
+@pytest.mark.parametrize("rule,named", [
+    (BracketRule(_L, _C, (BracketTerm(_L, affine(c0=1)),)), r"\[L,C\]: central kind 'C'"),
+    (BracketRule(_C, _L, (BracketTerm(_L, affine(c0=1)),)), r"\[C,L\]: central kind 'C'"),
+    (BracketRule(_C, _C, (BracketTerm(_L, affine(c0=1)),)), r"\[C,C\]: central kind 'C'"),
+    (BracketRule(_L, _C, (), (CentralTerm(_C, _CUBIC),)), r"\[L,C\]: central kind 'C'"),
+], ids=["right", "left", "both", "central-terms-only"])
+def test_presentation_rejects_a_central_kind_as_a_bracket_argument(rule, named):
+    # a central kind brackets trivially; solver.partner_kind relies on it
+    with pytest.raises(PresentationError, match=named + " is a bracket argument"):
+        AlgebraPresentation("bad", (_L, _C), (rule,), central=("C",))
+
+
+def test_presentation_accepts_an_empty_rule_on_a_central_kind():
+    # nothing is stored for a rule with no terms, or with all-zero ones
+    for terms in ((), (BracketTerm(_L, affine()),)):
+        p = AlgebraPresentation("virasoro-like", (_L, _C),
+                                (BracketRule(_L, _C, terms),), central=("C",))
+        assert p.rules == () and certify_presentation(p)
+
+
 @pytest.mark.parametrize("kinds,rule,central,match", [
     ((_L,), BracketRule(_L, _L, (BracketTerm(BasisKind("X", (0, 0)), affine(c0=1)),)),
      (), r"rule \[L,L\]: term targets kind 'X' not declared in 'bad'"),
@@ -602,16 +622,16 @@ def _presentations(draw):
     """1-3 kinds plus an optional central kind Z, with sparse rational affine
     rules (a same-kind rule skew-shaped half the time, so that a good share
     are Lie algebras), offsets of +-1 now and then, central cubics with m^2
-    and m^3 terms, rules with Z as an argument now and then, a rule given in
-    either orientation, and rarely a swapped two-kind table."""
+    and m^3 terms, a rule given in either orientation, and rarely a swapped
+    two-kind table.  Z is never a bracket argument: the constructor rejects
+    that."""
     z2 = st.sampled_from([(0, 0), (0, 1)])
     kinds = [BasisKind(name, draw(z2)) for name in "ABD"[:draw(st.integers(1, 3))]]
     central = [BasisKind("Z", draw(z2))] if draw(st.booleans()) else []
-    declared = kinds + central
     rules = []
-    for i, x in enumerate(declared):
-        for y in declared[i:]:
-            if not draw(st.booleans()) or ({x, y} & set(central) and draw(st.integers(0, 3))):
+    for i, x in enumerate(kinds):
+        for y in kinds[i:]:
+            if not draw(st.booleans()):
                 continue
             want = ((x.z2[0] + y.z2[0]) % 2, (x.z2[1] + y.z2[1]) % 2)
             terms, targets = [], [k for k in kinds if k.z2 == want]
@@ -630,7 +650,8 @@ def _presentations(draw):
                     cubics.append(CentralTerm(z, CubicPoly(*k)))
             rule = BracketRule(x, y, tuple(terms), tuple(cubics))
             rules.append(rule.reversed() if draw(st.booleans()) else rule)
-    p = AlgebraPresentation("drawn", declared, rules, central=[z.name for z in central])
+    p = AlgebraPresentation("drawn", kinds + central, rules,
+                            central=[z.name for z in central])
     if any(a != b for a, b in p._tables) and not draw(st.integers(0, 9)):
         _swap_a_two_kind_table(p)
     return p
@@ -666,10 +687,9 @@ _HV_RULES = (_WITT_RULE, BracketRule(_A, _I, (BracketTerm(_I, affine(cn=-1)),)))
 @example(_fixture((_A, _B, _Z), [BracketRule(_A, _B, (), (
     CentralTerm(_Z, CubicPoly(*map(Fraction, (1, 1, 1, 1)))),))], ("Z",)))
 def test_certificate_agrees_with_the_windowed_check(p):
-    # certified implies the N = 4 check passes.  Where no central kind is a
-    # bracket argument the converse holds as well: every identity is a
+    # certified implies the N = 4 check passes, and the converse holds as
+    # well: no central kind is a bracket argument, so every identity is a
     # polynomial of degree at most 2 in each index (at most 4 on the
-    # central plane), so vanishing on the N = 4 window makes it vanish
-    # identically; with a central argument nothing is certified
-    in_scope = not any(a in p.central or b in p.central for a, b in p._tables)
-    assert certify_presentation(p) == (in_scope and validate_presentation(p, 4).passed)
+    # central plane), and vanishing on the N = 4 window makes it vanish
+    # identically
+    assert certify_presentation(p) == validate_presentation(p, 4).passed
