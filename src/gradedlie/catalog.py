@@ -13,7 +13,7 @@ always fails, with a witness from the window N = LOAD_VALIDATION_WINDOW.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .core import (AffinePoly, AlgebraPresentation, BasisKind, BracketRule,
@@ -131,23 +131,10 @@ def get(key: str) -> AlgebraPresentation:
 # JSON presentation files
 
 
-def _coeff_dict(poly: AffinePoly) -> dict:
-    out = {}
-    if poly.c0:
-        out["c0"] = format_rational(poly.c0)
-    if poly.cm:
-        out["cm"] = format_rational(poly.cm)
-    if poly.cn:
-        out["cn"] = format_rational(poly.cn)
-    return out
-
-
-def _cubic_dict(poly: CubicPoly) -> dict:
-    out = {}
-    for name, v in (("c0", poly.c0), ("c1", poly.c1), ("c2", poly.c2), ("c3", poly.c3)):
-        if v:
-            out[name] = format_rational(v)
-    return out
+def _coeff_dict(poly: AffinePoly | CubicPoly) -> dict:
+    """The nonzero coefficients of a polynomial, by field name."""
+    return {f.name: format_rational(v) for f in fields(poly)
+            if (v := getattr(poly, f.name))}
 
 
 def to_dict(p: AlgebraPresentation) -> dict:
@@ -170,35 +157,23 @@ def to_dict(p: AlgebraPresentation) -> dict:
         }
         if rule.central_terms:
             entry["central_terms"] = [
-                {"kind": t.target.name, "coeff": _cubic_dict(t.coeff)}
+                {"kind": t.target.name, "coeff": _coeff_dict(t.coeff)}
                 for t in rule.central_terms
             ]
         data["brackets"].append(entry)
     return data
 
 
-def _parse_coeff(obj, where: str) -> AffinePoly:
+def _parse_coeff(cls: type[AffinePoly] | type[CubicPoly], obj, where: str):
+    """A cls polynomial from its coefficients by field name; absent ones are 0."""
     if not isinstance(obj, dict):
         raise PresentationFormatError(f"{where}: coeff must be an object")
-    extra = set(obj) - {"c0", "cm", "cn"}
+    names = [f.name for f in fields(cls)]
+    extra = set(obj) - set(names)
     if extra:
         raise PresentationFormatError(f"{where}: unknown coeff fields {sorted(extra)}")
     try:
-        return AffinePoly(parse_rational(obj.get("c0", 0)),
-                          parse_rational(obj.get("cm", 0)),
-                          parse_rational(obj.get("cn", 0)))
-    except PresentationError as exc:
-        raise PresentationFormatError(f"{where}: {exc}") from None
-
-
-def _parse_cubic(obj, where: str) -> CubicPoly:
-    if not isinstance(obj, dict):
-        raise PresentationFormatError(f"{where}: coeff must be an object")
-    extra = set(obj) - {"c0", "c1", "c2", "c3"}
-    if extra:
-        raise PresentationFormatError(f"{where}: unknown coeff fields {sorted(extra)}")
-    try:
-        return CubicPoly(*(parse_rational(obj.get(f, 0)) for f in ("c0", "c1", "c2", "c3")))
+        return cls(*(parse_rational(obj.get(name, 0)) for name in names))
     except PresentationError as exc:
         raise PresentationFormatError(f"{where}: {exc}") from None
 
@@ -270,7 +245,8 @@ def from_dict(data: dict) -> AlgebraPresentation:
             offset = t.get("offset", 0)
             if not isinstance(offset, int) or isinstance(offset, bool):
                 raise PresentationFormatError(f"{tw}: 'offset' must be an integer")
-            terms.append(BracketTerm(target, _parse_coeff(t.get("coeff", {}), tw), offset))
+            terms.append(BracketTerm(target, _parse_coeff(AffinePoly, t.get("coeff", {}), tw),
+                                     offset))
         central_terms = []
         raw_central = item.get("central_terms", [])
         if not isinstance(raw_central, list):
@@ -281,7 +257,8 @@ def from_dict(data: dict) -> AlgebraPresentation:
                 raise PresentationFormatError(f"{tw}: must be an object")
             _check_fields(t, {"kind", "coeff"}, tw)
             target = resolve(t.get("kind"), tw)
-            central_terms.append(CentralTerm(target, _parse_cubic(t.get("coeff", {}), tw)))
+            central_terms.append(
+                CentralTerm(target, _parse_coeff(CubicPoly, t.get("coeff", {}), tw)))
         try:
             rules.append(BracketRule(left, right, tuple(terms), tuple(central_terms)))
         except PresentationError as exc:
@@ -296,11 +273,18 @@ def from_dict(data: dict) -> AlgebraPresentation:
 def load(path, validate: bool = True) -> AlgebraPresentation:
     """Load a presentation file; by default check it is a Lie algebra.
 
-    The certificate decides for all indices.  A file it rejects raises
-    PresentationValidationError with the report of the windowed check at
-    N = LOAD_VALIDATION_WINDOW, which runs only to name the witness.
+    A file that cannot be read as UTF-8 text, or does not hold a valid
+    presentation, raises PresentationFormatError.  The certificate decides
+    for all indices.  A file it rejects raises PresentationValidationError
+    with the report of the windowed check at N = LOAD_VALIDATION_WINDOW,
+    which runs only to name the witness.
     """
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise PresentationFormatError(f"{path}: cannot read ({exc.strerror or exc})") from None
+    except UnicodeDecodeError as exc:
+        raise PresentationFormatError(f"{path}: not UTF-8 text ({exc})") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

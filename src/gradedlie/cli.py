@@ -20,12 +20,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import catalog
-from .catalog import (CatalogKeyError, PresentationFormatError,
-                      PresentationValidationError)
+from .catalog import PresentationValidationError
 from .core import PresentationError, parse_rational, validate_presentation
 from .poisson import ProductError, classify_products
 from .recurrences import check_lemma_conclusions
-from .solver import SolverError, WindowTooSmallError, required_window, scan
+from .solver import SolverError, required_window, scan
 
 EXIT_OK = 0
 EXIT_MATH_FAIL = 1
@@ -70,9 +69,9 @@ def _parse_delta(text: str) -> Fraction:
         raise UsageError(f"bad --delta value: {exc}") from None
 
 
-def _parse_interior(text: str, window: int) -> int:
+def _parse_interior(text: str, window: int) -> int | None:
     if text == "auto":
-        return window // 2
+        return None
     try:
         value = int(text)
     except ValueError:
@@ -223,14 +222,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except (UsageError, CatalogKeyError, PresentationFormatError,
-            WindowTooSmallError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except PresentationValidationError as exc:
         print(f"validation failed: {exc}", file=sys.stderr)
         return EXIT_MATH_FAIL
-    except (SolverError, PresentationError, ProductError) as exc:
+    except (UsageError, SolverError, PresentationError, ProductError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -368,8 +368,6 @@ class AlgebraPresentation:
         self.scale = lcm(1, *(
             q.denominator for rule in self._rules.values()
             for t in rule.terms + rule.central_terms for q in astuple(t.coeff)))
-        # rank of each kind position in BasisElement order (kinds sort by name)
-        self.kind_rank = tuple(sorted(names).index(n) for n in names)
         # _evaluate's int tables, over the scale as built: a two-kind rule is
         # also stored reversed, a same-kind rule only as it is
         s = self._table_scale = self.scale

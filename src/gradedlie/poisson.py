@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import AlgebraPresentation, BasisElement, Element, bracket
-from .linalg import SparseMatrix, nullspace
+from .linalg import nullspace
 from .solver import VERDICT_SCALAR_ONLY, ScanResult, identity_rows
 
 
@@ -209,9 +209,9 @@ def _membership_system(p: AlgebraPresentation, delta: Fraction, window: int):
     """Unknown product coefficients constrained by the derivation identity.
 
     Unknowns: q[{x, y}, t] for unordered in-window pairs and in-window
-    targets t, already commutative by construction.  For every in-window
-    z the operator w -> z.w must satisfy the delta-derivation identity;
-    its rows are those of solver.identity_rows with D(w) the product
+    targets t, already commutative by construction.  For every in-window z
+    the operator w -> z.w must satisfy the delta-derivation identity: the
+    matrix is solver.identity_rows with one map per z, D(w) the product
     columns of {z, w}.  Rows are indexed by output basis elements, which
     may lie outside the window (they are equation labels, not unknowns).
     """
@@ -223,18 +223,13 @@ def _membership_system(p: AlgebraPresentation, delta: Fraction, window: int):
         for j in range(i, width):
             pair_of[i][j] = pair_of[j][i] = pairs
             pairs += 1
-    columns = [(pi, t) for pi in range(pairs) for t in range(width)]
     # (column, target) of each product z.w, one column int object shared by
     # every row that holds it
-    col_ids = list(range(len(columns)))
+    col_ids = list(range(pairs * width))
     products = [list(zip(col_ids[pi * width:(pi + 1) * width], basis))
                 for pi in range(pairs)]
-    rows: list[dict[int, int]] = []
-    for z in range(width):
-        images = {w: products[pi] for w, pi in zip(basis, pair_of[z])}
-        identity_rows(p, delta, images, window, rows)
-    return (SparseMatrix.from_rows(len(columns), rows, p.scale * delta.denominator),
-            columns)
+    maps = ({w: products[pi] for w, pi in zip(basis, pair_of[z])} for z in range(width))
+    return identity_rows(p, delta, maps, window, pairs * width)
 
 
 def classify_products(p: AlgebraPresentation, scan_result: ScanResult | str,
@@ -254,7 +249,7 @@ def classify_products(p: AlgebraPresentation, scan_result: ScanResult | str,
         dim = _scalar_path_dim(p, window)
         path = "scalar-functional"
     else:
-        matrix, _ = _membership_system(p, Fraction(delta), window)
+        matrix = _membership_system(p, Fraction(delta), window)
         dim = len(nullspace(matrix))
         path = "derivation-membership"
 

@@ -24,8 +24,7 @@ from typing import Callable
 
 from .core import GradingDegree
 from .linalg import SparseMatrix, nullspace
-from .solver import (SolveReport, WindowTooSmallError, report_from_kernel,
-                     required_window)
+from .solver import SolveReport, check_window, report_from_kernel
 
 FAMILIES = ("L", "H", "I", "J")
 
@@ -186,8 +185,7 @@ def _solve_rows(recs: list[Recurrence], families: tuple[str, ...], gamma: int,
          for rec in recs for row in rec.rows(gamma, window)],
         1 if all(rec.integral for rec in recs) else None)
     kernel = nullspace(matrix)
-    return report_from_kernel(kernel, layout, list(families), degree,
-                              Fraction(1, 2), window, interior)
+    return report_from_kernel(kernel, layout, list(families), degree, interior)
 
 
 def solve_case(shift: tuple[int, int], gamma: int, window: int,
@@ -195,11 +193,7 @@ def solve_case(shift: tuple[int, int], gamma: int, window: int,
     """Solve one sector's hand-coded coupled system on a window."""
     if shift not in SECTOR_SYSTEMS:
         raise ValueError(f"shift must be in {sorted(SECTOR_SYSTEMS)}, got {shift}")
-    need = required_window(gamma)
-    if window < need:
-        raise WindowTooSmallError(window, gamma, need)
-    if interior is None:
-        interior = window // 2
+    interior = check_window(window, gamma, interior)
     degree = GradingDegree(shift[0], shift[1], gamma)
     return _solve_rows([RECURRENCES[tag] for tag in SECTOR_SYSTEMS[shift]],
                        FAMILIES, gamma, window, interior, degree)
@@ -209,11 +203,7 @@ def recurrence_kernel(tag: str, gamma: int, window: int,
                       interior: int | None = None) -> SolveReport:
     """Solve one recurrence on its own, over just the families it touches."""
     rec = RECURRENCES[tag]
-    need = required_window(gamma)
-    if window < need:
-        raise WindowTooSmallError(window, gamma, need)
-    if interior is None:
-        interior = window // 2
+    interior = check_window(window, gamma, interior)
     degree = GradingDegree(0, 0, gamma)
     return _solve_rows([rec], rec.families, gamma, window, interior, degree)
 
@@ -268,10 +258,7 @@ def check_lemma_conclusions(window: int) -> LemmaCheckReport:
     all-ones vector; 'zero' demands an empty interior space.  The window
     must cover the largest shift checked: |gamma| <= 3 needs window >= 8.
     """
-    need = required_window(LEMMA_GAMMA_RANGE)
-    if window < need:
-        raise WindowTooSmallError(window, LEMMA_GAMMA_RANGE, need)
-    interior = window // 2
+    interior = check_window(window, LEMMA_GAMMA_RANGE)
     checks = []
     for tag, expected in LEMMA_EXPECTATIONS.items():
         for gamma in range(-LEMMA_GAMMA_RANGE, LEMMA_GAMMA_RANGE + 1):

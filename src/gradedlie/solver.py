@@ -58,6 +58,18 @@ def required_window(gamma: int) -> int:
     return 2 * (abs(gamma) + 1)
 
 
+def check_window(window: int, gamma: int, interior: int | None = None) -> int:
+    """The interior for a solve with shift gamma on the window.
+
+    Raises WindowTooSmallError unless window >= required_window(gamma); an
+    interior left as None defaults to window // 2.
+    """
+    need = required_window(gamma)
+    if window < need:
+        raise WindowTooSmallError(window, gamma, need)
+    return window // 2 if interior is None else interior
+
+
 def partner_kind(p: AlgebraPresentation, kind: BasisKind,
                  shift: tuple[int, int]) -> BasisKind | None:
     """Target kind for one source kind under a Z2 x Z2 degree shift."""
@@ -140,74 +152,73 @@ def unknown_layout(problem: HomogeneousSolveProblem) -> UnknownLayout:
 
 
 def identity_rows(p: AlgebraPresentation, delta: Fraction,
-                  images: dict[tuple[int, int], list[tuple[int, tuple[int, int]]]],
-                  window: int, rows: list[dict[int, int]]) -> None:
-    """Append the rows of D[x, y] - delta([Dx, y] + [x, Dy]) to rows.
+                  maps: Iterable[dict[tuple[int, int], list[tuple[int, tuple[int, int]]]]],
+                  window: int, cols: int) -> SparseMatrix:
+    """The rows of D[x, y] - delta([Dx, y] + [x, Dy]), one map D after another.
 
-    D is given by images: a (kind position, index) basis key maps to D of
-    that element as (column, target key) pairs, and a missing key means
+    Each D is given by images: a (kind position, index) basis key maps to D
+    of that element as (column, target key) pairs, and a missing key means
     D = 0 there.  Each unordered source pair whose indices m, n and m+n
-    lie in the window gives one row dict {column: int} per output basis
-    element, with its outputs in BasisElement order; a pair whose bracket
-    has a target outside the window is skipped, not truncated.  Every
-    entry is a column of D, so when D is zero on the window this returns
-    at once.  Brackets come from bracket_indexed, so with delta = dn/dd
-    each entry is an integer over the common denominator p.scale * dd.
+    lie in the window gives one row {column: int} per output basis
+    element, its outputs in (kind position, index) order; a pair whose
+    bracket has a target outside the window is skipped, not truncated.
+    Every entry is a column of D, so a D that is zero on the window gives
+    no rows and evaluates no bracket.  Brackets come from bracket_indexed,
+    so with delta = dn/dd the rows are integers over p.scale * dd, the
+    denominator of the returned cols-column matrix.
     """
     basis = [(p.kind_order(b.kind), b.index) for b in p.basis_elements(window)]
-    image = images.get
-    source = [image(key, ()) for key in basis]
-    if not any(source):
-        return
     dd, neg = delta.denominator, -delta.numerator
     br = p.bracket_indexed
-    rank = p.kind_rank
+    rows: list[dict[int, int]] = []
     emit = rows.append
-
-    def order(t):
-        return rank[t[0]], t[1]
-
-    for i, (a, m) in enumerate(basis):
-        img_x = source[i]
-        for j in range(i + 1, len(basis)):
-            b, n = basis[j]
-            if abs(m + n) > window:
-                continue
-            acc: dict[tuple[int, int], dict[int, int]] = {}
-            for t, c in br(a, m, b, n):
-                img = image(t)
-                if img is None:
-                    if abs(t[1]) > window:
-                        break  # D[x, y] undefined on the window
+    for images in maps:
+        image = images.get
+        source = [image(key, ()) for key in basis]
+        if not any(source):
+            continue
+        for i, (a, m) in enumerate(basis):
+            img_x = source[i]
+            for j in range(i + 1, len(basis)):
+                b, n = basis[j]
+                if abs(m + n) > window:
                     continue
-                c *= dd
-                for col, out in img:
-                    if (row := acc.get(out)) is None:
-                        acc[out] = {col: c}
-                    else:
-                        row[col] = row.get(col, 0) + c
-            else:
-                for col, (ta, tm) in img_x:
-                    for t, c in br(ta, tm, b, n):
-                        c *= neg
-                        if (row := acc.get(t)) is None:
-                            acc[t] = {col: c}
+                acc: dict[tuple[int, int], dict[int, int]] = {}
+                for t, c in br(a, m, b, n):
+                    img = image(t)
+                    if img is None:
+                        if abs(t[1]) > window:
+                            break  # D[x, y] undefined on the window
+                        continue
+                    c *= dd
+                    for col, out in img:
+                        if (row := acc.get(out)) is None:
+                            acc[out] = {col: c}
                         else:
                             row[col] = row.get(col, 0) + c
-                for col, (ta, tm) in source[j]:
-                    for t, c in br(a, m, ta, tm):
-                        c *= neg
-                        if (row := acc.get(t)) is None:
-                            acc[t] = {col: c}
-                        else:
-                            row[col] = row.get(col, 0) + c
-                for out in sorted(acc, key=order) if len(acc) > 1 else acc:
-                    row = acc[out]
-                    if 0 in row.values():
-                        row = {c: v for c, v in row.items() if v}
-                        if not row:
-                            continue
-                    emit(row)
+                else:
+                    for col, (ta, tm) in img_x:
+                        for t, c in br(ta, tm, b, n):
+                            c *= neg
+                            if (row := acc.get(t)) is None:
+                                acc[t] = {col: c}
+                            else:
+                                row[col] = row.get(col, 0) + c
+                    for col, (ta, tm) in source[j]:
+                        for t, c in br(a, m, ta, tm):
+                            c *= neg
+                            if (row := acc.get(t)) is None:
+                                acc[t] = {col: c}
+                            else:
+                                row[col] = row.get(col, 0) + c
+                    for out in sorted(acc) if len(acc) > 1 else acc:
+                        row = acc[out]
+                        if 0 in row.values():
+                            row = {c: v for c, v in row.items() if v}
+                            if not row:
+                                continue
+                        emit(row)
+    return SparseMatrix.from_rows(cols, rows, p.scale * delta.denominator)
 
 
 def assemble(problem: HomogeneousSolveProblem,
@@ -224,10 +235,8 @@ def assemble(problem: HomogeneousSolveProblem,
     images = {(p.kind_order(p.kind(name)), m):
               [(col, (p.kind_order(layout.partner[name]), m + gamma))]
               for (name, m), col in layout.index.items()}
-    rows: list[dict[int, int]] = []
-    identity_rows(p, problem.delta, images, problem.window, rows)
-    return SparseMatrix.from_rows(len(layout.columns), rows,
-                                  p.scale * problem.delta.denominator)
+    return identity_rows(p, problem.delta, [images], problem.window,
+                         len(layout.columns))
 
 
 def describe_values(values: dict[int, Fraction]) -> str:
@@ -283,9 +292,6 @@ class SolveReport:
     """Outcome of one homogeneous solve, read off the interior sub-window."""
 
     degree: GradingDegree
-    delta: Fraction
-    window: int
-    interior: int
     full_dim: int
     interior_dim: int
     classification: str
@@ -303,30 +309,27 @@ class SolveReport:
 
 def report_from_kernel(kernel: VectorBasis, layout_keys: Sequence[tuple[str, int]],
                        kinds: Sequence[str], degree: GradingDegree,
-                       delta: Fraction, window: int, interior: int) -> SolveReport:
-    """Shared reporting: project a kernel onto the interior and classify."""
+                       interior: int) -> SolveReport:
+    """Classify a kernel, its columns named (kind, m) by layout_keys, on
+    the interior columns |m| <= interior."""
     interior_cols = [i for i, (_, m) in enumerate(layout_keys) if abs(m) <= interior]
     interior_keys = [layout_keys[i] for i in interior_cols]
     projected = project_basis(kernel, interior_cols)
     classification = classify_interior(interior_keys, kinds, projected.vectors)
     summary = summarize_interior(interior_keys, kinds, projected.vectors)
-    return SolveReport(degree, Fraction(delta), window, interior,
-                       full_dim=len(kernel), interior_dim=len(projected),
+    return SolveReport(degree, full_dim=len(kernel), interior_dim=len(projected),
                        classification=classification, basis_summary=summary)
 
 
 def solve_degree(problem: HomogeneousSolveProblem) -> SolveReport:
     """Solve one homogeneous degree and classify the interior solution space."""
-    need = required_window(problem.gamma)
-    if problem.window < need:
-        raise WindowTooSmallError(problem.window, problem.gamma, need)
+    interior = check_window(problem.window, problem.gamma, problem.interior)
     layout = unknown_layout(problem)
     matrix = assemble(problem, layout)
     kernel = nullspace(matrix)
     return report_from_kernel(kernel, layout.columns,
                               [k.name for k in problem.presentation.kinds],
-                              problem.degree, problem.delta,
-                              problem.window, problem.interior)
+                              problem.degree, interior)
 
 
 VERDICT_SCALAR_ONLY = "scalar-only"
@@ -370,11 +373,7 @@ def scan(p: AlgebraPresentation, delta: Fraction, gamma_max: int,
     """Solve every degree in {0,1}^2 x [-gamma_max, gamma_max]."""
     if gamma_max < 0:
         raise SolverError("gamma_max must be non-negative")
-    need = required_window(gamma_max)
-    if window < need:
-        raise WindowTooSmallError(window, gamma_max, need)
-    if interior is None:
-        interior = window // 2
+    interior = check_window(window, gamma_max, interior)
     reports = []
     for eps1 in (0, 1):
         for eps2 in (0, 1):

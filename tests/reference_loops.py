@@ -6,9 +6,11 @@ BasisElement and Element objects: they read brackets only through the
 public `bracket_basis` and accumulate exact Fractions, so comparing
 matrices checks the integer loops (their scaling, their keys, their row
 order) against a direct transcription of the same definition.  Both
-skip a source pair whose bracket leaves the window.  `_lopsided` is a
-non-Lie test presentation whose rules reach every path of the integer
-bracket tables, so that the comparisons see more than the catalog does.
+skip a source pair whose bracket leaves the window, and both emit the
+rows of one source pair in the (kind position, index) order of their
+outputs.  `_lopsided` is a non-Lie test presentation whose rules reach
+every path of the integer bracket tables, so that the comparisons see
+more than the catalog does.
 
 `rref_rows` is the elimination loop `linalg._rref_rows` ran before it
 learned to check rows against a candidate kernel: it eliminates every row
@@ -103,7 +105,7 @@ def assemble(problem) -> SparseMatrix:
                 out = br(d, other) if left else br(other, d)
                 for t, c in out.items():
                     add(acc, t, col, neg_delta * c)
-            for out in sorted(acc):
+            for out in sorted(acc, key=lambda b: (p.kind_order(b.kind), b.index)):
                 row = {c: v for c, v in acc[out].items() if v}
                 if row:
                     rows.append(row)
@@ -148,7 +150,7 @@ def membership_system(p, delta: Fraction, window: int) -> SparseMatrix:
                 for col, target in product_cols(z, y):
                     for t, c in br(x, target).items():
                         add(t, col, -delta * c)
-                for out in sorted(acc):
+                for out in sorted(acc, key=lambda b: (p.kind_order(b.kind), b.index)):
                     row = {c: v for c, v in acc[out].items() if v}
                     if row:
                         rows.append(row)

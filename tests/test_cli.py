@@ -177,6 +177,24 @@ def test_central_kind_as_a_bracket_argument_exits_without_traceback(tmp_path):
     assert "rule [A,C]: central kind 'C' is a bracket argument" in done.stderr
 
 
+@pytest.mark.parametrize("make", [
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b'{"name": "\xff"}'),
+], ids=["directory", "not-utf8"])
+def test_unreadable_presentation_file_exits_without_traceback(make, tmp_path):
+    path = tmp_path / "bad.json"
+    make(path)
+    src = Path(gradedlie.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "gradedlie", "solve", "--algebra", str(path),
+         "--window", "4", "--gamma-max", "1"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == EXIT_USAGE
+    assert "Traceback" not in done.stderr
+    assert str(path) in done.stderr
+
+
 def test_unwritable_output_exits_without_traceback(tmp_path):
     target = tmp_path / "missing" / "x.json"
     src = Path(gradedlie.__file__).resolve().parents[1]

@@ -153,7 +153,7 @@ def test_assembled_pgca_matrices_store_int_rows(delta):
 
 def test_membership_system_stores_int_rows():
     p = catalog.get("witt")
-    m, _ = poisson._membership_system(p, F("1/2"), 3)
+    m = poisson._membership_system(p, F("1/2"), 3)
     assert m.nnz
     _assert_int_storage(m)
 
@@ -416,7 +416,7 @@ def _catalog_systems():
             catalog.keys(), (F("1/2"), F(1)), (0, 1), (0, 1), (-1, 0, 1)):
         yield solver.assemble(solver.HomogeneousSolveProblem(
             catalog.get(key), delta, GradingDegree(eps1, eps2, gamma), 6, 3))
-    yield poisson._membership_system(catalog.get("witt"), F("1/2"), 6)[0]
+    yield poisson._membership_system(catalog.get("witt"), F("1/2"), 6)
 
 
 def test_rref_equals_full_elimination_on_every_catalog_system():

@@ -240,9 +240,8 @@ def test_membership_system_equals_the_element_reference(key, delta):
         p, window = reference_loops._lopsided(), 2
     else:
         p, window = catalog.get(key), 3
-    matrix, columns = _membership_system(p, delta, window)
+    matrix = _membership_system(p, delta, window)
     assert matrix == reference_loops.membership_system(p, delta, window)
-    assert len(columns) == matrix.cols
 
 
 @pytest.mark.parametrize("window", [2, 3])
@@ -252,5 +251,5 @@ def test_membership_system_skips_pairs_whose_bracket_leaves_the_window(window):
     data = catalog.to_dict(WITT)
     data["brackets"][0]["terms"][0]["offset"] = 1
     p = catalog.from_dict(data)
-    matrix, _ = _membership_system(p, HALF, window)
+    matrix = _membership_system(p, HALF, window)
     assert matrix == reference_loops.membership_system(p, HALF, window)

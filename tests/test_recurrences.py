@@ -18,7 +18,7 @@ from gradedlie.recurrences import (FAMILIES, LEMMA_EXPECTATIONS,
                                    SECTOR_SYSTEMS, check_lemma_conclusions,
                                    recurrence_kernel, solve_case)
 from gradedlie.solver import (HomogeneousSolveProblem, WindowTooSmallError,
-                              assemble, solve_degree, unknown_layout)
+                              assemble, scan, solve_degree, unknown_layout)
 
 PGCA = catalog.get("pgca")
 HALF = Fraction(1, 2)
@@ -143,8 +143,7 @@ def test_oracle_imports_no_bracket_or_row_code():
             assert not any(a.name.startswith("gradedlie") for a in node.names)
     assert imported.get("core", set()) <= {"GradingDegree"}
     assert imported.get("solver", set()) <= {
-        "SolveReport", "WindowTooSmallError", "report_from_kernel",
-        "required_window"}
+        "SolveReport", "check_window", "report_from_kernel"}
     assert set(imported) <= {"__future__", "dataclasses", "fractions",
                              "typing", "core", "linalg", "solver"}
 
@@ -152,6 +151,36 @@ def test_oracle_imports_no_bracket_or_row_code():
 def test_recurrence_kernel_enforces_window_sizing():
     with pytest.raises(WindowTooSmallError):
         recurrence_kernel("e1", 3, 6)
+
+
+# entry point -> (the shift it sizes for, a call on a window N)
+_SIZED = {
+    "scan": (2, lambda N: scan(PGCA, HALF, 2, N)),
+    "solve_degree": (-2, lambda N: solve_degree(HomogeneousSolveProblem(
+        PGCA, HALF, GradingDegree(1, 0, -2), N, N // 2))),
+    "solve_case": (3, lambda N: solve_case((0, 1), 3, N)),
+    "recurrence_kernel": (-1, lambda N: recurrence_kernel("e13", -1, N)),
+    "check_lemma_conclusions": (LEMMA_GAMMA_RANGE, check_lemma_conclusions),
+}
+
+
+@pytest.mark.parametrize("entry", _SIZED)
+def test_every_entry_point_sizes_its_window_by_one_rule(entry):
+    # a shift gamma needs N >= 2(|gamma|+1), and that N is enough
+    gamma, call = _SIZED[entry]
+    need = 2 * (abs(gamma) + 1)
+    with pytest.raises(WindowTooSmallError) as err:
+        call(need - 1)
+    assert (err.value.window, err.value.gamma, err.value.required) == (need - 1, gamma, need)
+    call(need)
+
+
+@pytest.mark.parametrize("N", [8, 9])
+def test_the_default_interior_is_half_the_window(N):
+    assert scan(PGCA, HALF, 1, N).interior == N // 2
+    assert check_lemma_conclusions(N).interior == N // 2
+    for shift in SECTOR_SYSTEMS:
+        assert solve_case(shift, 1, N) == solve_case(shift, 1, N, N // 2)
 
 
 # ---------------------------------------------------------------------------

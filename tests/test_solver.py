@@ -262,7 +262,7 @@ def test_describe_values_compacts_common_patterns():
 
 
 def _report(degree, classification):
-    return SolveReport(GradingDegree(*degree), HALF, 8, 4,
+    return SolveReport(GradingDegree(*degree),
                        full_dim=1 if classification != "zero" else 0,
                        interior_dim=1 if classification != "zero" else 0,
                        classification=classification, basis_summary=[])
