@@ -2,12 +2,14 @@
 
 Coefficients in files are rational strings "p" or "p/q" (plain ints are
 also accepted); floats are rejected so nothing ever passes through binary
-floating point.  Loading checks the algebra, so a structurally broken one
-fails at the door rather than deep inside a solve.  A file with a central
-kind as a bracket argument is a format error (the presentation constructor
-rejects it).  Grading, skew-symmetry and Jacobi are then decided for all
-indices from the presentation's rule tables; a file the certificate rejects
-always fails, with a witness from the window N = LOAD_VALIDATION_WINDOW.
+floating point.  Every bracket term sits at index m + n: a file cannot
+shift it, and a legacy shift field is accepted only as 0.  Loading checks
+the algebra, so a structurally broken one fails at the door rather than
+deep inside a solve.  A file with a central kind as a bracket argument is
+a format error (the presentation constructor rejects it).  Skew-symmetry
+and Jacobi are then decided for all indices from the presentation's rule
+tables; a file the certificate rejects always fails, with a witness from
+the window N = LOAD_VALIDATION_WINDOW.
 """
 
 from __future__ import annotations
@@ -150,10 +152,8 @@ def to_dict(p: AlgebraPresentation) -> dict:
         entry = {
             "left": rule.left.name,
             "right": rule.right.name,
-            "terms": [
-                {"kind": t.target.name, "coeff": _coeff_dict(t.coeff), "offset": t.offset}
-                for t in rule.terms
-            ],
+            "terms": [{"kind": t.target.name, "coeff": _coeff_dict(t.coeff)}
+                      for t in rule.terms],
         }
         if rule.central_terms:
             entry["central_terms"] = [
@@ -242,11 +242,12 @@ def from_dict(data: dict) -> AlgebraPresentation:
                 raise PresentationFormatError(f"{tw}: must be an object")
             _check_fields(t, {"kind", "coeff", "offset"}, tw)
             target = resolve(t.get("kind"), tw)
+            # legacy: older files write "offset": 0, and no other value
             offset = t.get("offset", 0)
-            if not isinstance(offset, int) or isinstance(offset, bool):
-                raise PresentationFormatError(f"{tw}: 'offset' must be an integer")
-            terms.append(BracketTerm(target, _parse_coeff(AffinePoly, t.get("coeff", {}), tw),
-                                     offset))
+            if type(offset) is not int or offset:
+                raise PresentationFormatError(
+                    f"{tw}: 'offset' must be 0, got {offset!r}; a term sits at index m + n")
+            terms.append(BracketTerm(target, _parse_coeff(AffinePoly, t.get("coeff", {}), tw)))
         central_terms = []
         raw_central = item.get("central_terms", [])
         if not isinstance(raw_central, list):

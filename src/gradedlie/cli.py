@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "Poisson analysis of graded Lie algebras")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    v = sub.add_parser("validate", help="check grading, skew-symmetry, Jacobi")
+    v = sub.add_parser("validate", help="check skew-symmetry and Jacobi")
     _add_common(v)
     v.set_defaults(func=_cmd_validate)
 

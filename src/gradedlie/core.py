@@ -4,9 +4,12 @@ Basis elements come in named families ("kinds"), each carrying a Z2 x Z2
 degree and indexed over Z.  The bracket of two families is a finite sum of
 target families whose coefficients are affine polynomials in the two
 indices, so a presentation evaluates [x_m, y_n] on demand for arbitrary
-integers with no truncation.  One rule is stored per unordered pair of
-families; the reversed bracket is derived by negation, which removes a
-whole class of sign-inconsistency bugs at the source.
+integers with no truncation.  Every term of [x_m, y_n] sits at index
+m + n, so the index grading holds by construction, as the Z2 x Z2 grading
+does (a rule's targets must carry the sum of its arguments' Z2 degrees).
+One rule is stored per unordered pair of families; the reversed bracket is
+derived by negation, which removes a whole class of sign-inconsistency bugs
+at the source.
 
 `bracket_basis` is the one exact evaluator and caches nothing: it works in
 ints on tables built once per presentation, every rule coefficient times
@@ -15,8 +18,8 @@ membership system) read brackets through `bracket_indexed` instead: an
 integer view keyed by (kind position, index), with every coefficient
 multiplied by `scale`, memoised per presentation and filled from
 `bracket_basis`.  `certify_presentation` reads the same tables to prove
-grading, skew-symmetry and Jacobi for all indices; `validate_presentation`
-checks them exhaustively on a window.
+skew-symmetry and Jacobi for all indices; `validate_presentation` checks
+them exhaustively on a window.
 
 A kind may be marked central: it then has a single basis element at index
 0, brackets trivially with everything, and appears in a bracket only as an
@@ -252,7 +255,6 @@ class CubicPoly:
 class BracketTerm:
     target: BasisKind
     coeff: AffinePoly
-    offset: int = 0
 
 
 @dataclass(frozen=True)
@@ -265,7 +267,7 @@ class CentralTerm:
 
 @dataclass(frozen=True)
 class BracketRule:
-    """[left_m, right_n] = sum coeff(m, n) * target_{m+n+offset} (+ central terms)."""
+    """[left_m, right_n] = sum coeff(m, n) * target_{m+n} (+ central terms)."""
 
     left: BasisKind
     right: BasisKind
@@ -289,15 +291,15 @@ class BracketRule:
     def reversed(self) -> "BracketRule":
         return BracketRule(
             self.right, self.left,
-            tuple(BracketTerm(t.target, t.coeff.reversed(), t.offset) for t in self.terms),
+            tuple(BracketTerm(t.target, t.coeff.reversed()) for t in self.terms),
             tuple(CentralTerm(t.target, t.coeff.reversed()) for t in self.central_terms),
         )
 
 
 def _int_table(rule: BracketRule, scale: int) -> tuple[tuple, tuple]:
-    """(target, offset, c0, cm, cn) per term and (target, k0, k1, k2, k3) per
-    central term, every coefficient times scale."""
-    return (tuple((t.target, t.offset, *(int(q * scale) for q in astuple(t.coeff)))
+    """(target, c0, cm, cn) per term and (target, k0, k1, k2, k3) per central
+    term, every coefficient times scale."""
+    return (tuple((t.target, *(int(q * scale) for q in astuple(t.coeff)))
                   for t in rule.terms),
             tuple((t.target, *(int(q * scale) for q in astuple(t.coeff)))
                   for t in rule.central_terms))
@@ -478,9 +480,9 @@ class AlgebraPresentation:
         terms, central = self._tables.get((x.kind.name, y.kind.name), ((), ()))
         m, n = x.index, y.index
         acc: dict[BasisElement, int] = {}
-        for target, offset, c0, cm, cn in terms:
+        for target, c0, cm, cn in terms:
             if c := c0 + cm * m + cn * n:
-                b = BasisElement(target, m + n + offset)
+                b = BasisElement(target, m + n)
                 acc[b] = acc.get(b, 0) + c
         if central and m + n == 0:
             for target, k0, k1, k2, k3 in central:
@@ -538,13 +540,12 @@ def _scaled_element(p: AlgebraPresentation, acc: dict[tuple[int, int], int],
 
 
 def validate_presentation(p: AlgebraPresentation, window: int) -> ValidationReport:
-    """Exhaustively check grading, skew-symmetry and Jacobi on a window.
+    """Exhaustively check skew-symmetry and Jacobi on a window.
 
-    Jacobi is alternating once skew-symmetry holds, so after the pair pass
-    it suffices to expand strictly increasing triples; Z2 degrees hold by
-    construction, so the grading check reads indices.  Sums run on
-    bracket_indexed's integers: a bracket carries one factor of p.scale and
-    a Jacobiator two.
+    The grading holds by construction.  Jacobi is alternating once
+    skew-symmetry holds, so after the pair pass it suffices to expand
+    strictly increasing triples.  Sums run on bracket_indexed's integers: a
+    bracket carries one factor of p.scale and a Jacobiator two.
     """
     if window < 2:
         raise ValueError("validation window must be at least 2")
@@ -555,17 +556,7 @@ def validate_presentation(p: AlgebraPresentation, window: int) -> ValidationRepo
 
     for x, (a, m) in zip(basis, keys):
         for y, (b, n) in zip(basis, keys):
-            xy = br(a, m, b, n)
-            for (c, i), _ in xy:
-                if i != m + n:
-                    t = BasisElement(p.kinds[c], i)
-                    report.passed = False
-                    report.check = "grading"
-                    report.witnesses = (x, y)
-                    report.detail = (f"[{x},{y}] contains {t} of degree {t.degree}, "
-                                     f"expected {x.degree + y.degree}")
-                    return report
-            anti = dict(xy)
+            anti = dict(br(a, m, b, n))
             for t, v in br(b, n, a, m):
                 anti[t] = anti.get(t, 0) + v
             if any(anti.values()):
@@ -622,7 +613,7 @@ def _times(*factors) -> dict:
 
 
 def certify_presentation(p: AlgebraPresentation) -> bool:
-    """True if and only if grading, skew-symmetry and Jacobi hold at every index.
+    """True if and only if skew-symmetry and Jacobi hold at every index.
 
     Reads p's int tables.  Coefficients are affine in the indices (a cubic
     in m on m + n = 0 for central terms), so each check is a polynomial
@@ -634,14 +625,11 @@ def certify_presentation(p: AlgebraPresentation) -> bool:
     """
     lin, cen = {}, {}
     for (a, b), (terms, central) in p._tables.items():
-        f, g = {}, cen.setdefault((a, b), {})
-        for t, offset, *c in terms:
-            f[t.name, offset] = [u + v for u, v in zip(f.get((t.name, offset), (0,) * 3), c)]
+        f, g = lin.setdefault((a, b), {}), cen.setdefault((a, b), {})
+        for t, *c in terms:
+            f[t.name] = [u + v for u, v in zip(f.get(t.name, (0,) * 3), c)]
         for t, *c in central:
             g[t.name] = [u + v for u, v in zip(g.get(t.name, (0,) * 4), c)]
-        if any(offset and any(c) for (_, offset), c in f.items()):
-            return False  # grading: [A_m, B_n] must sit at index m + n
-        lin[a, b] = {t: c for (t, offset), c in f.items() if not offset}
     for (a, b), f in lin.items():
         g, h, q = lin.get((b, a), {}), cen[a, b], cen.get((b, a), {})
         for t in f.keys() | g.keys():  # [A_m, B_n] + [B_n, A_m] at t_{m+n}

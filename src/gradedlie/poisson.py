@@ -195,16 +195,6 @@ class TPClassification:
         }
 
 
-def _scalar_path_dim(p: AlgebraPresentation, window: int) -> int:
-    """Dimension of {c : c(x) y = c(y) x for all basis x, y}.
-
-    For basis x != y the coordinates at y and at x read c(x) = 0 and
-    c(y) = 0, so two or more basis elements force c = 0, and a single one
-    leaves c free.
-    """
-    return 1 if len(p.basis_elements(window)) == 1 else 0
-
-
 def _membership_system(p: AlgebraPresentation, delta: Fraction, window: int):
     """Unknown product coefficients constrained by the derivation identity.
 
@@ -246,7 +236,10 @@ def classify_products(p: AlgebraPresentation, scan_result: ScanResult | str,
     basis_count = len(p.basis_elements(window))
 
     if verdict == VERDICT_SCALAR_ONLY:
-        dim = _scalar_path_dim(p, window)
+        # {c : c(x) y = c(y) x for all basis x, y}: for x != y the
+        # coordinates at y and at x force c(x) = c(y) = 0, so only a
+        # one-element basis leaves c free
+        dim = 1 if basis_count == 1 else 0
         path = "scalar-functional"
     else:
         matrix = _membership_system(p, Fraction(delta), window)

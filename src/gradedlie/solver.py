@@ -160,8 +160,8 @@ def identity_rows(p: AlgebraPresentation, delta: Fraction,
     of that element as (column, target key) pairs, and a missing key means
     D = 0 there.  Each unordered source pair whose indices m, n and m+n
     lie in the window gives one row {column: int} per output basis
-    element, its outputs in (kind position, index) order; a pair whose
-    bracket has a target outside the window is skipped, not truncated.
+    element, its outputs in (kind position, index) order.  The bracket
+    [x, y] sits at index m+n, so D[x, y] reads D only inside the window.
     Every entry is a column of D, so a D that is zero on the window gives
     no rows and evaluates no bracket.  Brackets come from bracket_indexed,
     so with delta = dn/dd the rows are integers over p.scale * dd, the
@@ -185,39 +185,33 @@ def identity_rows(p: AlgebraPresentation, delta: Fraction,
                     continue
                 acc: dict[tuple[int, int], dict[int, int]] = {}
                 for t, c in br(a, m, b, n):
-                    img = image(t)
-                    if img is None:
-                        if abs(t[1]) > window:
-                            break  # D[x, y] undefined on the window
-                        continue
                     c *= dd
-                    for col, out in img:
+                    for col, out in image(t, ()):
                         if (row := acc.get(out)) is None:
                             acc[out] = {col: c}
                         else:
                             row[col] = row.get(col, 0) + c
-                else:
-                    for col, (ta, tm) in img_x:
-                        for t, c in br(ta, tm, b, n):
-                            c *= neg
-                            if (row := acc.get(t)) is None:
-                                acc[t] = {col: c}
-                            else:
-                                row[col] = row.get(col, 0) + c
-                    for col, (ta, tm) in source[j]:
-                        for t, c in br(a, m, ta, tm):
-                            c *= neg
-                            if (row := acc.get(t)) is None:
-                                acc[t] = {col: c}
-                            else:
-                                row[col] = row.get(col, 0) + c
-                    for out in sorted(acc) if len(acc) > 1 else acc:
-                        row = acc[out]
-                        if 0 in row.values():
-                            row = {c: v for c, v in row.items() if v}
-                            if not row:
-                                continue
-                        emit(row)
+                for col, (ta, tm) in img_x:
+                    for t, c in br(ta, tm, b, n):
+                        c *= neg
+                        if (row := acc.get(t)) is None:
+                            acc[t] = {col: c}
+                        else:
+                            row[col] = row.get(col, 0) + c
+                for col, (ta, tm) in source[j]:
+                    for t, c in br(a, m, ta, tm):
+                        c *= neg
+                        if (row := acc.get(t)) is None:
+                            acc[t] = {col: c}
+                        else:
+                            row[col] = row.get(col, 0) + c
+                for out in sorted(acc) if len(acc) > 1 else acc:
+                    row = acc[out]
+                    if 0 in row.values():
+                        row = {c: v for c, v in row.items() if v}
+                        if not row:
+                            continue
+                    emit(row)
     return SparseMatrix.from_rows(cols, rows, p.scale * delta.denominator)
 
 
@@ -342,7 +336,6 @@ class ScanResult:
     delta: Fraction
     window: int
     interior: int
-    gamma_max: int
     reports: list[SolveReport]
     verdict: str
 
@@ -382,5 +375,5 @@ def scan(p: AlgebraPresentation, delta: Fraction, gamma_max: int,
                     p, Fraction(delta), GradingDegree(eps1, eps2, gamma),
                     window, interior)
                 reports.append(solve_degree(problem))
-    return ScanResult(p.name, Fraction(delta), window, interior, gamma_max,
-                      reports, scan_verdict(reports))
+    return ScanResult(p.name, Fraction(delta), window, interior, reports,
+                      scan_verdict(reports))

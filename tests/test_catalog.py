@@ -251,8 +251,6 @@ def _set_coeff(left, right, coeff):
 _NOT_CERTIFIED = {
     "sign-flip": lambda: _edited("pgca", _set_coeff("L", "I", {"cm": "-1", "cn": "1"})),
     "self-bracket": lambda: _edited("witt", _set_coeff("L", "L", {"c0": "1"})),
-    "grading-offset": lambda: _edited(
-        "witt", lambda d: d["brackets"][0]["terms"][0].update(offset=1)),
     "rational-skew-residue": lambda: _edited(
         "witt", _set_coeff("L", "L", {"c0": "1/3", "cm": "1", "cn": "-1"})),
     "rational-jacobiator": lambda: _edited(
@@ -274,6 +272,38 @@ def test_an_uncertified_file_loads_as_the_windowed_check_decides(
     assert err.value.report.check == report.check
     assert str(err.value) == report.describe()
     assert windowed_calls == [catalog.LOAD_VALIDATION_WINDOW] == [4]
+
+
+# witt's self-bracket with shifted terms; an offset is legacy and only 0 loads
+_SHIFTED_TERMS = {
+    "plus-one": [{"kind": "L", "coeff": {"cm": "1", "cn": "-1"}, "offset": 1}],
+    "minus-one": [{"kind": "L", "coeff": {"cm": "1", "cn": "-1"}, "offset": -1}],
+    "true": [{"kind": "L", "coeff": {"cm": "1", "cn": "-1"}, "offset": True}],
+    "string-zero": [{"kind": "L", "coeff": {"cm": "1", "cn": "-1"}, "offset": "0"}],
+    # m L_{m+n+1} - m L_{m+n+1} = 0, so these terms broke no identity
+    "cancelling": [{"kind": "L", "coeff": {"cm": "1"}, "offset": 1},
+                   {"kind": "L", "coeff": {"cm": "-1"}, "offset": 1}],
+}
+
+
+@pytest.mark.parametrize("name", _SHIFTED_TERMS)
+def test_a_term_offset_other_than_zero_is_a_format_error(name, tmp_path, windowed_calls):
+    data = _edited("witt", lambda d: d["brackets"][0].update(terms=_SHIFTED_TERMS[name]))
+    match = r"^brackets\[0\]\.terms\[0\]: 'offset' must be 0"
+    with pytest.raises(PresentationFormatError, match=match):
+        catalog.from_dict(data)
+    with pytest.raises(PresentationFormatError, match=match):
+        catalog.load(_saved(tmp_path, data))
+    assert windowed_calls == []
+
+
+def test_an_explicit_zero_offset_loads_and_is_not_written_back(tmp_path):
+    witt = catalog.get("witt")
+    data = _edited("witt", lambda d: d["brackets"][0]["terms"][0].update(offset=0))
+    assert catalog.from_dict(data) == witt
+    assert catalog.load(_saved(tmp_path, data)) == witt
+    assert catalog.to_dict(witt)["brackets"][0]["terms"] == [
+        {"kind": "L", "coeff": {"cm": "1", "cn": "-1"}}]
 
 
 @pytest.mark.parametrize("c0", ["0", "1"])

@@ -177,6 +177,24 @@ def test_central_kind_as_a_bracket_argument_exits_without_traceback(tmp_path):
     assert "rule [A,C]: central kind 'C' is a bracket argument" in done.stderr
 
 
+def test_a_shifted_bracket_term_exits_without_traceback(tmp_path):
+    # every term of [L_m, L_n] sits at index m + n: a file that shifts one
+    # is a format error, not a failed check
+    data = catalog.to_dict(catalog.get("witt"))
+    data["brackets"][0]["terms"][0]["offset"] = 1
+    path = tmp_path / "shifted.json"
+    path.write_text(json.dumps(data))
+    src = Path(gradedlie.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "gradedlie", "validate", "--algebra", str(path),
+         "--window", "4"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == EXIT_USAGE
+    assert "Traceback" not in done.stderr
+    assert "brackets[0].terms[0]: 'offset' must be 0" in done.stderr
+
+
 @pytest.mark.parametrize("make", [
     lambda path: path.mkdir(),
     lambda path: path.write_bytes(b'{"name": "\xff"}'),

@@ -256,7 +256,7 @@ def _reference_bracket(p, x, y):
         return Element.zero()
     out = Element.zero()
     for t in rule.terms:
-        out = out + Element.basis(BasisElement(t.target, m + n + t.offset),
+        out = out + Element.basis(BasisElement(t.target, m + n),
                                   sign * t.coeff(m, n))
     if m + n == 0:
         for t in rule.central_terms:
@@ -290,15 +290,15 @@ def test_the_lopsided_presentation_reaches_every_table_path():
     assert p.scale == 420
     assert [(r.left.name, r.right.name) for r in p.rules] == [
         ("A", "A"), ("A", "B"), ("A", "D"), ("B", "B")]
-    # [A_2, A_2] = (1/3 + 4 - 2/5) A_5: not skew; no central term at m + n = 4
-    assert p.bracket_basis(A, A) == Element.basis(el(p, "A", 5), Fraction(59, 15))
-    # [B_-2, B_-2]: the two A_-4 terms cancel, (3/4 - 1) A_-1 is left
-    assert p.bracket_basis(B, B) == Element.basis(el(p, "A", -1), Fraction(-1, 4))
-    # [B_-2, A_2] = -[A_2, B_-2] = -(-1 - 4/3 - 5/2) B_-2 - (1/6 + 1 + 8/3 - 8/5) W_0
-    assert p.bracket_basis(B, A) == (Element.basis(el(p, "B", -2), Fraction(29, 6))
+    # [A_2, A_2] = (1/3 + 4 - 2/5) A_4: not skew; no central term at m + n = 4
+    assert p.bracket_basis(A, A) == Element.basis(el(p, "A", 4), Fraction(59, 15))
+    # [B_-2, B_-2]: the m and -n terms cancel, (3/4 - 1) A_-4 is left
+    assert p.bracket_basis(B, B) == Element.basis(el(p, "A", -4), Fraction(-1, 4))
+    # [B_-2, A_2] = -[A_2, B_-2] = -(-1 - 4/3 - 5/2) B_0 - (1/6 + 1 + 8/3 - 8/5) W_0
+    assert p.bracket_basis(B, A) == (Element.basis(el(p, "B", 0), Fraction(29, 6))
                                      + Element.basis(W, Fraction(-67, 30)))
-    # [D_1, A_2] is the rule as written, stored reversed: (2 + 1/4 - 6) D_4
-    assert p.bracket_basis(D, A) == Element.basis(el(p, "D", 4), Fraction(-15, 4))
+    # [D_1, A_2] is the rule as written, stored reversed: (2 + 1/4 - 6) D_3
+    assert p.bracket_basis(D, A) == Element.basis(el(p, "D", 3), Fraction(-15, 4))
     assert p.bracket_basis(W, A).is_zero
 
 
@@ -560,18 +560,6 @@ def test_validate_catches_nonzero_self_bracket():
     assert report.detail == "[L_-2,L_-2] + [L_-2,L_-2] = 2*L_-4"
 
 
-def test_validate_reports_a_grading_violation():
-    data = catalog.to_dict(catalog.get("witt"))
-    data["brackets"][0]["terms"][0]["offset"] = 1
-    report = validate_presentation(catalog.from_dict(data), 2)
-    assert not report.passed
-    assert report.check == "grading"
-    assert _names(report.witnesses) == [("L", -2), ("L", -1)]
-    assert report.detail == ("[L_-2,L_-1] contains L_-2 of degree (0,0,-2), "
-                             "expected (0,0,-3)")
-    assert (report.pairs_checked, report.triples_checked) == (1, 0)
-
-
 def test_validate_reports_a_rational_skew_residue():
     # the constant 1/3 survives in [x, x], so the residue keeps its denominator
     data = catalog.to_dict(catalog.get("witt"))
@@ -621,10 +609,9 @@ def _swap_a_two_kind_table(p):
 def _presentations(draw):
     """1-3 kinds plus an optional central kind Z, with sparse rational affine
     rules (a same-kind rule skew-shaped half the time, so that a good share
-    are Lie algebras), offsets of +-1 now and then, central cubics with m^2
-    and m^3 terms, a rule given in either orientation, and rarely a swapped
-    two-kind table.  Z is never a bracket argument: the constructor rejects
-    that."""
+    are Lie algebras), central cubics with m^2 and m^3 terms, a rule given
+    in either orientation, and rarely a swapped two-kind table.  Z is never
+    a bracket argument: the constructor rejects that."""
     z2 = st.sampled_from([(0, 0), (0, 1)])
     kinds = [BasisKind(name, draw(z2)) for name in "ABD"[:draw(st.integers(1, 3))]]
     central = [BasisKind("Z", draw(z2))] if draw(st.booleans()) else []
@@ -639,8 +626,7 @@ def _presentations(draw):
                 c0, cm, cn = draw(_SMALL), draw(_SMALL), draw(_SMALL)
                 if x == y and draw(st.booleans()):
                     c0, cn = Fraction(0), -cm
-                offset = draw(st.sampled_from([0] * 6 + [1, -1]))
-                terms.append(BracketTerm(t, AffinePoly(c0, cm, cn), offset))
+                terms.append(BracketTerm(t, AffinePoly(c0, cm, cn)))
             cubics = []
             for z in central:
                 if z.z2 == want and draw(st.booleans()):
@@ -669,10 +655,6 @@ _HV_RULES = (_WITT_RULE, BracketRule(_A, _I, (BracketTerm(_I, affine(cn=-1)),)))
 
 @settings(max_examples=150)
 @given(_presentations())
-# witt at offset 1, and two offset terms that cancel
-@example(_fixture((_A,), [BracketRule(_A, _A, (BracketTerm(_A, affine(cm=1, cn=-1), 1),))]))
-@example(_fixture((_A,), [BracketRule(_A, _A, (BracketTerm(_A, affine(cm=1), 1),
-                                               BracketTerm(_A, affine(cm=-1), 1)))]))
 # heisenberg-virasoro with [I_m, I_n] = m^3 Z_0 (Jacobi fails on the central
 # plane only) and with the cocycle m Z_0 (a Lie algebra)
 @example(_fixture((_A, _I, _Z), _HV_RULES + (

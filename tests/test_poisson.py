@@ -234,22 +234,10 @@ def test_classification_json_shape():
                          ids=str)
 def test_membership_system_equals_the_element_reference(key, delta):
     # pgca at N=3 is a 248,668-row system, too large for a unit test; the
-    # lopsided presentation has five kinds, so it runs at N=2, where its
-    # offsets still carry brackets out of the window
+    # lopsided presentation has five kinds, so it runs at N=2
     if key == "lopsided":
         p, window = reference_loops._lopsided(), 2
     else:
         p, window = catalog.get(key), 3
     matrix = _membership_system(p, delta, window)
     assert matrix == reference_loops.membership_system(p, delta, window)
-
-
-@pytest.mark.parametrize("window", [2, 3])
-def test_membership_system_skips_pairs_whose_bracket_leaves_the_window(window):
-    # with [L_m, L_n] = (m-n) L_{m+n+1}, z.[x, y] is undefined on the
-    # window whenever m+n = window; the reference skips those pairs too
-    data = catalog.to_dict(WITT)
-    data["brackets"][0]["terms"][0]["offset"] = 1
-    p = catalog.from_dict(data)
-    matrix = _membership_system(p, HALF, window)
-    assert matrix == reference_loops.membership_system(p, HALF, window)

@@ -7,6 +7,7 @@ same dimensions.
 """
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -135,7 +136,7 @@ def test_oracle_imports_no_bracket_or_row_code():
     import gradedlie.recurrences as mod
 
     imported = {}
-    for node in ast.walk(ast.parse(open(mod.__file__).read())):
+    for node in ast.walk(ast.parse(Path(mod.__file__).read_text())):
         if isinstance(node, ast.ImportFrom):
             imported.setdefault(node.module, set()).update(
                 a.name for a in node.names)

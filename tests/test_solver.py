@@ -436,23 +436,9 @@ def test_assemble_equals_the_element_reference(key, delta):
     # same rows, in the same order, with the same exact values; pgca's
     # declared kind order (L, H, I, J) is not its sorted one, so the row
     # order within a pair is exercised too.  The lopsided presentation adds
-    # offsets (pairs whose bracket leaves the window), several outputs per
-    # pair, and central partners: Z and W map to themselves at (0, 0, 0)
-    # and to each other at (0, 1, 0)
+    # several outputs per pair and central partners: Z and W map to
+    # themselves at (0, 0, 0) and to each other at (0, 1, 0)
     p = reference_loops._lopsided() if key == "lopsided" else catalog.get(key)
     for degree in ((0, 0, 0), (0, 0, 1), (1, 1, -1), (0, 1, 1), (1, 0, 0), (0, 1, 0)):
         prob = problem(p, delta, degree, 6)
         assert assemble(prob) == reference_loops.assemble(prob), degree
-
-
-def test_assemble_skips_a_pair_whose_bracket_leaves_the_window():
-    # witt with [L_m, L_n] = (m-n) L_{m+n+1} fails validation, but it shows
-    # the window rule: at N = 1 the pair (L_0, L_1) brackets to L_2, so it
-    # gives no row, where truncating D(L_2) to 0 would give u_0 + u_1 = 0.
-    # The other pairs, worked by hand at delta = 1 with D(L_m) = u_m L_m:
-    # (L_-1, L_0) gives u_-1 = 0 and (L_-1, L_1) gives 2 u_-1 = 0.
-    data = catalog.to_dict(catalog.get("witt"))
-    data["brackets"][0]["terms"][0]["offset"] = 1
-    p = catalog.from_dict(data)
-    problem = HomogeneousSolveProblem(p, Fraction(1), GradingDegree(0, 0, 0), 1, 0)
-    assert assemble(problem).to_dense() == [[1, 0, 0], [2, 0, 0]]
