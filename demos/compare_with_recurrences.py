@@ -8,6 +8,7 @@ Run:  python3 demos/compare_with_recurrences.py
 """
 
 from fractions import Fraction
+from itertools import islice
 
 from gradedlie import catalog
 from gradedlie.core import GradingDegree
@@ -43,7 +44,7 @@ def main():
     print()
 
     print("one recurrence up close: e1 rows at gamma = 1, window 4")
-    for row in RECURRENCES["e1"].rows(1, 4)[:5]:
+    for row in islice(RECURRENCES["e1"].rows(1, 4), 5):
         terms = " + ".join(f"({v})*u[{fam}{m:+d}]"
                            for (fam, m), v in sorted(row.items()))
         print(f"  0 = {terms}")

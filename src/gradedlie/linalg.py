@@ -5,17 +5,22 @@ there is no floating point fallback anywhere.  A matrix is stored row-wise:
 each row is a {column: int} dict over one positive int denominator.  That
 is how the constraint systems of this package arrive, very many short
 integer rows over a common denominator and a modest number of columns.
-The constructors are the only place rationals are converted.
+The constructors are the only place rationals are converted.  A matrix
+may also be built over a row source (from_stream), whose rows are made
+only when something reads them.
 
-Elimination streams the stored rows in order, fraction-free.  Once a run
-of rows as long as the column count adds no pivot, or every column holds
-one, it stops eliminating and checks each further row against the integer
-kernel of the pivot rows so far; a row outside their span is eliminated
-and the kernel rebuilt.  With every column pivotal that kernel is empty,
-which is an exact zero-kernel certificate, and the stream stops.  The
-reduced form is that of full elimination, each reduced row primitive over
-its leading entry.  nullspace checks the integer form of every kernel
-vector against every stored row of the input.
+Elimination streams the rows in order, fraction-free, pulling each from
+the source as it is reached.  Once a run of rows as long as the column
+count adds no pivot, or every column holds one, it stops eliminating and
+checks each further row against the integer kernel of the pivot rows so
+far; a row outside their span is eliminated and the kernel rebuilt.  With
+every column pivotal that kernel is empty, which is an exact zero-kernel
+certificate, and the stream stops: rows past that point are never made.
+That is the only place reading stops early.  The reduced form is that of
+full elimination, each reduced row primitive over its leading entry.
+nullspace checks the integer form of every kernel vector against every
+row of the input.  Anything else that looks at rows (rows, nnz, entries,
+row, to_dense, mul_vec, ==, repr) reads the source to the end first.
 """
 
 from __future__ import annotations
@@ -34,17 +39,22 @@ class SparseMatrix:
     """Immutable-ish sparse rational matrix: row r is _rows[r] / _dens[r].
 
     Rows are {column: int} dicts that never store zeros; _dens are ints > 0.
+    A matrix built by from_stream also holds an unread row source: its rows
+    over one denominator, stored as they are read.  Elimination reads them
+    through _stream, which stops where rref stops; everything else that
+    looks at rows reads the source to the end first.
     """
 
-    __slots__ = ("rows", "cols", "_rows", "_dens")
+    __slots__ = ("cols", "_rows", "_dens", "_source", "_den")
 
     def __init__(self, rows: int, cols: int, entries=None):
         if rows < 0 or cols < 0:
             raise LinalgError("negative matrix dimensions")
-        self.rows = rows
         self.cols = cols
         self._rows: list[dict[int, int]] = [{} for _ in range(rows)]
         self._dens = [1] * rows
+        self._source = None
+        self._den = 1
         if entries:
             for (r, c), v in entries.items():
                 if not 0 <= r < rows:
@@ -63,10 +73,23 @@ class SparseMatrix:
         """
         if den is not None and den < 1:
             raise LinalgError("row denominator must be positive")
-        rows = list(rows)
         m = cls(0, cols)
-        m.rows = len(rows)
-        m._rows, m._dens = _normalised(rows, cols, den)
+        m._rows, m._dens = _normalised(list(rows), cols, den)
+        return m
+
+    @classmethod
+    def from_stream(cls, cols: int, rows: Iterable[dict[int, int]],
+                    den: int = 1) -> "SparseMatrix":
+        """Matrix over int rows, each standing for row / den, read on demand.
+
+        Nothing is checked per row: each must be a {column: nonzero int}
+        dict with every column in range(cols), and is stored as it is.
+        """
+        if den < 1:
+            raise LinalgError("row denominator must be positive")
+        m = cls(0, cols)
+        m._source = iter(rows)
+        m._den = den
         return m
 
     @classmethod
@@ -76,29 +99,55 @@ class SparseMatrix:
             raise LinalgError("ragged dense input")
         return cls.from_rows(cols, [dict(enumerate(row)) for row in data])
 
+    def _stream(self):
+        """Every int row in order: the stored ones, then the source's, each
+        stored as it is read.  One reader at a time; a reader that stops
+        early leaves the rest of the source unread."""
+        yield from self._rows
+        source = self._source
+        if source is not None:
+            rows, dens, den = self._rows, self._dens, self._den
+            for row in source:
+                rows.append(row)
+                dens.append(den)
+                yield row
+            self._source = None
+
+    def _read(self) -> tuple[list[dict[int, int]], list[int]]:
+        """The int rows and their denominators, the source read to the end."""
+        if self._source is not None:
+            for _ in self._stream():
+                pass
+        return self._rows, self._dens
+
+    @property
+    def rows(self) -> int:
+        return len(self._read()[0])
+
     def row(self, r: int) -> dict[int, Fraction]:
-        den = self._dens[r]
-        return {c: Fraction(v, den) for c, v in self._rows[r].items()}
+        rows, dens = self._read()
+        den = dens[r]
+        return {c: Fraction(v, den) for c, v in rows[r].items()}
 
     @property
     def entries(self) -> dict[tuple[int, int], Fraction]:
         return {(r, c): Fraction(v, den)
-                for r, (row, den) in enumerate(zip(self._rows, self._dens))
+                for r, (row, den) in enumerate(zip(*self._read()))
                 for c, v in row.items()}
 
     @property
     def nnz(self) -> int:
-        return sum(len(row) for row in self._rows)
+        return sum(len(row) for row in self._read()[0])
 
     def mul_vec(self, v: Sequence[Fraction]) -> list[Fraction]:
         if len(v) != self.cols:
             raise LinalgError("vector length does not match column count")
         return [sum((a * v[c] for c, a in row.items()), Fraction(0)) / den
-                for row, den in zip(self._rows, self._dens)]
+                for row, den in zip(*self._read())]
 
     def to_dense(self) -> list[list[Fraction]]:
         return [[Fraction(row.get(c, 0), den) for c in range(self.cols)]
-                for row, den in zip(self._rows, self._dens)]
+                for row, den in zip(*self._read())]
 
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix) and self.rows == other.rows
@@ -130,7 +179,7 @@ def _normalised(rows: list[dict], cols: int, den: int | None):
     return out, dens
 
 
-def _rref_rows(rows: list[dict[int, int]], cols: int) -> list[tuple[int, dict[int, int]]]:
+def _rref_rows(rows: Iterable[dict[int, int]], cols: int) -> list[tuple[int, dict[int, int]]]:
     """Reduced row echelon form of int rows: sorted (pivot column, row) pairs.
 
     Each returned row is primitive, positive at its pivot column and zero
@@ -151,13 +200,14 @@ def _rref_rows(rows: list[dict[int, int]], cols: int) -> list[tuple[int, dict[in
     skipped.  A row with a nonzero product is eliminated as above, which
     gives a new pivot, and the candidate kernel is rebuilt.  An empty
     candidate kernel (every column a pivot) fails no row, so the stream
-    stops there: the exact zero-kernel certificate.  A check costs one
-    product per candidate kernel vector, so the switch must not fire while
-    that kernel is still wide; witt's membership system at window 6 has a
-    run of 908 redundant rows with 13 candidate vectors left at 1,183
-    columns, and the `cols` rule keeps it eliminating.  Whichever rows are
-    read, they span the row space of the whole input, whose reduced row
-    echelon form is unique, so the result is that of full elimination.
+    stops there, without pulling another row: the exact zero-kernel
+    certificate.  A check costs one product per candidate kernel vector,
+    so the switch must not fire while that kernel is still wide; witt's
+    membership system at window 6 has a run of 908 redundant rows with 13
+    candidate vectors left at 1,183 columns, and the `cols` rule keeps it
+    eliminating.  Whichever rows are read, they span the row space of the
+    whole input, whose reduced row echelon form is unique, so the result
+    is that of full elimination.
     """
     pivots: dict[int, dict[int, int]] = {}  # pivot column -> reduced integer row
     holders: dict[int, set[int]] = {}       # non-pivot column -> pivot columns
@@ -165,8 +215,6 @@ def _rref_rows(rows: list[dict[int, int]], cols: int) -> list[tuple[int, dict[in
     idle = 0                                # consecutive rows that added no pivot
     for row in rows:
         if kernel is not None:
-            if not kernel:
-                break
             if not _outside(row, kernel):
                 continue
         elif not row:
@@ -197,6 +245,8 @@ def _rref_rows(rows: list[dict[int, int]], cols: int) -> list[tuple[int, dict[in
         idle = 0
         if kernel is not None or len(pivots) == cols:
             kernel = _kernel(pivots, cols)
+            if not kernel:
+                break
 
     for col, row in pivots.items():
         if row[col] < 0:
@@ -274,17 +324,26 @@ def _eliminate(target: dict[int, int], pivot: dict[int, int], col: int):
 
 
 def rref(m: SparseMatrix) -> tuple[SparseMatrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    pivots = _rref_rows(m._rows, m.cols)
-    out = SparseMatrix(m.rows, m.cols)
-    for pos, (col, row) in enumerate(pivots):
-        out._rows[pos] = row
-        out._dens[pos] = row[col]
+    """Reduced row echelon form and the list of pivot columns.
+
+    The reduced matrix has m's shape: its pivot rows, then a zero row for
+    each further row of m.  Those zero rows are a source of their own, so
+    m's unread rows are read only when the reduced matrix's are.
+    """
+    pivots = _rref_rows(m._stream(), m.cols)
+    out = SparseMatrix.from_stream(m.cols, _zero_rows(m, len(pivots)))
+    out._rows = [row for _, row in pivots]
+    out._dens = [row[col] for col, row in pivots]
     return out, [col for col, _ in pivots]
 
 
+def _zero_rows(m: SparseMatrix, pivots: int):
+    for _ in range(m.rows - pivots):
+        yield {}
+
+
 def rank(m: SparseMatrix) -> int:
-    return len(_rref_rows(m._rows, m.cols))
+    return len(_rref_rows(m._stream(), m.cols))
 
 
 @dataclass
@@ -308,15 +367,20 @@ def nullspace(m: SparseMatrix) -> VectorBasis:
 
     The vectors are the integer kernel of the reduced rows, built by the
     helper elimination checks rows against, divided by their free-column
-    entries.  Each is re-multiplied through every stored row of the input
-    as a hard postcondition, in integers, which covers the rows elimination
+    entries.  Each is re-multiplied through every row of the input as a
+    hard postcondition, in integers, which covers the rows elimination
     skipped as well as those it reduced.  A nonzero residue means a bug in
     the elimination, not bad data, hence the internal error.
+
+    Rows of a streamed matrix are read only as far as elimination reads
+    them.  Reading stops early only on the zero-kernel certificate, every
+    column a pivot, and then there is no vector to check; a nonzero kernel
+    reads every row, in elimination's check and again in the postcondition.
     """
     reduced, pivot_cols = rref(m)
     kernel = _kernel(dict(zip(pivot_cols, reduced._rows)), m.cols)
     if kernel:
-        for row in m._rows:
+        for row in m._stream():
             if _outside(row, kernel):
                 raise LinalgError("internal error: kernel vector fails verification")
     zero = Fraction(0)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from .core import GradingDegree
 from .linalg import SparseMatrix, nullspace
@@ -42,8 +42,7 @@ def _pair_rows(*terms):
     """
     terms = [(fam, *_SLOTS[slot], coeff) for fam, slot, coeff in terms]
 
-    def rows(gamma: int, N: int) -> list[dict]:
-        out = []
+    def rows(gamma: int, N: int) -> Iterator[dict]:
         for m in range(-N, N + 1):
             for n in range(max(-N, -N - m), min(N, N - m) + 1):
                 row: dict[tuple[str, int], int] = {}
@@ -52,15 +51,13 @@ def _pair_rows(*terms):
                     row[key] = row.get(key, 0) + a * m + b * n + g * gamma + c
                 row = {key: v for key, v in row.items() if v}
                 if row:
-                    out.append(row)
-        return out
+                    yield row
     return rows
 
 
 def _slice_rows(skip_resonant: bool):
     # (g-n) i_n = g i_0, over n in [-N, N]; e19 leaves out n = g
-    def rows(gamma: int, N: int) -> list[dict]:
-        out = []
+    def rows(gamma: int, N: int) -> Iterator[dict]:
         for n in range(-N, N + 1):
             if skip_resonant and n == gamma:
                 continue
@@ -68,31 +65,29 @@ def _slice_rows(skip_resonant: bool):
             row[("L", 0)] = row.get(("L", 0), 0) - gamma
             row = {key: v for key, v in row.items() if v}
             if row:
-                out.append(row)
-        return out
+                yield row
     return rows
 
 
-def _e20_rows(gamma: int, N: int):
+def _e20_rows(gamma: int, N: int) -> Iterator[dict]:
     # (4m - 4m g^2 / ((g-m)(g+m))) i_0 = 0 for m outside {0, g, -g}
-    out = []
     for m in range(-N, N + 1):
         if m in (0, gamma, -gamma):
             continue
         coeff = Fraction(4 * m) - Fraction(4 * m * gamma * gamma,
                                            (gamma - m) * (gamma + m))
         if coeff:
-            out.append({("L", 0): coeff})
-    return out
+            yield {("L", 0): coeff}
 
 
 @dataclass(frozen=True)
 class Recurrence:
-    """One displayed recurrence: a tag, the families it touches, its rows."""
+    """One displayed recurrence: a tag, the families it touches, and its
+    rows at (gamma, N), an iterator of {(family, index): coefficient}."""
 
     tag: str
     families: tuple[str, ...]
-    rows: Callable[[int, int], list[dict]]
+    rows: Callable[[int, int], Iterator[dict]]
     integral: bool = True  # rows of plain ints; e20's are rational
 
 
@@ -177,13 +172,17 @@ SECTOR_SYSTEMS: dict[tuple[int, int], tuple[str, ...]] = {
 
 def _solve_rows(recs: list[Recurrence], families: tuple[str, ...], gamma: int,
                 window: int, interior: int, degree: GradingDegree) -> SolveReport:
+    """Solve the recurrences' rows together; integral systems are streamed,
+    so a zero-kernel degree stops making rows once every column pivots,
+    and e20's rational rows are checked and converted by from_rows."""
     layout = [(fam, m) for fam in families for m in range(-window, window + 1)]
     index = {key: i for i, key in enumerate(layout)}
-    matrix = SparseMatrix.from_rows(
-        len(layout),
-        [{index[key]: v for key, v in row.items()}
-         for rec in recs for row in rec.rows(gamma, window)],
-        1 if all(rec.integral for rec in recs) else None)
+    rows = ({index[key]: v for key, v in row.items()}
+            for rec in recs for row in rec.rows(gamma, window))
+    if all(rec.integral for rec in recs):
+        matrix = SparseMatrix.from_stream(len(layout), rows)
+    else:
+        matrix = SparseMatrix.from_rows(len(layout), rows)
     kernel = nullspace(matrix)
     return report_from_kernel(kernel, layout, list(families), degree, interior)
 

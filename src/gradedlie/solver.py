@@ -166,12 +166,26 @@ def identity_rows(p: AlgebraPresentation, delta: Fraction,
     no rows and evaluates no bracket.  Brackets come from bracket_indexed,
     so with delta = dn/dd the rows are integers over p.scale * dd, the
     denominator of the returned cols-column matrix.
+
+    The maps are read, and their columns checked against cols, here and
+    once.  The rows are not: the matrix streams them, and a source pair's
+    brackets are evaluated only when elimination reaches its rows.  Once
+    the rows read leave a zero candidate kernel (linalg.nullspace), the
+    remaining pairs are never visited.
     """
+    maps = list(maps)
+    used = {col for images in maps for targets in images.values() for col, _ in targets}
+    if used and (min(used) < 0 or max(used) >= cols):
+        bad = min(used) if min(used) < 0 else max(used)
+        raise SolverError(f"image column {bad} outside {cols} columns")
+    return SparseMatrix.from_stream(cols, _identity_rows(p, delta, maps, window),
+                                    p.scale * delta.denominator)
+
+
+def _identity_rows(p: AlgebraPresentation, delta: Fraction, maps: list, window: int):
     basis = [(p.kind_order(b.kind), b.index) for b in p.basis_elements(window)]
     dd, neg = delta.denominator, -delta.numerator
     br = p.bracket_indexed
-    rows: list[dict[int, int]] = []
-    emit = rows.append
     for images in maps:
         image = images.get
         source = [image(key, ()) for key in basis]
@@ -211,8 +225,7 @@ def identity_rows(p: AlgebraPresentation, delta: Fraction,
                         row = {c: v for c, v in row.items() if v}
                         if not row:
                             continue
-                    emit(row)
-    return SparseMatrix.from_rows(cols, rows, p.scale * delta.denominator)
+                    yield row
 
 
 def assemble(problem: HomogeneousSolveProblem,

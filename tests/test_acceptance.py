@@ -18,6 +18,7 @@ solver.
 import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +34,7 @@ from test_recurrences import _generic_interior_basis, _oracle_interior_basis
 
 PGCA = catalog.get("pgca")
 HALF = Fraction(1, 2)
+GOLDEN = Path(__file__).parent / "goldens" / "pgca_half_scan.json"
 WINDOW = 16
 INTERIOR = 6
 
@@ -41,7 +43,12 @@ ALL_DEGREES = [(e1, e2, g)
 
 
 def test_pgca_half_derivation_scan_is_scalar_only_at_full_window(tmp_path):
-    """The flagship scan: one scalar line at (0,0,0), nothing else, fast."""
+    """The flagship scan: one scalar line at (0,0,0), nothing else, fast.
+
+    Its output is also frozen byte for byte in goldens/pgca_half_scan.json;
+    35 of its 36 degrees stop reading constraint rows at the zero-kernel
+    certificate, so the golden pins what that early stop reports.
+    """
     target = tmp_path / "scan.json"
     started = time.monotonic()
     code = main(["solve", "--algebra", "pgca", "--delta", "1/2",
@@ -50,6 +57,7 @@ def test_pgca_half_derivation_scan_is_scalar_only_at_full_window(tmp_path):
     elapsed = time.monotonic() - started
 
     assert code == EXIT_OK
+    assert target.read_bytes() == GOLDEN.read_bytes()
     data = json.loads(target.read_text())
     assert data["verdict"] == "scalar-only"
     assert len(data["reports"]) == 36

@@ -7,7 +7,7 @@ written inline, so the two implementations share no code.
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -22,6 +22,21 @@ from gradedlie.linalg import (LinalgError, SparseMatrix, VectorBasis,
 
 def F(x):
     return Fraction(x)
+
+
+def _streamed(data):
+    """The matrix of dense rows, streamed as int rows over one common
+    denominator and made only as they are read, like solver.identity_rows'."""
+    den = lcm(*(Fraction(v).denominator for row in data for v in row))
+    cols = len(data[0]) if data else 0
+    return SparseMatrix.from_stream(
+        cols, ({c: int(Fraction(v) * den) for c, v in enumerate(row) if v}
+               for row in data), den)
+
+
+def _both(data):
+    """The matrix of dense rows built from a list, then streamed."""
+    return SparseMatrix.from_dense(data), _streamed(data)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +111,8 @@ def test_int_rows_are_bound_checked_and_zero_free():
 
 
 def _assert_int_storage(m):
-    assert len(m._rows) == len(m._dens) == m.rows
+    # m.rows first: it reads a streamed matrix's source to the end
+    assert m.rows == len(m._rows) == len(m._dens)
     assert all(type(d) is int and d > 0 for d in m._dens)
     assert all(type(v) is int and v for row in m._rows for v in row.values())
 
@@ -270,27 +286,28 @@ dense_matrices = st.integers(1, 5).flatmap(
 
 @given(dense_matrices)
 def test_rank_agrees_with_dense_oracle(data):
-    assert rank(SparseMatrix.from_dense(data)) == _dense_rank(data)
+    for m in _both(data):
+        assert rank(m) == _dense_rank(data)
 
 
 @given(dense_matrices)
 def test_rank_nullity_theorem(data):
-    m = SparseMatrix.from_dense(data)
-    assert rank(m) + len(nullspace(m)) == m.cols
+    for m in _both(data):
+        assert rank(m) + len(nullspace(m)) == m.cols
 
 
 @given(dense_matrices)
 def test_nullspace_vectors_satisfy_the_system(data):
-    m = SparseMatrix.from_dense(data)
-    for v in nullspace(m).vectors:
-        assert not any(m.mul_vec(v))
+    for m in _both(data):
+        for v in nullspace(m).vectors:
+            assert not any(m.mul_vec(v))
 
 
 @given(dense_matrices)
 def test_rref_preserves_the_row_space_dimension(data):
-    m = SparseMatrix.from_dense(data)
-    reduced, pivots = rref(m)
-    assert rank(reduced) == len(pivots) == rank(m)
+    for m in _both(data):
+        reduced, pivots = rref(m)
+        assert rank(reduced) == len(pivots) == rank(m)
 
 
 nonzero_fractions = small_fractions.filter(bool)
@@ -327,11 +344,11 @@ def late_left_pivot_matrices(draw):
 
 
 def _assert_rref_matches_oracle(data):
-    m = SparseMatrix.from_dense(data)
-    reduced, pivots = rref(m)
     want_rows, want_pivots = _dense_rref(data)
-    assert pivots == want_pivots
-    assert reduced.to_dense() == want_rows
+    for m in _both(data):
+        reduced, pivots = rref(m)
+        assert pivots == want_pivots
+        assert reduced.to_dense() == want_rows
 
 
 @given(dense_matrices)
@@ -352,25 +369,101 @@ def test_rref_equals_dense_gauss_jordan_when_a_later_row_leads_left(data):
 
 @given(dense_matrices)
 def test_rref_and_nullspace_leave_their_input_unchanged(data):
-    m = SparseMatrix.from_dense(data)
-    before = [m.row(r) for r in range(m.rows)]
-    rref(m)
-    assert [m.row(r) for r in range(m.rows)] == before
-    nullspace(m)
-    assert [m.row(r) for r in range(m.rows)] == before
-    assert m == SparseMatrix.from_dense(data)
+    for m in _both(data):
+        before = [m.row(r) for r in range(m.rows)]
+        rref(m)
+        assert [m.row(r) for r in range(m.rows)] == before
+        nullspace(m)
+        assert [m.row(r) for r in range(m.rows)] == before
+        assert m == SparseMatrix.from_dense(data)
 
 
 @given(dense_matrices)
 def test_rref_rows_are_primitive_over_their_leading_entry(data):
-    reduced, pivots = rref(SparseMatrix.from_dense(data))
-    _assert_int_storage(reduced)
-    for pos, col in enumerate(pivots):
-        row = reduced._rows[pos]
-        assert min(row) == col
-        assert row[col] == reduced._dens[pos]
-        assert gcd(*row.values()) == 1
-    assert not any(reduced._rows[len(pivots):])
+    for m in _both(data):
+        reduced, pivots = rref(m)
+        _assert_int_storage(reduced)
+        assert reduced.rows == m.rows
+        for pos, col in enumerate(pivots):
+            row = reduced._rows[pos]
+            assert min(row) == col
+            assert row[col] == reduced._dens[pos]
+            assert gcd(*row.values()) == 1
+        assert not any(reduced._rows[len(pivots):])
+
+
+# ---------------------------------------------------------------------------
+# streamed rows: made only when read, and the same as a list's
+
+
+@given(dense_matrices)
+def test_a_streamed_matrix_reads_as_the_list_built_one(data):
+    streamed = _streamed(data)
+    den, cols = streamed._den, streamed.cols
+    listed = SparseMatrix.from_rows(
+        cols, [{c: int(Fraction(v) * den) for c, v in enumerate(row)} for row in data],
+        den)
+    assert streamed._rows == []
+    assert streamed.rows == listed.rows == len(data)
+    assert (streamed._rows, streamed._dens) == (listed._rows, listed._dens)
+    assert streamed == listed == SparseMatrix.from_dense(data)
+    assert repr(_streamed(data)) == repr(listed)
+
+
+def _raising_after(data, prefix):
+    """data's first `prefix` rows as a stream that raises if read further."""
+    streamed = _streamed(data[:prefix])
+
+    def rows():
+        yield from streamed._source
+        raise AssertionError("a row past the zero-kernel certificate was read")
+    return SparseMatrix.from_stream(streamed.cols, rows(), streamed._den)
+
+
+def _full_rank_prefix(data):
+    """The length of the shortest prefix of data with full column rank."""
+    return next(k for k in range(1, len(data) + 1)
+                if _dense_rank(data[:k]) == len(data[0]))
+
+
+@given(tall_full_rank_matrices())
+def test_the_zero_kernel_certificate_stops_reading_rows(data):
+    prefix = _full_rank_prefix(data)
+    want_rows, want_pivots = _dense_rref(data)
+    m = _raising_after(data, prefix)
+    assert nullspace(m).vectors == []
+    assert len(m._rows) == prefix
+    # rref does not read past the prefix either, and its pivot rows are
+    # those of the whole matrix
+    m = _raising_after(data, prefix)
+    reduced, pivots = rref(m)
+    assert pivots == want_pivots
+    # read from storage: row() would read the source to the end
+    assert [{c: Fraction(v, den) for c, v in row.items()}
+            for row, den in zip(reduced._rows, reduced._dens)] == [
+        {c: v for c, v in enumerate(row) if v} for row in want_rows[:len(pivots)]]
+    assert rank(_raising_after(data, prefix)) == len(data[0])
+
+
+def test_a_row_source_is_not_read_past_the_certificate():
+    def rows():
+        yield {1: 2}
+        yield {0: 1, 1: 1}
+        raise AssertionError("read past the certificate")
+
+    assert nullspace(SparseMatrix.from_stream(2, rows())).vectors == []
+    reduced, pivots = rref(SparseMatrix.from_stream(2, rows(), 3))
+    assert pivots == [0, 1]
+    assert (reduced._rows, reduced._dens) == ([{0: 1}, {1: 1}], [1, 1])
+    # the reduced matrix has the input's shape, so reading all of it reads
+    # the input's remaining rows
+    with pytest.raises(AssertionError, match="read past the certificate"):
+        reduced.rows
+
+
+def test_from_stream_checks_its_denominator():
+    with pytest.raises(LinalgError, match="^row denominator must be positive$"):
+        SparseMatrix.from_stream(3, [{0: 1}], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +492,7 @@ def _assert_rref_equals_full_elimination(m):
     and the one the last rows were checked against is the true kernel."""
     with _kernels_built() as built:
         reduced, pivots = rref(m)
+    m.rows  # read what elimination left of a streamed matrix's source
     want = reference_loops.rref_rows(m._rows, m.cols)
     assert pivots == [col for col, _ in want]
     assert reduced._rows[:len(want)] == [row for _, row in want]
@@ -409,25 +503,49 @@ def _assert_rref_equals_full_elimination(m):
     return built
 
 
-def _catalog_systems():
-    """Every assembled catalog system at N = 6, delta in {1/2, 1} and
-    |gamma| <= 1, then witt's membership system at N = 6."""
+def _catalog_builders():
+    """Builders of every assembled catalog system at N = 6, delta in
+    {1/2, 1} and |gamma| <= 1, then of witt's membership system at N = 6."""
     for key, delta, eps1, eps2, gamma in product(
             catalog.keys(), (F("1/2"), F(1)), (0, 1), (0, 1), (-1, 0, 1)):
-        yield solver.assemble(solver.HomogeneousSolveProblem(
-            catalog.get(key), delta, GradingDegree(eps1, eps2, gamma), 6, 3))
-    yield poisson._membership_system(catalog.get("witt"), F("1/2"), 6)
+        problem = solver.HomogeneousSolveProblem(
+            catalog.get(key), delta, GradingDegree(eps1, eps2, gamma), 6, 3)
+        yield lambda problem=problem: solver.assemble(problem)
+    yield lambda: poisson._membership_system(catalog.get("witt"), F("1/2"), 6)
+
+
+@contextmanager
+def _built_from_lists():
+    """SparseMatrix.from_stream handing its rows to from_rows as one list,
+    with from_rows' checks: how every system was built before streaming."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SparseMatrix, "from_stream", classmethod(
+            lambda cls, cols, rows, den=1: cls.from_rows(cols, list(rows), den)))
+        yield
 
 
 def test_rref_equals_full_elimination_on_every_catalog_system():
-    switched = resumed = 0
-    for m in _catalog_systems():
+    switched = resumed = stopped = 0
+    for build in _catalog_builders():
+        m = build()
+        with _built_from_lists():
+            listed = build()
+        assert listed._source is None
+        probe = build()
+        nullspace(probe)
+        stopped += probe._source is not None
         built = _assert_rref_equals_full_elimination(m)
+        # read to the end, the streamed rows are the listed ones: the same
+        # rows in the same order over the same denominators
+        assert m.rows == listed.rows
+        assert (m._rows, m._dens, m.cols) == (listed._rows, listed._dens, listed.cols)
+        assert rref(m) == rref(listed)
         switched += bool(built and built[0])
         resumed += len([dim for dim in built[1:] if dim])
     # the stream did switch to checking, and resumed elimination, on the
-    # catalog itself (pgca's delta = 1 degrees at gamma = 0)
-    assert switched and resumed
+    # catalog itself (pgca's delta = 1 degrees at gamma = 0), and it did
+    # stop reading rows at the zero-kernel certificate
+    assert switched and resumed and stopped
 
 
 @st.composite
@@ -468,6 +586,7 @@ def test_rref_resumes_on_a_row_outside_the_checked_span(case):
     cols = len(data[0])
     _assert_rref_matches_oracle(data)
     built = _assert_rref_equals_full_elimination(SparseMatrix.from_dense(data))
+    assert _assert_rref_equals_full_elimination(_streamed(data)) == built
     # switched to checking after the redundant run, with the span's kernel,
     # and resumed on the outside row
     assert built[:2] == [cols - span, cols - span - 1]

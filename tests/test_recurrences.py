@@ -95,7 +95,7 @@ def test_pair_recurrence_rows_are_nonzero_plain_ints():
     for tag, rec in RECURRENCES.items():
         if not rec.integral:
             continue
-        for row in rec.rows(-2, 8) + rec.rows(3, 8):
+        for row in list(rec.rows(-2, 8)) + list(rec.rows(3, 8)):
             assert row
             assert all(type(v) is int and v for v in row.values()), tag
             assert {fam for fam, _ in row} <= set(rec.families), tag
@@ -103,15 +103,15 @@ def test_pair_recurrence_rows_are_nonzero_plain_ints():
 
 def test_e5_and_e9_repeat_e1():
     for gamma in (-2, 0, 3):
-        e1 = RECURRENCES["e1"].rows(gamma, 8)
-        assert RECURRENCES["e5"].rows(gamma, 8) == e1
-        assert RECURRENCES["e9"].rows(gamma, 8) == e1
+        e1 = list(RECURRENCES["e1"].rows(gamma, 8))
+        assert list(RECURRENCES["e5"].rows(gamma, 8)) == e1
+        assert list(RECURRENCES["e9"].rows(gamma, 8)) == e1
 
 
 @pytest.mark.parametrize("N", [8, 10])
 def test_e14_is_e13_negated_at_gamma_zero(N):
-    e13 = RECURRENCES["e13"].rows(0, N)
-    e14 = RECURRENCES["e14"].rows(0, N)
+    e13 = list(RECURRENCES["e13"].rows(0, N))
+    e14 = list(RECURRENCES["e14"].rows(0, N))
     assert e13
     assert e14 == [{key: -v for key, v in row.items()} for row in e13]
 
@@ -119,8 +119,8 @@ def test_e14_is_e13_negated_at_gamma_zero(N):
 @pytest.mark.parametrize("gamma", [-3, -1, 0, 2, 4])
 def test_e18_is_e19_plus_the_resonant_row(gamma):
     N = 8
-    e18 = RECURRENCES["e18"].rows(gamma, N)
-    e19 = RECURRENCES["e19"].rows(gamma, N)
+    e18 = list(RECURRENCES["e18"].rows(gamma, N))
+    e19 = list(RECURRENCES["e19"].rows(gamma, N))
     # row n reads (g-n) i_n - g i_0; it is empty at n = 0, and at n = g
     # it is the row -g i_0 that e19 leaves out
     before = sum(1 for n in range(-N, gamma) if n != 0)

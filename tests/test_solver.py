@@ -424,6 +424,43 @@ def test_solve_degree_crosses_each_layer_once(delta, degree, projected,
 
 
 # ---------------------------------------------------------------------------
+# streamed rows
+
+
+def test_zero_kernel_degrees_stop_making_rows():
+    # the half-scan at N = 6, |gamma| <= 1: elimination reaches the
+    # zero-kernel certificate in every degree but (0, 0, 0), and the rows
+    # past it are never made; the degree with a kernel reads all of them
+    read = total = 0
+    for degree in [(e1, e2, g) for e1 in (0, 1) for e2 in (0, 1) for g in (-1, 0, 1)]:
+        matrix = assemble(problem(catalog.get("pgca"), HALF, degree, 6))
+        kernel = linalg.nullspace(matrix)
+        made = len(matrix._rows)
+        if degree == (0, 0, 0):
+            assert len(kernel) == 1 and made == matrix.rows
+        else:
+            assert len(kernel) == 0 and made < matrix.rows, degree
+        read += made
+        total += matrix.rows
+    assert (read, total) == (1309, 10292)
+
+
+def test_identity_rows_checks_each_map_once_before_any_row():
+    # a column outside the matrix fails when the maps are handed over, not
+    # when elimination reaches a row holding it; no bracket is evaluated
+    p = catalog.get("witt")
+    good = {(0, m): [(m + 2, (0, m))] for m in range(-2, 3)}
+    bad = dict(good)
+    bad[(0, 2)] = [(5, (0, 2))]
+    with pytest.raises(SolverError, match="^image column 5 outside 5 columns$"):
+        solver.identity_rows(p, HALF, [good, bad], 2, 5)
+    assert not p._indexed
+    matrix = solver.identity_rows(p, HALF, iter([good]), 2, 5)
+    assert not p._indexed
+    assert matrix.rows and p._indexed
+
+
+# ---------------------------------------------------------------------------
 # integer-keyed assembly against the Element-based reference
 
 
