@@ -17,7 +17,7 @@ from .core import (AffinePoly, AlgebraPresentation, BasisElement, BasisKind,
                    bracket, format_rational, parse_rational,
                    validate_presentation)
 from .linalg import (LinalgError, SparseMatrix, VectorBasis, nullspace,
-                     project_basis, rank, rref)
+                     project_basis, rref)
 from .poisson import (AxiomReport, ProductError, ProductTable,
                       TPClassification, TP_NONTRIVIAL_POSSIBLE, TP_TRIVIAL,
                       check_axioms, classify_products)
@@ -49,8 +49,7 @@ __all__ = [
     "affine", "assemble", "bracket", "check_axioms",
     "check_lemma_conclusions", "classify_interior", "classify_products",
     "entry", "format_rational", "get", "keys", "load", "nullspace",
-    "parse_rational", "partner_kind", "project_basis", "rank",
-    "recurrence_kernel", "required_window", "rref",
-    "save", "scan", "solve_case", "solve_degree", "unknown_layout",
-    "validate_presentation",
+    "parse_rational", "partner_kind", "project_basis", "recurrence_kernel",
+    "required_window", "rref", "save", "scan", "solve_case", "solve_degree",
+    "unknown_layout", "validate_presentation",
 ]

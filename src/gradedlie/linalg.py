@@ -5,9 +5,8 @@ there is no floating point fallback anywhere.  A matrix is stored row-wise:
 each row is a {column: int} dict over one positive int denominator.  That
 is how the constraint systems of this package arrive, very many short
 integer rows over a common denominator and a modest number of columns.
-The constructors are the only place rationals are converted.  A matrix
-may also be built over a row source (from_stream), whose rows are made
-only when something reads them.
+from_rows is the only place rationals are converted; from_stream builds
+a matrix over a source of int rows, made only when something reads them.
 
 Elimination streams the rows in order, fraction-free, pulling each from
 the source as it is reached.  Once a run of rows as long as the column
@@ -17,10 +16,10 @@ far; a row outside their span is eliminated and the kernel rebuilt.  With
 every column pivotal that kernel is empty, which is an exact zero-kernel
 certificate, and the stream stops: rows past that point are never made.
 That is the only place reading stops early.  The reduced form is that of
-full elimination, each reduced row primitive over its leading entry.
-nullspace checks the integer form of every kernel vector against every
-row of the input.  Anything else that looks at rows (rows, nnz, entries,
-row, to_dense, mul_vec, ==, repr) reads the source to the end first.
+full elimination, one row per pivot, each primitive over its leading
+entry.  nullspace checks the integer form of every kernel vector against
+every row of the input.  Anything else that looks at rows (rows, nnz,
+entries, to_dense, ==, repr) reads the source to the end first.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class LinalgError(Exception):
@@ -47,34 +46,34 @@ class SparseMatrix:
 
     __slots__ = ("cols", "_rows", "_dens", "_source", "_den")
 
-    def __init__(self, rows: int, cols: int, entries=None):
-        if rows < 0 or cols < 0:
+    def __init__(self, cols: int):
+        if cols < 0:
             raise LinalgError("negative matrix dimensions")
         self.cols = cols
-        self._rows: list[dict[int, int]] = [{} for _ in range(rows)]
-        self._dens = [1] * rows
+        self._rows: list[dict[int, int]] = []
+        self._dens: list[int] = []
         self._source = None
         self._den = 1
-        if entries:
-            for (r, c), v in entries.items():
-                if not 0 <= r < rows:
-                    raise LinalgError(f"entry ({r},{c}) outside {rows}x{cols}")
-                self._rows[r][c] = v
-            self._rows, self._dens = _normalised(self._rows, cols, None)
 
     @classmethod
-    def from_rows(cls, cols: int, rows: Iterable[dict],
-                  den: int | None = None) -> "SparseMatrix":
-        """Matrix from {column: value} rows.
-
-        With den, the values are ints and each stands for value / den; they
-        are stored as they are.  Without it they are any rationals Fraction
+    def from_rows(cls, cols: int, rows: Iterable[dict]) -> "SparseMatrix":
+        """Matrix from {column: value} rows of any rationals Fraction
         accepts, stored per row as ints over the lcm of their denominators.
-        """
-        if den is not None and den < 1:
-            raise LinalgError("row denominator must be positive")
-        m = cls(0, cols)
-        m._rows, m._dens = _normalised(list(rows), cols, den)
+        Every column is bound-checked, and zero values are dropped."""
+        m = cls(cols)
+        rows = list(rows)
+        used = set().union(*rows)
+        if used and (min(used) < 0 or max(used) >= cols):
+            r, c = next((r, c) for r, row in enumerate(rows) for c in row
+                        if not 0 <= c < cols)
+            raise LinalgError(f"entry ({r},{c}) outside {len(rows)}x{cols}")
+        for row in rows:
+            kept = {c: q for c, v in row.items()
+                    if (q := v if isinstance(v, Fraction) else Fraction(v))}
+            d = lcm(*(q.denominator for q in kept.values()))
+            m._rows.append({c: q.numerator * (d // q.denominator)
+                            for c, q in kept.items()})
+            m._dens.append(d)
         return m
 
     @classmethod
@@ -87,17 +86,10 @@ class SparseMatrix:
         """
         if den < 1:
             raise LinalgError("row denominator must be positive")
-        m = cls(0, cols)
+        m = cls(cols)
         m._source = iter(rows)
         m._den = den
         return m
-
-    @classmethod
-    def from_dense(cls, data: Sequence[Sequence]) -> "SparseMatrix":
-        cols = len(data[0]) if data else 0
-        if any(len(row) != cols for row in data):
-            raise LinalgError("ragged dense input")
-        return cls.from_rows(cols, [dict(enumerate(row)) for row in data])
 
     def _stream(self):
         """Every int row in order: the stored ones, then the source's, each
@@ -124,11 +116,6 @@ class SparseMatrix:
     def rows(self) -> int:
         return len(self._read()[0])
 
-    def row(self, r: int) -> dict[int, Fraction]:
-        rows, dens = self._read()
-        den = dens[r]
-        return {c: Fraction(v, den) for c, v in rows[r].items()}
-
     @property
     def entries(self) -> dict[tuple[int, int], Fraction]:
         return {(r, c): Fraction(v, den)
@@ -138,12 +125,6 @@ class SparseMatrix:
     @property
     def nnz(self) -> int:
         return sum(len(row) for row in self._read()[0])
-
-    def mul_vec(self, v: Sequence[Fraction]) -> list[Fraction]:
-        if len(v) != self.cols:
-            raise LinalgError("vector length does not match column count")
-        return [sum((a * v[c] for c, a in row.items()), Fraction(0)) / den
-                for row, den in zip(*self._read())]
 
     def to_dense(self) -> list[list[Fraction]]:
         return [[Fraction(row.get(c, 0), den) for c in range(self.cols)]
@@ -155,28 +136,6 @@ class SparseMatrix:
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
-
-
-def _normalised(rows: list[dict], cols: int, den: int | None):
-    """Bound-checked int rows without zeros, and their denominators: int
-    rows over a common den as they are, rationals over each row's lcm."""
-    used = set().union(*rows)
-    if used and (min(used) < 0 or max(used) >= cols):
-        r, c = next((r, c) for r, row in enumerate(rows) for c in row
-                    if not 0 <= c < cols)
-        raise LinalgError(f"entry ({r},{c}) outside {len(rows)}x{cols}")
-    if den is not None:
-        out = [{c: v for c, v in row.items() if v} if 0 in row.values() else dict(row)
-               for row in rows]
-        return out, [den] * len(out)
-    out, dens = [], []
-    for row in rows:
-        kept = {c: q for c, v in row.items()
-                if (q := v if isinstance(v, Fraction) else Fraction(v))}
-        d = lcm(*(q.denominator for q in kept.values()))
-        out.append({c: q.numerator * (d // q.denominator) for c, q in kept.items()})
-        dens.append(d)
-    return out, dens
 
 
 def _rref_rows(rows: Iterable[dict[int, int]], cols: int) -> list[tuple[int, dict[int, int]]]:
@@ -326,24 +285,15 @@ def _eliminate(target: dict[int, int], pivot: dict[int, int], col: int):
 def rref(m: SparseMatrix) -> tuple[SparseMatrix, list[int]]:
     """Reduced row echelon form and the list of pivot columns.
 
-    The reduced matrix has m's shape: its pivot rows, then a zero row for
-    each further row of m.  Those zero rows are a source of their own, so
-    m's unread rows are read only when the reduced matrix's are.
+    The reduced matrix has one row per pivot, in pivot column order.
+    Building or reading it reads none of m's rows that elimination left
+    unread.
     """
     pivots = _rref_rows(m._stream(), m.cols)
-    out = SparseMatrix.from_stream(m.cols, _zero_rows(m, len(pivots)))
+    out = SparseMatrix(m.cols)
     out._rows = [row for _, row in pivots]
     out._dens = [row[col] for col, row in pivots]
     return out, [col for col, _ in pivots]
-
-
-def _zero_rows(m: SparseMatrix, pivots: int):
-    for _ in range(m.rows - pivots):
-        yield {}
-
-
-def rank(m: SparseMatrix) -> int:
-    return len(_rref_rows(m._stream(), m.cols))
 
 
 @dataclass
@@ -399,6 +349,6 @@ def project_basis(basis: VectorBasis, coords: Iterable[int]) -> VectorBasis:
     proj = SparseMatrix.from_rows(
         len(cols),
         [{i: vec[c] for i, c in enumerate(cols) if vec[c]} for vec in basis.vectors])
-    reduced, pivots = rref(proj)
-    vectors = [tuple(row) for row in reduced.to_dense()[:len(pivots)]]
+    reduced, _ = rref(proj)
+    vectors = [tuple(row) for row in reduced.to_dense()]
     return VectorBasis(len(cols), vectors)

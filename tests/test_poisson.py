@@ -13,13 +13,14 @@ import reference_loops
 from gradedlie import catalog
 from gradedlie.core import (AlgebraPresentation, BasisElement, BasisKind,
                             Element)
-from gradedlie.linalg import SparseMatrix, nullspace
+from gradedlie.linalg import nullspace
 from gradedlie.poisson import (AxiomReport, ProductError, ProductTable,
                                TP_NONTRIVIAL_POSSIBLE, TP_TRIVIAL,
                                _membership_system, check_axioms,
                                classify_products)
 from gradedlie.solver import (VERDICT_NOT_SCALAR_ONLY, VERDICT_SCALAR_ONLY,
                               scan)
+from matrices import from_dense
 
 PGCA = catalog.get("pgca")
 WITT = catalog.get("witt")
@@ -160,7 +161,7 @@ def test_scalar_path_brute_force_comparison():
             row_y = [Fraction(0)] * n
             row_y[j] = Fraction(1)
             rows.extend([row_x, row_y])
-    brute = len(nullspace(SparseMatrix.from_dense(rows)))
+    brute = len(nullspace(from_dense(rows)))
     result = classify_products(WITT, VERDICT_SCALAR_ONLY, 3)
     assert result.solution_dim == brute == 0
 

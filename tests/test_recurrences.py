@@ -20,6 +20,7 @@ from gradedlie.recurrences import (FAMILIES, LEMMA_EXPECTATIONS,
                                    recurrence_kernel, solve_case)
 from gradedlie.solver import (HomogeneousSolveProblem, WindowTooSmallError,
                               assemble, scan, solve_degree, unknown_layout)
+from matrices import sparse_rows
 
 PGCA = catalog.get("pgca")
 HALF = Fraction(1, 2)
@@ -263,7 +264,7 @@ def test_every_oracle_row_is_an_assembled_row_up_to_scale(shift, gamma):
     prob = HomogeneousSolveProblem(PGCA, HALF, GradingDegree(*shift, gamma), N, N // 2)
     layout = unknown_layout(prob)
     matrix = assemble(prob, layout)
-    derived = {_up_to_scale(matrix.row(r)) for r in range(matrix.rows)}
+    derived = {_up_to_scale(row) for row in sparse_rows(matrix)}
     checked = 0
     for tag in SECTOR_SYSTEMS[shift]:
         for row in RECURRENCES[tag].rows(gamma, N):
