@@ -93,8 +93,6 @@ def _add_common(sub, algebra=True):
 
 def _cmd_validate(args) -> int:
     p = _resolve_algebra(args.algebra, validate=False)
-    if args.window < 2:
-        raise UsageError("validation window must be at least 2")
     report = validate_presentation(p, args.window)
     if args.format == "json":
         data = {

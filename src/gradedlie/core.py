@@ -12,12 +12,14 @@ derived by negation, which removes a whole class of sign-inconsistency bugs
 at the source.
 
 `bracket_basis` is the one exact evaluator and caches nothing: it works in
-ints on tables built once per presentation, every rule coefficient times
-the presentation's `scale`.  The hot loops (validation, row assembly, the
-membership system) read brackets through `bracket_indexed` instead: an
+ints on one table built per presentation, keyed by the kind positions
+(a, b) of both orientations, that maps each target kind position to its
+summed coefficients times the presentation's `scale`.  The hot loops
+(validation, row assembly, the membership system) read brackets through
+`bracket_indexed` instead: an
 integer view keyed by (kind position, index), with every coefficient
 multiplied by `scale`, memoised per presentation and filled from
-`bracket_basis`.  `certify_presentation` reads the same tables to prove
+`bracket_basis`.  `certify_presentation` reads the same table to prove
 skew-symmetry and Jacobi for all indices; `validate_presentation` checks
 them exhaustively on a window.
 
@@ -34,6 +36,7 @@ from dataclasses import astuple, dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from operator import add
 from typing import Iterable, Iterator, Mapping
 
 
@@ -296,13 +299,22 @@ class BracketRule:
         )
 
 
-def _int_table(rule: BracketRule, scale: int) -> tuple[tuple, tuple]:
-    """(target, c0, cm, cn) per term and (target, k0, k1, k2, k3) per central
-    term, every coefficient times scale."""
-    return (tuple((t.target, *(int(q * scale) for q in astuple(t.coeff)))
-                  for t in rule.terms),
-            tuple((t.target, *(int(q * scale) for q in astuple(t.coeff)))
-                  for t in rule.central_terms))
+def _summed(rule: BracketRule, order: Mapping[str, int]) -> tuple[dict, dict]:
+    """rule's terms as {target kind position: (c0, cm, cn)} and its central
+    terms as {target kind position: (k0, k1, k2, k3)}, the Fraction
+    coefficients of one target summed and a target whose sum is zero left
+    out; the constructor scales them to the int table."""
+    tables = []
+    for terms in (rule.terms, rule.central_terms):
+        table = {}
+        for t in terms:
+            k, c = order[t.target.name], astuple(t.coeff)
+            table[k] = tuple(map(add, table[k], c)) if k in table else c
+        tables.append({k: c for k, c in table.items() if any(c)})
+    return tables[0], tables[1]
+
+
+_NO_TABLE: tuple[dict, dict] = ({}, {})  # a kind pair with no rule: [x, y] = 0
 
 
 class AlgebraPresentation:
@@ -310,7 +322,7 @@ class AlgebraPresentation:
 
     Rules are normalised so that the stored left kind does not come after
     the right kind in the declared kind order; the other orientation is
-    derived by negation when the integer tables are built.
+    derived by negation when the integer table is built.
     """
 
     def __init__(self, name: str, kinds: Iterable[BasisKind],
@@ -366,18 +378,19 @@ class AlgebraPresentation:
         self._rules = dict(sorted(
             stored.items(),
             key=lambda kv: (self._order[kv[0][0]], self._order[kv[0][1]])))
-        # every coefficient times scale is an integer at integer indices
-        self.scale = lcm(1, *(
-            q.denominator for rule in self._rules.values()
-            for t in rule.terms + rule.central_terms for q in astuple(t.coeff)))
-        # _evaluate's int tables, over the scale as built: a two-kind rule is
-        # also stored reversed, a same-kind rule only as it is
+        # one table per ordered kind-position pair: a two-kind rule is also
+        # stored reversed, a same-kind rule only as it is
+        order, sums = self._order, {}
+        for rule in self._rules.values():
+            for r in (rule, rule.reversed()) if rule.left != rule.right else (rule,):
+                sums[order[r.left.name], order[r.right.name]] = _summed(r, order)
+        # every summed coefficient times scale is an integer at integer indices
+        self.scale = lcm(1, *(q.denominator for tables in sums.values()
+                              for table in tables for c in table.values() for q in c))
         s = self._table_scale = self.scale
-        self._tables = {}
-        for (left, right), rule in self._rules.items():
-            self._tables[left, right] = _int_table(rule, s)
-            if left != right:
-                self._tables[right, left] = _int_table(rule.reversed(), s)
+        self._tables = {key: tuple({t: tuple(int(q * s) for q in c)
+                                    for t, c in table.items()} for table in tables)
+                        for key, tables in sums.items()}
         self._indexed: dict[tuple[int, int, int, int],
                             tuple[tuple[tuple[int, int], int], ...]] = {}
 
@@ -440,10 +453,10 @@ class AlgebraPresentation:
     def bracket_basis(self, x: BasisElement, y: BasisElement) -> Element:
         """[x, y] for two basis elements, evaluated exactly on every call.
 
-        Both arguments are checked on every call.  Coefficients are summed
-        in ints from the presentation's tables and divided by the scale once
-        each.  Nothing is cached here; bracket_indexed memoises its integer
-        view of these results.
+        Both arguments are checked on every call.  Each target's summed int
+        coefficient is read from the presentation's table and divided by
+        the scale.  Nothing is cached here; bracket_indexed memoises its
+        integer view of these results.
         """
         self._check_owned(x)
         self._check_owned(y)
@@ -477,20 +490,17 @@ class AlgebraPresentation:
         return hit
 
     def _evaluate(self, x: BasisElement, y: BasisElement) -> Element:
-        terms, central = self._tables.get((x.kind.name, y.kind.name), ((), ()))
+        order, kinds, s = self._order, self.kinds, self._table_scale
+        terms, central = self._tables.get((order[x.kind.name], order[y.kind.name]),
+                                          _NO_TABLE)
         m, n = x.index, y.index
-        acc: dict[BasisElement, int] = {}
-        for target, c0, cm, cn in terms:
-            if c := c0 + cm * m + cn * n:
-                b = BasisElement(target, m + n)
-                acc[b] = acc.get(b, 0) + c
-        if central and m + n == 0:
-            for target, k0, k1, k2, k3 in central:
-                if c := k0 + m * (k1 + m * (k2 + m * k3)):
-                    b = BasisElement(target, 0)
-                    acc[b] = acc.get(b, 0) + c
         out = Element.__new__(Element)
-        out._terms = {b: Fraction(v, self._table_scale) for b, v in acc.items() if v}
+        out._terms = {BasisElement(kinds[t], m + n): Fraction(c, s)
+                      for t, (c0, cm, cn) in terms.items() if (c := c0 + cm * m + cn * n)}
+        if central and m + n == 0:
+            out._terms.update(
+                {BasisElement(kinds[t], 0): Fraction(c, s) for t, (k0, k1, k2, k3)
+                 in central.items() if (c := k0 + m * (k1 + m * (k2 + m * k3)))})
         return out
 
 
@@ -548,7 +558,7 @@ def validate_presentation(p: AlgebraPresentation, window: int) -> ValidationRepo
     bracket carries one factor of p.scale and a Jacobiator two.
     """
     if window < 2:
-        raise ValueError("validation window must be at least 2")
+        raise PresentationError("validation window must be at least 2")
     basis = p.basis_elements(window)
     keys = [(p.kind_order(b.kind), b.index) for b in basis]
     br = p.bracket_indexed
@@ -615,7 +625,7 @@ def _times(*factors) -> dict:
 def certify_presentation(p: AlgebraPresentation) -> bool:
     """True if and only if skew-symmetry and Jacobi hold at every index.
 
-    Reads p's int tables.  Coefficients are affine in the indices (a cubic
+    Reads p's int table.  Coefficients are affine in the indices (a cubic
     in m on m + n = 0 for central terms), so each check is a polynomial
     identity per kind pair or kind triple, expanded here in exact ints in
     (m, n, k); the central part of a Jacobiator lives on the plane
@@ -623,15 +633,9 @@ def certify_presentation(p: AlgebraPresentation) -> bool:
     so False means p is not a graded Lie algebra: validate_presentation at
     N = 4 finds a witness, as each identity has low degree in each index.
     """
-    lin, cen = {}, {}
-    for (a, b), (terms, central) in p._tables.items():
-        f, g = lin.setdefault((a, b), {}), cen.setdefault((a, b), {})
-        for t, *c in terms:
-            f[t.name] = [u + v for u, v in zip(f.get(t.name, (0,) * 3), c)]
-        for t, *c in central:
-            g[t.name] = [u + v for u, v in zip(g.get(t.name, (0,) * 4), c)]
-    for (a, b), f in lin.items():
-        g, h, q = lin.get((b, a), {}), cen[a, b], cen.get((b, a), {})
+    tables = p._tables
+    for (a, b), (f, h) in tables.items():
+        g, q = tables.get((b, a), _NO_TABLE)
         for t in f.keys() | g.keys():  # [A_m, B_n] + [B_n, A_m] at t_{m+n}
             (c0, cm, cn), (d0, dm, dn) = f.get(t, (0,) * 3), g.get(t, (0,) * 3)
             if c0 + d0 or cm + dn or cn + dm:
@@ -642,18 +646,18 @@ def certify_presentation(p: AlgebraPresentation) -> bool:
                 return False
     one, m, n, k = _times(), {(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1}
     plane = _poly((-1, m), (-1, n))
-    for kinds in product(p._order, repeat=3):
+    for kinds in product(range(len(p.kinds)), repeat=3):
         # sum over cyclic (X_x, Y_y, Z_z) of [X_x, [Y_y, Z_z]]: the ordinary
-        # part in (m, n, k), the central part on the plane
-        for outer, slots in ((lin, (m, n, k)), (cen, (m, n, plane))):
+        # part (table 0) in (m, n, k), the central part (table 1) on the plane
+        for part, slots in ((0, (m, n, k)), (1, (m, n, plane))):
             acc, cyc = {}, list(zip(kinds, slots))
             for i in range(3):
                 (X, x), (Y, y), (Z, z) = cyc[i:] + cyc[:i]
-                for t, c in lin.get((Y, Z), {}).items():
+                for t, c in tables.get((Y, Z), _NO_TABLE)[0].items():
                     inner = _poly((c[0], one), (c[1], y), (c[2], z))
-                    for s, d in outer.get((X, t), {}).items():
+                    for s, d in tables.get((X, t), _NO_TABLE)[part].items():
                         f = (_poly((d[0], one), (d[1], x), (d[2], y), (d[2], z))
-                             if outer is lin else  # [X_x, t_{y+z}]; d0 + d1 x + ... + d3 x^3
+                             if not part else  # [X_x, t_{y+z}]; d0 + d1 x + ... + d3 x^3
                              _poly(*((w, _times(*[x] * j)) for j, w in enumerate(d))))
                         for e, v in _times(inner, f).items():
                             acc[s, e] = acc.get((s, e), 0) + v

@@ -6,10 +6,11 @@ sectors of pgca the coefficient recurrences were derived by hand, and the
 table below encodes those displayed equations literally, one tag
 (e1..e20) per equation, with no substitutions folded in: each term of
 e1..e17 is an unknown and its integer coefficients of m, n, gamma and 1,
-e18/e19 are one index slice and e20 keeps its rational row.  The two code
-paths share exact linear algebra and report formatting but no assembly
-logic, so agreement between them checks the assembler and the hand
-derivation against each other.
+e18/e19 are e17's terms at m = 0, and e20's rational coefficient is
+multiplied by its denominator, so every row is a dict of plain ints.  The
+two code paths share exact linear algebra and report formatting but no
+assembly logic, so agreement between them checks the assembler and the
+hand derivation against each other.
 
 Unknowns are keyed by source kind: the family tagged "L" collects the
 coefficients of the images of L_m, and so on.  Degree shift is written
@@ -19,7 +20,6 @@ gamma throughout; every equation constrains a window m, n, m+n in [-N, N].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterator
 
 from .core import GradingDegree
@@ -33,18 +33,22 @@ FAMILIES = ("L", "H", "I", "J")
 _SLOTS = {"m+n": (1, 1), "m": (1, 0), "n": (0, 1)}
 
 
-def _pair_rows(*terms):
+def _pair_rows(*terms, only_m: int | None = None, resonant: bool = True):
     """Rows of one displayed recurrence over every pair m, n with m+n in [-N, N].
 
     Each term is (family, slot, (a, b, g, c)): the unknown family_slot with
     coefficient a*m + b*n + g*gamma + c, on the side that makes the row
-    "left-hand side minus right-hand side".
+    "left-hand side minus right-hand side".  Every row is a dict of nonzero
+    plain ints.  only_m keeps the pairs with that m, and resonant=False
+    leaves out the pairs with n = gamma.
     """
     terms = [(fam, *_SLOTS[slot], coeff) for fam, slot, coeff in terms]
 
     def rows(gamma: int, N: int) -> Iterator[dict]:
-        for m in range(-N, N + 1):
+        for m in range(-N, N + 1) if only_m is None else (only_m,):
             for n in range(max(-N, -N - m), min(N, N - m) + 1):
+                if n == gamma and not resonant:
+                    continue
                 row: dict[tuple[str, int], int] = {}
                 for fam, sm, sn, (a, b, g, c) in terms:
                     key = (fam, sm * m + sn * n)
@@ -55,40 +59,23 @@ def _pair_rows(*terms):
     return rows
 
 
-def _slice_rows(skip_resonant: bool):
-    # (g-n) i_n = g i_0, over n in [-N, N]; e19 leaves out n = g
-    def rows(gamma: int, N: int) -> Iterator[dict]:
-        for n in range(-N, N + 1):
-            if skip_resonant and n == gamma:
-                continue
-            row = {("L", n): gamma - n}
-            row[("L", 0)] = row.get(("L", 0), 0) - gamma
-            row = {key: v for key, v in row.items() if v}
-            if row:
-                yield row
-    return rows
-
-
 def _e20_rows(gamma: int, N: int) -> Iterator[dict]:
-    # (4m - 4m g^2 / ((g-m)(g+m))) i_0 = 0 for m outside {0, g, -g}
+    # (4m - 4m g^2 / ((g-m)(g+m))) i_0 = 0 for m outside {0, g, -g}, times
+    # the denominator (g-m)(g+m), which is nonzero there
     for m in range(-N, N + 1):
         if m in (0, gamma, -gamma):
             continue
-        coeff = Fraction(4 * m) - Fraction(4 * m * gamma * gamma,
-                                           (gamma - m) * (gamma + m))
-        if coeff:
-            yield {("L", 0): coeff}
+        yield {("L", 0): 4 * m * (gamma - m) * (gamma + m) - 4 * m * gamma * gamma}
 
 
 @dataclass(frozen=True)
 class Recurrence:
     """One displayed recurrence: a tag, the families it touches, and its
-    rows at (gamma, N), an iterator of {(family, index): coefficient}."""
+    rows at (gamma, N), an iterator of {(family, index): nonzero int}."""
 
     tag: str
     families: tuple[str, ...]
     rows: Callable[[int, int], Iterator[dict]]
-    integral: bool = True  # rows of plain ints; e20's are rational
 
 
 # Coefficients are (m, n, gamma, 1) multipliers; "g" is gamma.
@@ -105,6 +92,11 @@ def _tail(fam: str):
 def _damped(fam: str):
     # 2(m-n) f_{m+n} = (-n-g) f_n
     return ((fam, "m+n", (2, -2, 0, 0)), (fam, "n", (0, 1, 1, 0)))
+
+
+_E17 = (  # 2(m-n) i_{m+n} = (m+g) i_m + (-n-g) i_n
+    ("L", "m+n", (2, -2, 0, 0)), ("L", "m", (-1, 0, -1, 0)),
+    ("L", "n", (0, 1, 1, 0)))
 
 
 RECURRENCES: dict[str, Recurrence] = {
@@ -149,15 +141,12 @@ RECURRENCES: dict[str, Recurrence] = {
     "e16": Recurrence("e16", ("L", "J"), _pair_rows(
         ("J", "m+n", (2, -2, 0, 0)), ("L", "m", (0, 0, 0, 1)),
         ("J", "n", (-1, 1, 1, 0)))),
-    # 2(m-n) i_{m+n} = (m+g) i_m + (-n-g) i_n
-    "e17": Recurrence("e17", ("L",), _pair_rows(
-        ("L", "m+n", (2, -2, 0, 0)), ("L", "m", (-1, 0, -1, 0)),
-        ("L", "n", (0, 1, 1, 0)))),
+    "e17": Recurrence("e17", ("L",), _pair_rows(*_E17)),
     # -2n i_n = g i_0 + (-n-g) i_n, the m = 0 slice of e17
-    "e18": Recurrence("e18", ("L",), _slice_rows(False)),
+    "e18": Recurrence("e18", ("L",), _pair_rows(*_E17, only_m=0)),
     # (g-n) i_n = g i_0 for n != g
-    "e19": Recurrence("e19", ("L",), _slice_rows(True)),
-    "e20": Recurrence("e20", ("L",), _e20_rows, integral=False),
+    "e19": Recurrence("e19", ("L",), _pair_rows(*_E17, only_m=0, resonant=False)),
+    "e20": Recurrence("e20", ("L",), _e20_rows),
 }
 
 
@@ -172,18 +161,13 @@ SECTOR_SYSTEMS: dict[tuple[int, int], tuple[str, ...]] = {
 
 def _solve_rows(recs: list[Recurrence], families: tuple[str, ...], gamma: int,
                 window: int, interior: int, degree: GradingDegree) -> SolveReport:
-    """Solve the recurrences' rows together; integral systems are streamed,
-    so a zero-kernel degree stops making rows once every column pivots,
-    and e20's rational rows are checked and converted by from_rows."""
+    """Solve the recurrences' int rows together; they are streamed, so a
+    zero-kernel degree stops making rows once every column pivots."""
     layout = [(fam, m) for fam in families for m in range(-window, window + 1)]
     index = {key: i for i, key in enumerate(layout)}
-    rows = ({index[key]: v for key, v in row.items()}
-            for rec in recs for row in rec.rows(gamma, window))
-    if all(rec.integral for rec in recs):
-        matrix = SparseMatrix.from_stream(len(layout), rows)
-    else:
-        matrix = SparseMatrix.from_rows(len(layout), rows)
-    kernel = nullspace(matrix)
+    kernel = nullspace(SparseMatrix.from_stream(
+        len(layout), ({index[key]: v for key, v in row.items()}
+                      for rec in recs for row in rec.rows(gamma, window))))
     return report_from_kernel(kernel, layout, list(families), degree, interior)
 
 

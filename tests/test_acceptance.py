@@ -36,6 +36,7 @@ from test_recurrences import _generic_interior_basis, _oracle_interior_basis
 PGCA = catalog.get("pgca")
 HALF = Fraction(1, 2)
 GOLDEN = Path(__file__).parent / "goldens" / "pgca_half_scan.json"
+DERIVATION_GOLDEN = Path(__file__).parent / "goldens" / "pgca_derivation_scan.json"
 WINDOW = 16
 INTERIOR = 6
 
@@ -73,6 +74,21 @@ def test_pgca_half_derivation_scan_is_scalar_only_at_full_window(tmp_path):
             assert by_degree[degree]["interior_dim"] == 0, degree
 
     assert elapsed < 30, f"scan took {elapsed:.1f}s"
+
+
+def test_pgca_derivation_scan_matches_its_golden(tmp_path):
+    """The delta = 1 scan at the full window, frozen byte for byte.
+
+    Every one of its 36 degrees has a kernel, so the golden pins what the
+    full elimination and the kernel checks report, where the half scan's
+    golden pins the zero-kernel certificate.
+    """
+    target = tmp_path / "scan.json"
+    code = main(["solve", "--algebra", "pgca", "--delta", "1",
+                 "--gamma-max", "4", "--window", str(WINDOW),
+                 "--format", "json", "--output", str(target)])
+    assert code == EXIT_OK
+    assert target.read_bytes() == DERIVATION_GOLDEN.read_bytes()
 
 
 def test_pgca_products_are_trivial(tmp_path):

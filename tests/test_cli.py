@@ -121,6 +121,18 @@ def test_malformed_presentation_file_is_a_usage_error(tmp_path, capsys):
     assert "name" in err
 
 
+def test_a_validation_window_below_two_exits_without_traceback():
+    src = Path(gradedlie.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "gradedlie", "validate", "--algebra", "pgca",
+         "--window", "1"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == EXIT_USAGE
+    assert "Traceback" not in done.stderr
+    assert done.stderr == "error: validation window must be at least 2\n"
+
+
 def test_wrongly_typed_presentation_field_exits_without_traceback(tmp_path):
     data = catalog.to_dict(catalog.get("virasoro"))
     data["brackets"][0]["central_terms"] = 5

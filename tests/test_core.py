@@ -4,6 +4,7 @@ Expected bracket values below are expanded by hand from the defining
 relations of each catalog algebra.
 """
 
+import json
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from reference_loops import _lopsided
 
 from gradedlie import catalog, solver
+from gradedlie.cli import EXIT_OK, main
 from gradedlie.core import (AffinePoly, AlgebraPresentation, BasisElement,
                             BasisKind, BracketRule, BracketTerm, CentralTerm,
                             CubicPoly, Element, GradingDegree,
@@ -386,6 +388,45 @@ def test_bracket_indexed_rejects_missing_elements_every_time():
 
 
 # ---------------------------------------------------------------------------
+# repeated targets
+
+
+@pytest.mark.parametrize("key,field,terms", [
+    # [L_m, L_n] = (m - n) L_{m+n} written as m/2 L + (m/2 - n) L, with a
+    # pair 1/3 L - 1/3 L that cancels to zero in between
+    ("pgca", "terms", [{"kind": "L", "coeff": {"cm": "1/2"}},
+                       {"kind": "L", "coeff": {"c0": "1/3"}},
+                       {"kind": "L", "coeff": {"cm": "1/2", "cn": "-1"}},
+                       {"kind": "L", "coeff": {"c0": "-1/3"}}]),
+    # the cocycle (m^3 - m)/12 C_0 written as two central terms on C
+    ("virasoro", "central_terms", [{"kind": "C", "coeff": {"c3": "1/12"}},
+                                   {"kind": "C", "coeff": {"c1": "-1/12"}}]),
+], ids=["pgca", "virasoro"])
+def test_terms_sharing_a_target_are_summed(key, field, terms, tmp_path, capsys):
+    merged_data = catalog.to_dict(catalog.get(key))
+    split_data = catalog.to_dict(catalog.get(key))
+    split_data["brackets"][0][field] = terms
+    merged, split = catalog.from_dict(merged_data), catalog.from_dict(split_data)
+    assert split.rules != merged.rules
+    assert (split.scale, split._tables) == (merged.scale, merged._tables)
+    basis = merged.basis_elements(3)
+    for x in basis:
+        for y in basis:
+            assert split.bracket_basis(x, y) == merged.bracket_basis(x, y)
+            key4 = (merged.kind_order(x.kind), x.index, merged.kind_order(y.kind), y.index)
+            assert split.bracket_indexed(*key4) == merged.bracket_indexed(*key4)
+    assert certify_presentation(split) is certify_presentation(merged) is True
+    outputs = []
+    for name, data in (("merged", merged_data), ("split", split_data)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        assert main(["solve", "--algebra", str(path), "--window", "6",
+                     "--gamma-max", "1", "--format", "json"]) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
 # coefficient polynomials
 
 
@@ -520,7 +561,8 @@ def test_validate_passes_on_pgca():
 
 
 def test_validate_rejects_tiny_windows():
-    with pytest.raises(ValueError):
+    with pytest.raises(PresentationError,
+                       match="^validation window must be at least 2$"):
         validate_presentation(PGCA, 1)
 
 

@@ -78,12 +78,21 @@ def test_e19_needs_e20_to_pin_the_seed_coefficient():
 
 
 def test_e20_coefficients_are_nonzero_off_the_resonant_indices():
-    # the row coefficient is -4 m^3 / (gamma^2 - m^2), never zero for
-    # m outside {0, gamma, -gamma}
-    for gamma in (1, 2, 3):
-        for row in RECURRENCES["e20"].rows(gamma, 6):
-            ((_, value),) = row.items()
-            assert value != 0
+    # each row is the displayed coefficient 4m - 4m g^2 / ((g-m)(g+m)) of
+    # i_0 times (g-m)(g+m), over m outside {0, g, -g}: that is -4 m^3,
+    # never zero there
+    N = 6
+    for gamma in (-3, -1, 0, 1, 2, 3):
+        want = []
+        for m in range(-N, N + 1):
+            if m in (0, gamma, -gamma):
+                continue
+            denominator = (gamma - m) * (gamma + m)
+            displayed = 4 * m - Fraction(4 * m * gamma * gamma, denominator)
+            want.append({("L", 0): displayed * denominator})
+        rows = list(RECURRENCES["e20"].rows(gamma, N))
+        assert rows == want, gamma
+        assert all(type(v) is int and v for row in rows for v in row.values())
 
 
 # ---------------------------------------------------------------------------
@@ -91,12 +100,12 @@ def test_e20_coefficients_are_nonzero_off_the_resonant_indices():
 
 
 def test_pair_recurrence_rows_are_nonzero_plain_ints():
-    # integral rows reach the elimination as they are, over denominator 1
-    assert [tag for tag, rec in RECURRENCES.items() if not rec.integral] == ["e20"]
+    # every tag's rows, e20's included, reach the elimination as they are,
+    # over denominator 1
     for tag, rec in RECURRENCES.items():
-        if not rec.integral:
-            continue
-        for row in list(rec.rows(-2, 8)) + list(rec.rows(3, 8)):
+        rows = list(rec.rows(-2, 8)) + list(rec.rows(3, 8))
+        assert rows, tag
+        for row in rows:
             assert row
             assert all(type(v) is int and v for v in row.values()), tag
             assert {fam for fam, _ in row} <= set(rec.families), tag
