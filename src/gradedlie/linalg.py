@@ -317,25 +317,40 @@ def nullspace(m: SparseMatrix) -> VectorBasis:
 
     The vectors are the integer kernel of the reduced rows, built by the
     helper elimination checks rows against, divided by their free-column
-    entries.  Each is re-multiplied through every row of the input as a
-    hard postcondition, in integers, which covers the rows elimination
-    skipped as well as those it reduced.  A nonzero residue means a bug in
-    the elimination, not bad data, hence the internal error.
-
-    Rows of a streamed matrix are read only as far as elimination reads
-    them.  Reading stops early only on the zero-kernel certificate, every
-    column a pivot, and then there is no vector to check; a nonzero kernel
-    reads every row, in elimination's check and again in the postcondition.
+    entries.  Each is then multiplied through every row of the input, in
+    integers, those elimination skipped as well as those it reduced, as a
+    hard postcondition (verify_kernel runs the same check on a basis found
+    some other way): a nonzero residue means a bug in the elimination, not
+    bad data.  A streamed matrix is read only as far as elimination reads it,
+    which stops early only on the zero-kernel certificate, with no vector
+    to check; a nonzero kernel reads every row, in elimination's check and
+    again in the postcondition.
     """
     reduced, pivot_cols = rref(m)
     kernel = _kernel(dict(zip(pivot_cols, reduced._rows)), m.cols)
+    _verify(m, kernel)
+    zero = Fraction(0)
+    vectors = [tuple(Fraction(x, w[f]) if x else zero for x in w) for f, w in kernel]
+    return VectorBasis(m.cols, vectors)
+
+
+def verify_kernel(m: SparseMatrix, basis: VectorBasis) -> VectorBasis:
+    """basis, once nullspace's postcondition holds for it: each vector,
+    cleared of denominators, multiplies to zero through every row of m."""
+    if basis.dimension != m.cols:
+        raise LinalgError(f"basis of dimension {basis.dimension} for {m.cols} columns")
+    _verify(m, [(d, [q.numerator * (d // q.denominator) for q in vec])
+                for vec in basis.vectors for d in [lcm(*(q.denominator for q in vec))]])
+    return basis
+
+
+def _verify(m: SparseMatrix, kernel):
+    """Multiply every row of m, read to the end, through each int vector w
+    of the (label, w) pairs; an empty kernel reads no row."""
     if kernel:
         for row in m._stream():
             if _outside(row, kernel):
                 raise LinalgError("internal error: kernel vector fails verification")
-    zero = Fraction(0)
-    vectors = [tuple(Fraction(x, w[f]) if x else zero for x in w) for f, w in kernel]
-    return VectorBasis(m.cols, vectors)
 
 
 def project_basis(basis: VectorBasis, coords: Iterable[int]) -> VectorBasis:

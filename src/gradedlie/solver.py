@@ -21,6 +21,13 @@ all unordered source pairs whose indices m, n, m+n all lie in the window.
 Truncation can only leak at the window boundary, so classification is read
 off an interior sub-window; shrinking it further never changes the verdict
 for a well-sized window.
+
+When core.index_reflection finds theta(X_m) = s_X X_{-m}, an automorphism
+for all indices, D -> theta D theta^-1 maps the window system of degree
+(eps, -gamma) onto that of (eps, gamma).  scan then solves each gamma <= 0
+degree directly and gives each gamma > 0 degree theta's image of its
+mirror's kernel, which it checks against its own rows and does not
+eliminate; without theta every degree is solved directly.
 """
 
 from __future__ import annotations
@@ -30,8 +37,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import (AlgebraPresentation, BasisKind, GradingDegree,
-                   format_rational)
-from .linalg import SparseMatrix, VectorBasis, nullspace, project_basis
+                   format_rational, index_reflection)
+from .linalg import (SparseMatrix, VectorBasis, nullspace, project_basis,
+                     verify_kernel)
 
 
 class SolverError(Exception):
@@ -328,12 +336,48 @@ def report_from_kernel(kernel: VectorBasis, layout_keys: Sequence[tuple[str, int
                        classification=classification, basis_summary=summary)
 
 
-def solve_degree(problem: HomogeneousSolveProblem) -> SolveReport:
-    """Solve one homogeneous degree and classify the interior solution space."""
+@dataclass
+class Reflection:
+    """A scan's theta(X_m) = s_X X_{-m} (core.index_reflection) and the
+    layouts and kernels of the degrees it solved at gamma < 0."""
+
+    signs: dict[str, int]
+    kernels: dict[GradingDegree, tuple[UnknownLayout, VectorBasis]] = field(
+        default_factory=dict)
+
+    def mirrored(self, problem: HomogeneousSolveProblem,
+                 layout: UnknownLayout) -> VectorBasis | None:
+        """theta's image u'[k, m] = s_k s_partner(k) u[k, -m] of the kernel
+        of (eps, -gamma) on layout's columns, if gamma > 0 and it is held."""
+        d, s = problem.degree, self.signs
+        held = d.index > 0 and self.kernels.get(GradingDegree(d.eps1, d.eps2, -d.index))
+        if not held:
+            return None
+        sources = [(held[0].index[k, -m], s[k] * s[layout.partner[k].name])
+                   for k, m in layout.columns]
+        return VectorBasis(len(sources), [tuple(vec[i] if sign > 0 else -vec[i]
+                                                for i, sign in sources)
+                                          for vec in held[1].vectors])
+
+
+def solve_degree(problem: HomogeneousSolveProblem,
+                 reflection: Reflection | None = None) -> SolveReport:
+    """Solve one homogeneous degree and classify the interior solution space.
+
+    Given a reflection, a degree it mirrors checks theta's image against
+    every one of its own rows (linalg.verify_kernel) instead of
+    eliminating, and a gamma < 0 degree leaves its kernel there.
+    """
     interior = check_window(problem.window, problem.gamma, problem.interior)
     layout = unknown_layout(problem)
     matrix = assemble(problem, layout)
-    kernel = nullspace(matrix)
+    mirrored = None if reflection is None else reflection.mirrored(problem, layout)
+    if mirrored is not None:
+        kernel = verify_kernel(matrix, mirrored)
+    else:
+        kernel = nullspace(matrix)
+        if reflection is not None and problem.gamma < 0:
+            reflection.kernels[problem.degree] = (layout, kernel)
     return report_from_kernel(kernel, layout.columns,
                               [k.name for k in problem.presentation.kinds],
                               problem.degree, interior)
@@ -380,6 +424,8 @@ def scan(p: AlgebraPresentation, delta: Fraction, gamma_max: int,
     if gamma_max < 0:
         raise SolverError("gamma_max must be non-negative")
     interior = check_window(window, gamma_max, interior)
+    signs = index_reflection(p)
+    reflection = None if signs is None else Reflection(signs)
     reports = []
     for eps1 in (0, 1):
         for eps2 in (0, 1):
@@ -387,6 +433,6 @@ def scan(p: AlgebraPresentation, delta: Fraction, gamma_max: int,
                 problem = HomogeneousSolveProblem(
                     p, Fraction(delta), GradingDegree(eps1, eps2, gamma),
                     window, interior)
-                reports.append(solve_degree(problem))
+                reports.append(solve_degree(problem, reflection))
     return ScanResult(p.name, Fraction(delta), window, interior, reports,
                       scan_verdict(reports))

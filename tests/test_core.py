@@ -7,6 +7,7 @@ relations of each catalog algebra.
 import json
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +21,8 @@ from gradedlie.core import (AffinePoly, AlgebraPresentation, BasisElement,
                             CubicPoly, Element, GradingDegree,
                             PresentationError, affine, bracket,
                             certify_presentation, format_rational,
-                            parse_rational, validate_presentation)
+                            index_reflection, parse_rational,
+                            validate_presentation)
 
 PGCA = catalog.get("pgca")
 VIRASORO = catalog.get("virasoro")
@@ -328,13 +330,15 @@ def test_every_memo_miss_calls_bracket_basis_once():
     original = AlgebraPresentation.bracket_basis
     p = catalog.get("pgca")
     with _counted_bracket_basis() as calls:
-        # rows are streamed into elimination, so the 11 zero-kernel degrees
-        # stop evaluating brackets at the certificate: 1280 of the 2550
+        # rows are streamed into elimination, so the 7 zero-kernel degrees
+        # at gamma <= 0 stop evaluating brackets at the certificate, and the
+        # 4 at gamma = 1 take theta's image of their mirror's zero kernel,
+        # which has no vector to check, and evaluate none: 1224 of the 2550
         # brackets a full assembly of every row evaluates
         solver.scan(p, Fraction(1, 2), 1, 6)
-        assert calls[0] == len(p._indexed) == 1280
+        assert calls[0] == len(p._indexed) == 1224
         solver.scan(p, Fraction(1, 2), 1, 6)
-        assert calls[0] == 1280
+        assert calls[0] == 1224
     with _counted_bracket_basis() as calls:
         assert validate_presentation(catalog.get("pgca"), 4).passed
     assert calls[0] == 2356
@@ -720,3 +724,87 @@ def test_certificate_agrees_with_the_windowed_check(p):
     # central plane), and vanishing on the N = 4 window makes it vanish
     # identically
     assert certify_presentation(p) == validate_presentation(p, 4).passed
+
+
+# ---------------------------------------------------------------------------
+# index reflection theta(X_m) = s_X X_{-m}
+
+
+def _reflects(brackets, signs):
+    """Whether [theta x, theta y] = theta [x, y] for every pair in brackets,
+    a {(x, y): [x, y]} table closed under (x_m, y_n) -> (x_-m, y_-n)."""
+    for (x, y), xy in brackets.items():
+        mirrored = brackets[BasisElement(x.kind, -x.index), BasisElement(y.kind, -y.index)]
+        s = signs[x.kind.name] * signs[y.kind.name]
+        if ({b: s * c for b, c in mirrored.items()}
+                != {BasisElement(b.kind, -b.index): signs[b.kind.name] * c
+                    for b, c in xy.items()}):
+            return False
+    return True
+
+
+_INT = st.integers(-2, 2).map(Fraction)
+_PARITY = st.sampled_from(["even", "odd", "both"])
+
+
+@st.composite
+def _parity_presentations(draw):
+    """1-4 kinds, the last one central half the time, with small int
+    coefficients: each term and central cubic even, odd or both in the
+    indices, so the parity rule yields signs about as often as None.
+    Rules need not be Lie algebras: theta only has to preserve the table."""
+    z2 = st.sampled_from([(0, 0), (0, 1)])
+    kinds = [BasisKind(name, draw(z2)) for name in "ABDE"[:draw(st.integers(1, 4))]]
+    central = kinds[-1:] if len(kinds) > 1 and draw(st.booleans()) else []
+    acting = kinds[:len(kinds) - len(central)]
+    rules = []
+    for i, x in enumerate(acting):
+        for y in acting[i:]:
+            want = ((x.z2[0] + y.z2[0]) % 2, (x.z2[1] + y.z2[1]) % 2)
+            terms, cubics = [], []
+            for t in acting:
+                if t.z2 == want and draw(st.booleans()):
+                    c0, cm, cn, parity = draw(_INT), draw(_INT), draw(_INT), draw(_PARITY)
+                    if parity == "even":
+                        cm = cn = Fraction(0)
+                    elif parity == "odd":
+                        c0 = Fraction(0)
+                    terms.append(BracketTerm(t, AffinePoly(c0, cm, cn)))
+            for z in central:
+                if z.z2 == want and draw(st.booleans()):
+                    k, parity = [draw(_INT) for _ in range(4)], draw(_PARITY)
+                    if parity != "both":
+                        k[parity == "even"::2] = [Fraction(0)] * 2
+                    cubics.append(CentralTerm(z, CubicPoly(*k)))
+            rules.append(BracketRule(x, y, tuple(terms), tuple(cubics)))
+    return AlgebraPresentation("drawn", kinds, rules, central=[z.name for z in central])
+
+
+@settings(max_examples=100)
+@given(_parity_presentations())
+# Witt with the intermediate-series module [L_m, I_n] = -(n + 1/2) I_{m+n}:
+# a term both even and odd, so no signs
+@example(_fixture((_A, _I), (_WITT_RULE, BracketRule(
+    _A, _I, (BracketTerm(_I, affine(c0=Fraction(-1, 2), cn=-1)),)))))
+# [A_m, B_n] = D_{m+n} with an odd cocycle [A_m, A_-m] = m^3 Z_0: s_A = s_Z
+@example(_fixture((_A, _B, _D, _Z), (
+    BracketRule(_A, _B, (BracketTerm(_D, affine(c0=1)),)),
+    BracketRule(_A, _A, (), (CentralTerm(_Z, CubicPoly(c3=Fraction(1))),))), ("Z",)))
+# s_A s_B s_D = -1 read first, then s_B = -1: the first equation's row
+# must be reduced by the second to give s_A = +1
+@example(_fixture((_A, _B, _D), (
+    BracketRule(_A, _B, (BracketTerm(_D, affine(cm=1)),)),
+    BracketRule(_B, _B, (BracketTerm(_B, affine(cm=1, cn=-1)),)))))
+def test_index_reflection_is_exact_on_the_window(p):
+    # returned signs preserve every bracket on the N = 3 window; None means
+    # no sign vector at all does, there, let alone at every index
+    basis = p.basis_elements(3)
+    brackets = {(x, y): p.bracket_basis(x, y) for x in basis for y in basis}
+    signs = index_reflection(p)
+    if signs is not None:
+        assert set(signs) == {k.name for k in p.kinds}
+        assert _reflects(brackets, signs)
+    else:
+        names = [k.name for k in p.kinds]
+        assert not any(_reflects(brackets, dict(zip(names, v)))
+                       for v in product((1, -1), repeat=len(names)))

@@ -17,7 +17,7 @@ import reference_loops
 from gradedlie import catalog, linalg, poisson, recurrences, solver
 from gradedlie.core import GradingDegree
 from gradedlie.linalg import (LinalgError, SparseMatrix, VectorBasis,
-                              nullspace, project_basis, rref)
+                              nullspace, project_basis, rref, verify_kernel)
 from matrices import from_dense, mul_vec, rank, sparse_rows
 
 
@@ -595,6 +595,34 @@ def test_nullspace_postcondition_catches_a_corrupted_reduction(data, monkeypatch
     with pytest.raises(LinalgError,
                        match="^internal error: kernel vector fails verification$"):
         nullspace(from_dense(data))
+
+
+@given(dense_matrices, st.data())
+def test_verify_kernel_passes_the_kernel_and_fails_any_other_vector(data, choice):
+    # the check nullspace makes, for a basis handed in; a kernel vector
+    # plus a unit vector at a column some row uses is outside the kernel
+    used = [c for c in range(len(data[0])) if any(row[c] for row in data)]
+    for m in _both(data):
+        kernel = nullspace(m)
+        assert verify_kernel(m, kernel) is kernel
+        if used:
+            c = choice.draw(st.sampled_from(used))
+            base = choice.draw(st.sampled_from(kernel.vectors or [(Fraction(0),) * m.cols]))
+            bad = tuple(v + (i == c) for i, v in enumerate(base))
+            with pytest.raises(LinalgError,
+                               match="^internal error: kernel vector fails verification$"):
+                verify_kernel(m, VectorBasis(m.cols, [bad]))
+
+
+def test_verify_kernel_of_no_vector_reads_no_row():
+    def rows():
+        raise AssertionError("a row was read")
+        yield
+
+    m = SparseMatrix.from_stream(3, rows())
+    assert verify_kernel(m, VectorBasis(3, [])).vectors == []
+    with pytest.raises(LinalgError, match="^basis of dimension 2 for 3 columns$"):
+        verify_kernel(m, VectorBasis(2, [(Fraction(1), Fraction(0))]))
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,16 @@ sizes; the identity and ad L_0 membership facts are direct consequences of
 the derivation identity itself.
 """
 
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
 
 import reference_loops
-from gradedlie import catalog, linalg, solver
+from gradedlie import catalog, cli, linalg, solver
 from gradedlie.core import (AlgebraPresentation, BasisElement, BasisKind,
-                            GradingDegree)
+                            BracketRule, BracketTerm, GradingDegree, affine,
+                            certify_presentation, index_reflection)
 from gradedlie.solver import (AmbiguousSectorError, HomogeneousSolveProblem,
                               SolveReport, SolverError, VERDICT_NOT_SCALAR_ONLY,
                               VERDICT_SCALAR_ONLY, WindowTooSmallError,
@@ -340,20 +342,22 @@ REFLECTION_SIGNS = {"pgca": {"L": -1}, "witt": {"L": -1},
                     "heisenberg-virasoro": {"L": -1}, "abelian": {}}
 
 
-def _reflection_signs(key):
-    if key not in REFLECTION_SIGNS:
-        pytest.skip(f"no index reflection known for {key}")
-    return REFLECTION_SIGNS[key]
+@pytest.mark.parametrize("key", catalog.keys())
+def test_core_finds_the_hand_derived_reflection_signs(key):
+    p = catalog.get(key)
+    assert index_reflection(p) == {k.name: REFLECTION_SIGNS[key].get(k.name, 1)
+                                   for k in p.kinds}
 
 
 @pytest.mark.parametrize("key", catalog.keys())
 def test_index_reflection_is_an_automorphism(key):
-    # [theta x, theta y] = theta [x, y] for every pair in the N = 4 window
-    signs = _reflection_signs(key)
+    # [theta x, theta y] = theta [x, y] for every pair in the N = 4 window,
+    # with the signs scan mirrors by
     p = catalog.get(key)
+    signs = index_reflection(p)
 
     def sign(b):
-        return signs.get(b.kind.name, 1)
+        return signs[b.kind.name]
 
     basis = p.basis_elements(4)
     for x in basis:
@@ -367,20 +371,58 @@ def test_index_reflection_is_an_automorphism(key):
             assert lhs == rhs, (x, y)
 
 
+def _direct_solves_agree(p, delta, gamma_max, window):
+    """Every report of scan equals solve_degree on the same problem with no
+    reflection, compared as JSON; the count of direct solves scan made."""
+    direct = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "nullspace",
+                      lambda matrix: direct.append(1) or linalg.nullspace(matrix))
+        result = scan(p, delta, gamma_max, window)
+    for r in result.reports:
+        prob = problem(p, delta, astuple(r.degree), window)
+        assert r.to_json_dict() == solve_degree(prob).to_json_dict(), r.degree
+    return len(direct)
+
+
 @pytest.mark.parametrize("key", catalog.keys())
 @pytest.mark.parametrize("delta", [HALF, Fraction(1)], ids=str)
 def test_reports_at_minus_gamma_mirror_those_at_gamma(key, delta):
-    # theta maps the window and the interior onto themselves, so
-    # D -> theta D theta^-1 carries the system of degree (eps, gamma) row
-    # for row onto that of (eps, -gamma): a sign or offset slip in the
-    # rows of one side shows as a mismatch
-    _reflection_signs(key)
-    reports = {r.degree: (r.full_dim, r.interior_dim, r.classification)
-               for r in scan(catalog.get(key), delta, 3, 8).reports}
-    assert len(reports) == 28
-    for degree, facts in reports.items():
-        mirror = GradingDegree(degree.eps1, degree.eps2, -degree.index)
-        assert reports[mirror] == facts, degree
+    # scan hands each gamma > 0 degree theta D theta^-1 for the kernel of
+    # (eps, -gamma) and eliminates nothing there, so a sign or offset slip
+    # in the mirror shows as a mismatch with the degree solved directly
+    assert _direct_solves_agree(catalog.get(key), delta, 3, 8) == 16
+
+
+# Witt and its intermediate-series module, [L_m, I_n] = -(n + 1/2) I_{m+n}:
+# a Lie algebra at every index, but -(n + 1/2) is neither even nor odd
+_L, _I = BasisKind("L", (0, 0)), BasisKind("I", (0, 1))
+WITT_MODULE = AlgebraPresentation("witt-module", (_L, _I), (
+    BracketRule(_L, _L, (BracketTerm(_L, affine(cm=1, cn=-1)),)),
+    BracketRule(_L, _I, (BracketTerm(_I, affine(c0=Fraction(-1, 2), cn=-1)),))))
+
+
+@pytest.mark.parametrize("delta", [HALF, Fraction(1)], ids=str)
+def test_a_presentation_without_reflection_solves_every_degree(delta):
+    assert certify_presentation(WITT_MODULE)
+    assert index_reflection(WITT_MODULE) is None
+    assert _direct_solves_agree(WITT_MODULE, delta, 2, 8) == 20
+
+
+@pytest.mark.parametrize("flip", ["L", "H", "I", "J"])
+def test_a_wrong_reflection_fails_loudly(flip, monkeypatch, capsys):
+    # signs that are not an automorphism mirror kernel vectors that fail
+    # their own rows, and the check raises before any report is printed.
+    # At delta = 1/2 every mirrored pgca kernel is zero, so no row is
+    # checked and a wrong theta would pass silently; the certificate tests
+    # pin the signs there
+    signs = dict(index_reflection(PGCA), **{flip: -index_reflection(PGCA)[flip]})
+    monkeypatch.setattr(solver, "index_reflection", lambda p: signs)
+    with pytest.raises(linalg.LinalgError,
+                       match="^internal error: kernel vector fails verification$"):
+        cli.main(["solve", "--algebra", "pgca", "--delta", "1", "--gamma-max", "2",
+                  "--window", "6", "--format", "json"])
+    assert capsys.readouterr().out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -390,12 +432,21 @@ def test_reports_at_minus_gamma_mirror_those_at_gamma(key, delta):
 @pytest.mark.parametrize("delta,degree,projected", [
     (HALF, (0, 1, 0), False),         # certified: the kernel is zero
     (Fraction(1), (0, 0, 0), True),   # a degree with a kernel
+    # gamma > 0 after the mirror degree: theta's image of its kernel
+    (HALF, (0, 1, 1), False),         # a zero kernel mirrored
+    (Fraction(1), (0, 0, 1), True),   # a nonzero kernel mirrored
 ])
 def test_solve_degree_crosses_each_layer_once(delta, degree, projected,
                                               monkeypatch):
     # assemble -> nullspace -> rref are looked up as module globals, one
     # call each per degree; per-layer tracing wraps exactly these names.
     # Each call is logged with its nesting depth among the wrapped names.
+    # A mirrored degree assembles its rows to check theta's image against
+    # them, and eliminates nothing
+    reflection = solver.Reflection(index_reflection(PGCA))
+    mirrored = degree[2] > 0
+    if mirrored:
+        solve_degree(problem(PGCA, delta, (*degree[:2], -degree[2]), 6), reflection)
     log = []
     depth = [0]
 
@@ -414,8 +465,10 @@ def test_solve_degree_crosses_each_layer_once(delta, degree, projected,
     counted(solver, "assemble")
     counted(solver, "nullspace")
     counted(linalg, "rref")
-    report = solve_degree(problem(PGCA, delta, degree, 6))
-    want = [("assemble", 0), ("nullspace", 0), ("rref", 1)]
+    report = solve_degree(problem(PGCA, delta, degree, 6), reflection)
+    want = [("assemble", 0)]
+    if not mirrored:
+        want += [("nullspace", 0), ("rref", 1)]
     if projected:
         # reporting reduces the nonzero kernel's interior projection
         want.append(("rref", 0))
