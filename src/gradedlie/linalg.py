@@ -161,10 +161,10 @@ def _rref_rows(rows: Iterable[dict[int, int]], cols: int) -> list[tuple[int, dic
     candidate kernel (every column a pivot) fails no row, so the stream
     stops there, without pulling another row: the exact zero-kernel
     certificate.  A check costs one product per candidate kernel vector,
-    so the switch must not fire while that kernel is still wide; witt's
-    membership system at window 6 has a run of 908 redundant rows with 13
-    candidate vectors left at 1,183 columns, and the `cols` rule keeps it
-    eliminating.  Whichever rows are read, they span the row space of the
+    so the switch must not fire while that kernel is still wide.  Witt's
+    membership system at window 6, at 1,183 columns, never switches: its
+    longest run of redundant rows, 284, ends one row before its last
+    pivot.  Whichever rows are read, they span the row space of the
     whole input, whose reduced row echelon form is unique, so the result
     is that of full elimination.
     """

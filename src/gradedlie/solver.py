@@ -162,18 +162,22 @@ def unknown_layout(problem: HomogeneousSolveProblem) -> UnknownLayout:
 def identity_rows(p: AlgebraPresentation, delta: Fraction,
                   maps: Iterable[dict[tuple[int, int], list[tuple[int, tuple[int, int]]]]],
                   window: int, cols: int) -> SparseMatrix:
-    """The rows of D[x, y] - delta([Dx, y] + [x, Dy]), one map D after another.
+    """The rows of D[x, y] - delta([Dx, y] + [x, Dy]), source pair by
+    source pair, each pair's rows one map D after another.
 
     Each D is given by images: a (kind position, index) basis key maps to D
     of that element as (column, target key) pairs, and a missing key means
     D = 0 there.  Each unordered source pair whose indices m, n and m+n
-    lie in the window gives one row {column: int} per output basis
-    element, its outputs in (kind position, index) order.  The bracket
-    [x, y] sits at index m+n, so D[x, y] reads D only inside the window.
-    Every entry is a column of D, so a D that is zero on the window gives
-    no rows and evaluates no bracket.  Brackets come from bracket_indexed,
-    so with delta = dn/dd the rows are integers over p.scale * dd, the
-    denominator of the returned cols-column matrix.
+    lie in the window evaluates [x, y] once and gives, for each D in turn,
+    one row {column: int} per output basis element, its outputs in (kind
+    position, index) order.  So with several maps every map's columns
+    appear from the first pairs on, not only in the last map's rows.  The
+    bracket [x, y] sits at index m+n, so D[x, y] reads D only inside the
+    window.  Every entry is a column of D, so a D that is zero on the
+    window gives no rows, and if every D is, no bracket is evaluated.
+    Brackets come from bracket_indexed, so with delta = dn/dd the rows are
+    integers over p.scale * dd, the denominator of the returned
+    cols-column matrix.
 
     The maps are read, and their columns checked against cols, here and
     once.  The rows are not: the matrix streams them, and a source pair's
@@ -194,19 +198,23 @@ def _identity_rows(p: AlgebraPresentation, delta: Fraction, maps: list, window: 
     basis = [(p.kind_order(b.kind), b.index) for b in p.basis_elements(window)]
     dd, neg = delta.denominator, -delta.numerator
     br = p.bracket_indexed
+    sources = []
     for images in maps:
-        image = images.get
-        source = [image(key, ()) for key in basis]
-        if not any(source):
-            continue
-        for i, (a, m) in enumerate(basis):
-            img_x = source[i]
-            for j in range(i + 1, len(basis)):
-                b, n = basis[j]
-                if abs(m + n) > window:
-                    continue
+        source = [images.get(key, ()) for key in basis]
+        if any(source):
+            sources.append((images.get, source))
+    if not sources:
+        return
+    for i, (a, m) in enumerate(basis):
+        at_i = [(image, source[i], source) for image, source in sources]
+        for j in range(i + 1, len(basis)):
+            b, n = basis[j]
+            if abs(m + n) > window:
+                continue
+            lie = br(a, m, b, n)
+            for image, img_x, source in at_i:
                 acc: dict[tuple[int, int], dict[int, int]] = {}
-                for t, c in br(a, m, b, n):
+                for t, c in lie:
                     c *= dd
                     for col, out in image(t, ()):
                         if (row := acc.get(out)) is None:

@@ -7,9 +7,12 @@ public `bracket_basis` and accumulate exact Fractions, so comparing
 matrices checks the integer loops (their scaling, their keys, their row
 order) against a direct transcription of the same definition.  Both
 emit the rows of one source pair in the (kind position, index) order of
-their outputs.  `_lopsided` is a non-Lie test presentation whose rules reach
-every path of the integer bracket tables, so that the comparisons see
-more than the catalog does.
+their outputs, and the membership system emits every z's rows of one
+source pair before the next pair's.  `identity_rows` is the same
+transcription for one map in the form `solver.identity_rows` takes, its
+rows cut by source pair.  `_lopsided` is a non-Lie test presentation
+whose rules reach every path of the integer bracket tables, so that the
+comparisons see more than the catalog does.
 
 `rref_rows` is the elimination loop `linalg._rref_rows` ran before it
 learned to check rows against a candidate kernel: it eliminates every row
@@ -109,6 +112,46 @@ def assemble(problem) -> SparseMatrix:
     return SparseMatrix.from_rows(len(layout.columns), rows)
 
 
+def identity_rows(p, delta: Fraction, images, window: int) -> list[list[dict]]:
+    """Rows of D[x, y] - delta([Dx, y] + [x, Dy]) for one map D, given as
+    `solver.identity_rows` takes it, in one list per source pair whose
+    indices m, n and m+n lie in the window, in the order of the pairs."""
+    br = _bracket(p)
+    basis = p.basis_elements(window)
+
+    def image(b):
+        return [(col, BasisElement(p.kinds[a], m))
+                for col, (a, m) in images.get((p.kind_order(b.kind), b.index), ())]
+
+    by_pair = []
+    for i, x in enumerate(basis):
+        for y in basis[i + 1:]:
+            if abs(x.index + y.index) > window:
+                continue
+            acc = {}
+
+            def add(out, col, coeff):
+                row = acc.setdefault(out, {})
+                row[col] = row.get(col, Fraction(0)) + coeff
+
+            for t, c in br(x, y).items():
+                for col, target in image(t):
+                    add(target, col, c)
+            for col, target in image(x):
+                for t, c in br(target, y).items():
+                    add(t, col, -delta * c)
+            for col, target in image(y):
+                for t, c in br(x, target).items():
+                    add(t, col, -delta * c)
+            rows = []
+            for out in sorted(acc, key=lambda b: (p.kind_order(b.kind), b.index)):
+                row = {c: v for c, v in acc[out].items() if v}
+                if row:
+                    rows.append(row)
+            by_pair.append(rows)
+    return by_pair
+
+
 def membership_system(p, delta: Fraction, window: int) -> SparseMatrix:
     """Rows of the product-membership system, as in `poisson._membership_system`."""
     br = _bracket(p)
@@ -124,11 +167,11 @@ def membership_system(p, delta: Fraction, window: int) -> SparseMatrix:
         return [(base + t, basis[t]) for t in range(width)]
 
     rows = []
-    for z in basis:
-        for i, x in enumerate(basis):
-            for y in basis[i + 1:]:
-                if abs(x.index + y.index) > window:
-                    continue
+    for i, x in enumerate(basis):
+        for y in basis[i + 1:]:
+            if abs(x.index + y.index) > window:
+                continue
+            for z in basis:
                 lie = br(x, y)
                 acc = {}
 

@@ -242,3 +242,13 @@ def test_membership_system_equals_the_element_reference(key, delta):
         p, window = catalog.get(key), 3
     matrix = _membership_system(p, delta, window)
     assert matrix == reference_loops.membership_system(p, delta, window)
+
+
+def test_witt_membership_certifies_its_zero_kernel_from_early_rows():
+    # each source pair's rows come for every z in turn, so every z's
+    # columns fill in together and full rank comes after 3,853 of the
+    # 13,832 rows, long before the last pair's
+    matrix = _membership_system(catalog.get("witt"), HALF, 6)
+    assert len(nullspace(matrix)) == 0
+    assert len(matrix._rows) <= 4000
+    assert matrix.rows == 13832

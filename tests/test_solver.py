@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import reference_loops
-from gradedlie import catalog, cli, linalg, solver
+from gradedlie import catalog, cli, linalg, poisson, solver
 from gradedlie.core import (AlgebraPresentation, BasisElement, BasisKind,
                             BracketRule, BracketTerm, GradingDegree, affine,
                             certify_presentation, index_reflection)
@@ -511,6 +511,37 @@ def test_identity_rows_checks_each_map_once_before_any_row():
     matrix = solver.identity_rows(p, HALF, iter([good]), 2, 5)
     assert not p._indexed
     assert matrix.rows and p._indexed
+
+
+@pytest.mark.parametrize("key", catalog.keys() + ("lopsided",))
+@pytest.mark.parametrize("delta", (HALF, Fraction(1), Fraction(-3, 5)), ids=str)
+def test_several_maps_interleave_their_rows_source_pair_by_source_pair(
+        key, delta, monkeypatch):
+    # the membership maps of poisson._membership_system, each moved to a
+    # column block of its own, plus one map with no key in the window; the
+    # single-map streams are cut by source pair through the reference, and
+    # the several-map stream is theirs interleaved pair by pair, map by map
+    if key == "lopsided":
+        p, window = reference_loops._lopsided(), 2
+    else:
+        p, window = catalog.get(key), 2 if key == "pgca" else 3
+    handed = []
+    monkeypatch.setattr(poisson, "identity_rows", lambda *args: handed.append(args))
+    poisson._membership_system(p, delta, window)
+    _, _, maps, _, width = handed[0]
+    maps = [{w: [(k * width + col, target) for col, target in targets]
+             for w, targets in images.items()} for k, images in enumerate(maps)]
+    maps.insert(1, {(0, window + 1): [(len(maps) * width, (0, 0))]})
+    cols = len(maps) * width
+    by_pair = []
+    for images in maps:
+        pieces = reference_loops.identity_rows(p, delta, images, window)
+        single = solver.identity_rows(p, delta, [images], window, cols)
+        assert sparse_rows(single) == [row for rows in pieces for row in rows]
+        by_pair.append(pieces)
+    assert not any(by_pair[1])
+    interleaved = [row for pair in zip(*by_pair) for rows in pair for row in rows]
+    assert sparse_rows(solver.identity_rows(p, delta, maps, window, cols)) == interleaved
 
 
 # ---------------------------------------------------------------------------
