@@ -30,7 +30,7 @@ def main():
     for key in ("pgca", "virasoro", "heisenberg-virasoro", "abelian"):
         p = catalog.get(key)
         result = scan(p, half, 2, 8)
-        show(key, classify_products(p, result, 8))
+        show(key, classify_products(p, result.verdict, 8))
     print()
 
     print("pgca walkthrough: the scan is scalar-only, so every candidate")

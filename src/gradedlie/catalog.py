@@ -15,7 +15,7 @@ the window N = LOAD_VALIDATION_WINDOW.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 
 from .core import (AffinePoly, AlgebraPresentation, BasisKind, BracketRule,
@@ -43,14 +43,9 @@ class PresentationValidationError(PresentationError):
 LOAD_VALIDATION_WINDOW = 4
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    key: str
-    presentation: AlgebraPresentation
-    notes: str
-
-
 def _pgca() -> AlgebraPresentation:
+    """Planar Galilean conformal algebra: families L, H, I, J with L
+    self-action, L acting on H, I, J, and H rotating I into J."""
     L = BasisKind("L", (0, 0))
     H = BasisKind("H", (1, 1))
     I = BasisKind("I", (0, 1))
@@ -68,6 +63,7 @@ def _pgca() -> AlgebraPresentation:
 
 
 def _witt() -> AlgebraPresentation:
+    """Centerless one-family L algebra, [L_m, L_n] = (m-n) L_{m+n}."""
     L = BasisKind("L", (0, 0))
     return AlgebraPresentation(
         "witt", (L,),
@@ -75,6 +71,8 @@ def _witt() -> AlgebraPresentation:
 
 
 def _virasoro() -> AlgebraPresentation:
+    """Witt with a central charge C attached to the L self-action through
+    the cubic cocycle (m^3 - m)/12."""
     L = BasisKind("L", (0, 0))
     C = BasisKind("C", (0, 0))
     cocycle = CubicPoly(c1=parse_rational("-1/12"), c3=parse_rational("1/12"))
@@ -84,6 +82,8 @@ def _virasoro() -> AlgebraPresentation:
 
 
 def _heisenberg_virasoro() -> AlgebraPresentation:
+    """Centerless twisted algebra: witt plus a current family I with
+    [L_m, I_n] = -n I_{m+n}."""
     L = BasisKind("L", (0, 0))
     I = BasisKind("I", (0, 1))
     rules = [
@@ -94,21 +94,16 @@ def _heisenberg_virasoro() -> AlgebraPresentation:
 
 
 def _abelian() -> AlgebraPresentation:
+    """Single family with all brackets zero."""
     return AlgebraPresentation("abelian", (BasisKind("A", (0, 0)),))
 
 
 _BUILDERS = {
-    "pgca": (_pgca,
-             "planar Galilean conformal algebra: families L, H, I, J with "
-             "L self-action, L acting on H, I, J, and H rotating I into J"),
-    "witt": (_witt, "centerless one-family L algebra, [L_m, L_n] = (m-n) L_{m+n}"),
-    "virasoro": (_virasoro,
-                 "witt with a central charge C attached to the L self-action "
-                 "through the cubic cocycle (m^3 - m)/12"),
-    "heisenberg-virasoro": (_heisenberg_virasoro,
-                            "centerless twisted algebra: witt plus a current "
-                            "family I with [L_m, I_n] = -n I_{m+n}"),
-    "abelian": (_abelian, "single family with all brackets zero"),
+    "pgca": _pgca,
+    "witt": _witt,
+    "virasoro": _virasoro,
+    "heisenberg-virasoro": _heisenberg_virasoro,
+    "abelian": _abelian,
 }
 
 
@@ -116,17 +111,13 @@ def keys() -> tuple[str, ...]:
     return tuple(_BUILDERS)
 
 
-def entry(key: str) -> CatalogEntry:
+def get(key: str) -> AlgebraPresentation:
     try:
-        builder, notes = _BUILDERS[key]
+        builder = _BUILDERS[key]
     except KeyError:
         raise CatalogKeyError(
             f"unknown catalog key {key!r}; available: {', '.join(_BUILDERS)}") from None
-    return CatalogEntry(key, builder(), notes)
-
-
-def get(key: str) -> AlgebraPresentation:
-    return entry(key).presentation
+    return builder()
 
 
 # ---------------------------------------------------------------------------

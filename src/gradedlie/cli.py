@@ -4,7 +4,8 @@ Subcommands:
   validate     exhaustive windowed algebra checks for one presentation
   solve        homogeneous delta-derivation scan with per-degree verdicts
   lemmas       closed-form cross-checks of the hand-coded recurrences
-  tp-classify  classify compatible commutative products on a window
+  tp-classify  classify compatible commutative products on a window; the
+               law makes each z.- a 1/2-derivation, so delta is 1/2
 
 Exit codes: 0 success, 1 a mathematical check failed, 2 usage or sizing
 error.  JSON output is canonical (sorted keys, two-space indent, trailing
@@ -155,12 +156,11 @@ def _cmd_tp_classify(args) -> int:
     if args.window < 0:
         raise UsageError("window must be non-negative")
     p = _resolve_algebra(args.algebra)
-    delta = _parse_delta(args.delta)
     # the derivation scan needs its own minimum window; the product table
     # itself lives on the window the user asked for
     scan_window = max(args.window, required_window(args.gamma_max))
-    scan_result = scan(p, delta, args.gamma_max, scan_window)
-    result = classify_products(p, scan_result, args.window, delta)
+    scan_result = scan(p, Fraction(1, 2), args.gamma_max, scan_window)
+    result = classify_products(p, scan_result.verdict, args.window)
     if args.format == "json":
         _emit(canonical_json(result.to_json_dict()), args.output)
     else:
@@ -203,9 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("tp-classify",
                        help="classify bracket-compatible commutative products")
     _add_common(t)
-    t.add_argument("--delta", default="1/2", help="derivation parameter, e.g. 1/2")
     t.add_argument("--gamma-max", type=int, default=4,
-                   help="largest |index shift| scanned for the derivation space")
+                   help="largest |index shift| scanned for the 1/2-derivation space")
     t.set_defaults(func=_cmd_tp_classify)
 
     return parser

@@ -423,14 +423,11 @@ class AlgebraPresentation:
     def is_central(self, kind: BasisKind) -> bool:
         return kind.name in self.central
 
-    def owns(self, element: BasisElement) -> bool:
+    def _check_owned(self, element: BasisElement):
         # bracket_indexed passes the declared kinds themselves: skip the
         # dataclass comparison for them
         kind = self._kind_by_name.get(element.kind.name)
-        return kind is element.kind or kind == element.kind
-
-    def _check_owned(self, element: BasisElement):
-        if not self.owns(element):
+        if kind is not element.kind and kind != element.kind:
             raise PresentationError(
                 f"element {element} does not belong to presentation {self.name!r}")
         if self.is_central(element.kind) and element.index != 0:

@@ -25,12 +25,12 @@ past the window boundary is invisible here, which the verdict wording
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .core import AlgebraPresentation, BasisElement, Element, bracket
 from .linalg import nullspace
-from .solver import VERDICT_SCALAR_ONLY, ScanResult, identity_rows
+from .solver import VERDICT_NOT_SCALAR_ONLY, VERDICT_SCALAR_ONLY, identity_rows
 
 
 class ProductError(Exception):
@@ -184,15 +184,7 @@ class TPClassification:
     derivation_verdict: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "algebra": self.algebra,
-            "window": self.window,
-            "verdict": self.verdict,
-            "solution_dim": self.solution_dim,
-            "path": self.path,
-            "basis_count": self.basis_count,
-            "derivation_verdict": self.derivation_verdict,
-        }
+        return asdict(self)
 
 
 def _membership_system(p: AlgebraPresentation, delta: Fraction, window: int):
@@ -225,17 +217,17 @@ def _membership_system(p: AlgebraPresentation, delta: Fraction, window: int):
     return identity_rows(p, delta, maps, window, pairs * width)
 
 
-def classify_products(p: AlgebraPresentation, scan_result: ScanResult | str,
-                      window: int, delta: Fraction = Fraction(1, 2)) -> TPClassification:
+def classify_products(p: AlgebraPresentation, verdict: str,
+                      window: int) -> TPClassification:
     """Classify commutative products compatible with the bracket on a window.
 
-    scan_result is either a ScanResult or one of the verdict strings; it
-    decides which path applies.  The verdict is 'trivial' only when the
-    zero product is the sole solution of the windowed system.
+    verdict is the 1/2-derivation scan's, VERDICT_SCALAR_ONLY or
+    VERDICT_NOT_SCALAR_ONLY; it decides which path applies.  The verdict is
+    'trivial' only when the zero product is the sole solution of the
+    windowed system.
     """
     if window < 0:
         raise ProductError("window must be non-negative")
-    verdict = scan_result if isinstance(scan_result, str) else scan_result.verdict
     basis_count = len(p.basis_elements(window))
 
     if verdict == VERDICT_SCALAR_ONLY:
@@ -244,10 +236,13 @@ def classify_products(p: AlgebraPresentation, scan_result: ScanResult | str,
         # one-element basis leaves c free
         dim = 1 if basis_count == 1 else 0
         path = "scalar-functional"
-    else:
-        matrix = _membership_system(p, Fraction(delta), window)
+    elif verdict == VERDICT_NOT_SCALAR_ONLY:
+        matrix = _membership_system(p, Fraction(1, 2), window)
         dim = len(nullspace(matrix))
         path = "derivation-membership"
+    else:
+        raise ProductError(f"unknown derivation verdict {verdict!r}; expected "
+                           f"{VERDICT_SCALAR_ONLY!r} or {VERDICT_NOT_SCALAR_ONLY!r}")
 
     tp_verdict = TP_TRIVIAL if dim == 0 else TP_NONTRIVIAL_POSSIBLE
     return TPClassification(p.name, window, tp_verdict, dim, path,

@@ -137,9 +137,6 @@ class UnknownLayout:
     def __post_init__(self):
         self.index = {key: i for i, key in enumerate(self.columns)}
 
-    def column_of(self, kind_name: str, m: int) -> int | None:
-        return self.index.get((kind_name, m))
-
 
 def unknown_layout(problem: HomogeneousSolveProblem) -> UnknownLayout:
     p = problem.presentation
@@ -269,16 +266,16 @@ def describe_values(values: dict[int, Fraction]) -> str:
     distinct = set(values.values())
     if len(distinct) == 1:
         return format_rational(distinct.pop())
+    # two distinct values need two keys
     ms = sorted(values)
-    if len(ms) >= 2:
-        m0, m1 = ms[0], ms[1]
-        slope = (values[m1] - values[m0]) / (m1 - m0)
-        const = values[m0] - slope * m0
-        if all(values[m] == const + slope * m for m in ms):
-            mpart = f"{format_rational(slope)}*m" if slope != 1 else "m"
-            if const:
-                return f"{format_rational(const)} + {mpart}"
-            return mpart
+    m0, m1 = ms[0], ms[1]
+    slope = (values[m1] - values[m0]) / (m1 - m0)
+    const = values[m0] - slope * m0
+    if all(values[m] == const + slope * m for m in ms):
+        mpart = f"{format_rational(slope)}*m" if slope != 1 else "m"
+        if const:
+            return f"{format_rational(const)} + {mpart}"
+        return mpart
     return ", ".join(f"{m}:{format_rational(values[m])}" for m in ms)
 
 

@@ -77,7 +77,7 @@ def assemble(problem) -> SparseMatrix:
     basis = p.basis_elements(N)
 
     def image(b):
-        col = layout.column_of(b.kind.name, b.index)
+        col = layout.index.get((b.kind.name, b.index))
         if col is None:
             return None
         return col, BasisElement(layout.partner[b.kind.name], b.index + gamma)

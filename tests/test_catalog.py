@@ -1,6 +1,10 @@
 """Catalog entries and the JSON presentation file format."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,16 +20,28 @@ def test_catalog_keys_are_stable():
 
 
 def test_every_entry_has_notes_and_validates():
+    # each entry's notes are its builder's docstring
     for key in catalog.keys():
-        entry = catalog.entry(key)
-        assert entry.key == key
-        assert entry.notes
-        assert validate_presentation(entry.presentation, 3).passed
+        assert catalog._BUILDERS[key].__doc__
+        assert validate_presentation(catalog.get(key), 3).passed
 
 
 def test_unknown_key_error_lists_available_keys():
     with pytest.raises(CatalogKeyError, match="pgca.*witt.*virasoro"):
-        catalog.entry("nope")
+        catalog.get("nope")
+
+
+def test_importing_the_catalog_loads_only_what_it_reads():
+    # the package re-exports nothing, so a submodule pulls in only its own
+    # imports
+    src = Path(catalog.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, gradedlie.catalog; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'gradedlie'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "['gradedlie', 'gradedlie.catalog', 'gradedlie.core']\n"
 
 
 def test_pgca_shape():

@@ -340,6 +340,20 @@ def test_tp_classify_json_includes_both_verdicts(capsys):
     assert out == canonical_json(data)
 
 
+def test_tp_classify_takes_no_delta_option():
+    # the compatibility law makes every z.- a 1/2-derivation: delta is fixed
+    src = Path(gradedlie.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "gradedlie", "tp-classify", "--algebra", "pgca",
+         "--window", "2", "--delta", "1/2"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == EXIT_USAGE
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert "unrecognized arguments: --delta 1/2" in done.stderr
+
+
 def test_tp_classify_negative_window_is_a_usage_error(capsys):
     # a negative window has no basis elements, which would read as 'trivial'
     code, out, err = run(["tp-classify", "--algebra", "witt", "--window", "-1",

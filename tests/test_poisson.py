@@ -206,12 +206,22 @@ def test_one_family_membership_is_windowed_trivial():
     assert result.path == "derivation-membership"
 
 
-def test_classify_accepts_a_scan_result_directly():
-    scan_result = scan(PGCA, HALF, 1, 8)
-    result = classify_products(PGCA, scan_result, 4)
-    assert result.derivation_verdict == VERDICT_SCALAR_ONLY
-    assert result.path == "scalar-functional"
+@pytest.mark.parametrize("window", [1, 2])
+def test_pgca_membership_agrees_with_the_scalar_shortcut(window):
+    # the membership system checks the scalar path independently: every
+    # 1/2-derivation of pgca is scalar, so it too admits only zero
+    result = classify_products(PGCA, VERDICT_NOT_SCALAR_ONLY, window)
+    assert result.path == "derivation-membership"
     assert result.verdict == TP_TRIVIAL
+    assert result.solution_dim == 0
+
+
+def test_classify_rejects_an_unknown_verdict():
+    # anything but the two verdict strings, a ScanResult included, would
+    # otherwise fall through to the membership path unnoticed
+    for verdict in ("scalar_only", None, scan(PGCA, HALF, 1, 8)):
+        with pytest.raises(ProductError, match="unknown derivation verdict"):
+            classify_products(PGCA, verdict, 1)
 
 
 @pytest.mark.parametrize("verdict", [VERDICT_SCALAR_ONLY, VERDICT_NOT_SCALAR_ONLY])
@@ -230,16 +240,16 @@ def test_classification_json_shape():
 # integer-keyed membership rows against the Element-based reference
 
 
-@pytest.mark.parametrize("key", [k for k in catalog.keys() if k != "pgca"] + ["lopsided"])
+@pytest.mark.parametrize("key", catalog.keys() + ("lopsided",))
 @pytest.mark.parametrize("delta", [HALF, Fraction(1), Fraction(2, 3), Fraction(-3, 5)],
                          ids=str)
 def test_membership_system_equals_the_element_reference(key, delta):
-    # pgca at N=3 is a 248,668-row system, too large for a unit test; the
-    # lopsided presentation has five kinds, so it runs at N=2
+    # pgca at N=3 is a 248,668-row system, too large for a unit test, so it
+    # runs at N=1; the lopsided presentation has five kinds, so it runs at N=2
     if key == "lopsided":
         p, window = reference_loops._lopsided(), 2
     else:
-        p, window = catalog.get(key), 3
+        p, window = catalog.get(key), {"pgca": 1}.get(key, 3)
     matrix = _membership_system(p, delta, window)
     assert matrix == reference_loops.membership_system(p, delta, window)
 

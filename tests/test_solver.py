@@ -98,8 +98,8 @@ def test_layout_enumerates_kinds_in_declared_order():
     assert len(layout.columns) == 4 * 7
     assert layout.columns[:3] == [("L", -3), ("L", -2), ("L", -1)]
     assert layout.columns[7] == ("H", -3)
-    assert layout.column_of("J", 3) == 27
-    assert layout.column_of("J", 4) is None
+    assert layout.index[("J", 3)] == 27
+    assert ("J", 4) not in layout.index
 
 
 def test_layout_skips_central_kinds_that_cannot_shift():
@@ -143,9 +143,9 @@ def test_assembled_rows_match_the_hand_written_identity_for_witt():
                 continue
             coeff = Fraction(m - n)
             acc = {}
-            for c, v in ((layout.column_of("L", m + n), coeff),
-                         (layout.column_of("L", m), -coeff / 2),
-                         (layout.column_of("L", n), -coeff / 2)):
+            for c, v in ((layout.index[("L", m + n)], coeff),
+                         (layout.index[("L", m)], -coeff / 2),
+                         (layout.index[("L", n)], -coeff / 2)):
                 acc[c] = acc.get(c, Fraction(0)) + v
             acc = {c: v for c, v in acc.items() if v}
             if acc:
