@@ -12,14 +12,18 @@ Elimination streams the rows in order, fraction-free, pulling each from
 the source as it is reached.  Once a run of rows as long as the column
 count adds no pivot, or every column holds one, it stops eliminating and
 checks each further row against the integer kernel of the pivot rows so
-far; a row outside their span is eliminated and the kernel rebuilt.  With
-every column pivotal that kernel is empty, which is an exact zero-kernel
-certificate, and the stream stops: rows past that point are never made.
-That is the only place reading stops early.  The reduced form is that of
-full elimination, one row per pivot, each primitive over its leading
-entry.  nullspace checks the integer form of every kernel vector against
-every row of the input.  Anything else that looks at rows (rows, nnz,
-entries, to_dense, ==, repr) reads the source to the end first.
+far; a row outside their span is eliminated and the kernel rebuilt.
+Reading stops early in two places.  With every column pivotal that kernel
+is empty, an exact zero-kernel certificate.  A streamed matrix may also
+carry a kernel certificate from whoever made its rows: a check that int
+vectors satisfy every row, read or not, without reading any.  When it
+passes the candidate kernel, that kernel is the true one.  Either way
+rows past that point are never made.  The reduced form is that of full
+elimination, one row per pivot, each primitive over its leading entry.
+nullspace checks the integer form of every kernel vector against every
+row of the input, through the certificate when it passes.  Anything else
+that looks at rows (rows, nnz, entries, to_dense, ==, repr) reads the
+source to the end first.
 """
 
 from __future__ import annotations
@@ -39,12 +43,13 @@ class SparseMatrix:
 
     Rows are {column: int} dicts that never store zeros; _dens are ints > 0.
     A matrix built by from_stream also holds an unread row source: its rows
-    over one denominator, stored as they are read.  Elimination reads them
-    through _stream, which stops where rref stops; everything else that
-    looks at rows reads the source to the end first.
+    over one denominator, stored as they are read, and maybe a kernel
+    certificate.  Elimination reads them through _stream, which stops
+    where rref stops; everything else that looks at rows reads the source
+    to the end first.
     """
 
-    __slots__ = ("cols", "_rows", "_dens", "_source", "_den")
+    __slots__ = ("cols", "_rows", "_dens", "_source", "_den", "_certify")
 
     def __init__(self, cols: int):
         if cols < 0:
@@ -54,6 +59,7 @@ class SparseMatrix:
         self._dens: list[int] = []
         self._source = None
         self._den = 1
+        self._certify = None
 
     @classmethod
     def from_rows(cls, cols: int, rows: Iterable[dict]) -> "SparseMatrix":
@@ -78,17 +84,21 @@ class SparseMatrix:
 
     @classmethod
     def from_stream(cls, cols: int, rows: Iterable[dict[int, int]],
-                    den: int = 1) -> "SparseMatrix":
+                    den: int = 1, certify=None) -> "SparseMatrix":
         """Matrix over int rows, each standing for row / den, read on demand.
 
         Nothing is checked per row: each must be a {column: nonzero int}
         dict with every column in range(cols), and is stored as it is.
+        certify, if given, takes a list of (label, dense int vector) pairs
+        and may return True only if every vector has a zero product with
+        every row of the source; it reads no row.
         """
         if den < 1:
             raise LinalgError("row denominator must be positive")
         m = cls(cols)
         m._source = iter(rows)
         m._den = den
+        m._certify = certify
         return m
 
     def _stream(self):
@@ -138,7 +148,8 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
 
-def _rref_rows(rows: Iterable[dict[int, int]], cols: int) -> list[tuple[int, dict[int, int]]]:
+def _rref_rows(rows: Iterable[dict[int, int]], cols: int,
+               certify=None) -> list[tuple[int, dict[int, int]]]:
     """Reduced row echelon form of int rows: sorted (pivot column, row) pairs.
 
     Each returned row is primitive, positive at its pivot column and zero
@@ -160,7 +171,10 @@ def _rref_rows(rows: Iterable[dict[int, int]], cols: int) -> list[tuple[int, dic
     gives a new pivot, and the candidate kernel is rebuilt.  An empty
     candidate kernel (every column a pivot) fails no row, so the stream
     stops there, without pulling another row: the exact zero-kernel
-    certificate.  A check costs one product per candidate kernel vector,
+    certificate.  A nonzero candidate kernel stops it the same way when
+    certify (see SparseMatrix.from_stream) passes it, tried at every build
+    and rebuild: every row, read or not, then holds for it, so it is the
+    true kernel.  A check costs one product per candidate kernel vector,
     so the switch must not fire while that kernel is still wide.  Witt's
     membership system at window 6, at 1,183 columns, never switches: its
     longest run of redundant rows, 284, ends one row before its last
@@ -185,6 +199,8 @@ def _rref_rows(rows: Iterable[dict[int, int]], cols: int) -> list[tuple[int, dic
             idle += 1
             if idle == cols:
                 kernel = _kernel(pivots, cols)
+                if certify is not None and certify(kernel):
+                    break
             continue
         _divide_content(new)
         col = min(new)
@@ -204,7 +220,7 @@ def _rref_rows(rows: Iterable[dict[int, int]], cols: int) -> list[tuple[int, dic
         idle = 0
         if kernel is not None or len(pivots) == cols:
             kernel = _kernel(pivots, cols)
-            if not kernel:
+            if not kernel or certify is not None and certify(kernel):
                 break
 
     for col, row in pivots.items():
@@ -289,7 +305,7 @@ def rref(m: SparseMatrix) -> tuple[SparseMatrix, list[int]]:
     Building or reading it reads none of m's rows that elimination left
     unread.
     """
-    pivots = _rref_rows(m._stream(), m.cols)
+    pivots = _rref_rows(m._stream(), m.cols, m._certify)
     out = SparseMatrix(m.cols)
     out._rows = [row for _, row in pivots]
     out._dens = [row[col] for col, row in pivots]
@@ -317,13 +333,16 @@ def nullspace(m: SparseMatrix) -> VectorBasis:
 
     The vectors are the integer kernel of the reduced rows, built by the
     helper elimination checks rows against, divided by their free-column
-    entries.  Each is then multiplied through every row of the input, in
-    integers, those elimination skipped as well as those it reduced, as a
-    hard postcondition (verify_kernel runs the same check on a basis found
-    some other way): a nonzero residue means a bug in the elimination, not
-    bad data.  A streamed matrix is read only as far as elimination reads it,
-    which stops early only on the zero-kernel certificate, with no vector
-    to check; a nonzero kernel reads every row, in elimination's check and
+    entries.  Each is then checked against every row of the input, those
+    elimination skipped as well as those it reduced, as a hard
+    postcondition (verify_kernel runs the same check on a basis found some
+    other way): a nonzero residue means a bug in the elimination, not bad
+    data.  The check is the matrix's kernel certificate when it passes,
+    and otherwise a product with every row, in integers.  A streamed
+    matrix is read only as far as elimination reads it, which stops early
+    on the zero-kernel certificate or where the kernel certificate passes,
+    and then the postcondition reads no row either.  A nonzero kernel the
+    certificate does not pass reads every row, in elimination's check and
     again in the postcondition.
     """
     reduced, pivot_cols = rref(m)
@@ -336,7 +355,8 @@ def nullspace(m: SparseMatrix) -> VectorBasis:
 
 def verify_kernel(m: SparseMatrix, basis: VectorBasis) -> VectorBasis:
     """basis, once nullspace's postcondition holds for it: each vector,
-    cleared of denominators, multiplies to zero through every row of m."""
+    cleared of denominators, passes m's kernel certificate before any row
+    is read, or else multiplies to zero through every row of m."""
     if basis.dimension != m.cols:
         raise LinalgError(f"basis of dimension {basis.dimension} for {m.cols} columns")
     _verify(m, [(d, [q.numerator * (d // q.denominator) for q in vec])
@@ -346,8 +366,9 @@ def verify_kernel(m: SparseMatrix, basis: VectorBasis) -> VectorBasis:
 
 def _verify(m: SparseMatrix, kernel):
     """Multiply every row of m, read to the end, through each int vector w
-    of the (label, w) pairs; an empty kernel reads no row."""
-    if kernel:
+    of the (label, w) pairs, unless m's certificate passes them; an empty
+    kernel reads no row."""
+    if kernel and not (m._certify is not None and m._certify(kernel)):
         for row in m._stream():
             if _outside(row, kernel):
                 raise LinalgError("internal error: kernel vector fails verification")

@@ -11,10 +11,12 @@ The ansatz needs one partner kind per source kind.  When several kinds
 share the target sector the tie is broken by centrality: a central source
 must stay central (its image brackets to zero with everything, i.e. lies in
 the centre), and a non-central source keeps the unique non-central
-candidate, dropping cross terms into the centre.  For central extensions in
-the catalog those cross terms are forced to zero anyway; a presentation
-with two non-central kinds in one sector is outside the model and is
-rejected loudly.
+candidate, so no map from a non-central kind into the centre is searched.
+Such cross terms are not always zero: virasoro's derivation ad L_gamma
+sends L_{-gamma} to 2 gamma L_0 + (gamma^3 - gamma)/12 C, so for
+|gamma| >= 2 its delta = 1 scan misses it (ROADMAP item 5).  A
+presentation with two non-central kinds in one sector is outside the model
+and is rejected loudly.
 
 Constraint rows come from expanding D[x, y] - delta([Dx, y] + [x, Dy]) over
 all unordered source pairs whose indices m, n, m+n all lie in the window.
@@ -22,22 +24,31 @@ Truncation can only leak at the window boundary, so classification is read
 off an interior sub-window; shrinking it further never changes the verdict
 for a well-sized window.
 
+Each assembled system carries kernel_certificate's check, unless p has a
+central kind: a kernel vector affine in m per kind on the window turns
+every row into a polynomial identity in (m, n), checked once from p's int
+table.  Elimination stops reading rows as soon as its candidate kernel
+passes, and the kernel's check against every row then reads none.
+
 When core.index_reflection finds theta(X_m) = s_X X_{-m}, an automorphism
 for all indices, D -> theta D theta^-1 maps the window system of degree
 (eps, -gamma) onto that of (eps, gamma).  scan then solves each gamma <= 0
 degree directly and gives each gamma > 0 degree theta's image of its
-mirror's kernel, which it checks against its own rows and does not
-eliminate; without theta every degree is solved directly.
+mirror's kernel, which it checks against its own system and does not
+eliminate: through the certificate where that passes, so reading no row,
+and against every row otherwise.  Without theta every degree is solved
+directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
-from .core import (AlgebraPresentation, BasisKind, GradingDegree,
-                   format_rational, index_reflection)
+from .core import (_NO_TABLE, AlgebraPresentation, BasisKind, GradingDegree,
+                   _poly, _times, format_rational, index_reflection)
 from .linalg import (SparseMatrix, VectorBasis, nullspace, project_basis,
                      verify_kernel)
 
@@ -158,7 +169,7 @@ def unknown_layout(problem: HomogeneousSolveProblem) -> UnknownLayout:
 
 def identity_rows(p: AlgebraPresentation, delta: Fraction,
                   maps: Iterable[dict[tuple[int, int], list[tuple[int, tuple[int, int]]]]],
-                  window: int, cols: int) -> SparseMatrix:
+                  window: int, cols: int, certify=None) -> SparseMatrix:
     """The rows of D[x, y] - delta([Dx, y] + [x, Dy]), source pair by
     source pair, each pair's rows one map D after another.
 
@@ -188,7 +199,7 @@ def identity_rows(p: AlgebraPresentation, delta: Fraction,
         bad = min(used) if min(used) < 0 else max(used)
         raise SolverError(f"image column {bad} outside {cols} columns")
     return SparseMatrix.from_stream(cols, _identity_rows(p, delta, maps, window),
-                                    p.scale * delta.denominator)
+                                    p.scale * delta.denominator, certify)
 
 
 def _identity_rows(p: AlgebraPresentation, delta: Fraction, maps: list, window: int):
@@ -246,7 +257,8 @@ def assemble(problem: HomogeneousSolveProblem,
     """Constraint matrix whose kernel is the degree-homogeneous solution set.
 
     D(k_m) = u[k, m] * partner(k)_{m+gamma}, one column per source; the
-    rows are those of identity_rows on the problem's window.
+    rows are those of identity_rows on the problem's window, with
+    kernel_certificate's check.
     """
     p = problem.presentation
     if layout is None:
@@ -256,7 +268,94 @@ def assemble(problem: HomogeneousSolveProblem,
               [(col, (p.kind_order(layout.partner[name]), m + gamma))]
               for (name, m), col in layout.index.items()}
     return identity_rows(p, problem.delta, [images], problem.window,
-                         len(layout.columns))
+                         len(layout.columns), kernel_certificate(problem, layout))
+
+
+def kernel_certificate(problem: HomogeneousSolveProblem, layout: UnknownLayout):
+    """A check that int vectors on layout's columns satisfy every row of
+    the problem's system, reading none, or None if p has a central kind.
+
+    The check takes linalg's (label, w) pairs.  It passes them only if
+    each w is affine in m per kind on the window, w[X, m] = a_X + b_X*m,
+    and every row then holds as a polynomial identity: see
+    _affine_conditions.  Anything else fails the check, which then only
+    means that the rows must be read.  The conditions are derived on the
+    first call, so a degree whose kernel is found zero derives none.
+    """
+    p = problem.presentation
+    if p.central:
+        return None
+    window, span = problem.window, range(-problem.window, problem.window + 1)
+    partner = [None if (k := layout.partner[kind.name]) is None else p.kind_order(k)
+               for kind in p.kinds]
+    # (kind position, column of m = 0) per kind with columns
+    origins = [(x, layout.index[kind.name, 0]) for x, kind in enumerate(p.kinds)
+               if partner[x] is not None]
+    conditions = None
+
+    def certify(kernel) -> bool:
+        nonlocal conditions
+        if conditions is None:
+            conditions = _affine_conditions(problem, partner)
+        for _, w in kernel:
+            ab = [0] * (2 * len(partner))
+            for x, c in origins:
+                a, b = w[c], w[c + 1] - w[c]
+                if w[c - window:c + window + 1] != [a + b * i for i in span]:
+                    return False
+                ab[2 * x], ab[2 * x + 1] = a, b
+            for row in conditions:
+                if sum(v * ab[i] for i, v in row.items()):
+                    return False
+        return True
+    return certify
+
+
+def _affine_conditions(problem: HomogeneousSolveProblem,
+                       partner: list[int | None]) -> list[dict[int, int]]:
+    """Linear conditions {2X: on a_X, 2X + 1: on b_X} under which every row
+    of the problem's system holds for U_X(m) = a_X + b_X*m on each kind X.
+
+    U_X is 0 on a kind without columns, P is the partner map (by kind
+    position), f_XYZ the int table entry c0 + cm*i + cn*j of target Z in
+    [X_i, Y_j] and delta = dn/dd.  The rows of the source pairs (A_m, B_n)
+    with output kind T are the values at (m, n) of the polynomial, of
+    degree at most 2,
+
+        dd * sum over t with P(t) = T of f_ABt(m, n) * U_t(m + n)
+        - dn * (f_P(A)BT(m + gamma, n) * U_A(m) + f_AP(B)T(m, n + gamma) * U_B(n))
+
+    A source pair's kind A never comes after B in kind order, so when each
+    coefficient of the polynomial vanishes for these (A, B) and every T,
+    every row holds.  Each coefficient, one condition, is linear in the a
+    and b.
+    """
+    p, gamma = problem.presentation, problem.gamma
+    dd, dn = problem.delta.denominator, problem.delta.numerator
+    tables = p._tables
+    one, m, n = _times(), {(1, 0, 0): 1}, {(0, 1, 0): 1}
+    # (g, m*g, n*g) for the factor g of a_X (1) and the factors of b_X
+    # (m + n, m, n), so f*g is one sum: c0*g + cm*(m*g) + cn*(n*g)
+    by = [(g, _times(m, g), _times(n, g)) for g in (one, _poly((1, m), (1, n)), m, n)]
+    conditions: dict[tuple, dict[int, int]] = {}  # (A, B, T, exponents) -> condition
+    for a, b in combinations_with_replacement(range(len(partner)), 2):
+        # (output kind, kind X of U_X, weight, f, position in by of b_X's factor)
+        terms = [(partner[t], t, dd, c, 1)
+                 for t, c in tables.get((a, b), _NO_TABLE)[0].items()
+                 if partner[t] is not None]
+        if partner[a] is not None:
+            terms += [(t, a, -dn, (c0 + cm * gamma, cm, cn), 2) for t, (c0, cm, cn)
+                      in tables.get((partner[a], b), _NO_TABLE)[0].items()]
+        if partner[b] is not None:
+            terms += [(t, b, -dn, (c0 + cn * gamma, cm, cn), 3) for t, (c0, cm, cn)
+                      in tables.get((a, partner[b]), _NO_TABLE)[0].items()]
+        for t, x, weight, f, g in terms:
+            for slot, powers in ((2 * x, by[0]), (2 * x + 1, by[g])):
+                for e, v in _poly(*zip(f, powers)).items():
+                    row = conditions.setdefault((a, b, t, e), {})
+                    row[slot] = row.get(slot, 0) + weight * v
+    return [row for row in ({i: v for i, v in row.items() if v}
+                            for row in conditions.values()) if row]
 
 
 def describe_values(values: dict[int, Fraction]) -> str:
@@ -370,8 +469,9 @@ def solve_degree(problem: HomogeneousSolveProblem,
     """Solve one homogeneous degree and classify the interior solution space.
 
     Given a reflection, a degree it mirrors checks theta's image against
-    every one of its own rows (linalg.verify_kernel) instead of
-    eliminating, and a gamma < 0 degree leaves its kernel there.
+    its own system (linalg.verify_kernel: the kernel certificate, else
+    every row) instead of eliminating, and a gamma < 0 degree leaves its
+    kernel there.
     """
     interior = check_window(problem.window, problem.gamma, problem.interior)
     layout = unknown_layout(problem)

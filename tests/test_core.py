@@ -331,14 +331,16 @@ def test_every_memo_miss_calls_bracket_basis_once():
     p = catalog.get("pgca")
     with _counted_bracket_basis() as calls:
         # rows are streamed into elimination, so the 7 zero-kernel degrees
-        # at gamma <= 0 stop evaluating brackets at the certificate, and the
-        # 4 at gamma = 1 take theta's image of their mirror's zero kernel,
-        # which has no vector to check, and evaluate none: 1224 of the 2550
-        # brackets a full assembly of every row evaluates
+        # at gamma <= 0 stop evaluating brackets at the zero-kernel
+        # certificate and (0, 0, 0) where the kernel certificate passes its
+        # candidate kernel; the 4 at gamma = 1 take theta's image of their
+        # mirror's kernel, which is zero or certified without a row, and
+        # evaluate none: 419 of the 2550 brackets a full assembly of every
+        # row evaluates
         solver.scan(p, Fraction(1, 2), 1, 6)
-        assert calls[0] == len(p._indexed) == 1224
+        assert calls[0] == len(p._indexed) == 419
         solver.scan(p, Fraction(1, 2), 1, 6)
-        assert calls[0] == 1224
+        assert calls[0] == 419
     with _counted_bracket_basis() as calls:
         assert validate_presentation(catalog.get("pgca"), 4).passed
     assert calls[0] == 2356

@@ -6,7 +6,7 @@ written inline, so the two implementations share no code.
 
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import gcd, lcm
 
 import pytest
@@ -25,14 +25,14 @@ def F(x):
     return Fraction(x)
 
 
-def _streamed(data):
+def _streamed(data, certify=None):
     """The matrix of dense rows, streamed as int rows over one common
     denominator and made only as they are read, like solver.identity_rows'."""
     den = lcm(*(Fraction(v).denominator for row in data for v in row))
     cols = len(data[0]) if data else 0
     return SparseMatrix.from_stream(
         cols, ({c: int(Fraction(v) * den) for c, v in enumerate(row) if v}
-               for row in data), den)
+               for row in data), den, certify)
 
 
 def _both(data):
@@ -485,10 +485,10 @@ def _catalog_builders():
 def _built_from_lists():
     """SparseMatrix.from_stream handing its rows to from_rows as one list
     of rationals, so that from_rows bound-checks every row and drops its
-    zeros."""
+    zeros; a kernel certificate is dropped with the stream."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(SparseMatrix, "from_stream", classmethod(
-            lambda cls, cols, rows, den=1: cls.from_rows(
+            lambda cls, cols, rows, den=1, certify=None: cls.from_rows(
                 cols, [{c: Fraction(v, den) for c, v in row.items()} for row in rows])))
         yield
 
@@ -571,6 +571,75 @@ def test_rref_checks_rather_than_eliminates_after_a_redundant_run():
     assert pivots == [0, 1, 2]
     assert nullspace(from_dense(data)).vectors == []
     assert nullspace(from_dense(data[:5])).vectors == [(F(1), F(-1), F(1))]
+
+
+# ---------------------------------------------------------------------------
+# a kernel certificate handed in with the row source
+
+
+def _exact_certificate(data, calls=None):
+    """A kernel certificate that is exact for the dense rows: it passes
+    int vectors with a zero product with every one of them, and logs the
+    number of vectors it is handed."""
+    def certify(kernel):
+        if calls is not None:
+            calls.append(len(kernel))
+        return all(sum(F(a) * x for a, x in zip(row, w)) == 0
+                   for _, w in kernel for row in data)
+    return certify
+
+
+def _certified_then_raising(data, prefix, calls):
+    """data's first `prefix` rows, streamed with an exact certificate, as a
+    source that raises if read further."""
+    streamed = _streamed(data)
+
+    def rows():
+        yield from islice(streamed._source, prefix)
+        raise AssertionError("a row past the kernel certificate was read")
+    return SparseMatrix.from_stream(streamed.cols, rows(), streamed._den,
+                                    _exact_certificate(data, calls))
+
+
+def test_a_passing_kernel_certificate_stops_reading_rows():
+    # counting from 0: rows 2-5 are combinations of rows 0 and 1, as many
+    # as there are columns, so checking starts with a candidate kernel of
+    # dimension 2, which fails the certificate; row 6 leaves the span, and
+    # the rebuilt candidate passes it, so row 7 is never made
+    data = [[1, 0, 0, 1], [0, 1, 0, 1], [1, 1, 0, 2], [1, -1, 0, 0], [2, 0, 0, 2],
+            [0, 3, 0, 3], [0, 0, 1, 0], [1, 0, 1, 1]]
+    want_rows, want_pivots = _dense_rref(data)
+    calls = []
+    m = _certified_then_raising(data, 7, calls)
+    reduced, pivots = rref(m)
+    assert (reduced.to_dense(), pivots) == (want_rows, want_pivots)
+    assert calls == [2, 1] and len(m._rows) == 7
+    # nullspace's postcondition passes its kernel through the certificate
+    calls.clear()
+    m = _certified_then_raising(data, 7, calls)
+    assert nullspace(m).vectors == [(F(-1), F(-1), F(0), F(1))]
+    assert calls == [2, 1, 1] and len(m._rows) == 7
+    # verify_kernel tries it before reading any row, and reads the rows
+    # only when it fails
+    m = _certified_then_raising(data, 0, calls)
+    assert verify_kernel(m, VectorBasis(4, [(F(1), F(1), F(0), F(-1))]))
+    assert m._rows == []
+    with pytest.raises(AssertionError, match="past the kernel certificate"):
+        verify_kernel(m, VectorBasis(4, [(F(1), F(0), F(0), F(0))]))
+
+
+@given(st.one_of(dense_matrices, resumed_matrices().map(lambda case: case[0])))
+def test_a_kernel_certificate_changes_no_result(data):
+    # an exact certificate, and one that never passes, which falls back on
+    # reading every row
+    want_rref, want_kernel = rref(from_dense(data)), nullspace(from_dense(data))
+    for certify, fails in ((_exact_certificate(data), False), (lambda kernel: False, True)):
+        assert rref(_streamed(data, certify)) == want_rref
+        m = _streamed(data, certify)
+        assert nullspace(m) == want_kernel
+        assert verify_kernel(m, want_kernel) is want_kernel
+        if fails and want_kernel.vectors:
+            assert len(m._rows) == len(data)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,12 @@ the derivation identity itself.
 
 from dataclasses import astuple
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import reference_loops
 from gradedlie import catalog, cli, linalg, poisson, solver
@@ -20,8 +24,8 @@ from gradedlie.solver import (AmbiguousSectorError, HomogeneousSolveProblem,
                               SolveReport, SolverError, VERDICT_NOT_SCALAR_ONLY,
                               VERDICT_SCALAR_ONLY, WindowTooSmallError,
                               assemble, classify_interior, describe_values,
-                              partner_kind, required_window, scan,
-                              scan_verdict, solve_degree, unknown_layout)
+                              kernel_certificate, partner_kind, required_window,
+                              scan, scan_verdict, solve_degree, unknown_layout)
 from matrices import mul_vec, sparse_rows
 
 PGCA = catalog.get("pgca")
@@ -483,19 +487,33 @@ def test_solve_degree_crosses_each_layer_once(delta, degree, projected,
 def test_zero_kernel_degrees_stop_making_rows():
     # the half-scan at N = 6, |gamma| <= 1: elimination reaches the
     # zero-kernel certificate in every degree but (0, 0, 0), and the rows
-    # past it are never made; the degree with a kernel reads all of them
+    # past it are never made; the degree with a kernel stops where the
+    # kernel certificate passes the identity, after 108 of its 668 rows
     read = total = 0
     for degree in [(e1, e2, g) for e1 in (0, 1) for e2 in (0, 1) for g in (-1, 0, 1)]:
         matrix = assemble(problem(catalog.get("pgca"), HALF, degree, 6))
         kernel = linalg.nullspace(matrix)
         made = len(matrix._rows)
-        if degree == (0, 0, 0):
-            assert len(kernel) == 1 and made == matrix.rows
-        else:
-            assert len(kernel) == 0 and made < matrix.rows, degree
+        assert len(kernel) == (degree == (0, 0, 0)) and made < matrix.rows, degree
         read += made
         total += matrix.rows
-    assert (read, total) == (1309, 10292)
+    assert (read, total) == (749, 10292)
+
+
+def test_nonzero_kernel_degrees_stop_making_rows(monkeypatch):
+    # pgca's derivations at N = 6, |gamma| <= 1: every degree has a kernel,
+    # affine in m per kind, so each solved degree stops reading where the
+    # kernel certificate passes it and each mirrored one (gamma = 1) is
+    # certified without a row
+    made = []
+    monkeypatch.setattr(solver, "assemble",
+                        lambda *args: made.append(assemble(*args)) or made[-1])
+    result = scan(PGCA, Fraction(1), 1, 6)
+    read = [len(matrix._rows) for matrix in made]
+    for report, matrix, rows in zip(result.reports, made, read, strict=True):
+        assert report.full_dim > 0
+        assert rows == 0 if report.degree.index == 1 else 0 < rows < matrix.rows
+    assert (sum(read), sum(matrix.rows for matrix in made)) == (2122, 10240)
 
 
 def test_identity_rows_checks_each_map_once_before_any_row():
@@ -542,6 +560,174 @@ def test_several_maps_interleave_their_rows_source_pair_by_source_pair(
     assert not any(by_pair[1])
     interleaved = [row for pair in zip(*by_pair) for rows in pair for row in rows]
     assert sparse_rows(solver.identity_rows(p, delta, maps, window, cols)) == interleaved
+
+
+# ---------------------------------------------------------------------------
+# kernel certificate: affine kernel vectors checked as polynomial identities
+
+# witt plus a kind A that brackets to zero with everything: at (0, 0, 0)
+# every u[A, m] is free, so the kernel holds vectors that are not affine
+_A = BasisKind("A", (0, 1))
+WITT_PLUS_ABELIAN = AlgebraPresentation("witt+abelian", (_L, _A), (
+    BracketRule(_L, _L, (BracketTerm(_L, affine(cm=1, cn=-1)),)),))
+
+
+_TEST_PRESENTATIONS = {"witt-module": WITT_MODULE, "witt+abelian": WITT_PLUS_ABELIAN}
+
+
+def _presentation(key):
+    if key == "lopsided":
+        return reference_loops._lopsided()
+    return _TEST_PRESENTATIONS.get(key) or catalog.get(key)
+
+
+def _ints(vectors):
+    """Rational vectors as linalg's (label, int vector) pairs, each cleared
+    of denominators."""
+    return [(i, [q.numerator * (d // q.denominator) for q in vec])
+            for i, vec in enumerate(vectors) for d in [lcm(*(q.denominator for q in vec))]]
+
+
+def _unread(prob):
+    """prob's matrix without its kernel certificate, read as before it."""
+    matrix = assemble(prob)
+    matrix._certify = None
+    return matrix
+
+
+def _rows_hold(matrix, vec):
+    return not any(mul_vec(matrix, vec))
+
+
+@pytest.mark.parametrize("key", catalog.keys() + ("lopsided", "witt-module"))
+@pytest.mark.parametrize("delta", (HALF, Fraction(1), Fraction(2, 3)), ids=str)
+def test_certified_kernels_equal_those_of_full_reading(key, delta):
+    # at these sizes every nonzero kernel of a presentation without a
+    # central kind is certified before its rows run out, except abelian's,
+    # which has no rows and kernel vectors that are not affine
+    p = _presentation(key)
+    nonzero = certified = 0
+    for window, degree in product((4, 6), product((0, 1), (0, 1), (-1, 0, 1))):
+        prob = problem(p, delta, degree, window)
+        matrix, unread = assemble(prob), _unread(prob)
+        assert (matrix._certify is None) == bool(p.central)
+        kernel = linalg.nullspace(matrix)
+        assert kernel == linalg.nullspace(unread), (window, degree)
+        assert linalg.rref(assemble(prob)) == linalg.rref(_unread(prob)), (window, degree)
+        nonzero += len(kernel) > 0
+        certified += len(kernel) > 0 and len(matrix._rows) < unread.rows
+    assert certified == (0 if p.central or key == "abelian" else nonzero)
+
+
+def test_a_changed_candidate_fails_the_certificate():
+    prob = problem(PGCA, Fraction(1), (0, 0, 0), 6)
+    layout = unknown_layout(prob)
+    certify = kernel_certificate(prob, layout)
+    unread = _unread(prob)
+    kernel = linalg.nullspace(unread)
+    assert len(kernel) == 2 and certify(_ints(kernel.vectors))
+    cols = len(layout.columns)
+    for vec, c in product(kernel.vectors, range(cols)):
+        changed = tuple(v + (i == c) for i, v in enumerate(vec))
+        assert not certify(_ints([changed])), c
+        with pytest.raises(linalg.LinalgError,
+                           match="^internal error: kernel vector fails verification$"):
+            linalg.verify_kernel(assemble(prob), linalg.VectorBasis(cols, [changed]))
+    # fed only changed candidates, the certificate never passes, and
+    # elimination reads every row and finds the kernel all the same
+    matrix = assemble(prob)
+    matrix._certify = lambda kernel: certify([(f, [w[0] + 1] + w[1:]) for f, w in kernel])
+    assert linalg.nullspace(matrix) == kernel
+    assert len(matrix._rows) == unread.rows
+
+
+@pytest.mark.parametrize("key", ("pgca", "witt", "heisenberg-virasoro", "witt-module"))
+@pytest.mark.parametrize("delta", (HALF, Fraction(1), Fraction(2, 3)), ids=str)
+def test_an_affine_candidate_passes_exactly_when_every_row_holds(key, delta):
+    # each kernel vector, and zero, with the constant 1 or m added on one
+    # kind's columns: still affine, so the certificate decides, and it
+    # must agree with the rows
+    p = _presentation(key)
+    for degree in ((0, 0, 0), (0, 0, 1), (0, 1, -1)):
+        prob = problem(p, delta, degree, 6)
+        layout = unknown_layout(prob)
+        certify = kernel_certificate(prob, layout)
+        unread = _unread(prob)
+        kernel = linalg.nullspace(unread).vectors
+        outcomes = set()
+        for vec, kind, slope in product(kernel + [(0,) * len(layout.columns)],
+                                        [k.name for k in p.kinds], (0, 1)):
+            changed = tuple(v + (slope * m if slope else 1) * (k == kind)
+                            for v, (k, m) in zip(vec, layout.columns))
+            passed = certify(_ints([changed]))
+            assert passed == _rows_hold(unread, changed), (degree, kind, slope)
+            outcomes.add(passed)
+        assert False in outcomes or not layout.columns, degree
+
+
+def test_a_kernel_that_is_not_affine_reads_every_row():
+    prob = problem(WITT_PLUS_ABELIAN, HALF, (0, 0, 0), 4)
+    matrix = assemble(prob)
+    kernel = linalg.nullspace(matrix)
+    # the identity on L, and each u[A, m] alone
+    assert len(kernel) == 1 + 9
+    assert len(matrix._rows) == matrix.rows > 0
+    assert kernel == linalg.nullspace(_unread(prob))
+    assert not matrix._certify(_ints(kernel.vectors))
+
+
+@pytest.mark.parametrize("key", ["virasoro", "lopsided"])
+def test_a_presentation_with_a_central_kind_reads_every_row(key):
+    prob = problem(_presentation(key), Fraction(1), (0, 0, 0), 6)
+    assert kernel_certificate(prob, unknown_layout(prob)) is None
+    matrix = assemble(prob)
+    assert len(linalg.nullspace(matrix)) > 0
+    assert len(matrix._rows) == matrix.rows
+
+
+def _is_affine(layout, vec):
+    """Whether vec is affine in m on each kind's columns."""
+    by_kind = {}
+    for v, (k, _) in zip(vec, layout.columns):
+        by_kind.setdefault(k, []).append(v)
+    return all(len({b - a for a, b in zip(vs, vs[1:])}) <= 1 for vs in by_kind.values())
+
+
+@st.composite
+def _certificate_cases(draw):
+    """A problem without central kinds and a vector on its columns: a
+    combination of kernel vectors, plus maybe an affine vector per kind,
+    plus maybe one changed entry."""
+    key = draw(st.sampled_from(("pgca", "witt", "heisenberg-virasoro", "witt-module",
+                                "witt+abelian")))
+    delta = draw(st.sampled_from((HALF, Fraction(1), Fraction(2, 3), Fraction(0),
+                                  Fraction(-3, 5))))
+    degree = (draw(st.integers(0, 1)), draw(st.integers(0, 1)), draw(st.integers(-2, 2)))
+    prob = problem(_presentation(key), delta, degree,
+                   draw(st.integers(required_window(degree[2]), 6)))
+    layout = unknown_layout(prob)
+    kernel = linalg.nullspace(_unread(prob)).vectors
+    small = st.integers(-2, 2)
+    vec = [sum((k * v[i] for k, v in zip(draw(st.lists(small, min_size=len(kernel),
+                                                       max_size=len(kernel))), kernel)),
+               Fraction(0)) for i in range(len(layout.columns))]
+    if draw(st.booleans()):
+        lines = {k.name: (draw(small), draw(small)) for k in prob.presentation.kinds}
+        vec = [v + lines[k][0] + lines[k][1] * m for v, (k, m) in zip(vec, layout.columns)]
+    if layout.columns and draw(st.booleans()):
+        vec[draw(st.integers(0, len(vec) - 1))] += draw(st.sampled_from((-1, 1)))
+    return prob, layout, vec
+
+
+@given(_certificate_cases())
+def test_the_certificate_passes_only_vectors_every_row_holds_for(case):
+    # and, the presentations being Lie algebras, it passes every affine
+    # one: each residual then vanishes on the window's index pairs, which
+    # hold a 3 x 3 grid (for A = B, where only m < n gives a row, by
+    # skew-symmetry), so the polynomial of degree 2 is zero
+    prob, layout, vec = case
+    passed = kernel_certificate(prob, layout)(_ints([vec]))
+    assert passed == (_rows_hold(_unread(prob), vec) and _is_affine(layout, vec))
 
 
 # ---------------------------------------------------------------------------
