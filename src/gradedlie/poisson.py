@@ -208,10 +208,7 @@ def _membership_system(p: AlgebraPresentation, delta: Fraction, window: int):
         for j in range(i, width):
             pair_of[i][j] = pair_of[j][i] = pairs
             pairs += 1
-    # (column, target) of each product z.w, one column int object shared by
-    # every row that holds it
-    col_ids = list(range(pairs * width))
-    products = [list(zip(col_ids[pi * width:(pi + 1) * width], basis))
+    products = [list(zip(range(pi * width, (pi + 1) * width), basis))
                 for pi in range(pairs)]
     maps = ({w: products[pi] for w, pi in zip(basis, pair_of[z])} for z in range(width))
     return identity_rows(p, delta, maps, window, pairs * width)

@@ -25,10 +25,12 @@ off an interior sub-window; shrinking it further never changes the verdict
 for a well-sized window.
 
 Each assembled system carries kernel_certificate's check, unless p has a
-central kind: a kernel vector affine in m per kind on the window turns
-every row into a polynomial identity in (m, n), checked once from p's int
-table.  Elimination stops reading rows as soon as its candidate kernel
-passes, and the kernel's check against every row then reads none.
+central kind or a same-kind table that is not skew: for a kernel vector
+affine in m per kind on the window, each family of rows is one polynomial
+of degree at most 2 in (m, n), which is zero once it vanishes on the rows
+of the same system on the window N = 1.  Elimination stops reading rows as
+soon as its candidate kernel passes, and the kernel's check against every
+row then reads none.
 
 When core.index_reflection finds theta(X_m) = s_X X_{-m}, an automorphism
 for all indices, D -> theta D theta^-1 maps the window system of degree
@@ -44,12 +46,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
-from .core import (_NO_TABLE, AlgebraPresentation, BasisKind, GradingDegree,
-                   _poly, _times, format_rational, index_reflection)
-from .linalg import (SparseMatrix, VectorBasis, nullspace, project_basis,
+from .core import (AlgebraPresentation, BasisKind, GradingDegree, format_rational,
+                   index_reflection)
+from .linalg import (SparseMatrix, VectorBasis, _outside, nullspace, project_basis,
                      verify_kernel)
 
 
@@ -252,110 +253,73 @@ def _identity_rows(p: AlgebraPresentation, delta: Fraction, maps: list, window: 
                     yield row
 
 
+def _images(problem: HomogeneousSolveProblem, layout: UnknownLayout) -> dict:
+    """D(k_m) = u[k, m] * partner(k)_{m+gamma} as identity_rows' images, one
+    column per source."""
+    p, gamma = problem.presentation, problem.gamma
+    return {(p.kind_order(p.kind(name)), m):
+            [(col, (p.kind_order(layout.partner[name]), m + gamma))]
+            for (name, m), col in layout.index.items()}
+
+
 def assemble(problem: HomogeneousSolveProblem,
              layout: UnknownLayout | None = None) -> SparseMatrix:
     """Constraint matrix whose kernel is the degree-homogeneous solution set.
 
-    D(k_m) = u[k, m] * partner(k)_{m+gamma}, one column per source; the
-    rows are those of identity_rows on the problem's window, with
-    kernel_certificate's check.
+    The rows are those of identity_rows for _images on the problem's
+    window, with kernel_certificate's check.
     """
-    p = problem.presentation
     if layout is None:
         layout = unknown_layout(problem)
-    gamma = problem.gamma
-    images = {(p.kind_order(p.kind(name)), m):
-              [(col, (p.kind_order(layout.partner[name]), m + gamma))]
-              for (name, m), col in layout.index.items()}
-    return identity_rows(p, problem.delta, [images], problem.window,
-                         len(layout.columns), kernel_certificate(problem, layout))
+    return identity_rows(problem.presentation, problem.delta, [_images(problem, layout)],
+                         problem.window, len(layout.columns),
+                         kernel_certificate(problem, layout))
 
 
 def kernel_certificate(problem: HomogeneousSolveProblem, layout: UnknownLayout):
     """A check that int vectors on layout's columns satisfy every row of
-    the problem's system, reading none, or None if p has a central kind.
+    the problem's system, reading none of them, or None if p has a central
+    kind or a same-kind table that is not skew.
 
     The check takes linalg's (label, w) pairs.  It passes them only if
     each w is affine in m per kind on the window, w[X, m] = a_X + b_X*m,
-    and every row then holds as a polynomial identity: see
-    _affine_conditions.  Anything else fails the check, which then only
-    means that the rows must be read.  The conditions are derived on the
-    first call, so a degree whose kernel is found zero derives none.
+    and holds on every row of the same system on the window N = 1.  Those
+    rows are made once, on the first candidate that is affine.  Anything
+    else fails the check, which then only means that the rows must be read.
+
+    Why the sample suffices: for affine w, the rows of the source pairs
+    (A_m, B_n), A not after B in kind order, with output kind T are the
+    values at (m, n) of one polynomial of degree at most 2, on every
+    window, as every column they read exists without a central kind.  For
+    A != B it vanishes at the 7 points with |m|, |n|, |m + n| <= 1 only if
+    it is zero: it is then zero on the line m + n = 0, so it is (m + n)*L,
+    and the affine L vanishes at (1, 0), (-1, 0) and (0, 1).  For A = B
+    only m < n gives a row; with a skew table (c0 = 0, cm = -cn), as every
+    two-kind table is by construction, the polynomial is antisymmetric,
+    so (m - n)*(alpha + beta*(m + n)), and the rows at (-1, 0) and (0, 1)
+    force alpha = beta = 0.
     """
     p = problem.presentation
-    if p.central:
+    if p.central or any(c0 or cm + cn for (a, b), (terms, _) in p._tables.items()
+                        if a == b for c0, cm, cn in terms.values()):
         return None
     window, span = problem.window, range(-problem.window, problem.window + 1)
-    partner = [None if (k := layout.partner[kind.name]) is None else p.kind_order(k)
-               for kind in p.kinds]
-    # (kind position, column of m = 0) per kind with columns
-    origins = [(x, layout.index[kind.name, 0]) for x, kind in enumerate(p.kinds)
-               if partner[x] is not None]
-    conditions = None
+    # the column of m = 0 per kind with columns
+    origins = [layout.index[kind.name, 0] for kind in p.kinds
+               if layout.partner[kind.name] is not None]
+    sample = None
 
     def certify(kernel) -> bool:
-        nonlocal conditions
-        if conditions is None:
-            conditions = _affine_conditions(problem, partner)
+        nonlocal sample
         for _, w in kernel:
-            ab = [0] * (2 * len(partner))
-            for x, c in origins:
+            for c in origins:
                 a, b = w[c], w[c + 1] - w[c]
                 if w[c - window:c + window + 1] != [a + b * i for i in span]:
                     return False
-                ab[2 * x], ab[2 * x + 1] = a, b
-            for row in conditions:
-                if sum(v * ab[i] for i, v in row.items()):
-                    return False
-        return True
+        if sample is None:
+            sample = list(_identity_rows(p, problem.delta, [_images(problem, layout)], 1))
+        return not any(_outside(row, kernel) for row in sample)
     return certify
-
-
-def _affine_conditions(problem: HomogeneousSolveProblem,
-                       partner: list[int | None]) -> list[dict[int, int]]:
-    """Linear conditions {2X: on a_X, 2X + 1: on b_X} under which every row
-    of the problem's system holds for U_X(m) = a_X + b_X*m on each kind X.
-
-    U_X is 0 on a kind without columns, P is the partner map (by kind
-    position), f_XYZ the int table entry c0 + cm*i + cn*j of target Z in
-    [X_i, Y_j] and delta = dn/dd.  The rows of the source pairs (A_m, B_n)
-    with output kind T are the values at (m, n) of the polynomial, of
-    degree at most 2,
-
-        dd * sum over t with P(t) = T of f_ABt(m, n) * U_t(m + n)
-        - dn * (f_P(A)BT(m + gamma, n) * U_A(m) + f_AP(B)T(m, n + gamma) * U_B(n))
-
-    A source pair's kind A never comes after B in kind order, so when each
-    coefficient of the polynomial vanishes for these (A, B) and every T,
-    every row holds.  Each coefficient, one condition, is linear in the a
-    and b.
-    """
-    p, gamma = problem.presentation, problem.gamma
-    dd, dn = problem.delta.denominator, problem.delta.numerator
-    tables = p._tables
-    one, m, n = _times(), {(1, 0, 0): 1}, {(0, 1, 0): 1}
-    # (g, m*g, n*g) for the factor g of a_X (1) and the factors of b_X
-    # (m + n, m, n), so f*g is one sum: c0*g + cm*(m*g) + cn*(n*g)
-    by = [(g, _times(m, g), _times(n, g)) for g in (one, _poly((1, m), (1, n)), m, n)]
-    conditions: dict[tuple, dict[int, int]] = {}  # (A, B, T, exponents) -> condition
-    for a, b in combinations_with_replacement(range(len(partner)), 2):
-        # (output kind, kind X of U_X, weight, f, position in by of b_X's factor)
-        terms = [(partner[t], t, dd, c, 1)
-                 for t, c in tables.get((a, b), _NO_TABLE)[0].items()
-                 if partner[t] is not None]
-        if partner[a] is not None:
-            terms += [(t, a, -dn, (c0 + cm * gamma, cm, cn), 2) for t, (c0, cm, cn)
-                      in tables.get((partner[a], b), _NO_TABLE)[0].items()]
-        if partner[b] is not None:
-            terms += [(t, b, -dn, (c0 + cn * gamma, cm, cn), 3) for t, (c0, cm, cn)
-                      in tables.get((a, partner[b]), _NO_TABLE)[0].items()]
-        for t, x, weight, f, g in terms:
-            for slot, powers in ((2 * x, by[0]), (2 * x + 1, by[g])):
-                for e, v in _poly(*zip(f, powers)).items():
-                    row = conditions.setdefault((a, b, t, e), {})
-                    row[slot] = row.get(slot, 0) + weight * v
-    return [row for row in ({i: v for i, v in row.items() if v}
-                            for row in conditions.values()) if row]
 
 
 def describe_values(values: dict[int, Fraction]) -> str:

@@ -335,12 +335,15 @@ def test_every_memo_miss_calls_bracket_basis_once():
         # certificate and (0, 0, 0) where the kernel certificate passes its
         # candidate kernel; the 4 at gamma = 1 take theta's image of their
         # mirror's kernel, which is zero or certified without a row, and
-        # evaluate none: 419 of the 2550 brackets a full assembly of every
-        # row evaluates
+        # evaluate none: 473 of the 2550 brackets a full assembly of every
+        # row evaluates.  (0, 0, 0) fills 108 of them, 54 for the rows it
+        # reads and 54 more because the certificate checks its candidate
+        # against that degree's rows on the window N = 1, whose brackets
+        # the rows read before had not filled
         solver.scan(p, Fraction(1, 2), 1, 6)
-        assert calls[0] == len(p._indexed) == 419
+        assert calls[0] == len(p._indexed) == 473
         solver.scan(p, Fraction(1, 2), 1, 6)
-        assert calls[0] == 419
+        assert calls[0] == 473
     with _counted_bracket_basis() as calls:
         assert validate_presentation(catalog.get("pgca"), 4).passed
     assert calls[0] == 2356

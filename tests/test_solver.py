@@ -563,7 +563,7 @@ def test_several_maps_interleave_their_rows_source_pair_by_source_pair(
 
 
 # ---------------------------------------------------------------------------
-# kernel certificate: affine kernel vectors checked as polynomial identities
+# kernel certificate: affine kernel vectors checked on the rows of the window N = 1
 
 # witt plus a kind A that brackets to zero with everything: at (0, 0, 0)
 # every u[A, m] is free, so the kernel holds vectors that are not affine
@@ -572,7 +572,16 @@ WITT_PLUS_ABELIAN = AlgebraPresentation("witt+abelian", (_L, _A), (
     BracketRule(_L, _L, (BracketTerm(_L, affine(cm=1, cn=-1)),)),))
 
 
-_TEST_PRESENTATIONS = {"witt-module": WITT_MODULE, "witt+abelian": WITT_PLUS_ABELIAN}
+# one kind with [A_m, A_n] = (1 + m - n) A_{m+n}: no central kind, but a
+# same-kind table that is not skew, so the certificate's sample of rows on
+# the window N = 1 does not decide the rows at m < n
+_S = BasisKind("A", (0, 0))
+NOT_SKEW = AlgebraPresentation("not-skew", (_S,), (
+    BracketRule(_S, _S, (BracketTerm(_S, affine(c0=1, cm=1, cn=-1)),)),))
+
+
+_TEST_PRESENTATIONS = {"witt-module": WITT_MODULE, "witt+abelian": WITT_PLUS_ABELIAN,
+                       "not-skew": NOT_SKEW}
 
 
 def _presentation(key):
@@ -599,24 +608,25 @@ def _rows_hold(matrix, vec):
     return not any(mul_vec(matrix, vec))
 
 
-@pytest.mark.parametrize("key", catalog.keys() + ("lopsided", "witt-module"))
+@pytest.mark.parametrize("key", catalog.keys() + ("lopsided", "witt-module", "not-skew"))
 @pytest.mark.parametrize("delta", (HALF, Fraction(1), Fraction(2, 3)), ids=str)
 def test_certified_kernels_equal_those_of_full_reading(key, delta):
     # at these sizes every nonzero kernel of a presentation without a
     # central kind is certified before its rows run out, except abelian's,
-    # which has no rows and kernel vectors that are not affine
+    # which has no rows and kernel vectors that are not affine, and
+    # not-skew's, which gets no certificate
     p = _presentation(key)
     nonzero = certified = 0
     for window, degree in product((4, 6), product((0, 1), (0, 1), (-1, 0, 1))):
         prob = problem(p, delta, degree, window)
         matrix, unread = assemble(prob), _unread(prob)
-        assert (matrix._certify is None) == bool(p.central)
+        assert (matrix._certify is None) == (bool(p.central) or key == "not-skew")
         kernel = linalg.nullspace(matrix)
         assert kernel == linalg.nullspace(unread), (window, degree)
         assert linalg.rref(assemble(prob)) == linalg.rref(_unread(prob)), (window, degree)
         nonzero += len(kernel) > 0
         certified += len(kernel) > 0 and len(matrix._rows) < unread.rows
-    assert certified == (0 if p.central or key == "abelian" else nonzero)
+    assert certified == (0 if p.central or key in ("abelian", "not-skew") else nonzero)
 
 
 def test_a_changed_candidate_fails_the_certificate():
@@ -685,6 +695,23 @@ def test_a_presentation_with_a_central_kind_reads_every_row(key):
     assert len(matrix._rows) == matrix.rows
 
 
+def test_a_same_kind_table_that_is_not_skew_reads_every_row():
+    prob = problem(NOT_SKEW, HALF, (0, 0, 0), 4)
+    layout = unknown_layout(prob)
+    # u[A, m] = m - 1 holds on every row of the window N = 1, and not on
+    # every row of the window N = 4
+    line = [m - 1 for _, m in layout.columns]
+    sample = solver.identity_rows(NOT_SKEW, HALF, [solver._images(prob, layout)], 1,
+                                  len(layout.columns))
+    assert sample.rows and _rows_hold(sample, line)
+    assert not _rows_hold(_unread(prob), line)
+    assert kernel_certificate(prob, layout) is None
+    matrix = assemble(prob)
+    kernel = linalg.nullspace(matrix)
+    assert len(kernel) > 0 and len(matrix._rows) == matrix.rows
+    assert kernel == linalg.nullspace(_unread(prob))
+
+
 def _is_affine(layout, vec):
     """Whether vec is affine in m on each kind's columns."""
     by_kind = {}
@@ -721,10 +748,11 @@ def _certificate_cases(draw):
 
 @given(_certificate_cases())
 def test_the_certificate_passes_only_vectors_every_row_holds_for(case):
-    # and, the presentations being Lie algebras, it passes every affine
-    # one: each residual then vanishes on the window's index pairs, which
-    # hold a 3 x 3 grid (for A = B, where only m < n gives a row, by
-    # skew-symmetry), so the polynomial of degree 2 is zero
+    # and it passes every affine one: for a vector affine per kind, each
+    # family of rows is one polynomial of degree at most 2 in (m, n), so it
+    # holds on the whole window once it holds at the 7 index pairs of the
+    # window N = 1 (for A = B, where only m < n gives a row, at (-1, 0) and
+    # (0, 1), these presentations' same-kind tables being skew)
     prob, layout, vec = case
     passed = kernel_certificate(prob, layout)(_ints([vec]))
     assert passed == (_rows_hold(_unread(prob), vec) and _is_affine(layout, vec))
