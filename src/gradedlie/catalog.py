@@ -7,9 +7,10 @@ shift it, and a legacy shift field is accepted only as 0.  Loading checks
 the algebra, so a structurally broken one fails at the door rather than
 deep inside a solve.  A file with a central kind as a bracket argument is
 a format error (the presentation constructor rejects it).  Skew-symmetry
-and Jacobi are then decided for all indices from the presentation's rule
-tables; a file the certificate rejects always fails, with a witness from
-the window N = LOAD_VALIDATION_WINDOW.
+and Jacobi are then decided for all indices by core.certify_presentation,
+which evaluates the brackets at points that determine each identity; a
+file the certificate rejects always fails, with a witness from the window
+N = LOAD_VALIDATION_WINDOW.
 """
 
 from __future__ import annotations
@@ -266,7 +267,8 @@ def load(path, validate: bool = True) -> AlgebraPresentation:
     """Load a presentation file; by default check it is a Lie algebra.
 
     A file that cannot be read as UTF-8 text, or does not hold a valid
-    presentation, raises PresentationFormatError.  The certificate decides
+    presentation, raises PresentationFormatError.  The certificate, which
+    evaluates the brackets at points that determine each identity, decides
     for all indices.  A file it rejects raises PresentationValidationError
     with the report of the windowed check at N = LOAD_VALIDATION_WINDOW,
     which runs only to name the witness.

@@ -19,9 +19,10 @@ summed coefficients times the presentation's `scale`.  The hot loops
 `bracket_indexed` instead: an
 integer view keyed by (kind position, index), with every coefficient
 multiplied by `scale`, memoised per presentation and filled from
-`bracket_basis`.  `certify_presentation` reads the same table to prove
-skew-symmetry and Jacobi for all indices; `validate_presentation` checks
-them exhaustively on a window.
+`bracket_basis`.  `certify_presentation` proves skew-symmetry and Jacobi
+for all indices by evaluating them through `bracket_indexed` at a few
+index points that determine each identity as a polynomial;
+`validate_presentation` checks them exhaustively on a window.
 
 A kind may be marked central: it then has a single basis element at index
 0, brackets trivially with everything, and appears in a bracket only as an
@@ -34,7 +35,7 @@ from __future__ import annotations
 import re
 from dataclasses import astuple, dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement
 from math import lcm
 from operator import add
 from typing import Iterable, Iterator, Mapping
@@ -601,63 +602,53 @@ def validate_presentation(p: AlgebraPresentation, window: int) -> ValidationRepo
     return report
 
 
-def _poly(*scaled) -> dict:
-    """sum of w * f over (w, f) pairs, polynomials as {exponents: int}."""
-    out = {}
-    for w, f in scaled:
-        for e, v in f.items():
-            out[e] = out.get(e, 0) + w * v
-    return out
-
-
-def _times(*factors) -> dict:
-    """Product of polynomials in (m, n, k); of none, the constant 1."""
-    out = {(0, 0, 0): 1}
-    for f in factors:
-        out = _poly(*((u * v, {(e[0] + d[0], e[1] + d[1], e[2] + d[2]): 1})
-                      for e, u in out.items() for d, v in f.items()))
-    return out
+# The index points certify_presentation evaluates at; its docstring gives
+# the degree each set determines.
+_SKEW_POINTS = ((0, 0), (1, 0), (0, 1))
+_CENTRAL_SKEW_POINTS = ((-1, 1), (1, -1), (2, -2))
+_JACOBI_POINTS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0),
+                  (0, 0, -1), (1, 1, 0), (1, 0, 1), (0, 1, 1))
+_PLANE_POINTS = tuple((i, j, -i - j) for i in range(5) for j in range(5 - i))
 
 
 def certify_presentation(p: AlgebraPresentation) -> bool:
     """True if and only if skew-symmetry and Jacobi hold at every index.
 
-    Reads p's int table.  Coefficients are affine in the indices (a cubic
-    in m on m + n = 0 for central terms), so each check is a polynomial
-    identity per kind pair or kind triple, expanded here in exact ints in
-    (m, n, k); the central part of a Jacobiator lives on the plane
-    k = -m - n.  No central kind is an argument (the constructor sees to it),
-    so False means p is not a graded Lie algebra: validate_presentation at
-    N = 4 finds a witness, as each identity has low degree in each index.
+    Evaluates through p.bracket_indexed at fixed points, each identity a
+    polynomial those points determine.  No central kind is an argument (the
+    constructor sees to it), so only non-central kinds are looped over.
+    For kinds A <= B (the residue is symmetric under the swap), the target
+    t_{m+n} of [A_m, B_n] + [B_n, A_m] has an affine coefficient, fixed by
+    (0, 0), (1, 0), (0, 1); a central target fires on n = -m with a cubic
+    in m, fixed by those of m = 0, -1, 1, 2.  For kinds A <= B <= C (the
+    Jacobiator alternates once skew-symmetry holds), an ordinary target of
+    sum over cyclic (X_x, Y_y, Z_z) of [X_x, [Y_y, Z_z]] has a product of
+    two affine coefficients, of total degree <= 2 in (x, y, z), fixed by
+    0, +-e_i and e_i + e_j; [X_x, Z_0] = 0 for a central Z_0, so a central
+    target has an affine coefficient times a cubic in x on x + y + z = 0,
+    of total degree <= 4 in (x, y), fixed by (i, j, -i - j) with i, j >= 0
+    and i + j <= 4.  A presentation with no central kind has no central
+    target, so it skips the central points.  Every point lies in the window
+    N = 4, so False means p is not a graded Lie algebra and
+    validate_presentation at N = 4 finds a witness.
     """
-    tables = p._tables
-    for (a, b), (f, h) in tables.items():
-        g, q = tables.get((b, a), _NO_TABLE)
-        for t in f.keys() | g.keys():  # [A_m, B_n] + [B_n, A_m] at t_{m+n}
-            (c0, cm, cn), (d0, dm, dn) = f.get(t, (0,) * 3), g.get(t, (0,) * 3)
-            if c0 + d0 or cm + dn or cn + dm:
+    br, central = p.bracket_indexed, bool(p.central)
+    kinds = [a for a, k in enumerate(p.kinds) if not p.is_central(k)]
+    for a, b in combinations_with_replacement(kinds, 2):
+        for m, n in _SKEW_POINTS + (_CENTRAL_SKEW_POINTS if central else ()):
+            acc = dict(br(a, m, b, n))
+            for t, v in br(b, n, a, m):
+                acc[t] = acc.get(t, 0) + v
+            if any(acc.values()):
                 return False
-        for t in h.keys() | q.keys():  # [A_m, B_-m] + [B_-m, A_m] = h(m) + q(-m)
-            (k0, k1, k2, k3), (q0, q1, q2, q3) = h.get(t, (0,) * 4), q.get(t, (0,) * 4)
-            if k0 + q0 or k1 - q1 or k2 + q2 or k3 - q3:
-                return False
-    one, m, n, k = _times(), {(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1}
-    plane = _poly((-1, m), (-1, n))
-    for kinds in product(range(len(p.kinds)), repeat=3):
-        # sum over cyclic (X_x, Y_y, Z_z) of [X_x, [Y_y, Z_z]]: the ordinary
-        # part (table 0) in (m, n, k), the central part (table 1) on the plane
-        for part, slots in ((0, (m, n, k)), (1, (m, n, plane))):
-            acc, cyc = {}, list(zip(kinds, slots))
-            for i in range(3):
-                (X, x), (Y, y), (Z, z) = cyc[i:] + cyc[:i]
-                for t, c in tables.get((Y, Z), _NO_TABLE)[0].items():
-                    inner = _poly((c[0], one), (c[1], y), (c[2], z))
-                    for s, d in tables.get((X, t), _NO_TABLE)[part].items():
-                        f = (_poly((d[0], one), (d[1], x), (d[2], y), (d[2], z))
-                             if not part else  # [X_x, t_{y+z}]; d0 + d1 x + ... + d3 x^3
-                             _poly(*((w, _times(*[x] * j)) for j, w in enumerate(d))))
-                        for e, v in _times(inner, f).items():
-                            acc[s, e] = acc.get((s, e), 0) + v
+    for a, b, c in combinations_with_replacement(kinds, 3):
+        for x, y, z in _JACOBI_POINTS + (_PLANE_POINTS if central else ()):
+            acc = {}
+            for X, bc in (((a, x), br(b, y, c, z)), ((b, y), br(c, z, a, x)),
+                          ((c, z), br(a, x, b, y))):
+                for t, u in bc:
+                    for s, v in br(*X, *t):
+                        acc[s] = acc.get(s, 0) + u * v
             if any(acc.values()):
                 return False
     return True

@@ -8,6 +8,7 @@ import json
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,13 +17,15 @@ from reference_loops import _lopsided
 
 from gradedlie import catalog, solver
 from gradedlie.cli import EXIT_OK, main
-from gradedlie.core import (AffinePoly, AlgebraPresentation, BasisElement,
+from gradedlie.core import (_CENTRAL_SKEW_POINTS, _JACOBI_POINTS, _PLANE_POINTS,
+                            _SKEW_POINTS, AffinePoly, AlgebraPresentation, BasisElement,
                             BasisKind, BracketRule, BracketTerm, CentralTerm,
                             CubicPoly, Element, GradingDegree,
                             PresentationError, affine, bracket,
                             certify_presentation, format_rational,
                             index_reflection, parse_rational,
                             validate_presentation)
+from gradedlie.linalg import SparseMatrix, rref
 
 PGCA = catalog.get("pgca")
 VIRASORO = catalog.get("virasoro")
@@ -652,10 +655,19 @@ def _swap_a_two_kind_table(p):
     The constructor always builds them as negatives of each other, and the
     evaluator reads the tables, not the rules; so this stands for a table
     compiler that got the reversal wrong, which the certificate, reading the
-    same tables, must catch by itself.
+    same tables through bracket_indexed, must catch by itself.  That memo
+    keeps what it has read, so a table is edited before any bracket of p is
+    evaluated, here and in _edit_table.
     """
     a, b = next((a, b) for a, b in p._tables if a != b)
     p._tables[b, a] = p._tables[a, b]
+    return p
+
+
+def _edit_table(p, key, tables):
+    """p with the tables of kind positions key replaced; see
+    _swap_a_two_kind_table."""
+    p._tables[key] = tables
     return p
 
 
@@ -722,13 +734,40 @@ _HV_RULES = (_WITT_RULE, BracketRule(_A, _I, (BracketTerm(_I, affine(cn=-1)),)))
 # [A_m, B_-m] = (1 + m + m^2 + m^3) Z_0: a Lie algebra for any cubic
 @example(_fixture((_A, _B, _Z), [BracketRule(_A, _B, (), (
     CentralTerm(_Z, CubicPoly(*map(Fraction, (1, 1, 1, 1)))),))], ("Z",)))
+# [A_m, B_-m] = m^3 Z_0 with [B_n, A_-n] read as n Z_0: the skew residue
+# m^3 - m vanishes at m = -1, 0, 1 and first fails at m = 2
+@example(_edit_table(_fixture((_A, _B, _Z), [BracketRule(_A, _B, (), (
+    CentralTerm(_Z, CubicPoly(c3=Fraction(1))),))], ("Z",)), (1, 0), ({}, {2: (0, 1, 0, 0)})))
 def test_certificate_agrees_with_the_windowed_check(p):
-    # certified implies the N = 4 check passes, and the converse holds as
-    # well: no central kind is a bracket argument, so every identity is a
-    # polynomial of degree at most 2 in each index (at most 4 on the
-    # central plane), and vanishing on the N = 4 window makes it vanish
-    # identically
+    # each identity is a polynomial that the certificate's points determine
+    # (test_each_point_set_determines_its_polynomials), and every point lies
+    # in the window N = 4: an identity that fails at a point fails there,
+    # and one that holds at every point holds at every index
     assert certify_presentation(p) == validate_presentation(p, 4).passed
+
+
+def _rank_of_monomials(points, variables, degree):
+    """Rank of the matrix of every monomial of total degree <= degree in
+    the given number of variables, evaluated at each point."""
+    monomials = [e for e in product(range(degree + 1), repeat=variables) if sum(e) <= degree]
+    rows = [{j: prod(v ** k for v, k in zip(point, e)) for j, e in enumerate(monomials)}
+            for point in points]
+    return len(rref(SparseMatrix.from_rows(len(monomials), rows))[1])
+
+
+def test_each_point_set_determines_its_polynomials():
+    # a rank equal to the number of monomials means the only polynomial of
+    # that degree vanishing at every point is zero; and every point lies in
+    # the window that names the witness of a file load rejects
+    points = _SKEW_POINTS + _CENTRAL_SKEW_POINTS + _JACOBI_POINTS + _PLANE_POINTS
+    assert max(abs(i) for point in points for i in point) <= catalog.LOAD_VALIDATION_WINDOW
+    assert all(m + n == 0 for m, n in _CENTRAL_SKEW_POINTS)
+    assert all(x + y + z == 0 for x, y, z in _PLANE_POINTS)
+    on_the_line = [(m,) for m, n in _SKEW_POINTS + _CENTRAL_SKEW_POINTS if m + n == 0]
+    assert _rank_of_monomials(_SKEW_POINTS, 2, 1) == 3
+    assert _rank_of_monomials(on_the_line, 1, 3) == 4
+    assert _rank_of_monomials(_JACOBI_POINTS, 3, 2) == 10
+    assert _rank_of_monomials([(x, y) for x, y, _ in _PLANE_POINTS], 2, 4) == 15
 
 
 # ---------------------------------------------------------------------------
