@@ -224,36 +224,29 @@ def from_dict(data: dict) -> AlgebraPresentation:
         _check_fields(item, {"left", "right", "terms", "central_terms"}, where)
         left = resolve(item.get("left"), where)
         right = resolve(item.get("right"), where)
-        terms = []
-        raw_terms = item.get("terms", [])
-        if not isinstance(raw_terms, list):
-            raise PresentationFormatError(f"{where}: 'terms' must be a list")
-        for j, t in enumerate(raw_terms):
-            tw = f"{where}.terms[{j}]"
-            if not isinstance(t, dict):
-                raise PresentationFormatError(f"{tw}: must be an object")
-            _check_fields(t, {"kind", "coeff", "offset"}, tw)
-            target = resolve(t.get("kind"), tw)
-            # legacy: older files write "offset": 0, and no other value
-            offset = t.get("offset", 0)
-            if type(offset) is not int or offset:
-                raise PresentationFormatError(
-                    f"{tw}: 'offset' must be 0, got {offset!r}; a term sits at index m + n")
-            terms.append(BracketTerm(target, _parse_coeff(AffinePoly, t.get("coeff", {}), tw)))
-        central_terms = []
-        raw_central = item.get("central_terms", [])
-        if not isinstance(raw_central, list):
-            raise PresentationFormatError(f"{where}: 'central_terms' must be a list")
-        for j, t in enumerate(raw_central):
-            tw = f"{where}.central_terms[{j}]"
-            if not isinstance(t, dict):
-                raise PresentationFormatError(f"{tw}: must be an object")
-            _check_fields(t, {"kind", "coeff"}, tw)
-            target = resolve(t.get("kind"), tw)
-            central_terms.append(
-                CentralTerm(target, _parse_coeff(CubicPoly, t.get("coeff", {}), tw)))
+        parsed = []
+        for key, allowed, poly, term in (
+                ("terms", {"kind", "coeff", "offset"}, AffinePoly, BracketTerm),
+                ("central_terms", {"kind", "coeff"}, CubicPoly, CentralTerm)):
+            raw = item.get(key, [])
+            if not isinstance(raw, list):
+                raise PresentationFormatError(f"{where}: '{key}' must be a list")
+            out = []
+            for j, t in enumerate(raw):
+                tw = f"{where}.{key}[{j}]"
+                if not isinstance(t, dict):
+                    raise PresentationFormatError(f"{tw}: must be an object")
+                _check_fields(t, allowed, tw)
+                target = resolve(t.get("kind"), tw)
+                # legacy: older files write "offset": 0, and no other value
+                offset = t.get("offset", 0)
+                if type(offset) is not int or offset:
+                    raise PresentationFormatError(
+                        f"{tw}: 'offset' must be 0, got {offset!r}; a term sits at index m + n")
+                out.append(term(target, _parse_coeff(poly, t.get("coeff", {}), tw)))
+            parsed.append(tuple(out))
         try:
-            rules.append(BracketRule(left, right, tuple(terms), tuple(central_terms)))
+            rules.append(BracketRule(left, right, *parsed))
         except PresentationError as exc:
             raise PresentationFormatError(f"{where}: {exc}") from None
 

@@ -5,8 +5,9 @@ there is no floating point fallback anywhere.  A matrix is stored row-wise:
 each row is a {column: int} dict over one positive int denominator.  That
 is how the constraint systems of this package arrive, very many short
 integer rows over a common denominator and a modest number of columns.
-from_rows is the only place rationals are converted; from_stream builds
-a matrix over a source of int rows, made only when something reads them.
+Rationals are converted to ints in two places: from_rows, for rows, and
+verify_kernel, for the basis it checks.  from_stream builds a matrix over
+a source of int rows, made only when something reads them.
 
 Elimination streams the rows in order, fraction-free, pulling each from
 the source as it is reached.  Once a run of rows as long as the column
@@ -18,10 +19,11 @@ is empty, an exact zero-kernel certificate.  A streamed matrix may also
 carry a kernel certificate from whoever made its rows: a check that int
 vectors satisfy every row, read or not, without reading any.  When it
 passes the candidate kernel, that kernel is the true one.  Either way
-rows past that point are never made.  The reduced form is that of full
-elimination, one row per pivot, each primitive over its leading entry.
-nullspace checks the integer form of every kernel vector against every
-row of the input, through the certificate when it passes.  Anything else
+rows past that point are never made, and the matrix keeps the kernel
+elimination stopped on.  The reduced form is that of full elimination,
+one row per pivot, each primitive over its leading entry.  nullspace
+returns the kept kernel as it is; any other kernel it builds from the
+reduced rows and checks against every row of the input.  Anything else
 that looks at rows (rows, nnz, entries, to_dense, ==, repr) reads the
 source to the end first.
 """
@@ -46,10 +48,11 @@ class SparseMatrix:
     over one denominator, stored as they are read, and maybe a kernel
     certificate.  Elimination reads them through _stream, which stops
     where rref stops; everything else that looks at rows reads the source
-    to the end first.
+    to the end first.  _proved is the int kernel the last rref stopped on,
+    empty or passed by the certificate, and None when it read every row.
     """
 
-    __slots__ = ("cols", "_rows", "_dens", "_source", "_den", "_certify")
+    __slots__ = ("cols", "_rows", "_dens", "_source", "_den", "_certify", "_proved")
 
     def __init__(self, cols: int):
         if cols < 0:
@@ -60,6 +63,7 @@ class SparseMatrix:
         self._source = None
         self._den = 1
         self._certify = None
+        self._proved = None
 
     @classmethod
     def from_rows(cls, cols: int, rows: Iterable[dict]) -> "SparseMatrix":
@@ -148,9 +152,10 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
 
-def _rref_rows(rows: Iterable[dict[int, int]], cols: int,
-               certify=None) -> list[tuple[int, dict[int, int]]]:
-    """Reduced row echelon form of int rows: sorted (pivot column, row) pairs.
+def _rref_rows(rows: Iterable[dict[int, int]], cols: int, certify=None
+               ) -> tuple[list[tuple[int, dict[int, int]]], list | None]:
+    """Reduced row echelon form of int rows, sorted (pivot column, row)
+    pairs, and the kernel it stopped on, or None if it read every row.
 
     Each returned row is primitive, positive at its pivot column and zero
     at every other pivot column; divided by its pivot entry it is the
@@ -168,14 +173,15 @@ def _rref_rows(rows: Iterable[dict[int, int]], cols: int,
     contains the true one) and multiplies each further row through it.  A
     row with every product zero lies in the span of the pivot rows and is
     skipped.  A row with a nonzero product is eliminated as above, which
-    gives a new pivot, and the candidate kernel is rebuilt.  An empty
-    candidate kernel (every column a pivot) fails no row, so the stream
-    stops there, without pulling another row: the exact zero-kernel
-    certificate.  A nonzero candidate kernel stops it the same way when
-    certify (see SparseMatrix.from_stream) passes it, tried at every build
-    and rebuild: every row, read or not, then holds for it, so it is the
-    true kernel.  A check costs one product per candidate kernel vector,
-    so the switch must not fire while that kernel is still wide.  Witt's
+    gives a new pivot, and the candidate kernel is rebuilt.  The candidate
+    is built and tried in one place, at the switch and after each new
+    pivot from then on.  An empty candidate kernel (every column a pivot)
+    fails no row, so the stream stops there, without pulling another row:
+    the exact zero-kernel certificate.  A nonzero candidate kernel stops it
+    the same way when certify (see SparseMatrix.from_stream) passes it:
+    every row, read or not, then holds for it, so it is the true kernel.
+    A check costs one product per candidate kernel vector, so the switch
+    must not fire while that kernel is still wide.  Witt's
     membership system at window 6, at 1,183 columns, never switches: its
     longest run of redundant rows, 284, ends one row before its last
     pivot.  Whichever rows are read, they span the row space of the
@@ -195,39 +201,39 @@ def _rref_rows(rows: Iterable[dict[int, int]], cols: int,
         new = dict(row)
         for col in [c for c in new if c in pivots]:
             _eliminate(new, pivots[col], col)
-        if not new:
-            idle += 1
-            if idle == cols:
-                kernel = _kernel(pivots, cols)
-                if certify is not None and certify(kernel):
-                    break
-            continue
-        _divide_content(new)
-        col = min(new)
-        for c in new:
-            if c != col:
-                holders.setdefault(c, set()).add(col)
-        for other in holders.pop(col, ()):
-            target = pivots[other]
-            _eliminate(target, new, col)
+        if new:
+            _divide_content(new)
+            col = min(new)
             for c in new:
-                if c in target:
-                    holders[c].add(other)
-                elif c != col:
-                    holders[c].discard(other)
-            _divide_content(target)
-        pivots[col] = new
-        idle = 0
-        if kernel is not None or len(pivots) == cols:
+                if c != col:
+                    holders.setdefault(c, set()).add(col)
+            for other in holders.pop(col, ()):
+                target = pivots[other]
+                _eliminate(target, new, col)
+                for c in new:
+                    if c in target:
+                        holders[c].add(other)
+                    elif c != col:
+                        holders[c].discard(other)
+                _divide_content(target)
+            pivots[col] = new
+            idle = 0
+        else:
+            idle += 1
+        # a row outside the candidate kernel always gives a pivot, so once
+        # checking, every row that gets here rebuilds it
+        if kernel is not None or idle == cols or len(pivots) == cols:
             kernel = _kernel(pivots, cols)
             if not kernel or certify is not None and certify(kernel):
                 break
+    else:
+        kernel = None
 
     for col, row in pivots.items():
         if row[col] < 0:
             for c in row:
                 row[c] = -row[c]
-    return sorted(pivots.items())
+    return sorted(pivots.items()), kernel
 
 
 def _kernel(pivots: dict[int, dict[int, int]], cols: int) -> list[tuple[int, list[int]]]:
@@ -303,9 +309,9 @@ def rref(m: SparseMatrix) -> tuple[SparseMatrix, list[int]]:
 
     The reduced matrix has one row per pivot, in pivot column order.
     Building or reading it reads none of m's rows that elimination left
-    unread.
+    unread.  The kernel elimination stopped on is kept as m._proved.
     """
-    pivots = _rref_rows(m._stream(), m.cols, m._certify)
+    pivots, m._proved = _rref_rows(m._stream(), m.cols, m._certify)
     out = SparseMatrix(m.cols)
     out._rows = [row for _, row in pivots]
     out._dens = [row[col] for col, row in pivots]
@@ -329,49 +335,48 @@ class VectorBasis:
 
 
 def nullspace(m: SparseMatrix) -> VectorBasis:
-    """Basis of the exact kernel {v : m v = 0}.
+    """Basis of the exact kernel {v : m v = 0}: an integer kernel, each
+    vector divided by its free-column entry.
 
-    The vectors are the integer kernel of the reduced rows, built by the
-    helper elimination checks rows against, divided by their free-column
-    entries.  Each is then checked against every row of the input, those
-    elimination skipped as well as those it reduced, as a hard
-    postcondition (verify_kernel runs the same check on a basis found some
-    other way): a nonzero residue means a bug in the elimination, not bad
-    data.  The check is the matrix's kernel certificate when it passes,
-    and otherwise a product with every row, in integers.  A streamed
-    matrix is read only as far as elimination reads it, which stops early
-    on the zero-kernel certificate or where the kernel certificate passes,
-    and then the postcondition reads no row either.  A nonzero kernel the
-    certificate does not pass reads every row, in elimination's check and
-    again in the postcondition.
+    Where elimination stopped early, on the zero-kernel or the kernel
+    certificate, that is the kernel it stopped on (m._proved), taken as it
+    is, so a streamed matrix reads no further row.  Otherwise elimination
+    has read every row; the kernel is built from the reduced rows, by the
+    helper elimination checks rows against, and each vector is checked
+    against every row of the input in integers, those elimination skipped
+    as well as those it reduced, as a hard postcondition (verify_kernel
+    makes the same check on a basis found some other way): a nonzero
+    residue means a bug in the elimination, not bad data.
     """
     reduced, pivot_cols = rref(m)
-    kernel = _kernel(dict(zip(pivot_cols, reduced._rows)), m.cols)
-    _verify(m, kernel)
+    kernel = m._proved
+    if kernel is None:
+        kernel = _kernel(dict(zip(pivot_cols, reduced._rows)), m.cols)
+        _verify(m, kernel)
     zero = Fraction(0)
     vectors = [tuple(Fraction(x, w[f]) if x else zero for x in w) for f, w in kernel]
     return VectorBasis(m.cols, vectors)
 
 
 def verify_kernel(m: SparseMatrix, basis: VectorBasis) -> VectorBasis:
-    """basis, once nullspace's postcondition holds for it: each vector,
-    cleared of denominators, passes m's kernel certificate before any row
-    is read, or else multiplies to zero through every row of m."""
+    """basis, once each vector, cleared of denominators, passes m's kernel
+    certificate before any row is read, or else multiplies to zero through
+    every row of m, as in nullspace's postcondition."""
     if basis.dimension != m.cols:
         raise LinalgError(f"basis of dimension {basis.dimension} for {m.cols} columns")
-    _verify(m, [(d, [q.numerator * (d // q.denominator) for q in vec])
-                for vec in basis.vectors for d in [lcm(*(q.denominator for q in vec))]])
+    kernel = [(d, [q.numerator * (d // q.denominator) for q in vec])
+              for vec in basis.vectors for d in [lcm(*(q.denominator for q in vec))]]
+    if kernel and not (m._certify is not None and m._certify(kernel)):
+        _verify(m, kernel)
     return basis
 
 
 def _verify(m: SparseMatrix, kernel):
     """Multiply every row of m, read to the end, through each int vector w
-    of the (label, w) pairs, unless m's certificate passes them; an empty
-    kernel reads no row."""
-    if kernel and not (m._certify is not None and m._certify(kernel)):
-        for row in m._stream():
-            if _outside(row, kernel):
-                raise LinalgError("internal error: kernel vector fails verification")
+    of the (label, w) pairs."""
+    for row in m._stream():
+        if _outside(row, kernel):
+            raise LinalgError("internal error: kernel vector fails verification")
 
 
 def project_basis(basis: VectorBasis, coords: Iterable[int]) -> VectorBasis:

@@ -28,9 +28,9 @@ Each assembled system carries kernel_certificate's check, unless p has a
 central kind or a same-kind table that is not skew: for a kernel vector
 affine in m per kind on the window, each family of rows is one polynomial
 of degree at most 2 in (m, n), which is zero once it vanishes on the rows
-of the same system on the window N = 1.  Elimination stops reading rows as
-soon as its candidate kernel passes, and the kernel's check against every
-row then reads none.
+of the same system on the window N = 1, made from the layout's image map.
+Elimination stops reading rows as soon as its candidate kernel passes, and
+nullspace returns that kernel without checking it again.
 
 When core.index_reflection finds theta(X_m) = s_X X_{-m}, an automorphism
 for all indices, D -> theta D theta^-1 maps the window system of degree
@@ -140,10 +140,13 @@ class HomogeneousSolveProblem:
 
 @dataclass
 class UnknownLayout:
-    """Column layout: one unknown u[kind, m] per structurally possible entry."""
+    """Column layout: one unknown u[kind, m] per structurally possible entry,
+    and images, the map D(k_m) = u[k, m] * partner(k)_{m+gamma} in
+    identity_rows' form that assembly and kernel_certificate's sample read."""
 
     columns: list[tuple[str, int]]
     partner: dict[str, BasisKind | None]
+    images: dict[tuple[int, int], list[tuple[int, tuple[int, int]]]]
     index: dict[tuple[str, int], int] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -154,18 +157,17 @@ def unknown_layout(problem: HomogeneousSolveProblem) -> UnknownLayout:
     p = problem.presentation
     gamma = problem.gamma
     partner = {k.name: partner_kind(p, k, problem.shift) for k in p.kinds}
-    columns = []
+    columns, images = [], {}
     for k in p.kinds:
         target = partner[k.name]
         if target is None:
             continue  # u[k, .] is structurally zero
+        a, t = p.kind_order(k), p.kind_order(target)
         for m in range(-problem.window, problem.window + 1):
-            if not p.element_exists(k, m):
-                continue
-            if not p.element_exists(target, m + gamma):
-                continue
-            columns.append((k.name, m))
-    return UnknownLayout(columns, partner)
+            if p.element_exists(k, m) and p.element_exists(target, m + gamma):
+                images[a, m] = [(len(columns), (t, m + gamma))]
+                columns.append((k.name, m))
+    return UnknownLayout(columns, partner, images)
 
 
 def identity_rows(p: AlgebraPresentation, delta: Fraction,
@@ -253,25 +255,16 @@ def _identity_rows(p: AlgebraPresentation, delta: Fraction, maps: list, window: 
                     yield row
 
 
-def _images(problem: HomogeneousSolveProblem, layout: UnknownLayout) -> dict:
-    """D(k_m) = u[k, m] * partner(k)_{m+gamma} as identity_rows' images, one
-    column per source."""
-    p, gamma = problem.presentation, problem.gamma
-    return {(p.kind_order(p.kind(name)), m):
-            [(col, (p.kind_order(layout.partner[name]), m + gamma))]
-            for (name, m), col in layout.index.items()}
-
-
 def assemble(problem: HomogeneousSolveProblem,
              layout: UnknownLayout | None = None) -> SparseMatrix:
     """Constraint matrix whose kernel is the degree-homogeneous solution set.
 
-    The rows are those of identity_rows for _images on the problem's
-    window, with kernel_certificate's check.
+    The rows are those of identity_rows for layout.images on the
+    problem's window, with kernel_certificate's check.
     """
     if layout is None:
         layout = unknown_layout(problem)
-    return identity_rows(problem.presentation, problem.delta, [_images(problem, layout)],
+    return identity_rows(problem.presentation, problem.delta, [layout.images],
                          problem.window, len(layout.columns),
                          kernel_certificate(problem, layout))
 
@@ -284,8 +277,10 @@ def kernel_certificate(problem: HomogeneousSolveProblem, layout: UnknownLayout):
     The check takes linalg's (label, w) pairs.  It passes them only if
     each w is affine in m per kind on the window, w[X, m] = a_X + b_X*m,
     and holds on every row of the same system on the window N = 1.  Those
-    rows are made once, on the first candidate that is affine.  Anything
-    else fails the check, which then only means that the rows must be read.
+    rows are made once, from layout.images, on the first candidate that is
+    affine.  Anything else fails the check, which then only means that the
+    rows must be read.  A kernel it passes is tried once: in elimination,
+    or in verify_kernel when mirrored.
 
     Why the sample suffices: for affine w, the rows of the source pairs
     (A_m, B_n), A not after B in kind order, with output kind T are the
@@ -317,7 +312,7 @@ def kernel_certificate(problem: HomogeneousSolveProblem, layout: UnknownLayout):
                 if w[c - window:c + window + 1] != [a + b * i for i in span]:
                     return False
         if sample is None:
-            sample = list(_identity_rows(p, problem.delta, [_images(problem, layout)], 1))
+            sample = list(_identity_rows(p, problem.delta, [layout.images], 1))
         return not any(_outside(row, kernel) for row in sample)
     return certify
 

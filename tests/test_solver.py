@@ -117,7 +117,38 @@ def test_layout_skips_central_kinds_that_cannot_shift():
 
 def test_unpartnered_sectors_yield_empty_layouts():
     layout = unknown_layout(problem(WITT, HALF, (0, 1, 0), 4))
-    assert layout.columns == []
+    assert layout.columns == [] and layout.images == {}
+
+
+@pytest.mark.parametrize("key", catalog.keys())
+def test_the_layout_holds_the_image_map_assembly_and_the_certificate_read(
+        key, monkeypatch):
+    # D(k_m) = u[k, m] * partner(k)_{m+gamma}, written out from the columns
+    # and partners, keyed by (kind position, index); virasoro's C_0 maps to
+    # itself at gamma = 0 and has no column elsewhere
+    p = catalog.get(key)
+    position = {k.name: i for i, k in enumerate(p.kinds)}
+    seen = []
+    reference = solver._identity_rows
+    monkeypatch.setattr(solver, "_identity_rows",
+                        lambda *args: seen.append(args[2:]) or reference(*args))
+    for degree in product((0, 1), (0, 1), (-1, 0, 1)):
+        prob = problem(p, HALF, degree, 4)
+        layout = unknown_layout(prob)
+        assert layout.images == {
+            (position[k], m): [(col, (position[layout.partner[k].name], m + degree[2]))]
+            for col, (k, m) in enumerate(layout.columns)}, degree
+        if key == "virasoro":
+            assert ((position["C"], 0) in layout.images) == (degree == (0, 0, 0))
+        # assembly and the certificate's sample, made on its first
+        # affine candidate, read that same map
+        seen.clear()
+        assemble(prob, layout)
+        certify = kernel_certificate(prob, layout)
+        if certify is not None:
+            assert certify([(0, [0] * len(layout.columns))])
+        assert [(len(maps), maps[0] is layout.images, window) for maps, window in seen] \
+            == [(1, True, 4)] + [(1, True, 1)] * (certify is not None), degree
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +547,39 @@ def test_nonzero_kernel_degrees_stop_making_rows(monkeypatch):
     assert (sum(read), sum(matrix.rows for matrix in made)) == (2122, 10240)
 
 
+def test_each_kernel_is_certified_once(monkeypatch):
+    # pgca's derivations at N = 6, |gamma| <= 1: elimination tries the
+    # certificate 13 times over the 8 solved degrees, and nullspace takes
+    # the kernel it passed without trying it again; each of the 4 mirrored
+    # degrees (gamma = 1) tries theta's image once, in verify_kernel
+    calls, where = [], ["elimination"]
+    certificate, verify = solver.kernel_certificate, solver.verify_kernel
+
+    def counting(prob, layout):
+        certify = certificate(prob, layout)
+
+        def counted(kernel):
+            passed = certify(kernel)
+            calls.append((where[0], prob.degree, passed))
+            return passed
+        return counted
+
+    def mirrored(matrix, basis):
+        where[0] = "mirrored"
+        try:
+            return verify(matrix, basis)
+        finally:
+            where[0] = "elimination"
+
+    monkeypatch.setattr(solver, "kernel_certificate", counting)
+    monkeypatch.setattr(solver, "verify_kernel", mirrored)
+    scan(PGCA, Fraction(1), 1, 6)
+    assert [w for w, _, _ in calls].count("elimination") == 13
+    assert [(d.index, passed) for w, d, passed in calls if w == "mirrored"] == [(1, True)] * 4
+    passes = [d for _, d, passed in calls if passed]
+    assert len(passes) == len(set(passes)) == 12
+
+
 def test_identity_rows_checks_each_map_once_before_any_row():
     # a column outside the matrix fails when the maps are handed over, not
     # when elimination reaches a row holding it; no bracket is evaluated
@@ -701,7 +765,7 @@ def test_a_same_kind_table_that_is_not_skew_reads_every_row():
     # u[A, m] = m - 1 holds on every row of the window N = 1, and not on
     # every row of the window N = 4
     line = [m - 1 for _, m in layout.columns]
-    sample = solver.identity_rows(NOT_SKEW, HALF, [solver._images(prob, layout)], 1,
+    sample = solver.identity_rows(NOT_SKEW, HALF, [layout.images], 1,
                                   len(layout.columns))
     assert sample.rows and _rows_hold(sample, line)
     assert not _rows_hold(_unread(prob), line)
