@@ -165,7 +165,8 @@ def _rref_rows(rows: Iterable[dict[int, int]], cols: int, certify=None
     are kept fully reduced as primitive integer rows, so each pivot column
     in an incoming row is eliminated once, by cross-multiplication.  What
     remains is divided by its content; its smallest column becomes a new
-    pivot, which is then cleared from the pivot rows holding it.
+    pivot, which is then cleared from each pivot row holding it, found by
+    scanning the pivot rows.
 
     Once `cols` consecutive rows have added no pivot, or every column holds
     one, the stream stops eliminating and starts checking: it builds the
@@ -181,15 +182,11 @@ def _rref_rows(rows: Iterable[dict[int, int]], cols: int, certify=None
     the same way when certify (see SparseMatrix.from_stream) passes it:
     every row, read or not, then holds for it, so it is the true kernel.
     A check costs one product per candidate kernel vector, so the switch
-    must not fire while that kernel is still wide.  Witt's
-    membership system at window 6, at 1,183 columns, never switches: its
-    longest run of redundant rows, 284, ends one row before its last
-    pivot.  Whichever rows are read, they span the row space of the
-    whole input, whose reduced row echelon form is unique, so the result
-    is that of full elimination.
+    must not fire while that kernel is still wide.  Whichever rows are
+    read, they span the row space of the whole input, whose reduced row
+    echelon form is unique, so the result is that of full elimination.
     """
     pivots: dict[int, dict[int, int]] = {}  # pivot column -> reduced integer row
-    holders: dict[int, set[int]] = {}       # non-pivot column -> pivot columns
     kernel: list | None = None              # candidate kernel, once checking
     idle = 0                                # consecutive rows that added no pivot
     for row in rows:
@@ -204,18 +201,10 @@ def _rref_rows(rows: Iterable[dict[int, int]], cols: int, certify=None
         if new:
             _divide_content(new)
             col = min(new)
-            for c in new:
-                if c != col:
-                    holders.setdefault(c, set()).add(col)
-            for other in holders.pop(col, ()):
-                target = pivots[other]
-                _eliminate(target, new, col)
-                for c in new:
-                    if c in target:
-                        holders[c].add(other)
-                    elif c != col:
-                        holders[c].discard(other)
-                _divide_content(target)
+            for target in pivots.values():
+                if col in target:
+                    _eliminate(target, new, col)
+                    _divide_content(target)
             pivots[col] = new
             idle = 0
         else:

@@ -16,7 +16,8 @@ Two classification paths:
   and the structure is trivial.
 * general path: otherwise, solve for all window-valued commutative
   products whose left multiplications satisfy the 1/2-derivation identity
-  on every in-window source pair, and report the solution dimension.
+  on every in-window source pair, one product shift at a time, and report
+  the solution dimension.
 
 Both paths are windowed statements; a structure whose products push mass
 past the window boundary is invisible here, which the verdict wording
@@ -188,30 +189,39 @@ class TPClassification:
 
 
 def _membership_system(p: AlgebraPresentation, delta: Fraction, window: int):
-    """Unknown product coefficients constrained by the derivation identity.
+    """Unknown product coefficients constrained by the derivation identity,
+    as one matrix per product shift, their kernels summing to the system's.
 
     Unknowns: q[{x, y}, t] for unordered in-window pairs and in-window
-    targets t, already commutative by construction.  For every in-window z
-    the operator w -> z.w must satisfy the delta-derivation identity: the
-    matrix is solver.identity_rows with one map per z, D(w) the product
-    columns of {z, w}.  Its rows come source pair by source pair, every z
-    in turn, so the columns of every z fill in together and a zero kernel
-    is certified before most rows are made (witt at window 6: after 3,853
-    of 13,832).  Rows are indexed by output basis elements, which may lie
-    outside the window (they are equation labels, not unknowns).
+    targets t, already commutative by construction, of shift
+    deg t - deg x - deg y in Z2 x Z2 x Z.  For every in-window z the
+    operator w -> z.w must satisfy the delta-derivation identity, whose row
+    at output o reads only unknowns of shift deg o - deg z - deg x - deg y,
+    as the bracket has degree 0.  A shift's matrix, in the order of its
+    first unknown, is solver.identity_rows with one map per z, D(w) the
+    unknowns of {z, w} at that shift in (pair, target) order.  Its rows
+    come source pair by source pair, every z in turn, so every z's columns
+    fill in together and a zero kernel is certified before most rows are
+    made (witt at window 6: 1,958 of 13,832 rows over 37 shifts).  Rows are
+    indexed by output basis elements, which may lie outside the window
+    (they are equation labels, not unknowns).
     """
-    basis = [(p.kind_order(b.kind), b.index) for b in p.basis_elements(window)]
-    width = len(basis)
-    pair_of = [[0] * width for _ in range(width)]
-    pairs = 0
-    for i in range(width):
-        for j in range(i, width):
-            pair_of[i][j] = pair_of[j][i] = pairs
-            pairs += 1
-    products = [list(zip(range(pi * width, (pi + 1) * width), basis))
-                for pi in range(pairs)]
-    maps = ({w: products[pi] for w, pi in zip(basis, pair_of[z])} for z in range(width))
-    return identity_rows(p, delta, maps, window, pairs * width)
+    elements = p.basis_elements(window)
+    basis = [(p.kind_order(b.kind), b.index) for b in elements]
+    # degrees with the Z2 x Z2 part as two bits, so that its sums are xors
+    degrees = [(2 * b.kind.z2[0] + b.kind.z2[1], b.index) for b in elements]
+    blocks = {}  # shift -> its unknowns (x, y, t), by position in basis
+    for i, (zx, m) in enumerate(degrees):
+        for j, (zy, n) in enumerate(degrees[i:], i):
+            for t, (zt, k) in enumerate(degrees):
+                blocks.setdefault((zt ^ zx ^ zy, k - m - n), []).append((i, j, t))
+    for unknowns in blocks.values():
+        maps = [{} for _ in basis]
+        for col, (i, j, t) in enumerate(unknowns):
+            maps[i].setdefault(basis[j], []).append((col, basis[t]))
+            if j != i:
+                maps[j].setdefault(basis[i], []).append((col, basis[t]))
+        yield identity_rows(p, delta, maps, window, len(unknowns))
 
 
 def classify_products(p: AlgebraPresentation, verdict: str,
@@ -234,8 +244,8 @@ def classify_products(p: AlgebraPresentation, verdict: str,
         dim = 1 if basis_count == 1 else 0
         path = "scalar-functional"
     elif verdict == VERDICT_NOT_SCALAR_ONLY:
-        matrix = _membership_system(p, Fraction(1, 2), window)
-        dim = len(nullspace(matrix))
+        dim = sum(len(nullspace(block))
+                  for block in _membership_system(p, Fraction(1, 2), window))
         path = "derivation-membership"
     else:
         raise ProductError(f"unknown derivation verdict {verdict!r}; expected "

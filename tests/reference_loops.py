@@ -8,15 +8,18 @@ matrices checks the integer loops (their scaling, their keys, their row
 order) against a direct transcription of the same definition.  Both
 emit the rows of one source pair in the (kind position, index) order of
 their outputs, and the membership system emits every z's rows of one
-source pair before the next pair's.  `identity_rows` is the same
-transcription for one map in the form `solver.identity_rows` takes, its
-rows cut by source pair.  `_lopsided` is a non-Lie test presentation
-whose rules reach every path of the integer bracket tables, so that the
-comparisons see more than the catalog does.
+source pair before the next pair's.  The membership system is one
+whole-window matrix where `poisson._membership_system` makes one per
+product shift, so comparing them also checks that split.  `identity_rows`
+is the same transcription for one map in the form `solver.identity_rows`
+takes, its rows cut by source pair.  `_lopsided` is a non-Lie test
+presentation whose rules reach every path of the integer bracket tables,
+so that the comparisons see more than the catalog does.
 
 `rref_rows` is the elimination loop `linalg._rref_rows` ran before it
 learned to check rows against a candidate kernel: it eliminates every row
-until every column holds a pivot.  It shares the two row operations with
+until every column holds a pivot, and finds the pivot rows holding a new
+pivot's column through an index.  It shares the two row operations with
 `linalg`, so comparing results checks which rows the stream reads and
 skips, and how it resumes.
 """
@@ -153,7 +156,9 @@ def identity_rows(p, delta: Fraction, images, window: int) -> list[list[dict]]:
 
 
 def membership_system(p, delta: Fraction, window: int) -> SparseMatrix:
-    """Rows of the product-membership system, as in `poisson._membership_system`."""
+    """Rows of the whole-window product-membership system: those of
+    `poisson._membership_system`'s matrices, one per product shift, in one
+    matrix with a column per (pair, target), source pair by source pair."""
     br = _bracket(p)
     basis = p.basis_elements(window)
     pair_index = {}

@@ -136,9 +136,11 @@ def test_assembled_pgca_matrices_store_int_rows(delta):
 
 def test_membership_system_stores_int_rows():
     p = catalog.get("witt")
-    m = poisson._membership_system(p, F("1/2"), 3)
-    assert m.nnz
-    _assert_int_storage(m)
+    blocks = list(poisson._membership_system(p, F("1/2"), 3))
+    assert len(blocks) > 1
+    for m in blocks:
+        _assert_int_storage(m)
+    assert any(m.nnz for m in blocks)
 
 
 def test_oracle_matrices_store_int_rows(monkeypatch):
@@ -472,13 +474,21 @@ def _assert_rref_equals_full_elimination(m):
 
 def _catalog_builders():
     """Builders of every assembled catalog system at N = 6, delta in
-    {1/2, 1} and |gamma| <= 1, then of witt's membership system at N = 6."""
+    {1/2, 1} and |gamma| <= 1, then of each product shift's matrix of
+    witt's membership system at N = 6."""
     for key, delta, eps1, eps2, gamma in product(
             catalog.keys(), (F("1/2"), F(1)), (0, 1), (0, 1), (-1, 0, 1)):
         problem = solver.HomogeneousSolveProblem(
             catalog.get(key), delta, GradingDegree(eps1, eps2, gamma), 6, 3)
         yield lambda problem=problem: solver.assemble(problem)
-    yield lambda: poisson._membership_system(catalog.get("witt"), F("1/2"), 6)
+    # the arguments poisson hands identity_rows, so that each builder makes
+    # its own shift's matrix alone
+    handed = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poisson, "identity_rows", lambda *args: handed.append(args))
+        list(poisson._membership_system(catalog.get("witt"), F("1/2"), 6))
+    for args in handed:
+        yield lambda args=args: solver.identity_rows(*args)
 
 
 @contextmanager

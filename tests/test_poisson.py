@@ -20,7 +20,7 @@ from gradedlie.poisson import (AxiomReport, ProductError, ProductTable,
                                classify_products)
 from gradedlie.solver import (VERDICT_NOT_SCALAR_ONLY, VERDICT_SCALAR_ONLY,
                               scan)
-from matrices import from_dense
+from matrices import from_dense, sparse_rows
 
 PGCA = catalog.get("pgca")
 WITT = catalog.get("witt")
@@ -240,25 +240,67 @@ def test_classification_json_shape():
 # integer-keyed membership rows against the Element-based reference
 
 
+def _column_shifts(p, window):
+    """The product shift of each column of the reference's whole-window
+    membership system: column pi * width + t is q[{x, y}, basis[t]] for the
+    pi-th pair x <= y in basis order, of shift deg t - deg x - deg y."""
+    basis = p.basis_elements(window)
+    return [((t.kind.z2[0] - x.kind.z2[0] - y.kind.z2[0]) % 2,
+             (t.kind.z2[1] - x.kind.z2[1] - y.kind.z2[1]) % 2,
+             t.index - x.index - y.index)
+            for i, x in enumerate(basis) for y in basis[i:] for t in basis]
+
+
 @pytest.mark.parametrize("key", catalog.keys() + ("lopsided",))
 @pytest.mark.parametrize("delta", [HALF, Fraction(1), Fraction(2, 3), Fraction(-3, 5)],
                          ids=str)
 def test_membership_system_equals_the_element_reference(key, delta):
+    # the reference builds the whole-window system; each of its rows reads
+    # unknowns of one product shift, and the rows of each shift, in order
+    # and with the shift's columns renumbered in column order, are the rows
+    # of that shift's matrix, the shifts in the order of their first column;
     # pgca at N=3 is a 248,668-row system, too large for a unit test, so it
     # runs at N=1; the lopsided presentation has five kinds, so it runs at N=2
     if key == "lopsided":
         p, window = reference_loops._lopsided(), 2
     else:
         p, window = catalog.get(key), {"pgca": 1}.get(key, 3)
-    matrix = _membership_system(p, delta, window)
-    assert matrix == reference_loops.membership_system(p, delta, window)
+    columns = {}
+    for c, shift in enumerate(_column_shifts(p, window)):
+        columns.setdefault(shift, []).append(c)
+    where = {c: (k, i) for k, cols in enumerate(columns.values())
+             for i, c in enumerate(cols)}
+    reference = reference_loops.membership_system(p, delta, window)
+    assert reference.cols == len(where)
+    rows = [[] for _ in columns]
+    for row in sparse_rows(reference):
+        (k,) = {where[c][0] for c in row}
+        rows[k].append({where[c][1]: v for c, v in row.items()})
+    blocks = list(_membership_system(p, delta, window))
+    assert [block.cols for block in blocks] == [len(cols) for cols in columns.values()]
+    assert [sparse_rows(block) for block in blocks] == rows
+
+
+@pytest.mark.parametrize("key", catalog.keys() + ("lopsided",))
+@pytest.mark.parametrize("window", [1, 2])
+def test_membership_dimension_equals_the_whole_window_kernel(key, window):
+    # the kernels of the shifts' matrices sum to the kernel of the
+    # whole-window system; abelian's are nonzero, so the sum is tested
+    p = reference_loops._lopsided() if key == "lopsided" else catalog.get(key)
+    whole = reference_loops.membership_system(p, HALF, window)
+    result = classify_products(p, VERDICT_NOT_SCALAR_ONLY, window)
+    assert result.solution_dim == len(nullspace(whole))
 
 
 def test_witt_membership_certifies_its_zero_kernel_from_early_rows():
-    # each source pair's rows come for every z in turn, so every z's
-    # columns fill in together and full rank comes after 3,853 of the
-    # 13,832 rows, long before the last pair's
-    matrix = _membership_system(catalog.get("witt"), HALF, 6)
-    assert len(nullspace(matrix)) == 0
-    assert len(matrix._rows) <= 4000
-    assert matrix.rows == 13832
+    # 37 shifts, none wider than 67 columns; each source pair's rows come
+    # for every z in turn, so every z's columns fill in together and each
+    # shift reaches full rank long before its last pair's rows: 1,958 of
+    # the 13,832 rows are made
+    blocks = list(_membership_system(catalog.get("witt"), HALF, 6))
+    assert sum(len(nullspace(block)) for block in blocks) == 0
+    assert len(blocks) == 37
+    assert sum(block.cols for block in blocks) == 1183
+    assert max(block.cols for block in blocks) == 67
+    assert sum(len(block._rows) for block in blocks) == 1958
+    assert sum(block.rows for block in blocks) == 13832

@@ -599,18 +599,19 @@ def test_identity_rows_checks_each_map_once_before_any_row():
 @pytest.mark.parametrize("delta", (HALF, Fraction(1), Fraction(-3, 5)), ids=str)
 def test_several_maps_interleave_their_rows_source_pair_by_source_pair(
         key, delta, monkeypatch):
-    # the membership maps of poisson._membership_system, each moved to a
-    # column block of its own, plus one map with no key in the window; the
-    # single-map streams are cut by source pair through the reference, and
-    # the several-map stream is theirs interleaved pair by pair, map by map
+    # the membership maps of poisson._membership_system's widest product
+    # shift, each moved to a column block of its own, plus one map with no
+    # key in the window; the single-map streams are cut by source pair
+    # through the reference, and the several-map stream is theirs
+    # interleaved pair by pair, map by map
     if key == "lopsided":
         p, window = reference_loops._lopsided(), 2
     else:
         p, window = catalog.get(key), 2 if key == "pgca" else 3
     handed = []
     monkeypatch.setattr(poisson, "identity_rows", lambda *args: handed.append(args))
-    poisson._membership_system(p, delta, window)
-    _, _, maps, _, width = handed[0]
+    list(poisson._membership_system(p, delta, window))
+    _, _, maps, _, width = max(handed, key=lambda args: args[4])
     maps = [{w: [(k * width + col, target) for col, target in targets]
              for w, targets in images.items()} for k, images in enumerate(maps)]
     maps.insert(1, {(0, window + 1): [(len(maps) * width, (0, 0))]})
