@@ -7,9 +7,9 @@ shift it, and a legacy shift field is accepted only as 0.  Loading checks
 the algebra, so a structurally broken one fails at the door rather than
 deep inside a solve.  A file with a central kind as a bracket argument is
 a format error (the presentation constructor rejects it).  Skew-symmetry
-and Jacobi are then decided for all indices by core.certify_presentation,
-which evaluates the brackets at points that determine each identity; a
-file the certificate rejects always fails, with a witness from the window
+and Jacobi are then decided for all indices by core.validate_presentation,
+the flow the validate command runs: the certificate decides, and a file it
+rejects always fails, with a witness from the window
 N = LOAD_VALIDATION_WINDOW.
 """
 
@@ -21,8 +21,7 @@ from pathlib import Path
 
 from .core import (AffinePoly, AlgebraPresentation, BasisKind, BracketRule,
                    BracketTerm, CentralTerm, CubicPoly, PresentationError,
-                   affine, certify_presentation, format_rational,
-                   parse_rational, validate_presentation)
+                   affine, format_rational, parse_rational, validate_presentation)
 
 
 class CatalogKeyError(PresentationError):
@@ -34,7 +33,7 @@ class PresentationFormatError(PresentationError):
 
 
 class PresentationValidationError(PresentationError):
-    """A loaded presentation fails the windowed algebra checks."""
+    """A loaded presentation is not a Lie algebra; report names the witness."""
 
     def __init__(self, report):
         self.report = report
@@ -260,11 +259,10 @@ def load(path, validate: bool = True) -> AlgebraPresentation:
     """Load a presentation file; by default check it is a Lie algebra.
 
     A file that cannot be read as UTF-8 text, or does not hold a valid
-    presentation, raises PresentationFormatError.  The certificate, which
-    evaluates the brackets at points that determine each identity, decides
-    for all indices.  A file it rejects raises PresentationValidationError
-    with the report of the windowed check at N = LOAD_VALIDATION_WINDOW,
-    which runs only to name the witness.
+    presentation, raises PresentationFormatError.  validate_presentation at
+    N = LOAD_VALIDATION_WINDOW decides for all indices with the certificate;
+    a file it rejects raises PresentationValidationError with the report of
+    the window's enumeration, which runs only to name the witness.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -277,12 +275,10 @@ def load(path, validate: bool = True) -> AlgebraPresentation:
     except json.JSONDecodeError as exc:
         raise PresentationFormatError(f"{path}: invalid JSON ({exc})") from None
     p = from_dict(data)
-    if validate and not certify_presentation(p):
+    if validate:
         report = validate_presentation(p, LOAD_VALIDATION_WINDOW)
-        if report.passed:
-            raise RuntimeError(f"internal error: the certificate rejects {p.name!r}, "
-                               f"but the window N = {report.window} finds no witness")
-        raise PresentationValidationError(report)
+        if not report.passed:
+            raise PresentationValidationError(report)
     return p
 
 

@@ -1,7 +1,7 @@
 """Command line interface.
 
 Subcommands:
-  validate     exhaustive windowed algebra checks for one presentation
+  validate     skew-symmetry and Jacobi for all indices, with a witness on failure
   solve        homogeneous delta-derivation scan with per-degree verdicts
   lemmas       closed-form cross-checks of the hand-coded recurrences
   tp-classify  classify compatible commutative products on a window; the

@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from gradedlie import catalog
+from gradedlie import catalog, core
 from gradedlie.catalog import (CatalogKeyError, PresentationFormatError,
                                PresentationValidationError)
-from gradedlie.core import certify_presentation, validate_presentation
+from gradedlie.core import (certify_presentation, enumerate_window,
+                            validate_presentation)
 
 
 def test_catalog_keys_are_stable():
@@ -218,19 +219,20 @@ def test_load_validates_the_algebra_by_default(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the load-time check: certified for all indices, windowed only as a fallback
+# the load-time check: certified for all indices, enumerated only to name
+# a witness
 
 
 @pytest.fixture
 def windowed_calls(monkeypatch):
-    """The windows of load's calls to the windowed check, which still run."""
+    """The windows of every call to the window's enumeration."""
     calls = []
 
     def counted(p, window):
         calls.append(window)
-        return validate_presentation(p, window)
+        return enumerate_window(p, window)
 
-    monkeypatch.setattr(catalog, "validate_presentation", counted)
+    monkeypatch.setattr(core, "enumerate_window", counted)
     return calls
 
 
@@ -281,13 +283,19 @@ def test_an_uncertified_file_loads_as_the_windowed_check_decides(
     data = _NOT_CERTIFIED[name]()
     p = catalog.from_dict(data)
     assert not certify_presentation(p)
-    report = validate_presentation(p, catalog.LOAD_VALIDATION_WINDOW)
+    report = enumerate_window(p, catalog.LOAD_VALIDATION_WINDOW)
     assert not report.passed
     with pytest.raises(PresentationValidationError) as err:
         catalog.load(_saved(tmp_path, data))
-    assert err.value.report.check == report.check
-    assert str(err.value) == report.describe()
+    assert err.value.report == report
     assert windowed_calls == [catalog.LOAD_VALIDATION_WINDOW] == [4]
+
+
+@pytest.mark.parametrize("window", [2, 3, 4])
+@pytest.mark.parametrize("name", _NOT_CERTIFIED)
+def test_validate_reports_what_the_enumeration_reports_on_a_rejected_file(name, window):
+    p = catalog.from_dict(_NOT_CERTIFIED[name]())
+    assert validate_presentation(p, window) == enumerate_window(p, window)
 
 
 # witt's self-bracket with shifted terms; an offset is legacy and only 0 loads
@@ -338,8 +346,10 @@ def test_a_file_with_a_central_kind_as_a_bracket_argument_is_a_format_error(
     assert windowed_calls == []
 
 
-def test_a_rejected_file_the_window_passes_is_an_internal_error(tmp_path, monkeypatch):
+def test_a_rejected_file_the_window_passes_is_an_internal_error(
+        tmp_path, monkeypatch, windowed_calls):
     # the certificate is exact, so this can only mean a bug in it
-    monkeypatch.setattr(catalog, "certify_presentation", lambda p: False)
+    monkeypatch.setattr(core, "certify_presentation", lambda p: False)
     with pytest.raises(RuntimeError, match="internal error: the certificate rejects 'witt'"):
         catalog.load(_saved(tmp_path, catalog.to_dict(catalog.get("witt"))))
+    assert windowed_calls == [catalog.LOAD_VALIDATION_WINDOW]

@@ -15,15 +15,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_loops import _lopsided
 
-from gradedlie import catalog, solver
+from gradedlie import catalog, core, solver
 from gradedlie.cli import EXIT_OK, main
 from gradedlie.core import (_CENTRAL_SKEW_POINTS, _JACOBI_POINTS, _PLANE_POINTS,
                             _SKEW_POINTS, AffinePoly, AlgebraPresentation, BasisElement,
                             BasisKind, BracketRule, BracketTerm, CentralTerm,
                             CubicPoly, Element, GradingDegree,
                             PresentationError, affine, bracket,
-                            certify_presentation, format_rational,
-                            index_reflection, parse_rational,
+                            certify_presentation, enumerate_window,
+                            format_rational, index_reflection, parse_rational,
                             validate_presentation)
 from gradedlie.linalg import SparseMatrix, rref
 
@@ -33,6 +33,16 @@ VIRASORO = catalog.get("virasoro")
 
 def el(p, kind_name, index):
     return BasisElement(p.kind(kind_name), index)
+
+
+def _support(x):
+    """The basis elements x has a nonzero coefficient on."""
+    return {b for b, _ in x.items()}
+
+
+def _coefficient(x, b):
+    """The coefficient of the basis element b in x."""
+    return dict(x.items()).get(b, Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +104,9 @@ def test_element_arithmetic_drops_zero_terms():
     z = x.scale(2) + y - x - x - y
     assert z == Element.zero()
     assert z.is_zero
-    assert (x + y).coefficient(el(PGCA, "L", 1)) == 1
-    assert (x + y).coefficient(el(PGCA, "H", 1)) == 0
-    assert set((x.scale(3) - y).support()) == {el(PGCA, "L", 1), el(PGCA, "L", 2)}
+    assert _coefficient(x + y, el(PGCA, "L", 1)) == 1
+    assert _coefficient(x + y, el(PGCA, "H", 1)) == 0
+    assert _support(x.scale(3) - y) == {el(PGCA, "L", 1), el(PGCA, "L", 2)}
 
 
 def test_element_equality_and_hash_are_value_based():
@@ -133,8 +143,8 @@ def test_pgca_brackets_match_hand_expansion(x, y, expected):
 def test_virasoro_central_charge_fires_only_at_opposite_indices():
     # cocycle value (m^3 - m)/12 at m = 2 is 1/2
     got = VIRASORO.bracket_basis(el(VIRASORO, "L", 2), el(VIRASORO, "L", -2))
-    assert got.coefficient(el(VIRASORO, "L", 0)) == 4
-    assert got.coefficient(el(VIRASORO, "C", 0)) == Fraction(1, 2)
+    assert _coefficient(got, el(VIRASORO, "L", 0)) == 4
+    assert _coefficient(got, el(VIRASORO, "C", 0)) == Fraction(1, 2)
     # at m = 1 the cocycle vanishes
     got = VIRASORO.bracket_basis(el(VIRASORO, "L", 1), el(VIRASORO, "L", -1))
     assert got == Element.basis(el(VIRASORO, "L", 0)).scale(2)
@@ -191,9 +201,9 @@ def _indexed_as_element(p, x, y):
 
 
 def test_warm_bracket_cache_still_rejects_foreign_elements():
-    # validation fills the integer memo for every pair on the window
+    # the enumeration fills the integer memo for every pair on the window
     p = catalog.get("virasoro")
-    assert validate_presentation(p, 4).passed
+    assert enumerate_window(p, 4).passed
     impostor = BasisElement(BasisKind("L", (1, 0)), 1)
     with pytest.raises(PresentationError, match="does not belong"):
         p.bracket_basis(impostor, el(p, "L", 2))
@@ -245,6 +255,16 @@ def test_bracket_indexed_scaled_back_equals_bracket_basis(p, data):
                                             for (a, i), _ in got]
 
 
+def _affine_at(c, m, n):
+    """The AffinePoly c0 + cm*m + cn*n at (m, n)."""
+    return c.c0 + c.cm * m + c.cn * n
+
+
+def _cubic_at(c, m):
+    """The CubicPoly c0 + c1*m + c2*m^2 + c3*m^3 at m."""
+    return c.c0 + c.c1 * m + c.c2 * m ** 2 + c.c3 * m ** 3
+
+
 def _reference_bracket(p, x, y):
     """[x, y] straight from p.rules in Fractions, independent of bracket_basis.
 
@@ -264,10 +284,11 @@ def _reference_bracket(p, x, y):
     out = Element.zero()
     for t in rule.terms:
         out = out + Element.basis(BasisElement(t.target, m + n),
-                                  sign * t.coeff(m, n))
+                                  sign * _affine_at(t.coeff, m, n))
     if m + n == 0:
         for t in rule.central_terms:
-            out = out + Element.basis(BasisElement(t.target, 0), sign * t.coeff(m))
+            out = out + Element.basis(BasisElement(t.target, 0),
+                                      sign * _cubic_at(t.coeff, m))
     return out
 
 
@@ -347,8 +368,13 @@ def test_every_memo_miss_calls_bracket_basis_once():
         assert calls[0] == len(p._indexed) == 473
         solver.scan(p, Fraction(1, 2), 1, 6)
         assert calls[0] == 473
+    # validate decides with the certificate, whose points fill 108 entries;
+    # enumerating the window N = 4 fills 2356
     with _counted_bracket_basis() as calls:
         assert validate_presentation(catalog.get("pgca"), 4).passed
+    assert calls[0] == 108
+    with _counted_bracket_basis() as calls:
+        assert enumerate_window(catalog.get("pgca"), 4).passed
     assert calls[0] == 2356
     assert AlgebraPresentation.bracket_basis is original
 
@@ -446,14 +472,14 @@ def test_affine_poly_reversal_swaps_arguments_and_negates():
     poly = affine(c0=1, cm=2, cn=-3)
     rev = poly.reversed()
     for m, n in ((0, 0), (2, -1), (-4, 5)):
-        assert rev(n, m) == -poly(m, n)
+        assert _affine_at(rev, n, m) == -_affine_at(poly, m, n)
 
 
 def test_cubic_poly_reversal_matches_odd_cocycle_symmetry():
     poly = CubicPoly(c0=Fraction(1), c1=Fraction(2), c2=Fraction(3), c3=Fraction(4))
     rev = poly.reversed()
     for m in (-3, 0, 2):
-        assert rev(-m) == -poly(m)
+        assert _cubic_at(rev, -m) == -_cubic_at(poly, m)
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +769,35 @@ def test_certificate_agrees_with_the_windowed_check(p):
     # (test_each_point_set_determines_its_polynomials), and every point lies
     # in the window N = 4: an identity that fails at a point fails there,
     # and one that holds at every point holds at every index
-    assert certify_presentation(p) == validate_presentation(p, 4).passed
+    assert certify_presentation(p) == enumerate_window(p, 4).passed
+
+
+@settings(max_examples=150)
+@given(_presentations())
+def test_validate_reports_what_the_enumeration_reports(p):
+    # a certified pass reports the enumeration's counts without enumerating,
+    # and a rejected presentation gets the enumeration's report itself
+    for window in (2, 3, 4):
+        assert validate_presentation(p, window) == enumerate_window(p, window)
+
+
+def test_validate_enumerates_only_to_name_a_witness(monkeypatch):
+    # a certificate that rejects witt stands for a bug in it: below N = 4 the
+    # window may hold no witness, from N = 4 on it must
+    monkeypatch.setattr(core, "certify_presentation", lambda p: False)
+    calls = []
+
+    def counted(p, window):
+        calls.append(window)
+        return enumerate_window(p, window)
+
+    monkeypatch.setattr(core, "enumerate_window", counted)
+    witt = catalog.get("witt")
+    assert validate_presentation(witt, 3) == enumerate_window(witt, 3)
+    with pytest.raises(RuntimeError, match=r"^internal error: the certificate rejects "
+                                           r"'witt', but the window N = 4 finds no witness$"):
+        validate_presentation(witt, 4)
+    assert calls == [3, 4]
 
 
 def _rank_of_monomials(points, variables, degree):
