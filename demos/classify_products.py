@@ -14,7 +14,7 @@ from gradedlie import catalog
 from gradedlie.core import (AlgebraPresentation, BasisElement, BasisKind,
                             Element)
 from gradedlie.poisson import ProductTable, check_axioms, classify_products
-from gradedlie.solver import VERDICT_NOT_SCALAR_ONLY, scan
+from gradedlie.solver import scan
 
 
 def show(label, tp):
@@ -53,9 +53,9 @@ def main():
     b0 = BasisElement(ab.kind("B"), 0)
     table.set(a0, a0, Element.basis(b0))
     print(f"  axiom check: {check_axioms(table).describe()}")
-    # two same-degree central kinds give the derivation scan no unique
-    # partner sector, so hand the membership path its verdict directly
-    show("ab2", classify_products(ab, VERDICT_NOT_SCALAR_ONLY, 2))
+    # A and B share a sector, so each maps into both: with a zero bracket
+    # all four maps are 1/2-derivations and the scan is not scalar-only
+    show("ab2", classify_products(ab, scan(ab, half, 0, 2).verdict, 2))
     print()
 
     print("breaking compatibility on purpose: witt with L_0 . L_0 = L_0")

@@ -324,6 +324,9 @@ class AlgebraPresentation:
         names = [k.name for k in self.kinds]
         if len(set(names)) != len(names):
             raise PresentationError(f"duplicate kind names in {name!r}")
+        if bad := [n for n in names if ">" in n]:
+            raise PresentationError(f"kind name {bad[0]!r} contains '>', which the "
+                                    f"solver's column labels X>T reserve")
         self._kind_by_name = {k.name: k for k in self.kinds}
         self._order = {k.name: i for i, k in enumerate(self.kinds)}
         self.central = frozenset(central)

@@ -2,21 +2,18 @@
 
 A linear map D is a delta-derivation when D[x, y] = delta([Dx, y] + [x, Dy]).
 On a Z2 x Z2 x Z graded presentation, D is searched degree by degree: a map
-of degree (eps1, eps2, gamma) sends each basis element k_m to a multiple of
-partner(k)_{m+gamma}, where partner(k) is the kind whose Z2 degree is
-k.z2 + (eps1, eps2).  The unknowns are those multiples u[k, m] for
-m in [-window, window].
+of degree (eps1, eps2, gamma) sends each basis element X_m into the
+component of degree deg X_m + (eps1, eps2, gamma), so
+D(X_m) = sum over T of u[X>T, m] T_{m+gamma}, for every kind T whose Z2
+degree is X.z2 + (eps1, eps2).  The unknowns are those coefficients for
+m in [-window, window] where X_m and T_{m+gamma} both exist.
 
-The ansatz needs one partner kind per source kind.  When several kinds
-share the target sector the tie is broken by centrality: a central source
-must stay central (its image brackets to zero with everything, i.e. lies in
-the centre), and a non-central source keeps the unique non-central
-candidate, so no map from a non-central kind into the centre is searched.
-Such cross terms are not always zero: virasoro's derivation ad L_gamma
-sends L_{-gamma} to 2 gamma L_0 + (gamma^3 - gamma)/12 C, so for
-|gamma| >= 2 its delta = 1 scan misses it (ROADMAP item 5).  A
-presentation with two non-central kinds in one sector is outside the model
-and is rejected loudly.
+A central source keeps only central targets.  For delta != 0,
+delta [DC, y] = D[C, y] = 0 for every y puts DC in the centre, which the
+rule takes to be spanned by the central kinds, as it is for every catalog
+algebra with one.  At delta = 0 nothing forces DC into the centre, so there
+the rule is an assumption: maps from a central kind to a non-central one
+are not searched.
 
 Constraint rows come from expanding D[x, y] - delta([Dx, y] + [x, Dy]) over
 all unordered source pairs whose indices m, n, m+n all lie in the window.
@@ -26,9 +23,10 @@ for a well-sized window.
 
 Each assembled system carries kernel_certificate's check, unless p has a
 central kind or a same-kind table that is not skew: for a kernel vector
-affine in m per kind on the window, each family of rows is one polynomial
-of degree at most 2 in (m, n), which is zero once it vanishes on the rows
-of the same system on the window N = 1, made from the layout's image map.
+affine in m per column label on the window, each family of rows is one
+polynomial of degree at most 2 in (m, n), which is zero once it vanishes on
+the rows of the same system on the window N = 1, made from the layout's
+image map.
 Elimination stops reading rows as soon as its candidate kernel passes, and
 nullspace returns that kernel without checking it again.
 
@@ -70,10 +68,6 @@ class WindowTooSmallError(SolverError):
             f"need window >= 2*(|gamma|+1) = {required}")
 
 
-class AmbiguousSectorError(SolverError):
-    """Two non-central kinds share a target sector; the ansatz needs one."""
-
-
 def required_window(gamma: int) -> int:
     return 2 * (abs(gamma) + 1)
 
@@ -88,28 +82,6 @@ def check_window(window: int, gamma: int, interior: int | None = None) -> int:
     if window < need:
         raise WindowTooSmallError(window, gamma, need)
     return window // 2 if interior is None else interior
-
-
-def partner_kind(p: AlgebraPresentation, kind: BasisKind,
-                 shift: tuple[int, int]) -> BasisKind | None:
-    """Target kind for one source kind under a Z2 x Z2 degree shift."""
-    target_z2 = ((kind.z2[0] + shift[0]) % 2, (kind.z2[1] + shift[1]) % 2)
-    cands = [k for k in p.kinds if k.z2 == target_z2]
-    if p.is_central(kind):
-        cands = [k for k in cands if p.is_central(k)]
-    else:
-        noncentral = [k for k in cands if not p.is_central(k)]
-        if len(noncentral) > 1:
-            raise AmbiguousSectorError(
-                f"kinds {[k.name for k in noncentral]} share Z2 sector {target_z2}; "
-                f"the single-partner ansatz cannot model {p.name!r} here")
-        cands = noncentral
-    if not cands:
-        return None
-    if len(cands) > 1:
-        raise AmbiguousSectorError(
-            f"several central kinds in Z2 sector {target_z2} of {p.name!r}")
-    return cands[0]
 
 
 @dataclass(frozen=True)
@@ -140,12 +112,17 @@ class HomogeneousSolveProblem:
 
 @dataclass
 class UnknownLayout:
-    """Column layout: one unknown u[kind, m] per structurally possible entry,
-    and images, the map D(k_m) = u[k, m] * partner(k)_{m+gamma} in
-    identity_rows' form that assembly and kernel_certificate's sample read."""
+    """Column layout: one unknown u[X>T, m] per source kind X, target kind
+    T and index m where X_m and T_{m+gamma} both exist, and images, the map
+    D(X_m) = sum of u[X>T, m] * T_{m+gamma} in identity_rows' form that
+    assembly and kernel_certificate's sample read.
+
+    A column (label, m) is labelled X when X has one target kind or T = X,
+    and "X>T" otherwise; families maps each label to its (X, T).
+    """
 
     columns: list[tuple[str, int]]
-    partner: dict[str, BasisKind | None]
+    families: dict[str, tuple[BasisKind, BasisKind]]
     images: dict[tuple[int, int], list[tuple[int, tuple[int, int]]]]
     index: dict[tuple[str, int], int] = field(default_factory=dict)
 
@@ -154,20 +131,24 @@ class UnknownLayout:
 
 
 def unknown_layout(problem: HomogeneousSolveProblem) -> UnknownLayout:
-    p = problem.presentation
-    gamma = problem.gamma
-    partner = {k.name: partner_kind(p, k, problem.shift) for k in p.kinds}
-    columns, images = [], {}
-    for k in p.kinds:
-        target = partner[k.name]
-        if target is None:
-            continue  # u[k, .] is structurally zero
-        a, t = p.kind_order(k), p.kind_order(target)
-        for m in range(-problem.window, problem.window + 1):
-            if p.element_exists(k, m) and p.element_exists(target, m + gamma):
-                images[a, m] = [(len(columns), (t, m + gamma))]
-                columns.append((k.name, m))
-    return UnknownLayout(columns, partner, images)
+    p, gamma = problem.presentation, problem.gamma
+    e1, e2 = problem.shift
+    span = range(-problem.window, problem.window + 1)
+    columns, families, images = [], {}, {}
+    for x in p.kinds:
+        z2 = ((x.z2[0] + e1) % 2, (x.z2[1] + e2) % 2)
+        targets = [t for t in p.kinds
+                   if t.z2 == z2 and (p.is_central(t) or not p.is_central(x))]
+        a = p.kind_order(x)
+        for t in targets:
+            label = x.name if len(targets) == 1 or t == x else f"{x.name}>{t.name}"
+            families[label] = (x, t)
+            b = p.kind_order(t)
+            for m in span:
+                if p.element_exists(x, m) and p.element_exists(t, m + gamma):
+                    images.setdefault((a, m), []).append((len(columns), (b, m + gamma)))
+                    columns.append((label, m))
+    return UnknownLayout(columns, families, images)
 
 
 def identity_rows(p: AlgebraPresentation, delta: Fraction,
@@ -275,12 +256,12 @@ def kernel_certificate(problem: HomogeneousSolveProblem, layout: UnknownLayout):
     kind or a same-kind table that is not skew.
 
     The check takes linalg's (label, w) pairs.  It passes them only if
-    each w is affine in m per kind on the window, w[X, m] = a_X + b_X*m,
-    and holds on every row of the same system on the window N = 1.  Those
-    rows are made once, from layout.images, on the first candidate that is
-    affine.  Anything else fails the check, which then only means that the
-    rows must be read.  A kernel it passes is tried once: in elimination,
-    or in verify_kernel when mirrored.
+    each w is affine in m per column label on the window,
+    w[X>T, m] = a + b*m, and holds on every row of the same system on the
+    window N = 1.  Those rows are made once, from layout.images, on the
+    first candidate that is affine.  Anything else fails the check, which
+    then only means that the rows must be read.  A kernel it passes is
+    tried once: in elimination, or in verify_kernel when mirrored.
 
     Why the sample suffices: for affine w, the rows of the source pairs
     (A_m, B_n), A not after B in kind order, with output kind T are the
@@ -299,9 +280,8 @@ def kernel_certificate(problem: HomogeneousSolveProblem, layout: UnknownLayout):
                         if a == b for c0, cm, cn in terms.values()):
         return None
     window, span = problem.window, range(-problem.window, problem.window + 1)
-    # the column of m = 0 per kind with columns
-    origins = [layout.index[kind.name, 0] for kind in p.kinds
-               if layout.partner[kind.name] is not None]
+    # the column of m = 0 per label
+    origins = [layout.index[label, 0] for label in layout.families]
     sample = None
 
     def certify(kernel) -> bool:
@@ -340,27 +320,28 @@ def describe_values(values: dict[int, Fraction]) -> str:
 def summarize_interior(layout_keys: Sequence[tuple[str, int]],
                        kinds: Sequence[str],
                        vectors: Iterable[Sequence[Fraction]]) -> list[dict[str, str]]:
-    summary = []
-    for vec in vectors:
-        per_kind: dict[str, str] = {}
-        for kname in kinds:
-            values = {m: vec[i] for i, (k, m) in enumerate(layout_keys) if k == kname}
-            per_kind[kname] = describe_values(values)
-        summary.append(per_kind)
-    return summary
+    """One description per kind, and per X>T label with a column here."""
+    labels = list(kinds) + [k for k in dict.fromkeys(k for k, _ in layout_keys)
+                            if k not in kinds]
+    return [{label: describe_values({m: vec[i] for i, (k, m) in enumerate(layout_keys)
+                                     if k == label})
+             for label in labels}
+            for vec in vectors]
 
 
 def classify_interior(layout_keys: Sequence[tuple[str, int]],
                       kinds: Sequence[str],
                       vectors: list[tuple[Fraction, ...]]) -> str:
-    """'zero', 'scalar' (single constant vector across every kind), else 'nontrivial'."""
+    """'zero'; 'scalar' for one vector in which every kind has columns
+    under its own name, those columns share one nonzero value and every
+    X>T column is 0; else 'nontrivial'."""
     if not vectors:
         return "zero"
     if len(vectors) == 1:
-        vec = vectors[0]
-        present = {k for k, _ in layout_keys}
-        values = set(vec)
-        if (present == set(kinds) and len(values) == 1 and vec and vec[0] != 0):
+        pairs = [(k in kinds, v) for (k, _), v in zip(layout_keys, vectors[0])]
+        own = {v for mine, v in pairs if mine}
+        if (set(kinds) <= {k for k, _ in layout_keys} and len(own) == 1
+                and 0 not in own and not any(v for mine, v in pairs if not mine)):
             return "scalar"
     return "nontrivial"
 
@@ -388,7 +369,7 @@ class SolveReport:
 def report_from_kernel(kernel: VectorBasis, layout_keys: Sequence[tuple[str, int]],
                        kinds: Sequence[str], degree: GradingDegree,
                        interior: int) -> SolveReport:
-    """Classify a kernel, its columns named (kind, m) by layout_keys, on
+    """Classify a kernel, its columns named (label, m) by layout_keys, on
     the interior columns |m| <= interior."""
     interior_cols = [i for i, (_, m) in enumerate(layout_keys) if abs(m) <= interior]
     interior_keys = [layout_keys[i] for i in interior_cols]
@@ -410,16 +391,16 @@ class Reflection:
 
     def mirrored(self, problem: HomogeneousSolveProblem,
                  layout: UnknownLayout) -> VectorBasis | None:
-        """theta's image u'[k, m] = s_k s_partner(k) u[k, -m] of the kernel
-        of (eps, -gamma) on layout's columns, if gamma > 0 and it is held."""
+        """theta's image u'[X>T, m] = s_X s_T u[X>T, -m] of the kernel of
+        (eps, -gamma) on layout's columns, if gamma > 0 and it is held."""
         d, s = problem.degree, self.signs
         held = d.index > 0 and self.kernels.get(GradingDegree(d.eps1, d.eps2, -d.index))
         if not held:
             return None
-        sources = [(held[0].index[k, -m], s[k] * s[layout.partner[k].name])
-                   for k, m in layout.columns]
-        return VectorBasis(len(sources), [tuple(vec[i] if sign > 0 else -vec[i]
-                                                for i, sign in sources)
+        flip = {label: s[x.name] != s[t.name] for label, (x, t) in layout.families.items()}
+        sources = [(held[0].index[k, -m], flip[k]) for k, m in layout.columns]
+        return VectorBasis(len(sources), [tuple(-vec[i] if f else vec[i]
+                                                for i, f in sources)
                                           for vec in held[1].vectors])
 
 

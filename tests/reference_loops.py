@@ -80,10 +80,11 @@ def assemble(problem) -> SparseMatrix:
     basis = p.basis_elements(N)
 
     def image(b):
-        col = layout.index.get((b.kind.name, b.index))
-        if col is None:
-            return None
-        return col, BasisElement(layout.partner[b.kind.name], b.index + gamma)
+        """(column, target) for each column family from b's kind with a
+        column at b's index."""
+        return [(layout.index[label, b.index], BasisElement(t, b.index + gamma))
+                for label, (x, t) in layout.families.items()
+                if x == b.kind and (label, b.index) in layout.index]
 
     def add(acc, out, col, coeff):
         row = acc.setdefault(out, {})
@@ -97,17 +98,13 @@ def assemble(problem) -> SparseMatrix:
             lie = br(x, y)
             acc = {}
             for t, c in lie.items():
-                hit = image(t)
-                if hit is not None:
-                    add(acc, hit[1], hit[0], c)
+                for col, d in image(t):
+                    add(acc, d, col, c)
             for src, other, left in ((x, y, True), (y, x, False)):
-                hit = image(src)
-                if hit is None:
-                    continue
-                col, d = hit
-                out = br(d, other) if left else br(other, d)
-                for t, c in out.items():
-                    add(acc, t, col, neg_delta * c)
+                for col, d in image(src):
+                    out = br(d, other) if left else br(other, d)
+                    for t, c in out.items():
+                        add(acc, t, col, neg_delta * c)
             for out in sorted(acc, key=lambda b: (p.kind_order(b.kind), b.index)):
                 row = {c: v for c, v in acc[out].items() if v}
                 if row:

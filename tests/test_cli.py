@@ -112,6 +112,19 @@ def test_missing_subcommand_is_a_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_a_kind_name_with_a_label_separator_is_a_usage_error(tmp_path, capsys):
+    # "L>C" names a column family of virasoro's layout, so no kind may
+    data = catalog.to_dict(catalog.get("witt"))
+    data["kinds"][0]["name"] = "L>C"
+    for rule in data["brackets"]:
+        rule["left"] = rule["right"] = rule["terms"][0]["kind"] = "L>C"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(["solve", "--algebra", str(path), "--window", "4"], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "kind name 'L>C' contains '>'" in err
+
+
 def test_malformed_presentation_file_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"name": 1}')
@@ -168,8 +181,9 @@ def test_ordinary_term_targeting_a_central_kind_exits_without_traceback(tmp_path
 
 def test_central_kind_as_a_bracket_argument_exits_without_traceback(tmp_path):
     # [A_m, C_0] = A_m with A abelian: D(C_0) = A_0 is a degree-zero
-    # 1/2-derivation that the central ansatz has no column for, so solving
-    # this file would wrongly report scalar-only; it must not load
+    # 1/2-derivation that the layout, which maps a central kind only to
+    # central kinds, has no column for, so solving this file would wrongly
+    # report scalar-only; it must not load
     data = {"name": "fake-central",
             "kinds": [{"name": "A", "z2_degree": [0, 0]},
                       {"name": "C", "z2_degree": [0, 0]}],
@@ -277,13 +291,20 @@ def test_solve_honours_an_explicit_interior(capsys):
     assert json.loads(out)["interior"] == 2
 
 
+# the delta of each golden scan other than 1/2: virasoro's derivations,
+# ad L_gamma at every gamma, with its L>C column
+GOLDEN_DELTA = {"virasoro_derivation_scan.json": "1"}
+
+
 @pytest.mark.parametrize("algebra,golden", [
     ("witt", "witt_scan.json"),
     ("heisenberg-virasoro", "heisenberg_virasoro_scan.json"),
+    ("virasoro", "virasoro_derivation_scan.json"),
 ])
 def test_scan_reports_match_recorded_goldens(algebra, golden, tmp_path, capsys):
     target = tmp_path / "scan.json"
-    code, _, _ = run(["solve", "--algebra", algebra, "--delta", "1/2",
+    code, _, _ = run(["solve", "--algebra", algebra,
+                      "--delta", GOLDEN_DELTA.get(golden, "1/2"),
                       "--gamma-max", "4", "--window", "12",
                       "--format", "json", "--output", str(target)], capsys)
     assert code == EXIT_OK

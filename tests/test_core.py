@@ -503,6 +503,12 @@ def test_presentation_rejects_duplicate_kinds_and_rules():
         AlgebraPresentation("bad", (L,), (rule, rule))
 
 
+def test_presentation_rejects_a_kind_name_holding_a_label_separator():
+    # the solver labels a column family X>T, which must not name a kind
+    with pytest.raises(PresentationError, match=r"^kind name 'A>B' contains '>'"):
+        AlgebraPresentation("bad", (BasisKind("A", (0, 0)), BasisKind("A>B", (0, 0))))
+
+
 def test_presentation_rejects_undeclared_central_kind():
     L = BasisKind("L", (0, 0))
     with pytest.raises(PresentationError):
@@ -531,7 +537,8 @@ _CUBIC = CubicPoly(c1=Fraction(1))
     (BracketRule(_L, _C, (), (CentralTerm(_C, _CUBIC),)), r"\[L,C\]: central kind 'C'"),
 ], ids=["right", "left", "both", "central-terms-only"])
 def test_presentation_rejects_a_central_kind_as_a_bracket_argument(rule, named):
-    # a central kind brackets trivially; solver.partner_kind relies on it
+    # a central kind brackets trivially; solver.unknown_layout relies on it
+    # to keep the targets of a central source central
     with pytest.raises(PresentationError, match=named + " is a bracket argument"):
         AlgebraPresentation("bad", (_L, _C), (rule,), central=("C",))
 

@@ -8,25 +8,27 @@ the derivation identity itself.
 
 from dataclasses import astuple
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import reference_loops
 from gradedlie import catalog, cli, linalg, poisson, solver
 from gradedlie.core import (AlgebraPresentation, BasisElement, BasisKind,
-                            BracketRule, BracketTerm, GradingDegree, affine,
-                            certify_presentation, index_reflection)
-from gradedlie.solver import (AmbiguousSectorError, HomogeneousSolveProblem,
-                              SolveReport, SolverError, VERDICT_NOT_SCALAR_ONLY,
-                              VERDICT_SCALAR_ONLY, WindowTooSmallError,
-                              assemble, classify_interior, describe_values,
-                              kernel_certificate, partner_kind, required_window,
+                            BracketRule, BracketTerm, CentralTerm, CubicPoly,
+                            GradingDegree, affine, bracket, certify_presentation,
+                            index_reflection)
+from gradedlie.solver import (HomogeneousSolveProblem, SolveReport, SolverError,
+                              VERDICT_NOT_SCALAR_ONLY, VERDICT_SCALAR_ONLY,
+                              WindowTooSmallError, assemble, classify_interior,
+                              describe_values, kernel_certificate, required_window,
                               scan, scan_verdict, solve_degree, unknown_layout)
 from matrices import mul_vec, sparse_rows
+from test_core import _presentations
 
 PGCA = catalog.get("pgca")
 WITT = catalog.get("witt")
@@ -66,7 +68,13 @@ def test_problem_validates_its_own_shape():
 
 
 # ---------------------------------------------------------------------------
-# partner kinds and layouts
+# column families and layouts
+
+
+def _families(p, degree):
+    """The layout's families as label -> (source name, target name)."""
+    layout = unknown_layout(problem(p, HALF, degree, 2))
+    return {label: (x.name, t.name) for label, (x, t) in layout.families.items()}
 
 
 @pytest.mark.parametrize("shift,expected", [
@@ -76,25 +84,35 @@ def test_problem_validates_its_own_shape():
     ((1, 0), {"L": "J", "H": "I", "I": "H", "J": "L"}),
 ])
 def test_pgca_partners_cover_all_four_sector_shifts(shift, expected):
-    got = {k.name: partner_kind(PGCA, k, shift).name for k in PGCA.kinds}
-    assert got == expected
+    # one kind per sector, so each kind has one target and labels its
+    # columns by its own name
+    assert _families(PGCA, (*shift, 1)) == {k: (k, t) for k, t in expected.items()}
 
 
 def test_partner_of_a_central_kind_stays_central():
-    C = VIRASORO.kind("C")
-    assert partner_kind(VIRASORO, C, (0, 0)).name == "C"
-    assert partner_kind(VIRASORO, VIRASORO.kind("L"), (0, 0)).name == "L"
+    # C maps only to C; L maps to L and across to C, so those columns are
+    # labelled L and L>C
+    assert _families(VIRASORO, (0, 0, 0)) == {
+        "L": ("L", "L"), "L>C": ("L", "C"), "C": ("C", "C")}
     # no kind sits in the shifted sector
-    assert partner_kind(VIRASORO, C, (0, 1)) is None
+    assert _families(VIRASORO, (0, 1, 0)) == {}
 
 
-def test_two_noncentral_kinds_in_one_sector_are_rejected():
+def test_two_noncentral_kinds_in_one_sector_map_into_each_other():
     twin = AlgebraPresentation(
         "twin", (BasisKind("A", (0, 0)), BasisKind("B", (0, 0))))
-    with pytest.raises(AmbiguousSectorError):
-        partner_kind(twin, twin.kind("A"), (0, 0))
-    with pytest.raises(AmbiguousSectorError):
-        solve_degree(problem(twin, HALF, (0, 0, 0), 4))
+    assert _families(twin, (0, 0, 1)) == {
+        "A": ("A", "A"), "A>B": ("A", "B"), "B>A": ("B", "A"), "B": ("B", "B")}
+    layout = unknown_layout(problem(twin, HALF, (0, 0, 1), 2))
+    assert layout.columns == [(label, m) for label in ("A", "A>B", "B>A", "B")
+                              for m in range(-2, 3)]
+    # D(A_0) = u[A, 0] A_1 + u[A>B, 0] B_1
+    assert layout.images[0, 0] == [(2, (0, 1)), (7, (1, 1))]
+    # with a zero bracket every map of the degree is a derivation
+    report = solve_degree(problem(twin, HALF, (0, 0, 0), 4))
+    assert (report.full_dim, report.interior_dim) == (4 * 9, 4 * 5)
+    assert report.classification == "nontrivial"
+    assert all(set(v) == {"A", "A>B", "B>A", "B"} for v in report.basis_summary)
 
 
 def test_layout_enumerates_kinds_in_declared_order():
@@ -107,12 +125,13 @@ def test_layout_enumerates_kinds_in_declared_order():
 
 
 def test_layout_skips_central_kinds_that_cannot_shift():
-    # C_0 has no image slot at index 1, so it carries no unknown
+    # C_0 has no image slot at index 1, so it carries no unknown; C_0 is
+    # the image slot of L_{-1} only
     layout = unknown_layout(problem(VIRASORO, HALF, (0, 0, 1), 3))
-    assert layout.columns == [("L", m) for m in range(-3, 4)]
-    # at shift 0 the central unknown is exactly one column
+    assert layout.columns == [("L", m) for m in range(-3, 4)] + [("L>C", -1)]
+    # at shift 0 each unknown into C_0 is exactly one column
     layout = unknown_layout(problem(VIRASORO, HALF, (0, 0, 0), 3))
-    assert layout.columns == [("L", m) for m in range(-3, 4)] + [("C", 0)]
+    assert layout.columns == [("L", m) for m in range(-3, 4)] + [("L>C", 0), ("C", 0)]
 
 
 def test_unpartnered_sectors_yield_empty_layouts():
@@ -123,9 +142,10 @@ def test_unpartnered_sectors_yield_empty_layouts():
 @pytest.mark.parametrize("key", catalog.keys())
 def test_the_layout_holds_the_image_map_assembly_and_the_certificate_read(
         key, monkeypatch):
-    # D(k_m) = u[k, m] * partner(k)_{m+gamma}, written out from the columns
-    # and partners, keyed by (kind position, index); virasoro's C_0 maps to
-    # itself at gamma = 0 and has no column elsewhere
+    # D(X_m) = sum of u[X>T, m] * T_{m+gamma}, written out from the columns
+    # and families, keyed by (kind position, index); virasoro's C_0 maps to
+    # itself at gamma = 0 and has no column elsewhere, and L_{-gamma} maps
+    # to L_0 and C_0 in sector (0, 0)
     p = catalog.get(key)
     position = {k.name: i for i, k in enumerate(p.kinds)}
     seen = []
@@ -135,11 +155,16 @@ def test_the_layout_holds_the_image_map_assembly_and_the_certificate_read(
     for degree in product((0, 1), (0, 1), (-1, 0, 1)):
         prob = problem(p, HALF, degree, 4)
         layout = unknown_layout(prob)
-        assert layout.images == {
-            (position[k], m): [(col, (position[layout.partner[k].name], m + degree[2]))]
-            for col, (k, m) in enumerate(layout.columns)}, degree
+        images = {}
+        for col, (label, m) in enumerate(layout.columns):
+            x, t = layout.families[label]
+            images.setdefault((position[x.name], m), []).append(
+                (col, (position[t.name], m + degree[2])))
+        assert layout.images == images, degree
         if key == "virasoro":
             assert ((position["C"], 0) in layout.images) == (degree == (0, 0, 0))
+            assert len(layout.images.get((position["L"], -degree[2]), ())) == \
+                2 * (degree[:2] == (0, 0))
         # assembly and the certificate's sample, made on its first
         # affine candidate, read that same map
         seen.clear()
@@ -191,14 +216,16 @@ def test_assembled_rows_match_the_hand_written_identity_for_witt():
 
 @pytest.mark.parametrize("key", catalog.keys())
 def test_identity_map_is_a_half_derivation_everywhere(key):
-    # [x, y] = (1/2)([x, y] + [x, y]) holds identically, so the all-ones
-    # vector must lie in every (0,0,0) kernel at delta = 1/2
+    # [x, y] = (1/2)([x, y] + [x, y]) holds identically, so the identity,
+    # 1 on each kind's own columns and 0 on its X>T columns, must lie in
+    # every (0,0,0) kernel at delta = 1/2
     p = catalog.get(key)
     prob = problem(p, HALF, (0, 0, 0), 6)
     layout = unknown_layout(prob)
     matrix = assemble(prob, layout)
-    ones = [Fraction(1)] * len(layout.columns)
-    assert not any(mul_vec(matrix, ones))
+    identity = [Fraction(x == t)
+                for x, t in (layout.families[k] for k, _ in layout.columns)]
+    assert any(identity) and not any(mul_vec(matrix, identity))
 
 
 def test_ad_l0_is_a_one_derivation_but_not_a_half_derivation():
@@ -253,7 +280,7 @@ def test_virasoro_central_rows_kill_the_shift_maps():
     assert report.classification == "zero"
     report = solve_degree(problem(VIRASORO, HALF, (0, 0, 0), 8))
     assert report.classification == "scalar"
-    assert report.basis_summary == [{"L": "1", "C": "1"}]
+    assert report.basis_summary == [{"L": "1", "C": "1", "L>C": "0"}]
 
 
 def test_interior_dimension_is_stable_under_window_growth():
@@ -286,6 +313,12 @@ def test_classify_interior_distinguishes_the_three_shapes():
     assert classify_interior(keys, ["L", "H"], [(one, one + one)]) == "nontrivial"
     assert classify_interior(keys, ["L", "H"],
                              [(one, one), (one, -one)]) == "nontrivial"
+    # an X>T column must be 0, and is not one of the kinds' own columns
+    cross = keys + [("L>H", 0)]
+    assert classify_interior(cross, ["L", "H"], [(one, one, 0 * one)]) == "scalar"
+    assert classify_interior(cross, ["L", "H"], [(one, one, one)]) == "nontrivial"
+    assert classify_interior([("L", 0), ("L>H", 0)], ["L", "H"],
+                             [(one, 0 * one)]) == "nontrivial"
 
 
 def test_describe_values_compacts_common_patterns():
@@ -334,7 +367,7 @@ def test_virasoro_scan_is_scalar_only():
 
 def test_abelian_scan_sees_every_index_shift():
     # with a zero bracket every degree-homogeneous map is a derivation,
-    # but sector shifts have no partner kind and stay empty
+    # but sector shifts have no target kind and stay empty
     result = scan(catalog.get("abelian"), HALF, 1, 6)
     assert result.verdict == VERDICT_NOT_SCALAR_ONLY
     by_degree = {r.degree: r.classification for r in result.reports}
@@ -836,9 +869,111 @@ def test_assemble_equals_the_element_reference(key, delta):
     # same rows, in the same order, with the same exact values; pgca's
     # declared kind order (L, H, I, J) is not its sorted one, so the row
     # order within a pair is exercised too.  The lopsided presentation adds
-    # several outputs per pair and central partners: Z and W map to
-    # themselves at (0, 0, 0) and to each other at (0, 1, 0)
+    # several outputs per pair and cross columns: Z and W map to themselves
+    # at (0, 0, 0) and to each other at (0, 1, 0), A to A and Z and B to B
+    # and W at (0, 0, 0), A to B and W and B to A and Z at (0, 1, 0);
+    # virasoro's L maps to L and C in sector (0, 0)
     p = reference_loops._lopsided() if key == "lopsided" else catalog.get(key)
     for degree in ((0, 0, 0), (0, 0, 1), (1, 1, -1), (0, 1, 1), (1, 0, 0), (0, 1, 0)):
         prob = problem(p, delta, degree, 6)
         assert assemble(prob) == reference_loops.assemble(prob), degree
+
+
+# ---------------------------------------------------------------------------
+# virasoro's derivations ad L_gamma: L_{-gamma} maps across to C_0
+
+
+@cache
+def _virasoro_derivation_scan():
+    return scan(VIRASORO, Fraction(1), 4, 12)
+
+
+@pytest.mark.parametrize("gamma", [-4, -3, -2, 2, 3, 4])
+def test_virasoro_derivation_scan_spans_ad_l_gamma(gamma):
+    # ad L_gamma sends L_m to (gamma - m) L_{m+gamma}, plus
+    # (gamma^3 - gamma)/12 C_0 at m = -gamma, through the bracket alone
+    L, C = VIRASORO.kind("L"), VIRASORO.kind("C")
+
+    def ad(x):
+        return bracket(VIRASORO, BasisElement(L, gamma), x)
+
+    def coeff(element, b):
+        return dict(element.items()).get(b, Fraction(0))
+
+    result = _virasoro_derivation_scan()
+    basis = VIRASORO.basis_elements(result.window)
+    for i, x in enumerate(basis):
+        for y in basis[i + 1:]:
+            if abs(x.index + y.index) <= result.window:
+                assert ad(bracket(VIRASORO, x, y)) == \
+                    bracket(VIRASORO, ad(x), y) + bracket(VIRASORO, x, ad(y)), (x, y)
+    cross = coeff(ad(BasisElement(L, -gamma)), BasisElement(C, 0))
+    assert cross == Fraction(gamma ** 3 - gamma, 12) != 0
+    # the report's one vector is reduced, 1 at its first column L_{-interior}
+    span = range(-result.interior, result.interior + 1)
+    own = {m: coeff(ad(BasisElement(L, m)), BasisElement(L, m + gamma)) for m in span}
+    scale = own[-result.interior]
+    report, = [r for r in result.reports if r.degree == GradingDegree(0, 0, gamma)]
+    assert (report.interior_dim, report.classification) == (1, "nontrivial")
+    assert report.basis_summary == [{
+        "L": describe_values({m: v / scale for m, v in own.items()}),
+        "L>C": describe_values({-gamma: cross / scale}), "C": "0"}]
+
+
+def test_an_x_t_label_is_summarised_only_with_an_interior_column():
+    # ad L_4 on N = 10 with interior 3: its L>C column sits at m = -4
+    report = solve_degree(problem(VIRASORO, Fraction(1), (0, 0, 4), 10, 3))
+    assert report.interior_dim == 1 and report.full_dim == 1
+    assert set(report.basis_summary[0]) == {"L", "C"}
+
+
+# ---------------------------------------------------------------------------
+# randomised: scan against a full reading of every degree
+
+# two non-central kinds in one sector: witt A and a current B with
+# [A_m, B_n] = -n B_{m+n}
+_SA, _SB = BasisKind("A", (0, 0)), BasisKind("B", (0, 0))
+SHARED_SECTOR = AlgebraPresentation("shared-sector", (_SA, _SB), (
+    BracketRule(_SA, _SA, (BracketTerm(_SA, affine(cm=1, cn=-1)),)),
+    BracketRule(_SA, _SB, (BracketTerm(_SB, affine(cn=-1)),))))
+
+# [L_m, L_n] = (n - m) L_{m+n} and [L_m, A_n] = (1 + n) A_{m+n}: 1 + n has
+# both parities, so there is no theta and every degree is solved directly
+_FA = BasisKind("A", (0, 1))
+NO_THETA = AlgebraPresentation("no-theta", (_L, _FA), (
+    BracketRule(_L, _L, (BracketTerm(_L, affine(cm=-1, cn=1)),)),
+    BracketRule(_L, _FA, (BracketTerm(_FA, affine(c0=1, cn=1)),))))
+
+# heisenberg-virasoro with the cocycle m^2 Z_0 on [L_m, I_{-m}]: ad I_gamma
+# sends L_m to gamma I_{m+gamma}, and L_{-gamma} to gamma I_0 - gamma^2 Z_0,
+# one kernel vector on the columns L>I and L>Z, which theta maps with the
+# signs s_L s_I = 1 and s_L s_Z = -1
+_Z = BasisKind("Z", (0, 1))
+HV_CENTRAL = AlgebraPresentation("hv-central", (_L, _I, _Z), (
+    BracketRule(_L, _L, (BracketTerm(_L, affine(cm=1, cn=-1)),)),
+    BracketRule(_L, _I, (BracketTerm(_I, affine(cn=-1)),),
+                (CentralTerm(_Z, CubicPoly(c2=Fraction(1))),))), central=("Z",))
+
+
+@settings(max_examples=50)
+@given(_presentations(), st.sampled_from((HALF, Fraction(1), Fraction(2, 3),
+                                          Fraction(0), Fraction(-1))))
+@example(SHARED_SECTOR, HALF)
+@example(SHARED_SECTOR, Fraction(1))
+@example(NO_THETA, Fraction(1))
+@example(HV_CENTRAL, Fraction(1))
+def test_scan_equals_a_full_reading_of_every_degree(p, delta):
+    # every fast path (the kernel certificate, theta's mirror, the early
+    # stop) against the rows of each degree, none skipped but by a zero
+    # candidate kernel, on the certified draws
+    assume(certify_presentation(p))
+    result = scan(p, delta, 2, 6)
+    kinds = [k.name for k in p.kinds]
+    direct = []
+    for report in result.reports:
+        layout = unknown_layout(problem(p, delta, astuple(report.degree), 6))
+        matrix = solver.identity_rows(p, delta, [layout.images], 6, len(layout.columns))
+        direct.append(solver.report_from_kernel(linalg.nullspace(matrix), layout.columns,
+                                                kinds, report.degree, result.interior))
+        assert report.to_json_dict() == direct[-1].to_json_dict(), report.degree
+    assert result.verdict == scan_verdict(direct)
