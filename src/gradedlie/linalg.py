@@ -10,10 +10,11 @@ verify_kernel, for the basis it checks.  from_stream builds a matrix over
 a source of int rows, made only when something reads them.
 
 Elimination streams the rows in order, fraction-free, pulling each from
-the source as it is reached.  Once a run of rows as long as the column
-count adds no pivot, or every column holds one, it stops eliminating and
-checks each further row against the integer kernel of the pivot rows so
-far; a row outside their span is eliminated and the kernel rebuilt.
+the source as it is reached.  Once every column holds a pivot, or a run
+of rows that add no pivot is as long as the integer kernel of the pivot
+rows so far is wide (as the column count, without a kernel certificate),
+it stops eliminating and checks each further row against that kernel; a
+row outside their span is eliminated and the kernel rebuilt.
 Reading stops early in two places.  With every column pivotal that kernel
 is empty, an exact zero-kernel certificate.  A streamed matrix may also
 carry a kernel certificate from whoever made its rows: a check that int
@@ -168,21 +169,25 @@ def _rref_rows(rows: Iterable[dict[int, int]], cols: int, certify=None
     pivot, which is then cleared from each pivot row holding it, found by
     scanning the pivot rows.
 
-    Once `cols` consecutive rows have added no pivot, or every column holds
-    one, the stream stops eliminating and starts checking: it builds the
-    integer kernel of the pivot rows so far (the candidate kernel, which
-    contains the true one) and multiplies each further row through it.  A
-    row with every product zero lies in the span of the pivot rows and is
-    skipped.  A row with a nonzero product is eliminated as above, which
-    gives a new pivot, and the candidate kernel is rebuilt.  The candidate
-    is built and tried in one place, at the switch and after each new
-    pivot from then on.  An empty candidate kernel (every column a pivot)
-    fails no row, so the stream stops there, without pulling another row:
-    the exact zero-kernel certificate.  A nonzero candidate kernel stops it
-    the same way when certify (see SparseMatrix.from_stream) passes it:
-    every row, read or not, then holds for it, so it is the true kernel.
-    A check costs one product per candidate kernel vector, so the switch
-    must not fire while that kernel is still wide.  Whichever rows are
+    Once every column holds a pivot, or the run of consecutive rows that
+    added no pivot is as long as the candidate kernel is wide, cols minus
+    the number of pivots, the stream stops eliminating and starts checking:
+    it builds the integer kernel of the pivot rows so far (the candidate
+    kernel, which contains the true one) and multiplies each further row
+    through it.  A row with every product zero lies in the span of the
+    pivot rows and is skipped.  A row with a nonzero product is eliminated
+    as above, which gives a new pivot, and the candidate kernel is rebuilt.
+    The candidate is built and tried in one place, at the switch and after
+    each new pivot from then on.  An empty candidate kernel (every column a
+    pivot) fails no row, so the stream stops there, without pulling another
+    row: the exact zero-kernel certificate.  A nonzero candidate kernel
+    stops it the same way when certify (see SparseMatrix.from_stream)
+    passes it: every row, read or not, then holds for it, so it is the true
+    kernel.  The pivots do not depend on when the switch fires, and from
+    then on every candidate is tried, so no later switch stops reading
+    sooner.  Without certify only an empty candidate stops the stream, and
+    an early switch would only rebuild a wide candidate after each new
+    pivot, so there the run must be cols rows long.  Whichever rows are
     read, they span the row space of the whole input, whose reduced row
     echelon form is unique, so the result is that of full elimination.
     """
@@ -211,7 +216,8 @@ def _rref_rows(rows: Iterable[dict[int, int]], cols: int, certify=None
             idle += 1
         # a row outside the candidate kernel always gives a pivot, so once
         # checking, every row that gets here rebuilds it
-        if kernel is not None or idle == cols or len(pivots) == cols:
+        width = cols - len(pivots)
+        if kernel is not None or not width or idle >= (cols if certify is None else width):
             kernel = _kernel(pivots, cols)
             if not kernel or certify is not None and certify(kernel):
                 break

@@ -17,6 +17,9 @@ are not searched.
 
 Constraint rows come from expanding D[x, y] - delta([Dx, y] + [x, Dy]) over
 all unordered source pairs whose indices m, n, m+n all lie in the window.
+assemble visits source elements boundary-first, stably by decreasing
+|index|, each pair in declared orientation: the declared order's rows,
+which poisson keeps, moved so that elimination reaches each rank sooner.
 Truncation can only leak at the window boundary, so classification is read
 off an interior sub-window; shrinking it further never changes the verdict
 for a well-sized window.
@@ -153,7 +156,7 @@ def unknown_layout(problem: HomogeneousSolveProblem) -> UnknownLayout:
 
 def identity_rows(p: AlgebraPresentation, delta: Fraction,
                   maps: Iterable[dict[tuple[int, int], list[tuple[int, tuple[int, int]]]]],
-                  window: int, cols: int, certify=None) -> SparseMatrix:
+                  window: int, cols: int, certify=None, order=None) -> SparseMatrix:
     """The rows of D[x, y] - delta([Dx, y] + [x, Dy]), source pair by
     source pair, each pair's rows one map D after another.
 
@@ -169,7 +172,10 @@ def identity_rows(p: AlgebraPresentation, delta: Fraction,
     window gives no rows, and if every D is, no bracket is evaluated.
     Brackets come from bracket_indexed, so with delta = dn/dd the rows are
     integers over p.scale * dd, the denominator of the returned
-    cols-column matrix.
+    cols-column matrix.  Source elements are visited in declared order, or
+    stably sorted by the key order on their keys; x is the one declared
+    first, so order moves rows but, even on a table that is not skew, never
+    changes them.
 
     The maps are read, and their columns checked against cols, here and
     once.  The rows are not: the matrix streams them, and a source pair's
@@ -182,12 +188,15 @@ def identity_rows(p: AlgebraPresentation, delta: Fraction,
     if used and (min(used) < 0 or max(used) >= cols):
         bad = min(used) if min(used) < 0 else max(used)
         raise SolverError(f"image column {bad} outside {cols} columns")
-    return SparseMatrix.from_stream(cols, _identity_rows(p, delta, maps, window),
+    return SparseMatrix.from_stream(cols, _identity_rows(p, delta, maps, window, order),
                                     p.scale * delta.denominator, certify)
 
 
-def _identity_rows(p: AlgebraPresentation, delta: Fraction, maps: list, window: int):
-    basis = [(p.kind_order(b.kind), b.index) for b in p.basis_elements(window)]
+def _identity_rows(p: AlgebraPresentation, delta: Fraction, maps: list, window: int,
+                   order=None):
+    # declared order is key order, so x is the pair's smaller key
+    basis = sorted(((p.kind_order(b.kind), b.index) for b in p.basis_elements(window)),
+                   key=order)
     dd, neg = delta.denominator, -delta.numerator
     br = p.bracket_indexed
     sources = []
@@ -197,14 +206,14 @@ def _identity_rows(p: AlgebraPresentation, delta: Fraction, maps: list, window: 
             sources.append((images.get, source))
     if not sources:
         return
-    for i, (a, m) in enumerate(basis):
-        at_i = [(image, source[i], source) for image, source in sources]
+    for i, key in enumerate(basis):
         for j in range(i + 1, len(basis)):
-            b, n = basis[j]
-            if abs(m + n) > window:
+            other = basis[j]
+            if abs(key[1] + other[1]) > window:
                 continue
+            (a, m), (b, n), x, y = (key, other, i, j) if key < other else (other, key, j, i)
             lie = br(a, m, b, n)
-            for image, img_x, source in at_i:
+            for image, source in sources:
                 acc: dict[tuple[int, int], dict[int, int]] = {}
                 for t, c in lie:
                     c *= dd
@@ -213,14 +222,14 @@ def _identity_rows(p: AlgebraPresentation, delta: Fraction, maps: list, window: 
                             acc[out] = {col: c}
                         else:
                             row[col] = row.get(col, 0) + c
-                for col, (ta, tm) in img_x:
+                for col, (ta, tm) in source[x]:
                     for t, c in br(ta, tm, b, n):
                         c *= neg
                         if (row := acc.get(t)) is None:
                             acc[t] = {col: c}
                         else:
                             row[col] = row.get(col, 0) + c
-                for col, (ta, tm) in source[j]:
+                for col, (ta, tm) in source[y]:
                     for t, c in br(a, m, ta, tm):
                         c *= neg
                         if (row := acc.get(t)) is None:
@@ -241,13 +250,14 @@ def assemble(problem: HomogeneousSolveProblem,
     """Constraint matrix whose kernel is the degree-homogeneous solution set.
 
     The rows are those of identity_rows for layout.images on the
-    problem's window, with kernel_certificate's check.
+    problem's window, source elements by decreasing |index|, with
+    kernel_certificate's check.
     """
     if layout is None:
         layout = unknown_layout(problem)
     return identity_rows(problem.presentation, problem.delta, [layout.images],
                          problem.window, len(layout.columns),
-                         kernel_certificate(problem, layout))
+                         kernel_certificate(problem, layout), lambda key: -abs(key[1]))
 
 
 def kernel_certificate(problem: HomogeneousSolveProblem, layout: UnknownLayout):

@@ -1,20 +1,23 @@
 """Element-based reference versions of the two constraint-row assemblers.
 
-`solver.assemble` and `poisson._membership_system` run on integer keys
-and scaled integer coefficients.  These loops build the same systems from
+`solver.assemble` and `poisson._membership_system` run on integer keys and
+scaled integer coefficients.  These loops build the same systems from
 BasisElement and Element objects: they read brackets only through the
 public `bracket_basis` and accumulate exact Fractions, so comparing
 matrices checks the integer loops (their scaling, their keys, their row
-order) against a direct transcription of the same definition.  Both
-emit the rows of one source pair in the (kind position, index) order of
-their outputs, and the membership system emits every z's rows of one
-source pair before the next pair's.  The membership system is one
-whole-window matrix where `poisson._membership_system` makes one per
-product shift, so comparing them also checks that split.  `identity_rows`
-is the same transcription for one map in the form `solver.identity_rows`
-takes, its rows cut by source pair.  `_lopsided` is a non-Lie test
-presentation whose rules reach every path of the integer bracket tables,
-so that the comparisons see more than the catalog does.
+order) against a direct transcription of the same definition.  Both emit
+the rows of one source pair in the (kind position, index) order of their
+outputs, and the membership system emits every z's rows of one source pair
+before the next pair's.  `_pairs` visits the source pairs: in declared
+order for the membership system, and boundary-first, by decreasing
+|index|, for `assemble`, each pair in declared orientation.  The
+membership system is one whole-window matrix where
+`poisson._membership_system` makes one per product shift, so comparing
+them also checks that split.  `identity_rows` is the same transcription
+for one map in the form `solver.identity_rows` takes, its rows cut by
+source pair.  `_lopsided` is a non-Lie test presentation whose rules reach
+every path of the integer bracket tables, so that the comparisons see more
+than the catalog does.
 
 `rref_rows` is the elimination loop `linalg._rref_rows` ran before it
 learned to check rows against a candidate kernel: it eliminates every row
@@ -69,6 +72,21 @@ def _bracket(p):
     return br
 
 
+def _pairs(p, window: int, boundary_first: bool):
+    """Unordered pairs of basis elements whose indices m, n and m+n lie in
+    the window, from the first element of the visiting order on: the
+    declared order, or with boundary_first the elements sorted by
+    decreasing |index|, stably.  Each pair comes as (x, y) with x declared
+    before y."""
+    basis = p.basis_elements(window)
+    rank = {b: i for i, b in enumerate(basis)}
+    visit = sorted(basis, key=lambda b: -abs(b.index)) if boundary_first else basis
+    for i, x in enumerate(visit):
+        for y in visit[i + 1:]:
+            if abs(x.index + y.index) <= window:
+                yield (x, y) if rank[x] < rank[y] else (y, x)
+
+
 def assemble(problem) -> SparseMatrix:
     """Rows of D[x, y] - delta([Dx, y] + [x, Dy]), as in `solver.assemble`."""
     p = problem.presentation
@@ -76,8 +94,6 @@ def assemble(problem) -> SparseMatrix:
     layout = unknown_layout(problem)
     neg_delta = -problem.delta
     gamma = problem.gamma
-    N = problem.window
-    basis = p.basis_elements(N)
 
     def image(b):
         """(column, target) for each column family from b's kind with a
@@ -91,64 +107,57 @@ def assemble(problem) -> SparseMatrix:
         row[col] = row.get(col, Fraction(0)) + coeff
 
     rows = []
-    for i, x in enumerate(basis):
-        for y in basis[i + 1:]:
-            if abs(x.index + y.index) > N:
-                continue
-            lie = br(x, y)
-            acc = {}
-            for t, c in lie.items():
-                for col, d in image(t):
-                    add(acc, d, col, c)
-            for src, other, left in ((x, y, True), (y, x, False)):
-                for col, d in image(src):
-                    out = br(d, other) if left else br(other, d)
-                    for t, c in out.items():
-                        add(acc, t, col, neg_delta * c)
-            for out in sorted(acc, key=lambda b: (p.kind_order(b.kind), b.index)):
-                row = {c: v for c, v in acc[out].items() if v}
-                if row:
-                    rows.append(row)
+    for x, y in _pairs(p, problem.window, True):
+        acc = {}
+        for t, c in br(x, y).items():
+            for col, d in image(t):
+                add(acc, d, col, c)
+        for src, other, left in ((x, y, True), (y, x, False)):
+            for col, d in image(src):
+                out = br(d, other) if left else br(other, d)
+                for t, c in out.items():
+                    add(acc, t, col, neg_delta * c)
+        for out in sorted(acc, key=lambda b: (p.kind_order(b.kind), b.index)):
+            row = {c: v for c, v in acc[out].items() if v}
+            if row:
+                rows.append(row)
     return SparseMatrix.from_rows(len(layout.columns), rows)
 
 
-def identity_rows(p, delta: Fraction, images, window: int) -> list[list[dict]]:
+def identity_rows(p, delta: Fraction, images, window: int,
+                  boundary_first: bool = False) -> list[list[dict]]:
     """Rows of D[x, y] - delta([Dx, y] + [x, Dy]) for one map D, given as
-    `solver.identity_rows` takes it, in one list per source pair whose
-    indices m, n and m+n lie in the window, in the order of the pairs."""
+    `solver.identity_rows` takes it, in one list per source pair of
+    `_pairs`, in the order of the pairs."""
     br = _bracket(p)
-    basis = p.basis_elements(window)
 
     def image(b):
         return [(col, BasisElement(p.kinds[a], m))
                 for col, (a, m) in images.get((p.kind_order(b.kind), b.index), ())]
 
     by_pair = []
-    for i, x in enumerate(basis):
-        for y in basis[i + 1:]:
-            if abs(x.index + y.index) > window:
-                continue
-            acc = {}
+    for x, y in _pairs(p, window, boundary_first):
+        acc = {}
 
-            def add(out, col, coeff):
-                row = acc.setdefault(out, {})
-                row[col] = row.get(col, Fraction(0)) + coeff
+        def add(out, col, coeff):
+            row = acc.setdefault(out, {})
+            row[col] = row.get(col, Fraction(0)) + coeff
 
-            for t, c in br(x, y).items():
-                for col, target in image(t):
-                    add(target, col, c)
-            for col, target in image(x):
-                for t, c in br(target, y).items():
-                    add(t, col, -delta * c)
-            for col, target in image(y):
-                for t, c in br(x, target).items():
-                    add(t, col, -delta * c)
-            rows = []
-            for out in sorted(acc, key=lambda b: (p.kind_order(b.kind), b.index)):
-                row = {c: v for c, v in acc[out].items() if v}
-                if row:
-                    rows.append(row)
-            by_pair.append(rows)
+        for t, c in br(x, y).items():
+            for col, target in image(t):
+                add(target, col, c)
+        for col, target in image(x):
+            for t, c in br(target, y).items():
+                add(t, col, -delta * c)
+        for col, target in image(y):
+            for t, c in br(x, target).items():
+                add(t, col, -delta * c)
+        rows = []
+        for out in sorted(acc, key=lambda b: (p.kind_order(b.kind), b.index)):
+            row = {c: v for c, v in acc[out].items() if v}
+            if row:
+                rows.append(row)
+        by_pair.append(rows)
     return by_pair
 
 
@@ -169,31 +178,28 @@ def membership_system(p, delta: Fraction, window: int) -> SparseMatrix:
         return [(base + t, basis[t]) for t in range(width)]
 
     rows = []
-    for i, x in enumerate(basis):
-        for y in basis[i + 1:]:
-            if abs(x.index + y.index) > window:
-                continue
-            for z in basis:
-                lie = br(x, y)
-                acc = {}
+    for x, y in _pairs(p, window, False):
+        for z in basis:
+            lie = br(x, y)
+            acc = {}
 
-                def add(out, col, coeff):
-                    row = acc.setdefault(out, {})
-                    row[col] = row.get(col, Fraction(0)) + coeff
+            def add(out, col, coeff):
+                row = acc.setdefault(out, {})
+                row[col] = row.get(col, Fraction(0)) + coeff
 
-                for t, c in lie.items():
-                    for col, target in product_cols(z, t):
-                        add(target, col, c)
-                for col, target in product_cols(z, x):
-                    for t, c in br(target, y).items():
-                        add(t, col, -delta * c)
-                for col, target in product_cols(z, y):
-                    for t, c in br(x, target).items():
-                        add(t, col, -delta * c)
-                for out in sorted(acc, key=lambda b: (p.kind_order(b.kind), b.index)):
-                    row = {c: v for c, v in acc[out].items() if v}
-                    if row:
-                        rows.append(row)
+            for t, c in lie.items():
+                for col, target in product_cols(z, t):
+                    add(target, col, c)
+            for col, target in product_cols(z, x):
+                for t, c in br(target, y).items():
+                    add(t, col, -delta * c)
+            for col, target in product_cols(z, y):
+                for t, c in br(x, target).items():
+                    add(t, col, -delta * c)
+            for out in sorted(acc, key=lambda b: (p.kind_order(b.kind), b.index)):
+                row = {c: v for c, v in acc[out].items() if v}
+                if row:
+                    rows.append(row)
     return SparseMatrix.from_rows(len(pair_index) * width, rows)
 
 

@@ -359,15 +359,17 @@ def test_every_memo_miss_calls_bracket_basis_once():
         # certificate and (0, 0, 0) where the kernel certificate passes its
         # candidate kernel; the 4 at gamma = 1 take theta's image of their
         # mirror's kernel, which is zero or certified without a row, and
-        # evaluate none: 473 of the 2550 brackets a full assembly of every
-        # row evaluates.  (0, 0, 0) fills 108 of them, 54 for the rows it
-        # reads and 54 more because the certificate checks its candidate
-        # against that degree's rows on the window N = 1, whose brackets
-        # the rows read before had not filled
+        # evaluate none: 512 of the 2550 brackets a full assembly of every
+        # row evaluates.  Boundary-first rows are fewer than the declared
+        # order's, which filled 473, but the degrees share fewer of their
+        # brackets.  (0, 0, 0) fills
+        # 54 of them, all for the certificate, which checks its candidate
+        # against that degree's rows on the window N = 1; (0, 0, -1),
+        # solved before it, had filled every bracket of the rows it reads
         solver.scan(p, Fraction(1, 2), 1, 6)
-        assert calls[0] == len(p._indexed) == 473
+        assert calls[0] == len(p._indexed) == 512
         solver.scan(p, Fraction(1, 2), 1, 6)
-        assert calls[0] == 473
+        assert calls[0] == 512
     # validate decides with the certificate, whose points fill 108 entries;
     # enumerating the window N = 4 fills 2356
     with _counted_bracket_basis() as calls:
@@ -706,12 +708,23 @@ def _edit_table(p, key, tables):
 
 @st.composite
 def _presentations(draw):
-    """1-3 kinds plus an optional central kind Z, with sparse rational affine
-    rules (a same-kind rule skew-shaped half the time, so that a good share
-    are Lie algebras), central cubics with m^2 and m^3 terms, a rule given
-    in either orientation, and rarely a swapped two-kind table.  Z is never
-    a bracket argument: the constructor rejects that."""
-    z2 = st.sampled_from([(0, 0), (0, 1)])
+    """1-3 kinds plus an optional central kind Z, in any of the four Z2
+    sectors, with sparse rational affine rules (a same-kind rule
+    skew-shaped half the time, so that a good share are Lie algebras),
+    central cubics with m^2 and m^3 terms, a rule given in either
+    orientation, and rarely a swapped two-kind table.  Z is never a bracket
+    argument: the constructor rejects that.  A quarter of the draws are a
+    Lie algebra without theta instead: [L_m, L_n] = (n - m) L_{m+n} and the
+    intermediate series [L_m, A_n] = (a + b*m + n) A_{m+n} with a != 0,
+    which is neither even nor odd in (m, n)."""
+    z2 = st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)])
+    if not draw(st.integers(0, 3)):
+        L, A = BasisKind("L", (0, 0)), BasisKind("A", draw(z2))
+        a, b = draw(_SMALL.filter(bool)), draw(_SMALL)
+        module = BracketRule(L, A, (BracketTerm(A, affine(c0=a, cm=b, cn=1)),))
+        return AlgebraPresentation("module", (L, A), (
+            BracketRule(L, L, (BracketTerm(L, affine(cm=-1, cn=1)),)),
+            module.reversed() if draw(st.booleans()) else module))
     kinds = [BasisKind(name, draw(z2)) for name in "ABD"[:draw(st.integers(1, 3))]]
     central = [BasisKind("Z", draw(z2))] if draw(st.booleans()) else []
     rules = []

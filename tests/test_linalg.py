@@ -529,10 +529,12 @@ def test_rref_equals_full_elimination_on_every_catalog_system():
 
 @st.composite
 def resumed_matrices(draw):
-    """Rows spanning a proper subspace, then at least `cols` nonzero rows of
-    that span, then a row outside it, then a few arbitrary rows.
+    """Rows spanning a proper subspace, then at least as many nonzero rows of
+    that span as its kernel is wide, then a row outside it, then a few
+    arbitrary rows.
 
-    Returns the rows and the dimension of that first span."""
+    Returns the rows, the dimension of that first span and the number of
+    rows of it that follow."""
     cols = draw(st.integers(2, 5))
     leads = sorted(draw(st.sets(st.integers(0, cols - 1),
                                 min_size=1, max_size=cols - 1)))
@@ -547,8 +549,8 @@ def resumed_matrices(draw):
 
     coefficients = st.lists(st.integers(-3, 3), min_size=len(base),
                             max_size=len(base)).filter(any)
-    redundant = [combination(k) for k in draw(st.lists(coefficients, min_size=cols,
-                                                       max_size=cols + 3))]
+    redundant = [combination(k) for k in draw(st.lists(
+        coefficients, min_size=cols - len(base), max_size=cols + 3))]
     # nonzero at a column no base row leads, so outside the span of the base
     free = draw(st.sampled_from([c for c in range(cols) if c not in leads]))
     outside = combination(draw(st.lists(st.integers(-3, 3), min_size=len(base),
@@ -556,24 +558,33 @@ def resumed_matrices(draw):
     outside[free] += draw(nonzero_fractions)
     tail = draw(st.lists(st.lists(small_fractions, min_size=cols, max_size=cols),
                          max_size=3))
-    return draw(st.permutations(base)) + redundant + [outside] + tail, len(base)
+    rows = draw(st.permutations(base)) + redundant + [outside] + tail
+    return rows, len(base), len(redundant)
 
 
 @given(resumed_matrices())
 def test_rref_resumes_on_a_row_outside_the_checked_span(case):
-    data, span = case
-    cols = len(data[0])
+    data, span, run = case
+    width = len(data[0]) - span
     _assert_rref_matches_oracle(data)
-    built = _assert_rref_equals_full_elimination(from_dense(data))
-    assert _assert_rref_equals_full_elimination(_streamed(data)) == built
-    # switched to checking after the redundant run, with the span's kernel,
-    # and resumed on the outside row
-    assert built[:2] == [cols - span, cols - span - 1]
+    # with a kernel certificate, here one that never passes, checking starts
+    # with the span's kernel once as many rows of the span as it is wide
+    # have added no pivot, and resumes on the outside row
+    built = _assert_rref_equals_full_elimination(_streamed(data, lambda kernel: False))
+    assert built[:2] == [width, width - 1]
+    # without one, the redundant run must be as long as the column count
+    plain = _assert_rref_equals_full_elimination(from_dense(data))
+    assert _assert_rref_equals_full_elimination(_streamed(data)) == plain
+    if run >= len(data[0]):
+        assert plain[:2] == [width, width - 1]
+    else:
+        assert not plain or plain[0] < width
 
 
 def test_rref_checks_rather_than_eliminates_after_a_redundant_run():
     # counting from 0, rows 2-4 are combinations of rows 0 and 1, as many
-    # as there are columns; row 5 leaves their span
+    # as there are columns, which a matrix without a kernel certificate
+    # waits for before it checks; row 5 leaves their span
     data = [[1, 1, 0], [0, 1, 1], [1, 2, 1], [2, 3, 1], [1, 0, -1], [0, 0, 1]]
     with _kernels_built() as built:
         _, pivots = rref(from_dense(data))
@@ -612,10 +623,11 @@ def _certified_then_raising(data, prefix, calls):
 
 
 def test_a_passing_kernel_certificate_stops_reading_rows():
-    # counting from 0: rows 2-5 are combinations of rows 0 and 1, as many
-    # as there are columns, so checking starts with a candidate kernel of
-    # dimension 2, which fails the certificate; row 6 leaves the span, and
-    # the rebuilt candidate passes it, so row 7 is never made
+    # counting from 0: rows 2-5 are combinations of rows 0 and 1; after
+    # rows 2 and 3, as many idle rows as their kernel is wide, checking
+    # starts with that candidate kernel of dimension 2, which fails the
+    # certificate; row 6 leaves the span, and the rebuilt candidate passes
+    # it, so row 7 is never made
     data = [[1, 0, 0, 1], [0, 1, 0, 1], [1, 1, 0, 2], [1, -1, 0, 0], [2, 0, 0, 2],
             [0, 3, 0, 3], [0, 0, 1, 0], [1, 0, 1, 1]]
     want_rows, want_pivots = _dense_rref(data)

@@ -6,6 +6,7 @@ sizes; the identity and ad L_0 membership facts are direct consequences of
 the derivation identity itself.
 """
 
+from collections import Counter
 from dataclasses import astuple
 from fractions import Fraction
 from functools import cache
@@ -151,7 +152,7 @@ def test_the_layout_holds_the_image_map_assembly_and_the_certificate_read(
     seen = []
     reference = solver._identity_rows
     monkeypatch.setattr(solver, "_identity_rows",
-                        lambda *args: seen.append(args[2:]) or reference(*args))
+                        lambda *args: seen.append(args[2:4]) or reference(*args))
     for degree in product((0, 1), (0, 1), (-1, 0, 1)):
         prob = problem(p, HALF, degree, 4)
         layout = unknown_layout(prob)
@@ -552,7 +553,9 @@ def test_zero_kernel_degrees_stop_making_rows():
     # the half-scan at N = 6, |gamma| <= 1: elimination reaches the
     # zero-kernel certificate in every degree but (0, 0, 0), and the rows
     # past it are never made; the degree with a kernel stops where the
-    # kernel certificate passes the identity, after 108 of its 668 rows
+    # kernel certificate passes the identity, after 54 of its 668 rows.
+    # Boundary-first rows reach full rank sooner: 640 rows are read, where
+    # the declared order read 749
     read = total = 0
     for degree in [(e1, e2, g) for e1 in (0, 1) for e2 in (0, 1) for g in (-1, 0, 1)]:
         matrix = assemble(problem(catalog.get("pgca"), HALF, degree, 6))
@@ -561,14 +564,17 @@ def test_zero_kernel_degrees_stop_making_rows():
         assert len(kernel) == (degree == (0, 0, 0)) and made < matrix.rows, degree
         read += made
         total += matrix.rows
-    assert (read, total) == (749, 10292)
+    assert (read, total) == (640, 10292)
 
 
 def test_nonzero_kernel_degrees_stop_making_rows(monkeypatch):
     # pgca's derivations at N = 6, |gamma| <= 1: every degree has a kernel,
     # affine in m per kind, so each solved degree stops reading where the
     # kernel certificate passes it and each mirrored one (gamma = 1) is
-    # certified without a row
+    # certified without a row.  Boundary-first rows give each degree its
+    # last pivot sooner, and the certificate is tried once the idle rows
+    # outnumber the candidate kernel: 636 rows are read, where the
+    # declared order with a switch after 52 idle rows read 2,122
     made = []
     monkeypatch.setattr(solver, "assemble",
                         lambda *args: made.append(assemble(*args)) or made[-1])
@@ -577,14 +583,17 @@ def test_nonzero_kernel_degrees_stop_making_rows(monkeypatch):
     for report, matrix, rows in zip(result.reports, made, read, strict=True):
         assert report.full_dim > 0
         assert rows == 0 if report.degree.index == 1 else 0 < rows < matrix.rows
-    assert (sum(read), sum(matrix.rows for matrix in made)) == (2122, 10240)
+    assert (sum(read), sum(matrix.rows for matrix in made)) == (636, 10240)
 
 
 def test_each_kernel_is_certified_once(monkeypatch):
     # pgca's derivations at N = 6, |gamma| <= 1: elimination tries the
-    # certificate 13 times over the 8 solved degrees, and nullspace takes
+    # certificate 35 times over the 8 solved degrees, and nullspace takes
     # the kernel it passed without trying it again; each of the 4 mirrored
-    # degrees (gamma = 1) tries theta's image once, in verify_kernel
+    # degrees (gamma = 1) tries theta's image once, in verify_kernel.  The
+    # switch fires while the candidate kernel is still wide, so (0, 0, 0)
+    # tries it after each of its 22 later pivots; a candidate that is not
+    # affine fails on the affine check, before any sample row is made
     calls, where = [], ["elimination"]
     certificate, verify = solver.kernel_certificate, solver.verify_kernel
 
@@ -607,7 +616,7 @@ def test_each_kernel_is_certified_once(monkeypatch):
     monkeypatch.setattr(solver, "kernel_certificate", counting)
     monkeypatch.setattr(solver, "verify_kernel", mirrored)
     scan(PGCA, Fraction(1), 1, 6)
-    assert [w for w, _, _ in calls].count("elimination") == 13
+    assert [w for w, _, _ in calls].count("elimination") == 35
     assert [(d.index, passed) for w, d, passed in calls if w == "mirrored"] == [(1, True)] * 4
     passes = [d for _, d, passed in calls if passed]
     assert len(passes) == len(set(passes)) == 12
@@ -636,7 +645,8 @@ def test_several_maps_interleave_their_rows_source_pair_by_source_pair(
     # shift, each moved to a column block of its own, plus one map with no
     # key in the window; the single-map streams are cut by source pair
     # through the reference, and the several-map stream is theirs
-    # interleaved pair by pair, map by map
+    # interleaved pair by pair, map by map, in declared order as the
+    # membership system visits it and boundary-first as assembly does
     if key == "lopsided":
         p, window = reference_loops._lopsided(), 2
     else:
@@ -649,15 +659,41 @@ def test_several_maps_interleave_their_rows_source_pair_by_source_pair(
              for w, targets in images.items()} for k, images in enumerate(maps)]
     maps.insert(1, {(0, window + 1): [(len(maps) * width, (0, 0))]})
     cols = len(maps) * width
-    by_pair = []
-    for images in maps:
-        pieces = reference_loops.identity_rows(p, delta, images, window)
-        single = solver.identity_rows(p, delta, [images], window, cols)
-        assert sparse_rows(single) == [row for rows in pieces for row in rows]
-        by_pair.append(pieces)
-    assert not any(by_pair[1])
-    interleaved = [row for pair in zip(*by_pair) for rows in pair for row in rows]
-    assert sparse_rows(solver.identity_rows(p, delta, maps, window, cols)) == interleaved
+    for order in (None, lambda key: -abs(key[1])):
+        by_pair = []
+        for images in maps:
+            pieces = reference_loops.identity_rows(p, delta, images, window,
+                                                   order is not None)
+            single = solver.identity_rows(p, delta, [images], window, cols, order=order)
+            assert sparse_rows(single) == [row for rows in pieces for row in rows]
+            by_pair.append(pieces)
+        assert not any(by_pair[1])
+        interleaved = [row for pair in zip(*by_pair) for rows in pair for row in rows]
+        assert sparse_rows(solver.identity_rows(p, delta, maps, window, cols,
+                                                order=order)) == interleaved
+
+
+@pytest.mark.parametrize("key", catalog.keys() + ("lopsided", "witt-module", "not-skew"))
+@pytest.mark.parametrize("delta", (HALF, Fraction(1), Fraction(-3, 5)), ids=str)
+def test_boundary_first_assembly_moves_rows_but_keeps_them(key, delta):
+    # assembly visits source elements by decreasing |index|, but evaluates
+    # each pair in declared orientation, so its rows, read to the end, are
+    # the declared order's, each as often; on a table that is not skew
+    # the pair in the other orientation would give other rows
+    p = _presentation(key)
+    moved = 0
+    for degree in product((0, 1), (0, 1), (-1, 0, 1)):
+        prob = problem(p, delta, degree, 4)
+        declared = [row for rows in reference_loops.identity_rows(
+            p, delta, unknown_layout(prob).images, 4) for row in rows]
+        rows = sparse_rows(assemble(prob))
+        assert Counter(map(_frozen, rows)) == Counter(map(_frozen, declared)), degree
+        moved += rows != declared
+    assert moved > 0 or key == "abelian"
+
+
+def _frozen(row):
+    return frozenset(row.items())
 
 
 # ---------------------------------------------------------------------------
