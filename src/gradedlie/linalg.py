@@ -19,14 +19,17 @@ Reading stops early in two places.  With every column pivotal that kernel
 is empty, an exact zero-kernel certificate.  A streamed matrix may also
 carry a kernel certificate from whoever made its rows: a check that int
 vectors satisfy every row, read or not, without reading any.  When it
-passes the candidate kernel, that kernel is the true one.  Either way
-rows past that point are never made, and the matrix keeps the kernel
-elimination stopped on.  The reduced form is that of full elimination,
-one row per pivot, each primitive over its leading entry.  nullspace
-returns the kept kernel as it is; any other kernel it builds from the
-reduced rows and checks against every row of the input.  Anything else
-that looks at rows (rows, nnz, entries, to_dense, ==, repr) reads the
-source to the end first.
+passes the candidate kernel, that kernel is the true one.
+affine_certificate is the one such check the package makes, for solver's
+systems and for the recurrence oracle's: each vector affine per column
+label, then zero on a small sample of rows, which each caller proves is
+enough.  Either way rows past that point are never made, and the matrix
+keeps the kernel elimination stopped on.  The reduced form is that of
+full elimination, one row per pivot, each primitive over its leading
+entry.  nullspace returns the kept kernel as it is; any other kernel it
+builds from the reduced rows and checks against every row of the input.
+Anything else that looks at rows (rows, nnz, entries, to_dense, ==,
+repr) reads the source to the end first.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable
+from typing import Callable, Iterable
 
 
 class LinalgError(Exception):
@@ -271,6 +274,32 @@ def _outside(row: dict[int, int], kernel) -> bool:
         if product:
             return True
     return False
+
+
+def affine_certificate(origins: list[int], window: int, sample) -> Callable:
+    """A kernel certificate (see SparseMatrix.from_stream) for rows that,
+    at vectors affine per column label, vanish once they vanish on sample.
+
+    Each label owns the columns of indices -window..window, index 0 at its
+    origin.  The check passes int vectors only if each is affine on every
+    label, w[c + i] = a + b*i, and zero on every row of sample(), called
+    once, on the first try whose vectors are all affine.  Why the sample
+    is enough is the caller's to prove; a failure only means reading rows.
+    """
+    span = range(-window, window + 1)
+    rows = None
+
+    def certify(kernel) -> bool:
+        nonlocal rows
+        for _, w in kernel:
+            for c in origins:
+                a, b = w[c], w[c + 1] - w[c]
+                if w[c - window:c + window + 1] != [a + b * i for i in span]:
+                    return False
+        if rows is None:
+            rows = list(sample())
+        return not any(_outside(row, kernel) for row in rows)
+    return certify
 
 
 def _divide_content(row: dict[int, int]):

@@ -8,9 +8,11 @@ table below encodes those displayed equations literally, one tag
 e1..e17 is an unknown and its integer coefficients of m, n, gamma and 1,
 e18/e19 are e17's terms at m = 0, and e20's rational coefficient is
 multiplied by its denominator, so every row is a dict of plain ints.  The
-two code paths share exact linear algebra and report formatting but no
-assembly logic, so agreement between them checks the assembler and the
-hand derivation against each other.
+two code paths share exact linear algebra, the affine kernel certificate
+(linalg.affine_certificate, which each samples on its own rows at the
+window N = 1) and report formatting, but no assembly logic, so agreement
+between them checks the assembler and the hand derivation against each
+other.
 
 Unknowns are keyed by source kind: the family tagged "L" collects the
 coefficients of the images of L_m, and so on.  Degree shift is written
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .core import GradingDegree
-from .linalg import SparseMatrix, nullspace
+from .linalg import SparseMatrix, affine_certificate, nullspace
 from .solver import SolveReport, check_window, report_from_kernel
 
 FAMILIES = ("L", "H", "I", "J")
@@ -33,14 +35,38 @@ FAMILIES = ("L", "H", "I", "J")
 _SLOTS = {"m+n": (1, 1), "m": (1, 0), "n": (0, 1)}
 
 
-def _pair_rows(*terms, only_m: int | None = None, resonant: bool = True):
-    """Rows of one displayed recurrence over every pair m, n with m+n in [-N, N].
+def _e20_rows(gamma: int, N: int) -> Iterator[dict]:
+    # (4m - 4m g^2 / ((g-m)(g+m))) i_0 = 0 for m outside {0, g, -g}, times
+    # the denominator (g-m)(g+m), which is nonzero there
+    for m in range(-N, N + 1):
+        if m in (0, gamma, -gamma):
+            continue
+        yield {("L", 0): 4 * m * (gamma - m) * (gamma + m) - 4 * m * gamma * gamma}
+
+
+@dataclass(frozen=True)
+class Recurrence:
+    """One displayed recurrence: a tag, the families it touches, and its
+    rows at (gamma, N), an iterator of {(family, index): nonzero int}.
+    full marks rows over every pair of the window (_pair with no only_m,
+    resonant): the rows _solve_rows may certify a kernel with."""
+
+    tag: str
+    families: tuple[str, ...]
+    rows: Callable[[int, int], Iterator[dict]]
+    full: bool = False
+
+
+def _pair(tag: str, families: tuple[str, ...], *terms, only_m: int | None = None,
+          resonant: bool = True) -> Recurrence:
+    """One displayed recurrence, its rows over every pair m, n with m+n in
+    [-N, N].
 
     Each term is (family, slot, (a, b, g, c)): the unknown family_slot with
     coefficient a*m + b*n + g*gamma + c, on the side that makes the row
     "left-hand side minus right-hand side".  Every row is a dict of nonzero
     plain ints.  only_m keeps the pairs with that m, and resonant=False
-    leaves out the pairs with n = gamma.
+    leaves out the pairs with n = gamma; either makes it not full.
     """
     terms = [(fam, *_SLOTS[slot], coeff) for fam, slot, coeff in terms]
 
@@ -56,26 +82,7 @@ def _pair_rows(*terms, only_m: int | None = None, resonant: bool = True):
                 row = {key: v for key, v in row.items() if v}
                 if row:
                     yield row
-    return rows
-
-
-def _e20_rows(gamma: int, N: int) -> Iterator[dict]:
-    # (4m - 4m g^2 / ((g-m)(g+m))) i_0 = 0 for m outside {0, g, -g}, times
-    # the denominator (g-m)(g+m), which is nonzero there
-    for m in range(-N, N + 1):
-        if m in (0, gamma, -gamma):
-            continue
-        yield {("L", 0): 4 * m * (gamma - m) * (gamma + m) - 4 * m * gamma * gamma}
-
-
-@dataclass(frozen=True)
-class Recurrence:
-    """One displayed recurrence: a tag, the families it touches, and its
-    rows at (gamma, N), an iterator of {(family, index): nonzero int}."""
-
-    tag: str
-    families: tuple[str, ...]
-    rows: Callable[[int, int], Iterator[dict]]
+    return Recurrence(tag, families, rows, only_m is None and resonant)
 
 
 # Coefficients are (m, n, gamma, 1) multipliers; "g" is gamma.
@@ -100,52 +107,52 @@ _E17 = (  # 2(m-n) i_{m+n} = (m+g) i_m + (-n-g) i_n
 
 
 RECURRENCES: dict[str, Recurrence] = {
-    "e1": Recurrence("e1", ("L",), _pair_rows(*_WITT)),
+    "e1": _pair("e1", ("L",), *_WITT),
     # 2(m-n) c_{m+n} = (m+g-n) a_m + (m-n-g) c_n
-    "e2": Recurrence("e2", ("L", "I"), _pair_rows(
+    "e2": _pair("e2", ("L", "I"),
         ("I", "m+n", (2, -2, 0, 0)), ("L", "m", (-1, 1, -1, 0)),
-        ("I", "n", (-1, 1, 1, 0)))),
+        ("I", "n", (-1, 1, 1, 0))),
     # 2(m-n) d_{m+n} = (m+g-n) a_m + (m-n-g) d_n
-    "e3": Recurrence("e3", ("L", "J"), _pair_rows(
+    "e3": _pair("e3", ("L", "J"),
         ("J", "m+n", (2, -2, 0, 0)), ("L", "m", (-1, 1, -1, 0)),
-        ("J", "n", (-1, 1, 1, 0)))),
+        ("J", "n", (-1, 1, 1, 0))),
     # -2n b_{m+n} = -n a_m + (-n-g) b_n
-    "e4": Recurrence("e4", ("L", "H"), _pair_rows(
+    "e4": _pair("e4", ("L", "H"),
         ("H", "m+n", (0, -2, 0, 0)), ("L", "m", (0, 1, 0, 0)),
-        ("H", "n", (0, 1, 1, 0)))),
-    "e5": Recurrence("e5", ("L",), _pair_rows(*_WITT)),
+        ("H", "n", (0, 1, 1, 0))),
+    "e5": _pair("e5", ("L",), *_WITT),
     # -2n y_{m+n} = -x_m + (m-n-g) y_n
-    "e6": Recurrence("e6", ("L", "H"), _pair_rows(
+    "e6": _pair("e6", ("L", "H"),
         ("H", "m+n", (0, -2, 0, 0)), ("L", "m", (0, 0, 0, 1)),
-        ("H", "n", (-1, 1, 1, 0)))),
-    "e7": Recurrence("e7", ("I",), _pair_rows(*_tail("I"))),
-    "e8": Recurrence("e8", ("J",), _pair_rows(*_damped("J"))),
-    "e9": Recurrence("e9", ("L",), _pair_rows(*_WITT)),
+        ("H", "n", (-1, 1, 1, 0))),
+    "e7": _pair("e7", ("I",), *_tail("I")),
+    "e8": _pair("e8", ("J",), *_damped("J")),
+    "e9": _pair("e9", ("L",), *_WITT),
     # -2n e_{m+n} = h_m + (m-n-g) e_n
-    "e10": Recurrence("e10", ("L", "H"), _pair_rows(
+    "e10": _pair("e10", ("L", "H"),
         ("H", "m+n", (0, -2, 0, 0)), ("L", "m", (0, 0, 0, -1)),
-        ("H", "n", (-1, 1, 1, 0)))),
-    "e11": Recurrence("e11", ("I",), _pair_rows(*_damped("I"))),
-    "e12": Recurrence("e12", ("J",), _pair_rows(*_tail("J"))),
+        ("H", "n", (-1, 1, 1, 0))),
+    "e11": _pair("e11", ("I",), *_damped("I")),
+    "e12": _pair("e12", ("J",), *_tail("J")),
     # -2n j_{m+n} = (m-n-g) j_n
-    "e13": Recurrence("e13", ("H",), _pair_rows(
-        ("H", "m+n", (0, -2, 0, 0)), ("H", "n", (-1, 1, 1, 0)))),
+    "e13": _pair("e13", ("H",),
+        ("H", "m+n", (0, -2, 0, 0)), ("H", "n", (-1, 1, 1, 0))),
     # 2n j_{m+n} = (n-m) j_n, the gamma = 0 rearrangement of e13
-    "e14": Recurrence("e14", ("H",), _pair_rows(
-        ("H", "m+n", (0, 2, 0, 0)), ("H", "n", (1, -1, 0, 0)))),
+    "e14": _pair("e14", ("H",),
+        ("H", "m+n", (0, 2, 0, 0)), ("H", "n", (1, -1, 0, 0))),
     # 2(m-n) k_{m+n} = i_m + (m-n-g) k_n
-    "e15": Recurrence("e15", ("L", "I"), _pair_rows(
+    "e15": _pair("e15", ("L", "I"),
         ("I", "m+n", (2, -2, 0, 0)), ("L", "m", (0, 0, 0, -1)),
-        ("I", "n", (-1, 1, 1, 0)))),
+        ("I", "n", (-1, 1, 1, 0))),
     # 2(m-n) l_{m+n} = -i_m + (m-n-g) l_n
-    "e16": Recurrence("e16", ("L", "J"), _pair_rows(
+    "e16": _pair("e16", ("L", "J"),
         ("J", "m+n", (2, -2, 0, 0)), ("L", "m", (0, 0, 0, 1)),
-        ("J", "n", (-1, 1, 1, 0)))),
-    "e17": Recurrence("e17", ("L",), _pair_rows(*_E17)),
+        ("J", "n", (-1, 1, 1, 0))),
+    "e17": _pair("e17", ("L",), *_E17),
     # -2n i_n = g i_0 + (-n-g) i_n, the m = 0 slice of e17
-    "e18": Recurrence("e18", ("L",), _pair_rows(*_E17, only_m=0)),
+    "e18": _pair("e18", ("L",), *_E17, only_m=0),
     # (g-n) i_n = g i_0 for n != g
-    "e19": Recurrence("e19", ("L",), _pair_rows(*_E17, only_m=0, resonant=False)),
+    "e19": _pair("e19", ("L",), *_E17, only_m=0, resonant=False),
     "e20": Recurrence("e20", ("L",), _e20_rows),
 }
 
@@ -161,13 +168,31 @@ SECTOR_SYSTEMS: dict[tuple[int, int], tuple[str, ...]] = {
 
 def _solve_rows(recs: list[Recurrence], families: tuple[str, ...], gamma: int,
                 window: int, interior: int, degree: GradingDegree) -> SolveReport:
-    """Solve the recurrences' int rows together; they are streamed, so a
-    zero-kernel degree stops making rows once every column pivots."""
+    """Solve the recurrences' streamed int rows together: a zero-kernel
+    degree stops making rows once every column pivots, and a system of
+    full recurrences once its candidate kernel passes
+    linalg.affine_certificate on its own rows at the window N = 1.
+
+    That is a proof: for unknowns affine in the index, the unknown at
+    m + n, m or n and each coefficient are affine in (m, n), so each
+    recurrence's rows are one polynomial of degree at most 2 over every
+    pair with |m|, |n|, |m + n| <= N.  It vanishes at the 7 such pairs of
+    N = 1 only if it is zero: then it is zero on the line m + n = 0, so it
+    is (m + n)*L, and the affine L vanishes at (1, 0), (-1, 0) and (0, 1).
+    e18, e19 and e20 keep only some pairs, so a system with one reads
+    every row.
+    """
     layout = [(fam, m) for fam in families for m in range(-window, window + 1)]
     index = {key: i for i, key in enumerate(layout)}
-    kernel = nullspace(SparseMatrix.from_stream(
-        len(layout), ({index[key]: v for key, v in row.items()}
-                      for rec in recs for row in rec.rows(gamma, window))))
+
+    def rows(N: int) -> Iterator[dict]:
+        return ({index[key]: v for key, v in row.items()}
+                for rec in recs for row in rec.rows(gamma, N))
+    certify = None
+    if all(rec.full for rec in recs):
+        certify = affine_certificate([index[fam, 0] for fam in families], window,
+                                     lambda: rows(1))
+    kernel = nullspace(SparseMatrix.from_stream(len(layout), rows(window), certify=certify))
     return report_from_kernel(kernel, layout, list(families), degree, interior)
 
 

@@ -51,8 +51,8 @@ from typing import Iterable, Sequence
 
 from .core import (AlgebraPresentation, BasisKind, GradingDegree, format_rational,
                    index_reflection)
-from .linalg import (SparseMatrix, VectorBasis, _outside, nullspace, project_basis,
-                     verify_kernel)
+from .linalg import (SparseMatrix, VectorBasis, affine_certificate, nullspace,
+                     project_basis, verify_kernel)
 
 
 class SolverError(Exception):
@@ -265,13 +265,12 @@ def kernel_certificate(problem: HomogeneousSolveProblem, layout: UnknownLayout):
     the problem's system, reading none of them, or None if p has a central
     kind or a same-kind table that is not skew.
 
-    The check takes linalg's (label, w) pairs.  It passes them only if
-    each w is affine in m per column label on the window,
+    The check is linalg.affine_certificate: it passes linalg's (label, w)
+    pairs only if each w is affine in m per column label on the window,
     w[X>T, m] = a + b*m, and holds on every row of the same system on the
     window N = 1.  Those rows are made once, from layout.images, on the
-    first candidate that is affine.  Anything else fails the check, which
-    then only means that the rows must be read.  A kernel it passes is
-    tried once: in elimination, or in verify_kernel when mirrored.
+    first candidate that is affine.  A kernel it passes is tried once: in
+    elimination, or in verify_kernel when mirrored.
 
     Why the sample suffices: for affine w, the rows of the source pairs
     (A_m, B_n), A not after B in kind order, with output kind T are the
@@ -289,22 +288,9 @@ def kernel_certificate(problem: HomogeneousSolveProblem, layout: UnknownLayout):
     if p.central or any(c0 or cm + cn for (a, b), (terms, _) in p._tables.items()
                         if a == b for c0, cm, cn in terms.values()):
         return None
-    window, span = problem.window, range(-problem.window, problem.window + 1)
-    # the column of m = 0 per label
-    origins = [layout.index[label, 0] for label in layout.families]
-    sample = None
-
-    def certify(kernel) -> bool:
-        nonlocal sample
-        for _, w in kernel:
-            for c in origins:
-                a, b = w[c], w[c + 1] - w[c]
-                if w[c - window:c + window + 1] != [a + b * i for i in span]:
-                    return False
-        if sample is None:
-            sample = list(_identity_rows(p, problem.delta, [layout.images], 1))
-        return not any(_outside(row, kernel) for row in sample)
-    return certify
+    return affine_certificate([layout.index[label, 0] for label in layout.families],
+                              problem.window,
+                              lambda: _identity_rows(p, problem.delta, [layout.images], 1))
 
 
 def describe_values(values: dict[int, Fraction]) -> str:

@@ -327,6 +327,16 @@ def test_lemmas_pass_and_serialize(capsys):
     assert len(data["results"]) == 35
 
 
+def test_lemmas_match_the_recorded_golden(tmp_path, capsys):
+    # recorded before the oracle's full systems carried the affine kernel
+    # certificate, when every system read all its rows
+    target = tmp_path / "lemmas.json"
+    code, _, _ = run(["lemmas", "--window", "20", "--format", "json",
+                      "--output", str(target)], capsys)
+    assert code == EXIT_OK
+    assert target.read_bytes() == (GOLDENS / "lemmas_window_20.json").read_bytes()
+
+
 def test_lemmas_window_guard_is_a_usage_error(capsys):
     assert run(["lemmas", "--window", "6"], capsys)[0] == EXIT_USAGE
 

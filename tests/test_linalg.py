@@ -666,6 +666,61 @@ def test_a_kernel_certificate_changes_no_result(data):
 
 
 # ---------------------------------------------------------------------------
+# the affine kernel certificate: affine per label, then a sample of rows
+
+# two labels on the window N = 2, A on columns 0-4 and B on 5-9, so their
+# m = 0 columns are 2 and 7; A = 1 + m and B = 2 hold on every sample row
+_AFFINE = [-1, 0, 1, 2, 3] + [2] * 5
+_SAMPLE = [{2: 2, 7: -1}, {1: 1, 3: 1, 7: -1}, {0: 1, 4: 1, 5: -1}]
+
+
+def _affine_certificate(rows):
+    """affine_certificate for the two labels over rows, and the list its
+    sample calls are logged in."""
+    built = []
+
+    def sample():
+        built.append(len(rows))
+        return iter(rows)
+    return linalg.affine_certificate([2, 7], 2, sample), built
+
+
+@pytest.mark.parametrize("w", [
+    # A is not affine, though it holds on the sample's first row alone
+    [5, 0, 1, 0, 5] + [2] * 5,
+    # A is, B is not
+    [-1, 0, 1, 2, 3] + [2, 2, 2, 2, 3],
+    # A = 1 + m on the window N = 1 only
+    [0, 0, 1, 2, 0] + [2] * 5,
+], ids=["a-wiggles", "b-wiggles", "a-edges"])
+def test_a_vector_that_is_not_affine_fails_before_any_sample_row(w):
+    certify, built = _affine_certificate(_SAMPLE[:1])
+    assert certify([(0, w)]) is False
+    assert certify([(0, _AFFINE), (1, w)]) is False
+    assert built == []
+    assert certify([(0, _AFFINE)]) is True and built == [1]
+
+
+def test_an_affine_vector_that_misses_one_sample_row_fails():
+    # B_0 - A_2 is 2 - 3
+    certify, _ = _affine_certificate(_SAMPLE + [{4: 1, 7: -1}])
+    assert certify([(0, _AFFINE)]) is False
+    assert certify([(0, [2 * x for x in _AFFINE])]) is False
+    certify, _ = _affine_certificate(_SAMPLE)
+    assert certify([(0, _AFFINE), (1, [2 * x for x in _AFFINE])]) is True
+    # B = 3 misses the first row
+    assert certify([(0, _AFFINE[:5] + [3] * 5)]) is False
+
+
+def test_the_sample_is_built_at_most_once():
+    certify, built = _affine_certificate(_SAMPLE)
+    tries = [[(0, _AFFINE)], [(0, [5, 0, 1, 0, 5] + [2] * 5)],
+             [(0, _AFFINE[:5] + [3] * 5)], [(0, _AFFINE)]]
+    assert [certify(kernel) for kernel in tries] == [True, False, False, True]
+    assert built == [3]
+
+
+# ---------------------------------------------------------------------------
 # nullspace postcondition
 
 

@@ -8,12 +8,13 @@ test.
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
 
 import reference_loops
 from gradedlie import catalog
 from gradedlie.core import (AlgebraPresentation, BasisElement, BasisKind,
-                            Element)
-from gradedlie.linalg import nullspace
+                            Element, certify_presentation)
+from gradedlie.linalg import nullspace, rref
 from gradedlie.poisson import (AxiomReport, ProductError, ProductTable,
                                TP_NONTRIVIAL_POSSIBLE, TP_TRIVIAL,
                                _membership_system, check_axioms,
@@ -21,6 +22,7 @@ from gradedlie.poisson import (AxiomReport, ProductError, ProductTable,
 from gradedlie.solver import (VERDICT_NOT_SCALAR_ONLY, VERDICT_SCALAR_ONLY,
                               scan)
 from matrices import from_dense, sparse_rows
+from test_core import _presentations
 
 PGCA = catalog.get("pgca")
 WITT = catalog.get("witt")
@@ -291,6 +293,24 @@ def test_membership_dimension_equals_the_whole_window_kernel(key, window):
     result = classify_products(p, VERDICT_NOT_SCALAR_ONLY, window)
     assert result.solution_dim == len(nullspace(whole))
 
+
+
+@settings(max_examples=20)
+@given(_presentations())
+def test_a_drawn_algebra_with_shift_half_derivations_classifies_as_the_whole_window(p):
+    # the path the catalog takes only for witt and abelian, on certified
+    # draws whose half-derivation scan is not scalar-only: the product
+    # shifts' kernels, each found with every fast path, sum to the kernel
+    # of the Element reference's whole-window system, every row read; its
+    # rank is enough, as building and checking a kernel of up to 2,176
+    # vectors would take most of the test's time
+    assume(certify_presentation(p))
+    verdict = scan(p, HALF, 2, 6).verdict
+    assume(verdict == VERDICT_NOT_SCALAR_ONLY)
+    for window in (1, 2):
+        whole = reference_loops.membership_system(p, HALF, window)
+        result = classify_products(p, verdict, window)
+        assert result.solution_dim == whole.cols - len(rref(whole)[1]), window
 
 def test_witt_membership_certifies_its_zero_kernel_from_early_rows():
     # 37 shifts, none wider than 67 columns; each source pair's rows come

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from gradedlie import catalog
+from gradedlie import catalog, recurrences
 from gradedlie.core import GradingDegree
 from gradedlie.linalg import SparseMatrix, nullspace, project_basis
 from gradedlie.recurrences import (FAMILIES, LEMMA_EXPECTATIONS,
@@ -19,11 +19,22 @@ from gradedlie.recurrences import (FAMILIES, LEMMA_EXPECTATIONS,
                                    SECTOR_SYSTEMS, check_lemma_conclusions,
                                    recurrence_kernel, solve_case)
 from gradedlie.solver import (HomogeneousSolveProblem, WindowTooSmallError,
-                              assemble, scan, solve_degree, unknown_layout)
+                              assemble, report_from_kernel, scan, solve_degree,
+                              unknown_layout)
 from matrices import sparse_rows
 
 PGCA = catalog.get("pgca")
 HALF = Fraction(1, 2)
+
+
+def _full_reading(tags, families, gamma, N):
+    """The kernel of the tags' rows on the window N, every row read and
+    the kernel checked against each, and the layout it is written on."""
+    layout = [(fam, m) for fam in families for m in range(-N, N + 1)]
+    index = {key: i for i, key in enumerate(layout)}
+    rows = [{index[key]: v for key, v in row.items()}
+            for tag in tags for row in RECURRENCES[tag].rows(gamma, N)]
+    return nullspace(SparseMatrix.from_rows(len(layout), rows)), layout
 
 
 def test_every_sector_system_uses_known_tags():
@@ -64,17 +75,8 @@ def test_pure_decay_recurrences_only_admit_zero(tag, gamma):
 def test_e19_needs_e20_to_pin_the_seed_coefficient():
     # e19 fixes i_n = gamma i_0 / (gamma - n) for n != gamma, leaving the
     # seed i_0 and the resonant i_gamma free; the e20 rows force i_0 = 0
-    def dim_of(tags, gamma, N):
-        layout = [("L", m) for m in range(-N, N + 1)]
-        index = {key: i for i, key in enumerate(layout)}
-        rows = []
-        for tag in tags:
-            rows += [{index[key]: v for key, v in r.items()}
-                     for r in RECURRENCES[tag].rows(gamma, N)]
-        return len(nullspace(SparseMatrix.from_rows(len(layout), rows)))
-
-    assert dim_of(["e19"], 2, 8) == 2
-    assert dim_of(["e19", "e20"], 2, 8) == 1
+    assert len(_full_reading(["e19"], ("L",), 2, 8)[0]) == 2
+    assert len(_full_reading(["e19", "e20"], ("L",), 2, 8)[0]) == 1
 
 
 def test_e20_coefficients_are_nonzero_off_the_resonant_indices():
@@ -237,13 +239,7 @@ def _generic_interior_basis(shift, gamma, window, interior):
 
 
 def _oracle_interior_basis(shift, gamma, window, interior):
-    layout = [(fam, m) for fam in FAMILIES for m in range(-window, window + 1)]
-    index = {key: i for i, key in enumerate(layout)}
-    rows = []
-    for tag in SECTOR_SYSTEMS[shift]:
-        rows += [{index[key]: v for key, v in r.items()}
-                 for r in RECURRENCES[tag].rows(gamma, window)]
-    kernel = nullspace(SparseMatrix.from_rows(len(layout), rows))
+    kernel, layout = _full_reading(SECTOR_SYSTEMS[shift], FAMILIES, gamma, window)
     cols = [i for i, (_, m) in enumerate(layout) if abs(m) <= interior]
     return layout, project_basis(kernel, cols)
 
@@ -326,3 +322,78 @@ def test_lemma_report_json_shape():
     first = data["results"][0]
     assert set(first) == {"equation", "gamma", "expected", "interior_dim",
                           "classification", "passed"}
+
+
+# ---------------------------------------------------------------------------
+# the affine kernel certificate on the oracle's own rows
+
+_FULL_TAGS = [f"e{i}" for i in range(1, 18)]
+
+
+def _streamed_matrices(monkeypatch):
+    """Every matrix the oracle streams from now on, as it is made."""
+    made, original = [], SparseMatrix.from_stream.__func__
+
+    def recording(cls, *args, **kwargs):
+        made.append(original(cls, *args, **kwargs))
+        return made[-1]
+    monkeypatch.setattr(SparseMatrix, "from_stream", classmethod(recording))
+    return made
+
+
+@pytest.mark.parametrize("system", _FULL_TAGS + sorted(SECTOR_SYSTEMS), ids=str)
+def test_the_certified_oracle_equals_a_full_reading(system, monkeypatch):
+    # each full tag on its own and each sector system carries the affine
+    # certificate, and its kernel is, vector by vector, that of all its
+    # rows read through from_rows and verified against every one of them
+    made = _streamed_matrices(monkeypatch)
+    kernels = []
+    monkeypatch.setattr(recurrences, "nullspace",
+                        lambda m: kernels.append(nullspace(m)) or kernels[-1])
+    if isinstance(system, str):
+        tags, families = [system], RECURRENCES[system].families
+    else:
+        tags, families = SECTOR_SYSTEMS[system], FAMILIES
+    for N in (8, 12):
+        for gamma in range(-3, 4):
+            if isinstance(system, str):
+                report = recurrence_kernel(system, gamma, N)
+            else:
+                report = solve_case(system, gamma, N)
+            want, layout = _full_reading(tags, families, gamma, N)
+            assert made[-1]._certify is not None
+            assert kernels[-1].vectors == want.vectors, (N, gamma)
+            assert report == report_from_kernel(want, layout, list(families),
+                                                report.degree, N // 2)
+
+
+@pytest.mark.parametrize("tags", [["e18"], ["e19"], ["e20"], ["e19", "e20"],
+                                  ["e17", "e18"], ["e1", "e20"]], ids="+".join)
+def test_a_system_holding_e18_e19_or_e20_carries_no_certificate(tags, monkeypatch):
+    # those rows cover only some pairs of the window, so the window N = 1
+    # does not prove an affine kernel; such a system reads every row
+    made = _streamed_matrices(monkeypatch)
+    recs = [RECURRENCES[tag] for tag in tags]
+    families = tuple(dict.fromkeys(fam for rec in recs for fam in rec.families))
+    for gamma in (-2, 0, 3):
+        report = recurrences._solve_rows(recs, families, gamma, 8, 4,
+                                         GradingDegree(0, 0, gamma))
+        assert made[-1]._certify is None
+        want, layout = _full_reading(tags, families, gamma, 8)
+        assert report == report_from_kernel(want, layout, list(families),
+                                            report.degree, 4)
+    if len(tags) == 1:
+        recurrence_kernel(tags[0], 1, 8)
+        assert made[-1]._certify is None
+
+
+def test_lemma_checks_stop_making_rows(monkeypatch):
+    # the 35 checks at N = 12: e7, e8, e13 and e17 stop at the zero-kernel
+    # certificate, and each of e1's seven systems stops at the affine one
+    # after 25 of its rows, where reading them all took 454 (456 at
+    # gamma = 0); 988 rows are made, where 3,993 were
+    made = _streamed_matrices(monkeypatch)
+    assert check_lemma_conclusions(12).all_passed
+    read = [len(matrix._rows) for matrix in made]
+    assert read[:7] == [25] * 7
+    assert (sum(read), sum(matrix.rows for matrix in made)) == (988, 16176)
