@@ -659,35 +659,3 @@ def certify_presentation(p: AlgebraPresentation) -> bool:
             if any(acc.values()):
                 return False
     return True
-
-
-def index_reflection(p: AlgebraPresentation) -> dict[str, int] | None:
-    """Signs s_X making theta(X_m) = s_X X_{-m} an automorphism of p, or None.
-
-    From p's int table, exact at every index: theta keeps a term c(m, n)
-    T_{m+n} of [A_m, B_n] iff s_A s_B s_T is +1 with c = c0 alone or -1
-    with c0 = 0; a central cubic needs k1 = k3 = 0 (+1) or k0 = k2 = 0 (-1).
-    These are equations over Z2, one bit per kind, solved with the free
-    kinds at +1; None on a coefficient of both parities or a conflict.
-    """
-    pivots: dict[int, tuple[int, int]] = {}  # lowest bit -> (reduced row, parity)
-    for (a, b), (terms, central) in p._tables.items():
-        for t, (even, odd) in [(t, (c0, cm or cn)) for t, (c0, cm, cn) in terms.items()] + [
-                (t, (k0 or k2, k1 or k3)) for t, (k0, k1, k2, k3) in central.items()]:
-            if even and odd:
-                return None
-            row, parity = (1 << a) ^ (1 << b) ^ (1 << t), int(not even)
-            for bit, (prow, pparity) in pivots.items():
-                if row & bit:
-                    row, parity = row ^ prow, parity ^ pparity
-            if not row:
-                if parity:
-                    return None
-                continue
-            low = row & -row
-            for bit, (prow, pparity) in pivots.items():
-                if prow & low:
-                    pivots[bit] = (prow ^ row, pparity ^ parity)
-            pivots[low] = (row, parity)
-    return {k.name: -1 if pivots.get(1 << i, (0, 0))[1] else 1
-            for i, k in enumerate(p.kinds)}

@@ -33,24 +33,24 @@ image map.
 Elimination stops reading rows as soon as its candidate kernel passes, and
 nullspace returns that kernel without checking it again.
 
-When core.index_reflection finds theta(X_m) = s_X X_{-m}, an automorphism
-for all indices, D -> theta D theta^-1 maps the window system of degree
-(eps, -gamma) onto that of (eps, gamma).  scan then solves each gamma <= 0
-degree directly and gives each gamma > 0 degree theta's image of its
-mirror's kernel, which it checks against its own system and does not
+kind_automorphisms certifies signed kind permutations
+g(X_m) = s_X perm[X]_{f*m}, automorphisms at every index: theta
+(X_m -> s_X X_{-m}), and for pgca sigma (I <-> J, H -> -H) and theta sigma.
+D -> g D g^-1 maps the window system of (eps, gamma) onto that of
+(A eps, f*gamma), u[X>T, m] to s_X s_T u[perm X>perm T, f*m].  scan solves
+the first degree of each orbit directly and keeps its kernel; each later
+degree checks g's image of it against its own system and does not
 eliminate: through the certificate where that passes, so reading no row,
-and against every row otherwise.  Without theta every degree is solved
-directly.
+and against every row otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .core import (AlgebraPresentation, BasisKind, GradingDegree, format_rational,
-                   index_reflection)
+from .core import AlgebraPresentation, BasisKind, GradingDegree, format_rational
 from .linalg import (SparseMatrix, VectorBasis, affine_certificate, nullspace,
                      project_basis, verify_kernel)
 
@@ -376,49 +376,150 @@ def report_from_kernel(kernel: VectorBasis, layout_keys: Sequence[tuple[str, int
                        classification=classification, basis_summary=summary)
 
 
-@dataclass
-class Reflection:
-    """A scan's theta(X_m) = s_X X_{-m} (core.index_reflection) and the
-    layouts and kernels of the degrees it solved at gamma < 0."""
+class KindAutomorphism(NamedTuple):
+    """g(X_m) = signs[X] perm[X]_{flip*m}, an automorphism at every index;
+    sectors is an automorphism A of Z2 x Z2 with perm[X].z2 = A(X.z2), so
+    g D g^-1 has degree (A eps, flip*gamma) when D has (eps, gamma)."""
 
+    perm: dict[str, str]
     signs: dict[str, int]
+    flip: int
+    sectors: dict[tuple[int, int], tuple[int, int]]
+
+
+# the automorphisms of Z2 x Z2, (1, 0) -> u and (0, 1) -> v, the identity first
+_NONZERO = ((1, 0), (0, 1), (1, 1))
+_SECTOR_MAPS = [{(a, b): ((a * u[0] + b * v[0]) % 2, (a * u[1] + b * v[1]) % 2)
+                 for a in (0, 1) for b in (0, 1)} for u in _NONZERO for v in _NONZERO if u != v]
+
+
+def kind_automorphisms(p: AlgebraPresentation) -> list[KindAutomorphism]:
+    """One certified automorphism for each action (A, flip) on degrees that
+    one has, the identity's left out; theta(X_m) = s_X X_{-m} has perm the
+    identity and flip -1.
+
+    Read from p's int tables, exact at every index: perm keeps central
+    kinds central and takes degree z to A(z), and each term (c0, cm, cn)
+    of target T in [X, Y] must be s_X s_Y s_T (c0, f*cm, f*cn) in
+    [perm X, perm Y] at perm T, a central cubic s_X s_Y s_T f^i k_i; as
+    every ordered pair is matched and perm is a bijection, no image table
+    holds a term left over.  The signs solve these equations over Z2, one
+    bit per kind, with the free kinds at +1.  Each A and flip takes the first
+    perm in kind order.  Two A that agree on the kinds' degrees allow the
+    same perms and differ only on sectors without kinds, whose degrees have
+    no columns, so only the first is searched.
+    """
+    k = len(p.kinds)
+    ready = [[] for _ in range(k)]  # each ordered pair, under its last kind or target
+    for a in range(k):
+        for b in range(k):
+            terms, central = p._tables.get((a, b), ({}, {}))
+            ready[max(a, b, *terms, *central)].append((a, b))
+
+    def extend(perm, pivots):
+        if len(perm) == k:
+            return perm, pivots
+        x = p.kinds[len(perm)]
+        for j, y in enumerate(p.kinds):
+            trial = dict(pivots)
+            if (j not in perm and y.z2 == sectors[x.z2] and p.is_central(y) == p.is_central(x)
+                    and all(_matches(p, perm + [j], flip, a, b, trial) for a, b in ready[len(perm)])
+                    and (hit := extend(perm + [j], trial))):
+                return hit
+        return None
+
+    found, seen = [], set()
+    for sectors in _SECTOR_MAPS:
+        for flip in (1, -1):
+            if (action := (flip, *(sectors[x.z2] for x in p.kinds))) in seen:
+                continue
+            seen.add(action)
+            if (hit := extend([], {})) and (flip == -1 or hit[0] != list(range(k))):
+                perm, pivots = hit
+                found.append(KindAutomorphism(
+                    {x.name: p.kinds[j].name for x, j in zip(p.kinds, perm)},
+                    {x.name: -1 if pivots.get(1 << i, (0, 0))[1] else 1
+                     for i, x in enumerate(p.kinds)}, flip, sectors))
+    return found
+
+
+def _matches(p: AlgebraPresentation, perm: list[int], flip: int, a: int, b: int,
+             pivots: dict[int, tuple[int, int]]) -> bool:
+    """Whether the tables of kind positions (a, b) map onto those of
+    (perm[a], perm[b]), each term's sign equation reduced into pivots
+    (lowest bit -> (row, parity)) without a conflict."""
+    tables = p._tables.get((a, b), ({}, {}))
+    images = p._tables.get((perm[a], perm[b]), ({}, {}))
+    for table, image, powers in zip(tables, images, ((1, flip, flip), (1, flip, 1, flip))):
+        for t, c in table.items():
+            want, got = tuple(f * v for f, v in zip(powers, c)), image.get(perm[t])
+            if got != want and got != tuple(-v for v in want):
+                return False
+            row, parity = (1 << a) ^ (1 << b) ^ (1 << t), int(got != want)
+            for bit, (prow, pparity) in pivots.items():
+                if row & bit:
+                    row, parity = row ^ prow, parity ^ pparity
+            if row:
+                low = row & -row
+                for bit, (prow, pparity) in pivots.items():
+                    if prow & low:
+                        pivots[bit] = (prow ^ row, pparity ^ parity)
+                pivots[low] = (row, parity)
+            elif parity:
+                return False
+    return True
+
+
+@dataclass
+class Mirror:
+    """A scan's automorphisms (kind_automorphisms) and the layouts and
+    kernels of the degrees it solved."""
+
+    group: list[KindAutomorphism]
     kernels: dict[GradingDegree, tuple[UnknownLayout, VectorBasis]] = field(
         default_factory=dict)
 
     def mirrored(self, problem: HomogeneousSolveProblem,
                  layout: UnknownLayout) -> VectorBasis | None:
-        """theta's image u'[X>T, m] = s_X s_T u[X>T, -m] of the kernel of
-        (eps, -gamma) on layout's columns, if gamma > 0 and it is held."""
-        d, s = problem.degree, self.signs
-        held = d.index > 0 and self.kernels.get(GradingDegree(d.eps1, d.eps2, -d.index))
-        if not held:
+        """g's image u'[perm X>perm T, m] = s_X s_T u[X>T, f*m], on layout's
+        columns, of the kernel of a solved degree that g maps to the
+        problem's, for the first g with one; None if no g has one."""
+        d = problem.degree
+        for g in self.group:
+            eps = next(e for e, image in g.sectors.items() if image == (d.eps1, d.eps2))
+            if held := self.kernels.get(GradingDegree(*eps, g.flip * d.index)):
+                break
+        else:
             return None
-        flip = {label: s[x.name] != s[t.name] for label, (x, t) in layout.families.items()}
-        sources = [(held[0].index[k, -m], flip[k]) for k, m in layout.columns]
-        return VectorBasis(len(sources), [tuple(-vec[i] if f else vec[i]
-                                                for i, f in sources)
-                                          for vec in held[1].vectors])
+        (source, kernel), back = held, {image: x for x, image in g.perm.items()}
+        labels = {(x.name, t.name): label for label, (x, t) in source.families.items()}
+        cols = {label: (labels[back[x.name], back[t.name]],
+                        g.signs[back[x.name]] != g.signs[back[t.name]])
+                for label, (x, t) in layout.families.items()}
+        sources = [(source.index[cols[k][0], g.flip * m], cols[k][1]) for k, m in layout.columns]
+        return VectorBasis(len(sources), [tuple(-vec[i] if f else vec[i] for i, f in sources)
+                                          for vec in kernel.vectors])
 
 
 def solve_degree(problem: HomogeneousSolveProblem,
-                 reflection: Reflection | None = None) -> SolveReport:
+                 mirror: Mirror | None = None) -> SolveReport:
     """Solve one homogeneous degree and classify the interior solution space.
 
-    Given a reflection, a degree it mirrors checks theta's image against
-    its own system (linalg.verify_kernel: the kernel certificate, else
-    every row) instead of eliminating, and a gamma < 0 degree leaves its
-    kernel there.
+    Given a mirror, a degree it maps a solved one to checks that image
+    against its own system (linalg.verify_kernel: the kernel certificate,
+    else every row) instead of eliminating, and a degree solved directly
+    leaves its kernel there.
     """
     interior = check_window(problem.window, problem.gamma, problem.interior)
     layout = unknown_layout(problem)
     matrix = assemble(problem, layout)
-    mirrored = None if reflection is None else reflection.mirrored(problem, layout)
+    mirrored = None if mirror is None else mirror.mirrored(problem, layout)
     if mirrored is not None:
         kernel = verify_kernel(matrix, mirrored)
     else:
         kernel = nullspace(matrix)
-        if reflection is not None and problem.gamma < 0:
-            reflection.kernels[problem.degree] = (layout, kernel)
+        if mirror is not None:
+            mirror.kernels[problem.degree] = (layout, kernel)
     return report_from_kernel(kernel, layout.columns,
                               [k.name for k in problem.presentation.kinds],
                               problem.degree, interior)
@@ -465,8 +566,7 @@ def scan(p: AlgebraPresentation, delta: Fraction, gamma_max: int,
     if gamma_max < 0:
         raise SolverError("gamma_max must be non-negative")
     interior = check_window(window, gamma_max, interior)
-    signs = index_reflection(p)
-    reflection = None if signs is None else Reflection(signs)
+    mirror = Mirror(kind_automorphisms(p))
     reports = []
     for eps1 in (0, 1):
         for eps2 in (0, 1):
@@ -474,6 +574,6 @@ def scan(p: AlgebraPresentation, delta: Fraction, gamma_max: int,
                 problem = HomogeneousSolveProblem(
                     p, Fraction(delta), GradingDegree(eps1, eps2, gamma),
                     window, interior)
-                reports.append(solve_degree(problem, reflection))
+                reports.append(solve_degree(problem, mirror))
     return ScanResult(p.name, Fraction(delta), window, interior, reports,
                       scan_verdict(reports))

@@ -23,9 +23,10 @@ from gradedlie.core import (_CENTRAL_SKEW_POINTS, _JACOBI_POINTS, _PLANE_POINTS,
                             CubicPoly, Element, GradingDegree,
                             PresentationError, affine, bracket,
                             certify_presentation, enumerate_window,
-                            format_rational, index_reflection, parse_rational,
+                            format_rational, parse_rational,
                             validate_presentation)
 from gradedlie.linalg import SparseMatrix, rref
+from gradedlie.solver import KindAutomorphism, kind_automorphisms
 
 PGCA = catalog.get("pgca")
 VIRASORO = catalog.get("virasoro")
@@ -354,22 +355,22 @@ def test_every_memo_miss_calls_bracket_basis_once():
     original = AlgebraPresentation.bracket_basis
     p = catalog.get("pgca")
     with _counted_bracket_basis() as calls:
-        # rows are streamed into elimination, so the 7 zero-kernel degrees
-        # at gamma <= 0 stop evaluating brackets at the zero-kernel
+        # rows are streamed into elimination, so the 5 zero-kernel degrees
+        # solved directly stop evaluating brackets at the zero-kernel
         # certificate and (0, 0, 0) where the kernel certificate passes its
-        # candidate kernel; the 4 at gamma = 1 take theta's image of their
-        # mirror's kernel, which is zero or certified without a row, and
-        # evaluate none: 512 of the 2550 brackets a full assembly of every
-        # row evaluates.  Boundary-first rows are fewer than the declared
-        # order's, which filled 473, but the degrees share fewer of their
-        # brackets.  (0, 0, 0) fills
-        # 54 of them, all for the certificate, which checks its candidate
-        # against that degree's rows on the window N = 1; (0, 0, -1),
-        # solved before it, had filled every bracket of the rows it reads
+        # candidate kernel; the 6 others, at gamma = 1 and in sector
+        # (1, 0), take the image of a solved degree's kernel under theta,
+        # sigma or theta sigma, which is zero or certified without a row,
+        # and evaluate none: 400 of the 2550 brackets a full assembly of
+        # every row evaluates (512 when sector (1, 0) was solved too).
+        # (0, 0, 0) fills 54 of them, all for the certificate, which checks
+        # its candidate against that degree's rows on the window N = 1;
+        # (0, 0, -1), solved before it, had filled every bracket of the
+        # rows it reads
         solver.scan(p, Fraction(1, 2), 1, 6)
-        assert calls[0] == len(p._indexed) == 512
+        assert calls[0] == len(p._indexed) == 400
         solver.scan(p, Fraction(1, 2), 1, 6)
-        assert calls[0] == 512
+        assert calls[0] == 400
     # validate decides with the certificate, whose points fill 108 entries;
     # enumerating the window N = 4 fills 2356
     with _counted_bracket_basis() as calls:
@@ -716,9 +717,13 @@ def _presentations(draw):
     argument: the constructor rejects that.  A quarter of the draws are a
     Lie algebra without theta instead: [L_m, L_n] = (n - m) L_{m+n} and the
     intermediate series [L_m, A_n] = (a + b*m + n) A_{m+n} with a != 0,
-    which is neither even nor odd in (m, n)."""
+    which is neither even nor odd in (m, n).  Another quarter are shaped
+    like pgca, whose sigma swaps I and J: see _swapped."""
     z2 = st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)])
-    if not draw(st.integers(0, 3)):
+    branch = draw(st.integers(0, 3))
+    if branch == 1:
+        return _swapped(draw)
+    if not branch:
         L, A = BasisKind("L", (0, 0)), BasisKind("A", draw(z2))
         a, b = draw(_SMALL.filter(bool)), draw(_SMALL)
         module = BracketRule(L, A, (BracketTerm(A, affine(c0=a, cm=b, cn=1)),))
@@ -753,6 +758,32 @@ def _presentations(draw):
     if any(a != b for a, b in p._tables) and not draw(st.integers(0, 9)):
         _swap_a_two_kind_table(p)
     return p
+
+
+def _swapped(draw):
+    """A Lie algebra with a kind swap, in a drawn kind order: witt L, kinds P
+    and Q in two nonzero Z2 sectors that an automorphism A of Z2 x Z2 swaps,
+    each with the same intermediate series [L_m, X_n] = -(n + a + b*m) X_{m+n}
+    (no theta when a != 0), and half the time a kind H in the third sector,
+    with [L_m, H_n] = -n H_{m+n}, rotating them with opposite signs:
+    [H, P] = r Q and [H, Q] = -r P.  P <-> Q, H -> -H is an automorphism."""
+    nonzero = [(0, 1), (1, 0), (1, 1)]
+    fixed = draw(st.sampled_from(nonzero))
+    zp, zq = [z for z in nonzero if z != fixed]
+    L, P, Q, H = (BasisKind("L", (0, 0)), BasisKind("P", zp), BasisKind("Q", zq),
+                  BasisKind("H", fixed))
+    series = affine(c0=-draw(_SMALL), cm=-draw(_SMALL), cn=-1)
+    kinds = [L, P, Q]
+    rules = [BracketRule(L, L, (BracketTerm(L, affine(cm=1, cn=-1)),)),
+             BracketRule(L, P, (BracketTerm(P, series),)),
+             BracketRule(L, Q, (BracketTerm(Q, series),))]
+    if draw(st.booleans()):
+        r = draw(_SMALL.filter(bool))
+        kinds.append(H)
+        rules += [BracketRule(L, H, (BracketTerm(H, affine(cn=-1)),)),
+                  BracketRule(H, P, (BracketTerm(Q, affine(c0=r)),)),
+                  BracketRule(H, Q, (BracketTerm(P, affine(c0=-r)),))]
+    return AlgebraPresentation("swapped", draw(st.permutations(kinds)), rules)
 
 
 def _fixture(kinds, rules, central=()):
@@ -845,20 +876,31 @@ def test_each_point_set_determines_its_polynomials():
 
 
 # ---------------------------------------------------------------------------
-# index reflection theta(X_m) = s_X X_{-m}
+# kind automorphisms g(X_m) = s_X perm[X]_{flip*m}
+
+_IDENTITY = {(a, b): (a, b) for a in (0, 1) for b in (0, 1)}
 
 
-def _reflects(brackets, signs):
-    """Whether [theta x, theta y] = theta [x, y] for every pair in brackets,
-    a {(x, y): [x, y]} table closed under (x_m, y_n) -> (x_-m, y_-n)."""
+def _image(p, g, b):
+    """g(b) of a basis element b as (sign, basis element)."""
+    return g.signs[b.kind.name], BasisElement(p.kind(g.perm[b.kind.name]), g.flip * b.index)
+
+
+def _preserves(p, brackets, g):
+    """Whether [g x, g y] = g [x, y] for every pair in brackets, a
+    {(x, y): [x, y]} table closed under g."""
     for (x, y), xy in brackets.items():
-        mirrored = brackets[BasisElement(x.kind, -x.index), BasisElement(y.kind, -y.index)]
-        s = signs[x.kind.name] * signs[y.kind.name]
-        if ({b: s * c for b, c in mirrored.items()}
-                != {BasisElement(b.kind, -b.index): signs[b.kind.name] * c
-                    for b, c in xy.items()}):
+        (sx, gx), (sy, gy) = _image(p, g, x), _image(p, g, y)
+        images = [_image(p, g, b) + (c,) for b, c in xy.items()]
+        if ({b: sx * sy * c for b, c in brackets[gx, gy].items()}
+                != {gb: s * c for s, gb, c in images}):
             return False
     return True
+
+
+def _brackets(p, window):
+    basis = p.basis_elements(window)
+    return {(x, y): p.bracket_basis(x, y) for x in basis for y in basis}
 
 
 _INT = st.integers(-2, 2).map(Fraction)
@@ -869,8 +911,8 @@ _PARITY = st.sampled_from(["even", "odd", "both"])
 def _parity_presentations(draw):
     """1-4 kinds, the last one central half the time, with small int
     coefficients: each term and central cubic even, odd or both in the
-    indices, so the parity rule yields signs about as often as None.
-    Rules need not be Lie algebras: theta only has to preserve the table."""
+    indices, so theta is found about as often as not.  Rules need not be
+    Lie algebras: an automorphism only has to preserve the table."""
     z2 = st.sampled_from([(0, 0), (0, 1)])
     kinds = [BasisKind(name, draw(z2)) for name in "ABDE"[:draw(st.integers(1, 4))]]
     central = kinds[-1:] if len(kinds) > 1 and draw(st.booleans()) else []
@@ -914,15 +956,36 @@ def _parity_presentations(draw):
     BracketRule(_A, _B, (BracketTerm(_D, affine(cm=1)),)),
     BracketRule(_B, _B, (BracketTerm(_B, affine(cm=1, cn=-1)),)))))
 def test_index_reflection_is_exact_on_the_window(p):
-    # returned signs preserve every bracket on the N = 3 window; None means
-    # no sign vector at all does, there, let alone at every index
-    basis = p.basis_elements(3)
-    brackets = {(x, y): p.bracket_basis(x, y) for x in basis for y in basis}
-    signs = index_reflection(p)
-    if signs is not None:
-        assert set(signs) == {k.name for k in p.kinds}
-        assert _reflects(brackets, signs)
-    else:
-        names = [k.name for k in p.kinds]
-        assert not any(_reflects(brackets, dict(zip(names, v)))
-                       for v in product((1, -1), repeat=len(names)))
+    # every automorphism found preserves every bracket on the N = 3 window;
+    # without theta among them, no sign vector makes theta do so there,
+    # let alone at every index
+    brackets = _brackets(p, 3)
+    group = kind_automorphisms(p)
+    assert all(_preserves(p, brackets, g) for g in group)
+    names = [k.name for k in p.kinds]
+    identity = dict(zip(names, names))
+    if not any(g.perm == identity and g.flip == -1 for g in group):
+        assert not any(_preserves(p, brackets, KindAutomorphism(
+            identity, dict(zip(names, v)), -1, _IDENTITY))
+            for v in product((1, -1), repeat=len(names)))
+
+
+@settings(max_examples=100)
+@given(_presentations())
+def test_every_automorphism_found_preserves_the_bracket_of_a_drawn_algebra(p):
+    # Lie algebras or not, tables swapped or not: each element preserves
+    # each bracket of the window N = 4, and every kind-swapped draw has one
+    # that moves a sector
+    brackets = _brackets(p, 4)
+    group = kind_automorphisms(p)
+    assert all(_preserves(p, brackets, g) for g in group)
+    if p.name == "swapped":
+        assert any(g.sectors != _IDENTITY for g in group)
+
+
+def test_a_changed_rotation_coefficient_loses_sigma():
+    # [H, J] = -2 I: pgca's theta stays, but sigma would need [H, J] = +-I
+    group = kind_automorphisms(_pgca_with_coeff("H", "J", {"c0": "-2"}))
+    assert [(g.perm, g.signs, g.flip, g.sectors) for g in group] == [
+        ({"L": "L", "H": "H", "I": "I", "J": "J"}, {"L": -1, "H": 1, "I": 1, "J": 1}, -1,
+         _IDENTITY)]

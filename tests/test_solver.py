@@ -21,15 +21,15 @@ import reference_loops
 from gradedlie import catalog, cli, linalg, poisson, solver
 from gradedlie.core import (AlgebraPresentation, BasisElement, BasisKind,
                             BracketRule, BracketTerm, CentralTerm, CubicPoly,
-                            GradingDegree, affine, bracket, certify_presentation,
-                            index_reflection)
-from gradedlie.solver import (HomogeneousSolveProblem, SolveReport, SolverError,
-                              VERDICT_NOT_SCALAR_ONLY, VERDICT_SCALAR_ONLY,
+                            GradingDegree, affine, bracket, certify_presentation)
+from gradedlie.solver import (HomogeneousSolveProblem, KindAutomorphism, SolveReport,
+                              SolverError, VERDICT_NOT_SCALAR_ONLY, VERDICT_SCALAR_ONLY,
                               WindowTooSmallError, assemble, classify_interior,
-                              describe_values, kernel_certificate, required_window,
-                              scan, scan_verdict, solve_degree, unknown_layout)
+                              describe_values, kernel_certificate, kind_automorphisms,
+                              required_window, scan, scan_verdict, solve_degree,
+                              unknown_layout)
 from matrices import mul_vec, sparse_rows
-from test_core import _presentations
+from test_core import _brackets, _preserves, _presentations
 
 PGCA = catalog.get("pgca")
 WITT = catalog.get("witt")
@@ -402,47 +402,52 @@ def test_scan_json_shape():
 
 
 # ---------------------------------------------------------------------------
-# index reflection: theta(X_m) = s_X X_{-m}
+# kind automorphisms g(X_m) = s_X perm[X]_{flip*m}
 
-# s_X per catalog algebra, 1 for the kinds not listed; virasoro's cocycle
-# is odd, so C changes sign with L
-REFLECTION_SIGNS = {"pgca": {"L": -1}, "witt": {"L": -1},
-                    "virasoro": {"L": -1, "C": -1},
-                    "heisenberg-virasoro": {"L": -1}, "abelian": {}}
+_ID = {(a, b): (a, b) for a in (0, 1) for b in (0, 1)}
+_SWAP = {(a, b): (b, a) for a in (0, 1) for b in (0, 1)}
+
+
+def _theta(names, minus=()):
+    """theta(X_m) = s_X X_{-m}, s_X = -1 for the kinds in minus."""
+    return KindAutomorphism({x: x for x in names}, {x: -1 if x in minus else 1 for x in names},
+                            -1, _ID)
+
+
+# the group per catalog algebra, the identity left out: theta, whose sign
+# is -1 on L (virasoro's cocycle is odd, so C changes sign with L), and for
+# pgca sigma: I <-> J, H -> -H, which swaps the Z2 sectors (0, 1) and
+# (1, 0), as [H, I] = J and [H, J] = -I need s_H s_I s_J = -1, and theta
+# sigma
+_PGCA_SWAP = {"L": "L", "H": "H", "I": "J", "J": "I"}
+GROUPS = {
+    "pgca": [_theta("LHIJ", "L"),
+             KindAutomorphism(_PGCA_SWAP, {"L": 1, "H": -1, "I": 1, "J": 1}, 1, _SWAP),
+             KindAutomorphism(_PGCA_SWAP, {"L": -1, "H": -1, "I": 1, "J": 1}, -1, _SWAP)],
+    "witt": [_theta("L", "L")],
+    "virasoro": [_theta("LC", "LC")],
+    "heisenberg-virasoro": [_theta("LI", "L")],
+    "abelian": [_theta("A")],
+}
 
 
 @pytest.mark.parametrize("key", catalog.keys())
 def test_core_finds_the_hand_derived_reflection_signs(key):
-    p = catalog.get(key)
-    assert index_reflection(p) == {k.name: REFLECTION_SIGNS[key].get(k.name, 1)
-                                   for k in p.kinds}
+    assert kind_automorphisms(catalog.get(key)) == GROUPS[key]
 
 
 @pytest.mark.parametrize("key", catalog.keys())
 def test_index_reflection_is_an_automorphism(key):
-    # [theta x, theta y] = theta [x, y] for every pair in the N = 4 window,
-    # with the signs scan mirrors by
+    # [g x, g y] = g [x, y] for every pair in the N = 4 window, for every
+    # element scan mirrors by
     p = catalog.get(key)
-    signs = index_reflection(p)
-
-    def sign(b):
-        return signs[b.kind.name]
-
-    basis = p.basis_elements(4)
-    for x in basis:
-        for y in basis:
-            mirrored = p.bracket_basis(BasisElement(x.kind, -x.index),
-                                       BasisElement(y.kind, -y.index))
-            lhs = {(b.kind.name, b.index): sign(x) * sign(y) * c
-                   for b, c in mirrored.items()}
-            rhs = {(b.kind.name, -b.index): sign(b) * c
-                   for b, c in p.bracket_basis(x, y).items()}
-            assert lhs == rhs, (x, y)
+    brackets = _brackets(p, 4)
+    assert all(_preserves(p, brackets, g) for g in kind_automorphisms(p))
 
 
 def _direct_solves_agree(p, delta, gamma_max, window):
     """Every report of scan equals solve_degree on the same problem with no
-    reflection, compared as JSON; the count of direct solves scan made."""
+    mirror, compared as JSON; the count of direct solves scan made."""
     direct = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "nullspace",
@@ -457,10 +462,13 @@ def _direct_solves_agree(p, delta, gamma_max, window):
 @pytest.mark.parametrize("key", catalog.keys())
 @pytest.mark.parametrize("delta", [HALF, Fraction(1)], ids=str)
 def test_reports_at_minus_gamma_mirror_those_at_gamma(key, delta):
-    # scan hands each gamma > 0 degree theta D theta^-1 for the kernel of
-    # (eps, -gamma) and eliminates nothing there, so a sign or offset slip
-    # in the mirror shows as a mismatch with the degree solved directly
-    assert _direct_solves_agree(catalog.get(key), delta, 3, 8) == 16
+    # scan hands each degree g D g^-1 for the kernel of the first degree of
+    # its orbit and eliminates nothing there, so a sign or offset slip in
+    # the mirror shows as a mismatch with the degree solved directly: the
+    # 4 gamma <= 0 degrees of each sector, and for pgca none of sector
+    # (1, 0), which sigma and theta sigma take from (0, 1)
+    direct = 12 if key == "pgca" else 16
+    assert _direct_solves_agree(catalog.get(key), delta, 3, 8) == direct
 
 
 # Witt and its intermediate-series module, [L_m, I_n] = -(n + 1/2) I_{m+n}:
@@ -474,48 +482,58 @@ WITT_MODULE = AlgebraPresentation("witt-module", (_L, _I), (
 @pytest.mark.parametrize("delta", [HALF, Fraction(1)], ids=str)
 def test_a_presentation_without_reflection_solves_every_degree(delta):
     assert certify_presentation(WITT_MODULE)
-    assert index_reflection(WITT_MODULE) is None
+    assert kind_automorphisms(WITT_MODULE) == []
     assert _direct_solves_agree(WITT_MODULE, delta, 2, 8) == 20
 
 
 @pytest.mark.parametrize("flip", ["L", "H", "I", "J"])
 def test_a_wrong_reflection_fails_loudly(flip, monkeypatch, capsys):
-    # signs that are not an automorphism mirror kernel vectors that fail
-    # their own rows, and the check raises before any report is printed.
-    # At delta = 1/2 every mirrored pgca kernel is zero, so no row is
-    # checked and a wrong theta would pass silently; the certificate tests
-    # pin the signs there
-    signs = dict(index_reflection(PGCA), **{flip: -index_reflection(PGCA)[flip]})
-    monkeypatch.setattr(solver, "index_reflection", lambda p: signs)
-    with pytest.raises(linalg.LinalgError,
-                       match="^internal error: kernel vector fails verification$"):
-        cli.main(["solve", "--algebra", "pgca", "--delta", "1", "--gamma-max", "2",
-                  "--window", "6", "--format", "json"])
-    assert capsys.readouterr().out == ""
+    # a sign that is not an automorphism's, on theta and then on sigma,
+    # mirrors kernel vectors that fail their own rows, and the check raises
+    # before any report is printed.  At delta = 1/2 every mirrored pgca
+    # kernel is zero, so no row is checked and a wrong theta would pass
+    # silently; the table certificate guards it there
+    group = kind_automorphisms(PGCA)
+    for wrong in range(2):
+        g = group[wrong]
+        bad = KindAutomorphism(g.perm, dict(g.signs, **{flip: -g.signs[flip]}), g.flip,
+                               g.sectors)
+        monkeypatch.setattr(solver, "kind_automorphisms",
+                            lambda p: group[:wrong] + [bad] + group[wrong + 1:])
+        with pytest.raises(linalg.LinalgError,
+                           match="^internal error: kernel vector fails verification$"):
+            cli.main(["solve", "--algebra", "pgca", "--delta", "1", "--gamma-max", "2",
+                      "--window", "6", "--format", "json"])
+        assert capsys.readouterr().out == "", wrong
 
 
 # ---------------------------------------------------------------------------
 # layer boundaries
 
 
+# the solved degree whose kernel each mirrored degree takes
+_MIRRORED_FROM = {(0, 1, 1): (0, 1, -1), (0, 0, 1): (0, 0, -1), (1, 0, 0): (0, 1, 0)}
+
+
 @pytest.mark.parametrize("delta,degree,projected", [
     (HALF, (0, 1, 0), False),         # certified: the kernel is zero
     (Fraction(1), (0, 0, 0), True),   # a degree with a kernel
-    # gamma > 0 after the mirror degree: theta's image of its kernel
-    (HALF, (0, 1, 1), False),         # a zero kernel mirrored
-    (Fraction(1), (0, 0, 1), True),   # a nonzero kernel mirrored
+    # after the solved degree of its orbit: g's image of its kernel
+    (HALF, (0, 1, 1), False),         # a zero kernel mirrored by theta
+    (Fraction(1), (0, 0, 1), True),   # a nonzero kernel mirrored by theta
+    (Fraction(1), (1, 0, 0), True),   # a nonzero kernel mirrored by sigma
 ])
 def test_solve_degree_crosses_each_layer_once(delta, degree, projected,
                                               monkeypatch):
     # assemble -> nullspace -> rref are looked up as module globals, one
     # call each per degree; per-layer tracing wraps exactly these names.
     # Each call is logged with its nesting depth among the wrapped names.
-    # A mirrored degree assembles its rows to check theta's image against
+    # A mirrored degree assembles its rows to check g's image against
     # them, and eliminates nothing
-    reflection = solver.Reflection(index_reflection(PGCA))
-    mirrored = degree[2] > 0
+    mirror = solver.Mirror(kind_automorphisms(PGCA))
+    mirrored = degree in _MIRRORED_FROM
     if mirrored:
-        solve_degree(problem(PGCA, delta, (*degree[:2], -degree[2]), 6), reflection)
+        solve_degree(problem(PGCA, delta, _MIRRORED_FROM[degree], 6), mirror)
     log = []
     depth = [0]
 
@@ -534,7 +552,7 @@ def test_solve_degree_crosses_each_layer_once(delta, degree, projected,
     counted(solver, "assemble")
     counted(solver, "nullspace")
     counted(linalg, "rref")
-    report = solve_degree(problem(PGCA, delta, degree, 6), reflection)
+    report = solve_degree(problem(PGCA, delta, degree, 6), mirror)
     want = [("assemble", 0)]
     if not mirrored:
         want += [("nullspace", 0), ("rref", 1)]
@@ -570,30 +588,35 @@ def test_zero_kernel_degrees_stop_making_rows():
 def test_nonzero_kernel_degrees_stop_making_rows(monkeypatch):
     # pgca's derivations at N = 6, |gamma| <= 1: every degree has a kernel,
     # affine in m per kind, so each solved degree stops reading where the
-    # kernel certificate passes it and each mirrored one (gamma = 1) is
+    # kernel certificate passes it and each mirrored one (gamma = 1, and
+    # sector (1, 0), which sigma and theta sigma take from (0, 1)) is
     # certified without a row.  Boundary-first rows give each degree its
     # last pivot sooner, and the certificate is tried once the idle rows
-    # outnumber the candidate kernel: 636 rows are read, where the
-    # declared order with a switch after 52 idle rows read 2,122
+    # outnumber the candidate kernel: 506 rows are read, where solving
+    # sector (1, 0) too read 636, and the declared order with a switch
+    # after 52 idle rows 2,122
     made = []
     monkeypatch.setattr(solver, "assemble",
                         lambda *args: made.append(assemble(*args)) or made[-1])
     result = scan(PGCA, Fraction(1), 1, 6)
     read = [len(matrix._rows) for matrix in made]
     for report, matrix, rows in zip(result.reports, made, read, strict=True):
+        d = report.degree
         assert report.full_dim > 0
-        assert rows == 0 if report.degree.index == 1 else 0 < rows < matrix.rows
-    assert (sum(read), sum(matrix.rows for matrix in made)) == (636, 10240)
+        assert rows == 0 if d.index == 1 or (d.eps1, d.eps2) == (1, 0) else 0 < rows < matrix.rows
+    assert (sum(read), sum(matrix.rows for matrix in made)) == (506, 10240)
 
 
 def test_each_kernel_is_certified_once(monkeypatch):
     # pgca's derivations at N = 6, |gamma| <= 1: elimination tries the
-    # certificate 35 times over the 8 solved degrees, and nullspace takes
-    # the kernel it passed without trying it again; each of the 4 mirrored
-    # degrees (gamma = 1) tries theta's image once, in verify_kernel.  The
-    # switch fires while the candidate kernel is still wide, so (0, 0, 0)
-    # tries it after each of its 22 later pivots; a candidate that is not
-    # affine fails on the affine check, before any sample row is made
+    # certificate 33 times over the 6 solved degrees, and nullspace takes
+    # the kernel it passed without trying it again; each of the 6 mirrored
+    # degrees (gamma = 1, and sector (1, 0)) tries g's image once, in
+    # verify_kernel.  The switch fires while the candidate kernel is still
+    # wide, so (0, 0, 0) tries it after each of its 22 later pivots, and
+    # (1, 1, 0) 6 times; a candidate that is not affine fails on the
+    # affine check, before any sample row is made.  Solving sector (1, 0)
+    # too made 35 tries in elimination, 2 of them at (1, 0, -1) and (1, 0, 0)
     calls, where = [], ["elimination"]
     certificate, verify = solver.kernel_certificate, solver.verify_kernel
 
@@ -616,8 +639,10 @@ def test_each_kernel_is_certified_once(monkeypatch):
     monkeypatch.setattr(solver, "kernel_certificate", counting)
     monkeypatch.setattr(solver, "verify_kernel", mirrored)
     scan(PGCA, Fraction(1), 1, 6)
-    assert [w for w, _, _ in calls].count("elimination") == 35
-    assert [(d.index, passed) for w, d, passed in calls if w == "mirrored"] == [(1, True)] * 4
+    assert [w for w, _, _ in calls].count("elimination") == 33
+    assert [(astuple(d), passed) for w, d, passed in calls if w == "mirrored"] == [
+        ((0, 0, 1), True), ((0, 1, 1), True), ((1, 0, -1), True), ((1, 0, 0), True),
+        ((1, 0, 1), True), ((1, 1, 1), True)]
     passes = [d for _, d, passed in calls if passed]
     assert len(passes) == len(set(passes)) == 12
 
@@ -990,6 +1015,16 @@ HV_CENTRAL = AlgebraPresentation("hv-central", (_L, _I, _Z), (
     BracketRule(_L, _I, (BracketTerm(_I, affine(cn=-1)),),
                 (CentralTerm(_Z, CubicPoly(c2=Fraction(1))),))), central=("Z",))
 
+# witt L and [L_m, X_n] = -(n + 1) X_{m+n} for X = P in sector (0, 1) and
+# Q in (1, 0): n + 1 has both parities, so there is no theta, but sigma
+# swaps P and Q, so sector (1, 0) takes sigma's image of the kernels of
+# (0, 1), which at delta = 1 hold ad P_gamma
+_P, _Q = BasisKind("P", (0, 1)), BasisKind("Q", (1, 0))
+SIGMA_ONLY = AlgebraPresentation("sigma-only", (_L, _P, _Q), (
+    BracketRule(_L, _L, (BracketTerm(_L, affine(cm=1, cn=-1)),)),
+    BracketRule(_L, _P, (BracketTerm(_P, affine(c0=-1, cn=-1)),)),
+    BracketRule(_L, _Q, (BracketTerm(_Q, affine(c0=-1, cn=-1)),))))
+
 
 @settings(max_examples=50)
 @given(_presentations(), st.sampled_from((HALF, Fraction(1), Fraction(2, 3),
@@ -998,10 +1033,12 @@ HV_CENTRAL = AlgebraPresentation("hv-central", (_L, _I, _Z), (
 @example(SHARED_SECTOR, Fraction(1))
 @example(NO_THETA, Fraction(1))
 @example(HV_CENTRAL, Fraction(1))
+@example(SIGMA_ONLY, Fraction(1))
 def test_scan_equals_a_full_reading_of_every_degree(p, delta):
-    # every fast path (the kernel certificate, theta's mirror, the early
-    # stop) against the rows of each degree, none skipped but by a zero
-    # candidate kernel, on the certified draws
+    # every fast path (the kernel certificate, the mirror of each orbit's
+    # first degree by theta, sigma or any other automorphism found, the
+    # early stop) against the rows of each degree, none skipped but by a
+    # zero candidate kernel, on the certified draws
     assume(certify_presentation(p))
     result = scan(p, delta, 2, 6)
     kinds = [k.name for k in p.kinds]
