@@ -72,8 +72,8 @@ def parse_rational(text) -> Fraction:
     raise PresentationError(f"not a rational: {text!r}")
 
 
-def format_rational(value: Fraction) -> str:
-    return str(Fraction(value))
+def format_rational(value: Fraction, den: int = 1) -> str:
+    return str(Fraction(value, den))
 
 
 @dataclass(frozen=True, order=True)

@@ -5,16 +5,16 @@ there is no floating point fallback anywhere.  A matrix is stored row-wise:
 each row is a {column: int} dict over one positive int denominator.  That
 is how the constraint systems of this package arrive, very many short
 integer rows over a common denominator and a modest number of columns.
-Rationals are converted to ints in two places: from_rows, for rows, and
-verify_kernel, for the basis it checks.  from_stream builds a matrix over
-a source of int rows, made only when something reads them.
+Rationals become ints in from_rows, for rows, and in verify_kernel and
+project_basis, for the vectors they take.  from_stream builds a matrix
+over a source of int rows, made only when something reads them.
 
 Elimination streams the rows in order, fraction-free, pulling each from
 the source as it is reached.  Once every column holds a pivot, or a run
 of rows that add no pivot is as long as the integer kernel of the pivot
 rows so far is wide (as the column count, without a kernel certificate),
 it stops eliminating and checks each further row against that kernel; a
-row outside their span is eliminated and the kernel rebuilt.
+row outside their span is eliminated and cuts the kernel by one vector.
 Reading stops early in two places.  With every column pivotal that kernel
 is empty, an exact zero-kernel certificate.  A streamed matrix may also
 carry a kernel certificate from whoever made its rows: a check that int
@@ -28,8 +28,8 @@ keeps the kernel elimination stopped on.  The reduced form is that of
 full elimination, one row per pivot, each primitive over its leading
 entry.  nullspace returns the kept kernel as it is; any other kernel it
 builds from the reduced rows and checks against every row of the input.
-Anything else that looks at rows (rows, nnz, entries, to_dense, ==,
-repr) reads the source to the end first.
+Anything else that looks at rows (rows, nnz, entries, ==, repr) reads
+the source to the end first.
 """
 
 from __future__ import annotations
@@ -144,10 +144,6 @@ class SparseMatrix:
     def nnz(self) -> int:
         return sum(len(row) for row in self._read()[0])
 
-    def to_dense(self) -> list[list[Fraction]]:
-        return [[Fraction(row.get(c, 0), den) for c in range(self.cols)]
-                for row, den in zip(*self._read())]
-
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.entries == other.entries)
@@ -179,23 +175,26 @@ def _rref_rows(rows: Iterable[dict[int, int]], cols: int, certify=None
     kernel, which contains the true one) and multiplies each further row
     through it.  A row with every product zero lies in the span of the
     pivot rows and is skipped.  A row with a nonzero product is eliminated
-    as above, which gives a new pivot, and the candidate kernel is rebuilt.
-    The candidate is built and tried in one place, at the switch and after
-    each new pivot from then on.  An empty candidate kernel (every column a
-    pivot) fails no row, so the stream stops there, without pulling another
-    row: the exact zero-kernel certificate.  A nonzero candidate kernel
-    stops it the same way when certify (see SparseMatrix.from_stream)
-    passes it: every row, read or not, then holds for it, so it is the true
-    kernel.  The pivots do not depend on when the switch fires, and from
-    then on every candidate is tried, so no later switch stops reading
-    sooner.  Without certify only an empty candidate stops the stream, and
-    an early switch would only rebuild a wide candidate after each new
-    pivot, so there the run must be cols rows long.  Whichever rows are
-    read, they span the row space of the whole input, whose reduced row
-    echelon form is unique, so the result is that of full elimination.
+    as above, which gives a new pivot, and cuts the candidate (_update).
+    The candidate is tried in one place, at the switch and after each new
+    pivot from then on.  An empty candidate kernel (every column a pivot)
+    fails no row, so the stream stops there, without pulling another row:
+    the exact zero-kernel certificate.  A nonzero candidate kernel stops it
+    the same way when certify (see SparseMatrix.from_stream) passes it:
+    every row, read or not, then holds for it, so it is the true kernel.
+    affine_certificate's answer depends only on the span, so a cut
+    candidate is tried as it is, and rebuilt once by _kernel if it passes.
+    The pivots do not depend on when the switch fires, and from then on
+    every candidate is tried, so no later switch stops reading sooner.
+    Without certify only an empty candidate stops the stream, and an early
+    switch would only cut a wide candidate after each new pivot, so there
+    the run must be cols rows long.  Whichever rows are read, they span
+    the row space of the whole input, whose reduced row echelon form is
+    unique, so the result is that of full elimination.
     """
     pivots: dict[int, dict[int, int]] = {}  # pivot column -> reduced integer row
     kernel: list | None = None              # candidate kernel, once checking
+    built = None                            # the candidate _kernel built at the switch
     idle = 0                                # consecutive rows that added no pivot
     for row in rows:
         if kernel is not None:
@@ -218,12 +217,19 @@ def _rref_rows(rows: Iterable[dict[int, int]], cols: int, certify=None
         else:
             idle += 1
         # a row outside the candidate kernel always gives a pivot, so once
-        # checking, every row that gets here rebuilds it
-        width = cols - len(pivots)
-        if kernel is not None or not width or idle >= (cols if certify is None else width):
-            kernel = _kernel(pivots, cols)
-            if not kernel or certify is not None and certify(kernel):
-                break
+        # checking, every row that gets here cuts it; the new pivot row is
+        # the row times a nonzero int plus pivot rows, so the row, shorter,
+        # cuts it the same way
+        if kernel is not None:
+            kernel = _update(kernel, row)
+        elif not (width := cols - len(pivots)) or idle >= (cols if certify is None else width):
+            kernel = built = _kernel(pivots, cols)
+        else:
+            continue
+        if not kernel or certify is not None and certify(kernel):
+            if kernel and kernel is not built:
+                kernel = _kernel(pivots, cols)
+            break
     else:
         kernel = None
 
@@ -262,6 +268,28 @@ def _kernel(pivots: dict[int, dict[int, int]], cols: int) -> list[tuple[int, lis
             w[pcol] = -a * (scale // lead)
         kernel.append((f, w))
     return kernel
+
+
+def _update(kernel: list[tuple[int, list[int]]], row: dict[int, int]
+            ) -> list[tuple[int, list[int]]]:
+    """The kernel cut by one more int row, with a nonzero product v_j with
+    some vector w_j: with j0 the first such j, every other w_j becomes
+    v_j0 * w_j - v_j * w_j0, divided by its content, and w_j0 is dropped.
+    These are zero on the row and independent.  Each pair keeps its label,
+    which then names no free column: _kernel is the one builder of that
+    labelled basis."""
+    products = [sum([a * w[c] for c, a in row.items()]) for _, w in kernel]
+    j0 = next(j for j, v in enumerate(products) if v)
+    v0, w0 = products[j0], kernel[j0][1]
+    cut = []
+    for j, ((f, w), v) in enumerate(zip(kernel, products)):
+        if v and j != j0:
+            w = [v0 * x - v * y for x, y in zip(w, w0)]
+            g = gcd(*w)
+            w = [x // g for x in w]
+        cut.append((f, w))
+    del cut[j0]
+    return cut
 
 
 def _outside(row: dict[int, int], kernel) -> bool:
@@ -403,17 +431,23 @@ def _verify(m: SparseMatrix, kernel):
             raise LinalgError("internal error: kernel vector fails verification")
 
 
-def project_basis(basis: VectorBasis, coords: Iterable[int]) -> VectorBasis:
-    """Row-reduced basis of the projection onto the given coordinates."""
+def project_basis(basis: VectorBasis, coords: Iterable[int]) -> list[tuple[int, list[int]]]:
+    """Row-reduced basis of the projection onto the given coordinates, each
+    vector's cleared to one int row: rref's reduced rows w, dense, as
+    (lead, w) pairs, lead the pivot entry, so w / lead is the leading-1 row."""
     cols = sorted(set(coords))
     for c in cols:
         if not (0 <= c < basis.dimension):
             raise LinalgError(f"coordinate {c} outside dimension {basis.dimension}")
     if not cols or not basis.vectors:
-        return VectorBasis(len(cols), [])
-    proj = SparseMatrix.from_rows(
-        len(cols),
-        [{i: vec[c] for i, c in enumerate(cols) if vec[c]} for vec in basis.vectors])
-    reduced, _ = rref(proj)
-    vectors = [tuple(row) for row in reduced.to_dense()]
-    return VectorBasis(len(cols), vectors)
+        return []
+    proj = SparseMatrix(len(cols))
+    for vec in basis.vectors:
+        part = [vec[c] for c in cols]
+        d = lcm(*(q.denominator for q in part))
+        proj._rows.append({i: q.numerator * (d // q.denominator)
+                           for i, q in enumerate(part) if q})
+        proj._dens.append(d)
+    reduced, pivots = rref(proj)
+    return [(row[col], [row.get(i, 0) for i in range(len(cols))])
+            for col, row in zip(pivots, reduced._rows)]

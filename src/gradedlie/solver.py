@@ -293,48 +293,48 @@ def kernel_certificate(problem: HomogeneousSolveProblem, layout: UnknownLayout):
                               lambda: _identity_rows(p, problem.delta, [layout.images], 1))
 
 
-def describe_values(values: dict[int, Fraction]) -> str:
-    """Compact human description of one kind's coefficient slice."""
-    if not values or not any(values.values()):
+def describe_values(values: dict[int, int], lead: int = 1) -> str:
+    """Compact human description of one label's coefficients, given as the
+    ints of a reduced row over its pivot entry lead: each value is
+    values[m] / lead."""
+    if not any(values.values()):
         return "0"
-    distinct = set(values.values())
-    if len(distinct) == 1:
-        return format_rational(distinct.pop())
-    # two distinct values need two keys
     ms = sorted(values)
-    m0, m1 = ms[0], ms[1]
-    slope = (values[m1] - values[m0]) / (m1 - m0)
-    const = values[m0] - slope * m0
-    if all(values[m] == const + slope * m for m in ms):
-        mpart = f"{format_rational(slope)}*m" if slope != 1 else "m"
-        if const:
-            return f"{format_rational(const)} + {mpart}"
-        return mpart
-    return ", ".join(f"{m}:{format_rational(values[m])}" for m in ms)
+    m0, v0 = ms[0], values[ms[0]]
+    if all(values[m] == v0 for m in ms):
+        return format_rational(v0, lead)
+    # two distinct values need two keys; affine is v - v0 = dv * (m - m0) / dm
+    dm, dv = ms[1] - m0, values[ms[1]] - v0
+    if all((values[m] - v0) * dm == dv * (m - m0) for m in ms):
+        mpart = "m" if dv == dm * lead else f"{format_rational(dv, dm * lead)}*m"
+        const = v0 * dm - dv * m0
+        return f"{format_rational(const, dm * lead)} + {mpart}" if const else mpart
+    return ", ".join(f"{m}:{format_rational(values[m], lead)}" for m in ms)
 
 
 def summarize_interior(layout_keys: Sequence[tuple[str, int]],
                        kinds: Sequence[str],
-                       vectors: Iterable[Sequence[Fraction]]) -> list[dict[str, str]]:
-    """One description per kind, and per X>T label with a column here."""
-    labels = list(kinds) + [k for k in dict.fromkeys(k for k, _ in layout_keys)
-                            if k not in kinds]
-    return [{label: describe_values({m: vec[i] for i, (k, m) in enumerate(layout_keys)
-                                     if k == label})
-             for label in labels}
-            for vec in vectors]
+                       rows: Iterable[tuple[int, Sequence[int]]]) -> list[dict[str, str]]:
+    """One description per kind, and per X>T label with a column here, of
+    each reduced (lead, int row) pair (linalg.project_basis)."""
+    labels: dict[str, list[tuple[int, int]]] = {kind: [] for kind in kinds}
+    for i, (label, m) in enumerate(layout_keys):
+        labels.setdefault(label, []).append((i, m))
+    return [{label: describe_values({m: row[i] for i, m in cols}, lead)
+             for label, cols in labels.items()}
+            for lead, row in rows]
 
 
 def classify_interior(layout_keys: Sequence[tuple[str, int]],
                       kinds: Sequence[str],
-                      vectors: list[tuple[Fraction, ...]]) -> str:
-    """'zero'; 'scalar' for one vector in which every kind has columns
-    under its own name, those columns share one nonzero value and every
-    X>T column is 0; else 'nontrivial'."""
-    if not vectors:
+                      rows: list[Sequence[int]]) -> str:
+    """'zero'; 'scalar' for one row, of any nonzero scale, in which every
+    kind has columns under its own name, those columns share one nonzero
+    value and every X>T column is 0; else 'nontrivial'."""
+    if not rows:
         return "zero"
-    if len(vectors) == 1:
-        pairs = [(k in kinds, v) for (k, _), v in zip(layout_keys, vectors[0])]
+    if len(rows) == 1:
+        pairs = [(k in kinds, v) for (k, _), v in zip(layout_keys, rows[0])]
         own = {v for mine, v in pairs if mine}
         if (set(kinds) <= {k for k, _ in layout_keys} and len(own) == 1
                 and 0 not in own and not any(v for mine, v in pairs if not mine)):
@@ -366,12 +366,12 @@ def report_from_kernel(kernel: VectorBasis, layout_keys: Sequence[tuple[str, int
                        kinds: Sequence[str], degree: GradingDegree,
                        interior: int) -> SolveReport:
     """Classify a kernel, its columns named (label, m) by layout_keys, on
-    the interior columns |m| <= interior."""
+    the interior columns |m| <= interior, read off its reduced int rows."""
     interior_cols = [i for i, (_, m) in enumerate(layout_keys) if abs(m) <= interior]
     interior_keys = [layout_keys[i] for i in interior_cols]
     projected = project_basis(kernel, interior_cols)
-    classification = classify_interior(interior_keys, kinds, projected.vectors)
-    summary = summarize_interior(interior_keys, kinds, projected.vectors)
+    classification = classify_interior(interior_keys, kinds, [row for _, row in projected])
+    summary = summarize_interior(interior_keys, kinds, projected)
     return SolveReport(degree, full_dim=len(kernel), interior_dim=len(projected),
                        classification=classification, basis_summary=summary)
 

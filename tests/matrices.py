@@ -21,6 +21,11 @@ def sparse_rows(m):
     return rows
 
 
+def dense(m):
+    """m's rows as dense lists of Fractions."""
+    return [[row.get(c, Fraction(0)) for c in range(m.cols)] for row in sparse_rows(m)]
+
+
 def mul_vec(m, v):
     """The product m v, one Fraction per row."""
     assert len(v) == m.cols, "vector length does not match column count"

@@ -25,6 +25,13 @@ until every column holds a pivot, and finds the pivot rows holding a new
 pivot's column through an index.  It shares the two row operations with
 `linalg`, so comparing results checks which rows the stream reads and
 skips, and how it resumes.
+
+`describe_values`, `summarize_interior`, `classify_interior` and
+`project_basis` are the interior report's forms on `Fraction` vectors, from
+before the report read int rows over their pivot entries: the projection
+goes through `from_rows` and `rref` to dense rows, and every value is a
+`Fraction`.  `report_from_kernel` composes them as `solver` does, so
+comparing reports checks the int forms.
 """
 
 from __future__ import annotations
@@ -33,10 +40,11 @@ from fractions import Fraction
 
 from gradedlie.core import (AlgebraPresentation, BasisElement, BasisKind,
                             BracketRule, BracketTerm, CentralTerm, CubicPoly,
-                            affine)
-from gradedlie.linalg import SparseMatrix, _divide_content, _eliminate
+                            affine, format_rational)
+from gradedlie.linalg import SparseMatrix, VectorBasis, _divide_content, _eliminate, rref
 from gradedlie.poisson import _pair_key
-from gradedlie.solver import unknown_layout
+from gradedlie.solver import SolveReport, unknown_layout
+from matrices import dense
 
 
 def _lopsided():
@@ -255,3 +263,71 @@ def rref_rows(rows: list[dict[int, int]], cols: int) -> list[tuple[int, dict[int
             for c in row:
                 row[c] = -row[c]
     return pivots
+
+
+def project_basis(basis: VectorBasis, coords) -> VectorBasis:
+    """Row-reduced basis of the projection onto the given coordinates."""
+    cols = sorted(set(coords))
+    if not cols or not basis.vectors:
+        return VectorBasis(len(cols), [])
+    proj = SparseMatrix.from_rows(
+        len(cols),
+        [{i: vec[c] for i, c in enumerate(cols) if vec[c]} for vec in basis.vectors])
+    reduced, _ = rref(proj)
+    return VectorBasis(len(cols), [tuple(row) for row in dense(reduced)])
+
+
+def describe_values(values: dict[int, Fraction]) -> str:
+    """Compact human description of one kind's coefficient slice."""
+    if not values or not any(values.values()):
+        return "0"
+    distinct = set(values.values())
+    if len(distinct) == 1:
+        return format_rational(distinct.pop())
+    # two distinct values need two keys
+    ms = sorted(values)
+    m0, m1 = ms[0], ms[1]
+    slope = (values[m1] - values[m0]) / (m1 - m0)
+    const = values[m0] - slope * m0
+    if all(values[m] == const + slope * m for m in ms):
+        mpart = f"{format_rational(slope)}*m" if slope != 1 else "m"
+        if const:
+            return f"{format_rational(const)} + {mpart}"
+        return mpart
+    return ", ".join(f"{m}:{format_rational(values[m])}" for m in ms)
+
+
+def summarize_interior(layout_keys, kinds, vectors) -> list[dict[str, str]]:
+    """One description per kind, and per X>T label with a column here."""
+    labels = list(kinds) + [k for k in dict.fromkeys(k for k, _ in layout_keys)
+                            if k not in kinds]
+    return [{label: describe_values({m: vec[i] for i, (k, m) in enumerate(layout_keys)
+                                     if k == label})
+             for label in labels}
+            for vec in vectors]
+
+
+def classify_interior(layout_keys, kinds, vectors) -> str:
+    """'zero'; 'scalar' for one vector in which every kind has columns
+    under its own name, those columns share one nonzero value and every
+    X>T column is 0; else 'nontrivial'."""
+    if not vectors:
+        return "zero"
+    if len(vectors) == 1:
+        pairs = [(k in kinds, v) for (k, _), v in zip(layout_keys, vectors[0])]
+        own = {v for mine, v in pairs if mine}
+        if (set(kinds) <= {k for k, _ in layout_keys} and len(own) == 1
+                and 0 not in own and not any(v for mine, v in pairs if not mine)):
+            return "scalar"
+    return "nontrivial"
+
+
+def report_from_kernel(kernel: VectorBasis, layout_keys, kinds, degree,
+                       interior: int) -> SolveReport:
+    """`solver.report_from_kernel` through the forms above."""
+    interior_cols = [i for i, (_, m) in enumerate(layout_keys) if abs(m) <= interior]
+    interior_keys = [layout_keys[i] for i in interior_cols]
+    projected = project_basis(kernel, interior_cols)
+    return SolveReport(degree, len(kernel), len(projected),
+                       classify_interior(interior_keys, kinds, projected.vectors),
+                       summarize_interior(interior_keys, kinds, projected.vectors))

@@ -18,7 +18,7 @@ from gradedlie import catalog, linalg, poisson, recurrences, solver
 from gradedlie.core import GradingDegree
 from gradedlie.linalg import (LinalgError, SparseMatrix, VectorBasis,
                               nullspace, project_basis, rref, verify_kernel)
-from matrices import from_dense, mul_vec, rank, sparse_rows
+from matrices import dense, from_dense, mul_vec, rank, sparse_rows
 
 
 def F(x):
@@ -54,8 +54,8 @@ def test_sparse_matrix_never_stores_zeros():
 def test_from_rows_checks_columns_converts_and_drops_zeros():
     m = SparseMatrix.from_rows(3, [{0: 1, 2: F("1/2")}, {}, {1: 0, 2: "2/3"}])
     assert m.rows == 3 and m.cols == 3
-    assert m.to_dense() == [[F(1), F(0), F("1/2")], [F(0)] * 3,
-                            [F(0), F(0), F("2/3")]]
+    assert dense(m) == [[F(1), F(0), F("1/2")], [F(0)] * 3,
+                        [F(0), F(0), F("2/3")]]
     assert all(type(v) is Fraction for v in m.entries.values())
     assert SparseMatrix.from_rows(2, [{0: "0", 1: F(0)}]).nnz == 0
     with pytest.raises(LinalgError, match=r"^entry \(1,3\) outside 2x3$"):
@@ -89,7 +89,7 @@ def _assert_int_storage(m):
 
 def _assert_fraction_interface(m):
     assert all(type(v) is Fraction for v in m.entries.values())
-    assert all(type(v) is Fraction for row in m.to_dense() for v in row)
+    assert all(type(v) is Fraction for row in dense(m) for v in row)
 
 
 def test_every_constructor_stores_int_rows_and_hands_back_fractions():
@@ -113,7 +113,7 @@ def test_int_rows_over_a_denominator_equal_their_fraction_values():
     fracs = SparseMatrix.from_rows(3, [{0: F("2/3"), 2: F("-1/3")}, {1: F("1/2")}])
     assert ints == fracs and fracs == ints
     assert ints.entries == fracs.entries
-    assert ints.to_dense() == fracs.to_dense()
+    assert dense(ints) == dense(fracs)
     # equal values over another denominator
     assert ints == SparseMatrix.from_stream(3, [{0: 8, 2: -4}, {1: 6}], 12)
     # one value differs
@@ -188,7 +188,7 @@ def test_rref_of_invertible_matrix_is_identity():
     m = from_dense([[2, 0, 1], [1, 3, 0], [0, 1, 1]])
     reduced, pivots = rref(m)
     assert pivots == [0, 1, 2]
-    assert reduced.to_dense() == [
+    assert dense(reduced) == [
         [F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]]
     assert nullspace(m).vectors == []
 
@@ -204,7 +204,7 @@ def test_rref_is_idempotent():
     reduced, pivots = rref(m)
     again, pivots2 = rref(reduced)
     assert pivots2 == pivots
-    assert again.to_dense() == reduced.to_dense()
+    assert dense(again) == dense(reduced)
 
 
 def test_zero_matrix_has_full_nullspace():
@@ -318,7 +318,7 @@ def _assert_rref_matches_oracle(data):
     for m in _both(data):
         reduced, pivots = rref(m)
         assert pivots == want_pivots
-        assert reduced.to_dense() == want_rows
+        assert dense(reduced) == want_rows
 
 
 @given(dense_matrices)
@@ -340,11 +340,11 @@ def test_rref_equals_dense_gauss_jordan_when_a_later_row_leads_left(data):
 @given(dense_matrices)
 def test_rref_and_nullspace_leave_their_input_unchanged(data):
     for m in _both(data):
-        before = m.to_dense()
+        before = dense(m)
         rref(m)
-        assert m.to_dense() == before
+        assert dense(m) == before
         nullspace(m)
-        assert m.to_dense() == before
+        assert dense(m) == before
         assert m == from_dense(data)
 
 
@@ -406,7 +406,7 @@ def test_the_zero_kernel_certificate_stops_reading_rows(data):
     m = _raising_after(data, prefix)
     reduced, pivots = rref(m)
     assert pivots == want_pivots
-    assert reduced.to_dense() == want_rows
+    assert dense(reduced) == want_rows
     assert reduced.entries == {(r, c): v for r, row in enumerate(want_rows)
                                for c, v in enumerate(row) if v}
     assert reduced.rows == len(pivots)
@@ -427,7 +427,7 @@ def test_a_row_source_is_not_read_past_the_certificate():
     # the reduced matrix holds only the pivot rows, so reading all of it
     # reads none of the input's remaining rows
     assert reduced.rows == 2
-    assert reduced.to_dense() == [[F(1), F(0)], [F(0), F(1)]]
+    assert dense(reduced) == [[F(1), F(0)], [F(0), F(1)]]
 
 
 def test_from_stream_checks_its_denominator():
@@ -441,24 +441,47 @@ def test_from_stream_checks_its_denominator():
 
 @contextmanager
 def _kernels_built():
-    """Dimensions of the candidate kernels elimination builds, in order."""
-    built = []
-    original = linalg._kernel
+    """Widths of the candidate kernels elimination tries, in order: built by
+    _kernel at the switch or cut by _update for a new pivot, and then the
+    one rebuild by _kernel of a cut candidate the certificate passes.
 
-    def record(pivots, cols):
-        kernel = original(pivots, cols)
-        built.append(len(kernel))
-        return kernel
+    Each cut is checked against the pivot rows elimination holds then, the
+    dict it handed _kernel at the switch: every cut vector has a zero
+    product with each of them, and the cut candidate is as wide as
+    _kernel's of the same rows and spans the same space."""
+    built, held = [], []
+    kernel, update = linalg._kernel, linalg._update
+
+    def build(pivots, cols):
+        held[:] = [pivots, cols]
+        made = kernel(pivots, cols)
+        built.append(len(made))
+        return made
+
+    def cut(candidate, row):
+        made = update(candidate, row)
+        pivots, cols = held
+        assert all(sum(a * w[c] for c, a in row.items()) == 0
+                   for _, w in made for row in pivots.values())
+        rebuilt = [w for _, w in kernel(pivots, cols)]
+        assert len(made) == len(rebuilt)
+        if made:
+            vectors = [w for _, w in made]
+            assert rank(from_dense(vectors)) == rank(from_dense(vectors + rebuilt)) == len(made)
+        built.append(len(made))
+        return made
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_kernel", record)
+        mp.setattr(linalg, "_kernel", build)
+        mp.setattr(linalg, "_update", cut)
         yield built
 
 
 def _assert_rref_equals_full_elimination(m):
     """rref of m equals the eliminate-every-row loop; after the switch to
-    checking, each resume adds one pivot and rebuilds the candidate kernel,
-    and the one the last rows were checked against is the true kernel."""
+    checking, each resume adds one pivot and cuts the candidate kernel by
+    one, and the one the last rows were checked against is the true
+    kernel, rebuilt once if the certificate passed it after a cut."""
     with _kernels_built() as built:
         reduced, pivots = rref(m)
     m.rows  # read what elimination left of a streamed matrix's source
@@ -466,7 +489,11 @@ def _assert_rref_equals_full_elimination(m):
     assert pivots == [col for col, _ in want]
     assert reduced._rows == [row for _, row in want]
     assert reduced._dens == [row[col] for col, row in want]
-    assert all(before - after == 1 for before, after in zip(built, built[1:]))
+    tried = built
+    if m._proved and len(built) > 1:
+        tried = built[:-1]
+        assert built[-1] == built[-2]
+    assert all(before - after == 1 for before, after in zip(tried, tried[1:]))
     if built:
         assert built[-1] == m.cols - len(want)
     return built
@@ -634,7 +661,7 @@ def test_a_passing_kernel_certificate_stops_reading_rows():
     calls = []
     m = _certified_then_raising(data, 7, calls)
     reduced, pivots = rref(m)
-    assert (reduced.to_dense(), pivots) == (want_rows, want_pivots)
+    assert (dense(reduced), pivots) == (want_rows, want_pivots)
     assert calls == [2, 1] and len(m._rows) == 7
     # nullspace takes the kernel elimination stopped on, which the
     # certificate has already passed, and neither rebuilds nor re-checks it
@@ -780,16 +807,19 @@ def test_projection_rank_and_basis():
     basis = VectorBasis(3, [(F(1), F(0), F(2)), (F(0), F(1), F(3))])
     assert len(project_basis(basis, [0, 1])) == 2
     assert len(project_basis(basis, [2])) == 1
-    proj = project_basis(basis, [2])
-    assert proj.dimension == 1
-    assert proj.vectors == [(F(1),)]
+    assert project_basis(basis, [2]) == [(1, [1])]
 
 
 def test_projection_is_row_reduced_and_canonical():
     basis = VectorBasis(3, [(F(2), F(2), F(1)), (F(0), F(2), F(1))])
     proj = project_basis(basis, [0, 1])
     # span{(2,2),(0,2)} is the whole plane; canonical basis is the identity
-    assert proj.vectors == [(F(1), F(0)), (F(0), F(1))]
+    assert proj == [(1, [1, 0]), (1, [0, 1])]
+    # (1/2, 1/3) is cleared to (3, 2), primitive over its pivot entry 3, so
+    # the leading-1 row is (1, 2/3)
+    assert project_basis(VectorBasis(2, [(F("1/2"), F("1/3"))]), [0, 1]) == [(3, [3, 2])]
+    # coordinates are taken in order, and the pivot entry is positive
+    assert project_basis(VectorBasis(2, [(F("-1/2"), F("1/3"))]), [1, 0]) == [(3, [3, -2])]
 
 
 def test_projection_coordinate_bounds():

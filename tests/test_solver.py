@@ -306,30 +306,90 @@ def test_report_json_shape():
 
 def test_classify_interior_distinguishes_the_three_shapes():
     keys = [("L", 0), ("H", 0)]
-    one = Fraction(1)
     assert classify_interior(keys, ["L", "H"], []) == "zero"
-    assert classify_interior(keys, ["L", "H"], [(one, one)]) == "scalar"
+    assert classify_interior(keys, ["L", "H"], [(1, 1)]) == "scalar"
+    # a row stands for itself over its pivot entry, here 3
+    assert classify_interior(keys, ["L", "H"], [(3, 3)]) == "scalar"
     # a constant pattern that misses a kind is not a scalar map
-    assert classify_interior(keys, ["L", "H", "I"], [(one, one)]) == "nontrivial"
-    assert classify_interior(keys, ["L", "H"], [(one, one + one)]) == "nontrivial"
-    assert classify_interior(keys, ["L", "H"],
-                             [(one, one), (one, -one)]) == "nontrivial"
+    assert classify_interior(keys, ["L", "H", "I"], [(1, 1)]) == "nontrivial"
+    assert classify_interior(keys, ["L", "H"], [(1, 2)]) == "nontrivial"
+    assert classify_interior(keys, ["L", "H"], [(3, 2)]) == "nontrivial"
+    assert classify_interior(keys, ["L", "H"], [(1, 1), (1, -1)]) == "nontrivial"
     # an X>T column must be 0, and is not one of the kinds' own columns
     cross = keys + [("L>H", 0)]
-    assert classify_interior(cross, ["L", "H"], [(one, one, 0 * one)]) == "scalar"
-    assert classify_interior(cross, ["L", "H"], [(one, one, one)]) == "nontrivial"
-    assert classify_interior([("L", 0), ("L>H", 0)], ["L", "H"],
-                             [(one, 0 * one)]) == "nontrivial"
+    assert classify_interior(cross, ["L", "H"], [(1, 1, 0)]) == "scalar"
+    assert classify_interior(cross, ["L", "H"], [(2, 2, 0)]) == "scalar"
+    assert classify_interior(cross, ["L", "H"], [(1, 1, 1)]) == "nontrivial"
+    assert classify_interior([("L", 0), ("L>H", 0)], ["L", "H"], [(1, 0)]) == "nontrivial"
 
 
 def test_describe_values_compacts_common_patterns():
-    F = Fraction
     assert describe_values({}) == "0"
-    assert describe_values({1: F(5), 2: F(5)}) == "5"
-    assert describe_values({0: F(0), 1: F(1), 2: F(2)}) == "m"
-    assert describe_values({0: F(2), 1: F(3)}) == "2 + m"
-    assert describe_values({0: F(1), 1: F(4)}) == "1 + 3*m"
-    assert describe_values({0: F(0), 1: F(1), 2: F(4)}) == "0:0, 1:1, 2:4"
+    assert describe_values({1: 5, 2: 5}) == "5"
+    assert describe_values({0: 0, 1: 1, 2: 2}) == "m"
+    assert describe_values({0: 2, 1: 3}) == "2 + m"
+    assert describe_values({0: 1, 1: 4}) == "1 + 3*m"
+    assert describe_values({0: 0, 1: 1, 2: 4}) == "0:0, 1:1, 2:4"
+    # each value is the int over the row's pivot entry
+    assert describe_values({0: 0, 1: 0}, 3) == "0"
+    assert describe_values({1: -1, 2: -1}, 3) == "-1/3"
+    assert describe_values({0: 0, 1: 1, 2: 2}, 2) == "1/2*m"
+    assert describe_values({0: 1, 1: 4}, 3) == "1/3 + m"
+    assert describe_values({0: -1, 1: 1, 2: 3}, 3) == "-1/3 + 2/3*m"
+    assert describe_values({-1: 3, 1: -1}, 2) == "1/2 + -1*m"
+    assert describe_values({0: 0, 1: 1, 2: 4}, 2) == "0:0, 1:1/2, 2:2"
+
+
+_LABELS = ("L", "H", "I", "J", "L>H", "H>L", "I>J", "J>I", "L>C", "J>C")
+
+
+def _values(draw, shape, ms, q):
+    """One label's values at ms: zero, constant, affine in m, or free."""
+    if shape == "zero":
+        return [Fraction(0)] * len(ms)
+    if shape == "free":
+        return [draw(q) for _ in ms]
+    a, b = draw(q), draw(q) if shape == "affine" else 0
+    return [a + b * m for m in ms]
+
+
+@st.composite
+def interior_reports(draw):
+    """A kernel with Fraction entries on a layout of several labels, X>T
+    ones among them, each on a run of indices; kinds, some without a
+    column or with none in the interior; and an interior."""
+    window = draw(st.integers(1, 4))
+    labels = draw(st.lists(st.sampled_from(_LABELS), min_size=1, max_size=6, unique=True))
+    kinds = draw(st.lists(st.sampled_from(_LABELS[:4]), min_size=1, max_size=4, unique=True))
+    runs = {}
+    for label in labels:
+        lo = draw(st.integers(-window, window))
+        runs[label] = range(lo, draw(st.integers(lo, window)) + 1)
+    keys = [(label, m) for label in labels for m in runs[label]]
+    q = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+    vectors = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            # a scalar map on the kinds' own columns, scaled
+            s = draw(q.filter(bool))
+            vectors.append(tuple(s if k in kinds else Fraction(0) for k, _ in keys))
+            continue
+        shapes = {label: draw(st.sampled_from(["zero", "constant", "affine", "free"]))
+                  for label in labels}
+        vector = []
+        for label in labels:
+            vector += _values(draw, shapes[label], runs[label], q)
+        vectors.append(tuple(vector))
+    return (linalg.VectorBasis(len(keys), vectors), keys, kinds,
+            draw(st.integers(0, window)))
+
+
+@given(interior_reports())
+def test_the_int_report_equals_the_fraction_report(case):
+    kernel, keys, kinds, interior = case
+    degree = GradingDegree(0, 1, -1)
+    assert solver.report_from_kernel(kernel, keys, kinds, degree, interior) == \
+        reference_loops.report_from_kernel(kernel, keys, kinds, degree, interior)
 
 
 def _report(degree, classification):
@@ -977,8 +1037,8 @@ def test_virasoro_derivation_scan_spans_ad_l_gamma(gamma):
     report, = [r for r in result.reports if r.degree == GradingDegree(0, 0, gamma)]
     assert (report.interior_dim, report.classification) == (1, "nontrivial")
     assert report.basis_summary == [{
-        "L": describe_values({m: v / scale for m, v in own.items()}),
-        "L>C": describe_values({-gamma: cross / scale}), "C": "0"}]
+        "L": reference_loops.describe_values({m: v / scale for m, v in own.items()}),
+        "L>C": reference_loops.describe_values({-gamma: cross / scale}), "C": "0"}]
 
 
 def test_an_x_t_label_is_summarised_only_with_an_interior_column():
