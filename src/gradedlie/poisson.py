@@ -17,7 +17,9 @@ Two classification paths:
 * general path: otherwise, solve for all window-valued commutative
   products whose left multiplications satisfy the 1/2-derivation identity
   on every in-window source pair, one product shift at a time, and report
-  the solution dimension.
+  the solution dimension.  Only one shift per orbit of the certified kind
+  automorphisms (solver.kind_automorphisms) is eliminated; every other
+  shift of the orbit takes g's image of that kernel, as scan's degrees do.
 
 Both paths are windowed statements; a structure whose products push mass
 past the window boundary is invisible here, which the verdict wording
@@ -30,8 +32,9 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .core import AlgebraPresentation, BasisElement, Element, bracket
-from .linalg import nullspace
-from .solver import VERDICT_NOT_SCALAR_ONLY, VERDICT_SCALAR_ONLY, identity_rows
+from .linalg import VectorBasis, nullspace, verify_kernel
+from .solver import (VERDICT_NOT_SCALAR_ONLY, VERDICT_SCALAR_ONLY, identity_rows,
+                     kind_automorphisms)
 
 
 class ProductError(Exception):
@@ -188,6 +191,31 @@ class TPClassification:
         return asdict(self)
 
 
+def _shift_blocks(p: AlgebraPresentation, window: int):
+    """The window's basis keys, and each product shift's unknowns (x, y, t)
+    by position in basis, in the order of the shifts' first unknowns."""
+    elements = p.basis_elements(window)
+    basis = [(p.kind_order(b.kind), b.index) for b in elements]
+    # degrees with the Z2 x Z2 part as two bits, so that its sums are xors
+    degrees = [(2 * b.kind.z2[0] + b.kind.z2[1], b.index) for b in elements]
+    blocks = {}  # shift -> its unknowns (x, y, t), by position in basis
+    for i, (zx, m) in enumerate(degrees):
+        for j, (zy, n) in enumerate(degrees[i:], i):
+            for t, (zt, k) in enumerate(degrees):
+                blocks.setdefault((zt ^ zx ^ zy, k - m - n), []).append((i, j, t))
+    return basis, blocks
+
+
+def _block(p: AlgebraPresentation, delta: Fraction, window: int, basis, unknowns):
+    """One shift's matrix (_membership_system), its rows streamed."""
+    maps = [{} for _ in basis]
+    for col, (i, j, t) in enumerate(unknowns):
+        maps[i].setdefault(basis[j], []).append((col, basis[t]))
+        if j != i:
+            maps[j].setdefault(basis[i], []).append((col, basis[t]))
+    return identity_rows(p, delta, maps, window, len(unknowns))
+
+
 def _membership_system(p: AlgebraPresentation, delta: Fraction, window: int):
     """Unknown product coefficients constrained by the derivation identity,
     as one matrix per product shift, their kernels summing to the system's.
@@ -204,24 +232,42 @@ def _membership_system(p: AlgebraPresentation, delta: Fraction, window: int):
     fill in together and a zero kernel is certified before most rows are
     made (witt at window 6: 1,958 of 13,832 rows over 37 shifts).  Rows are
     indexed by output basis elements, which may lie outside the window
-    (they are equation labels, not unknowns).
+    (they are equation labels, not unknowns).  classify_products makes only
+    one shift per orbit of these matrices (_membership_dim).
     """
-    elements = p.basis_elements(window)
-    basis = [(p.kind_order(b.kind), b.index) for b in elements]
-    # degrees with the Z2 x Z2 part as two bits, so that its sums are xors
-    degrees = [(2 * b.kind.z2[0] + b.kind.z2[1], b.index) for b in elements]
-    blocks = {}  # shift -> its unknowns (x, y, t), by position in basis
-    for i, (zx, m) in enumerate(degrees):
-        for j, (zy, n) in enumerate(degrees[i:], i):
-            for t, (zt, k) in enumerate(degrees):
-                blocks.setdefault((zt ^ zx ^ zy, k - m - n), []).append((i, j, t))
-    for unknowns in blocks.values():
-        maps = [{} for _ in basis]
-        for col, (i, j, t) in enumerate(unknowns):
-            maps[i].setdefault(basis[j], []).append((col, basis[t]))
-            if j != i:
-                maps[j].setdefault(basis[i], []).append((col, basis[t]))
-        yield identity_rows(p, delta, maps, window, len(unknowns))
+    basis, blocks = _shift_blocks(p, window)
+    return (_block(p, delta, window, basis, unknowns) for unknowns in blocks.values())
+
+
+def _membership_dim(p: AlgebraPresentation, window: int) -> int:
+    """The kernel dimension of the membership system at delta = 1/2, one
+    shift per orbit of kind_automorphisms(p) eliminated (classify_products)."""
+    half, elements = Fraction(1, 2), p.basis_elements(window)
+    basis, blocks = _shift_blocks(p, window)
+    where = {(b.kind.name, b.index): i for i, b in enumerate(elements)}
+    # per g: A^-1 on two-bit sectors, f, and (position, sign) of g(b) per b
+    group = [({2 * u + v: 2 * a + b for (a, b), (u, v) in g.sectors.items()}, g.flip,
+              [(where[g.perm[b.kind.name], g.flip * b.index], g.signs[b.kind.name])
+               for b in elements]) for g in kind_automorphisms(p)]
+    solved, dim = {}, 0  # each eliminated shift -> its unknowns and kernel
+    for (z, d), unknowns in blocks.items():
+        partner = next(((image, *solved[key]) for back, f, image in group
+                        if (key := (back[z], f * d)) in solved), None)
+        if partner is None:
+            kernel = nullspace(_block(p, half, window, basis, unknowns))
+            solved[z, d] = (unknowns, kernel)
+        else:
+            image, source, kernel = partner
+        if partner and kernel:
+            col = {u: c for c, u in enumerate(unknowns)}
+            # (column of g's image, its sign, column) per unknown of source
+            place = sorted((col[min(gi, gj), max(gi, gj), gt], si * sj * st, c)
+                           for c, (i, j, t) in enumerate(source)
+                           for (gi, si), (gj, sj), (gt, st) in [(image[i], image[j], image[t])])
+            verify_kernel(_block(p, half, window, basis, unknowns), VectorBasis(
+                len(unknowns), [tuple(s * vec[c] for _, s, c in place) for vec in kernel.vectors]))
+        dim += len(kernel)
+    return dim
 
 
 def classify_products(p: AlgebraPresentation, verdict: str,
@@ -232,6 +278,19 @@ def classify_products(p: AlgebraPresentation, verdict: str,
     VERDICT_NOT_SCALAR_ONLY; it decides which path applies.  The verdict is
     'trivial' only when the zero product is the sole solution of the
     windowed system.
+
+    The general path eliminates the first shift of each orbit of
+    solver.kind_automorphisms(p), in _membership_system's order, and takes
+    the orbit's other kernels from it.  Why that is exact: g(X_m) =
+    s_X perm(X)_{f*m} maps the symmetric window's basis onto itself (perm
+    keeps central kinds central), and the unknowns of shift (eps, d) onto
+    those of (A eps, f*d), q'[{gx, gy}, gt] = s_X s_Y s_T q[{x, y}, t], the
+    product g(g^-1(x).g^-1(y)).  As g is an automorphism, it carries the
+    rows of z, x, y at output o onto those of gz, gx, gy at go, so it
+    carries solutions onto solutions and the kernels have one dimension.
+    A later shift whose partner's kernel is zero gets 0, and none of its
+    rows is made; any other takes g's image, checked against its own rows
+    by linalg.verify_kernel, which raises if g is no automorphism.
     """
     if window < 0:
         raise ProductError("window must be non-negative")
@@ -244,8 +303,7 @@ def classify_products(p: AlgebraPresentation, verdict: str,
         dim = 1 if basis_count == 1 else 0
         path = "scalar-functional"
     elif verdict == VERDICT_NOT_SCALAR_ONLY:
-        dim = sum(len(nullspace(block))
-                  for block in _membership_system(p, Fraction(1, 2), window))
+        dim = _membership_dim(p, window)
         path = "derivation-membership"
     else:
         raise ProductError(f"unknown derivation verdict {verdict!r}; expected "

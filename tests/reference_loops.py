@@ -17,7 +17,8 @@ them also checks that split.  `identity_rows` is the same transcription
 for one map in the form `solver.identity_rows` takes, its rows cut by
 source pair.  `_lopsided` is a non-Lie test presentation whose rules reach
 every path of the integer bracket tables, so that the comparisons see more
-than the catalog does.
+than the catalog does.  `WITT_PLUS_ABELIAN`, witt and a kind that brackets
+to zero, is a fixture of the solver's and the product path's tests.
 
 `rref_rows` is the elimination loop `linalg._rref_rows` ran before it
 learned to check rows against a candidate kernel: it eliminates every row
@@ -65,6 +66,15 @@ def _lopsided():
         BracketRule(D, A, (BracketTerm(D, affine(2, q(1, 4), -3)),)),
     )
     return AlgebraPresentation("lopsided", (A, B, D, Z, W), rules, central=("Z", "W"))
+
+
+# witt plus a kind A that brackets to zero with everything: at (0, 0, 0)
+# every u[A, m] is free, so the kernel holds vectors that are not affine,
+# and theta (s_L = -1) maps membership shifts with nonzero kernels and rows
+# onto each other
+_WL, _WA = BasisKind("L", (0, 0)), BasisKind("A", (0, 1))
+WITT_PLUS_ABELIAN = AlgebraPresentation("witt+abelian", (_WL, _WA), (
+    BracketRule(_WL, _WL, (BracketTerm(_WL, affine(cm=1, cn=-1)),)),))
 
 
 def _bracket(p):

@@ -360,6 +360,16 @@ def test_tp_classify_abelian_reports_freedom(capsys):
     assert "nontrivial possible" in out
 
 
+def test_tp_classify_matches_the_recorded_abelian_golden(tmp_path, capsys):
+    # recorded when every membership shift was eliminated; its 405 comes
+    # from nonzero kernels, most now taken from a partner shift by theta
+    target = tmp_path / "products.json"
+    code, _, _ = run(["tp-classify", "--algebra", "abelian", "--window", "4",
+                      "--format", "json", "--output", str(target)], capsys)
+    assert code == EXIT_OK
+    assert target.read_bytes() == (GOLDENS / "abelian_products.json").read_bytes()
+
+
 def test_tp_classify_json_includes_both_verdicts(capsys):
     code, out, _ = run(["tp-classify", "--algebra", "witt", "--window", "3",
                         "--gamma-max", "1", "--format", "json"], capsys)

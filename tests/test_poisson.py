@@ -5,22 +5,24 @@ systems from scratch on dense matrices, independent of the module under
 test.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 
 import reference_loops
-from gradedlie import catalog
+from gradedlie import catalog, poisson
 from gradedlie.core import (AlgebraPresentation, BasisElement, BasisKind,
-                            Element, certify_presentation)
-from gradedlie.linalg import nullspace, rref
+                            BracketRule, BracketTerm, Element, affine,
+                            certify_presentation)
+from gradedlie.linalg import VectorBasis, nullspace, rref, verify_kernel
 from gradedlie.poisson import (AxiomReport, ProductError, ProductTable,
                                TP_NONTRIVIAL_POSSIBLE, TP_TRIVIAL,
                                _membership_system, check_axioms,
                                classify_products)
 from gradedlie.solver import (VERDICT_NOT_SCALAR_ONLY, VERDICT_SCALAR_ONLY,
-                              scan)
+                              identity_rows, kind_automorphisms, scan)
 from matrices import from_dense, sparse_rows
 from test_core import _presentations
 
@@ -32,6 +34,18 @@ HALF = Fraction(1, 2)
 
 def el(p, kind_name, index):
     return BasisElement(p.kind(kind_name), index)
+
+
+# witt plus two kinds that bracket to zero, P in sector (0, 1) and Q in
+# (1, 0): besides theta, sigma (P <-> Q) swaps the two sectors, so
+# membership shifts with nonzero kernels and rows are mirrored across them
+_L, _P, _Q = BasisKind("L", (0, 0)), BasisKind("P", (0, 1)), BasisKind("Q", (1, 0))
+WITT_PLUS_PAIR = AlgebraPresentation("witt+pair", (_L, _P, _Q), (
+    BracketRule(_L, _L, (BracketTerm(_L, affine(cm=1, cn=-1)),)),))
+
+_TEST_PRESENTATIONS = {"lopsided": reference_loops._lopsided(),
+                       "witt+abelian": reference_loops.WITT_PLUS_ABELIAN,
+                       "witt+pair": WITT_PLUS_PAIR}
 
 
 def two_point_abelian():
@@ -283,12 +297,14 @@ def test_membership_system_equals_the_element_reference(key, delta):
     assert [sparse_rows(block) for block in blocks] == rows
 
 
-@pytest.mark.parametrize("key", catalog.keys() + ("lopsided",))
+@pytest.mark.parametrize("key", catalog.keys() + tuple(_TEST_PRESENTATIONS))
 @pytest.mark.parametrize("window", [1, 2])
 def test_membership_dimension_equals_the_whole_window_kernel(key, window):
     # the kernels of the shifts' matrices sum to the kernel of the
-    # whole-window system; abelian's are nonzero, so the sum is tested
-    p = reference_loops._lopsided() if key == "lopsided" else catalog.get(key)
+    # whole-window system; abelian's are nonzero, so the sum is tested, and
+    # witt+abelian's and witt+pair's nonzero kernels, with rows, are also
+    # taken from a partner shift by theta, and by sigma for witt+pair
+    p = _TEST_PRESENTATIONS.get(key) or catalog.get(key)
     whole = reference_loops.membership_system(p, HALF, window)
     result = classify_products(p, VERDICT_NOT_SCALAR_ONLY, window)
     assert result.solution_dim == len(nullspace(whole))
@@ -324,3 +340,93 @@ def test_witt_membership_certifies_its_zero_kernel_from_early_rows():
     assert max(block.cols for block in blocks) == 67
     assert sum(len(block._rows) for block in blocks) == 1958
     assert sum(block.rows for block in blocks) == 13832
+
+
+def _classify_counting(monkeypatch, p, window):
+    """classify_products' membership path, and the counts of shifts it
+    eliminated, of mirrored kernels it checked, and of rows it made."""
+    eliminated, checked, built = [], [], []
+    monkeypatch.setattr(poisson, "nullspace",
+                        lambda m: eliminated.append(m) or nullspace(m))
+    monkeypatch.setattr(poisson, "verify_kernel",
+                        lambda m, basis: checked.append(m) or verify_kernel(m, basis))
+    monkeypatch.setattr(poisson, "identity_rows",
+                        lambda *args: built.append(identity_rows(*args)) or built[-1])
+    result = classify_products(p, VERDICT_NOT_SCALAR_ONLY, window)
+    return result, len(eliminated), len(checked), sum(len(m._rows) for m in built)
+
+
+def test_witt_membership_solves_one_shift_per_orbit(monkeypatch):
+    # theta maps the shift d onto -d: of the 37 shifts above, 19 are
+    # eliminated and 18 take their partner's zero kernel with no matrix
+    # built, so 1,003 of the 1,958 rows read there are made
+    result, eliminated, checked, rows = _classify_counting(monkeypatch, WITT, 6)
+    assert result.solution_dim == 0
+    assert (eliminated, 37 - eliminated, checked, rows) == (19, 18, 0, 1003)
+
+
+def test_sigma_mirrors_nonzero_membership_kernels_across_sectors(monkeypatch):
+    # theta, sigma and theta sigma: each orbit of shifts (eps, d) is
+    # (A eps, +-d), A the identity or the swap of sectors (0, 1) and
+    # (1, 0); at N = 1, 12 of the 28 shifts are eliminated and 10 of the
+    # 16 others take a nonzero kernel, checked against their own rows
+    assert [(g.perm["P"], g.flip) for g in kind_automorphisms(WITT_PLUS_PAIR)] == [
+        ("P", -1), ("Q", 1), ("Q", -1)]
+    result, eliminated, checked, rows = _classify_counting(monkeypatch, WITT_PLUS_PAIR, 1)
+    assert (result.solution_dim, eliminated, checked, rows) == (126, 12, 10, 336)
+
+
+def _moved(p, g, e, inverse=False):
+    """g(e), or g^-1(e), for g(X_m) = s_X perm[X]_{flip*m}, through Element
+    arithmetic."""
+    perm = {y: x for x, y in g.perm.items()} if inverse else g.perm
+    out = Element.zero()
+    for b, c in e.items():
+        kind = perm[b.kind.name]
+        sign = g.signs[kind if inverse else b.kind.name]
+        out = out + Element.basis(BasisElement(p.kind(kind), g.flip * b.index), c * sign)
+    return out
+
+
+@pytest.mark.parametrize("window", [1, 2])
+def test_a_mirrored_shift_checks_g_of_its_partner_product(window, monkeypatch):
+    # every eliminated shift is handed two drawn vectors in place of its
+    # kernel, so each mirrored shift checks g's image of them: as products,
+    # x.'y = g(g^-1(x).g^-1(y)), taken through a ProductTable and Element
+    # arithmetic; theta's s_L = -1 and sigma's P <-> Q both show in the
+    # image, which a dropped sign or a misplaced index would change
+    p, rng = WITT_PLUS_PAIR, random.Random(window)
+    elements = p.basis_elements(window)
+    shifts = poisson._shift_blocks(p, window)[1]
+    calls = []  # per shift in order: (eliminated, the vectors given or checked)
+
+    def drawn(matrix):
+        vectors = [tuple(Fraction(rng.randint(-9, 9)) for _ in range(matrix.cols))
+                   for _ in range(2)]
+        calls.append((True, vectors))
+        return VectorBasis(matrix.cols, vectors)
+
+    monkeypatch.setattr(poisson, "nullspace", drawn)
+    monkeypatch.setattr(poisson, "verify_kernel",
+                        lambda matrix, basis: calls.append((False, basis.vectors)) or basis)
+    classify_products(p, VERDICT_NOT_SCALAR_ONLY, window)
+    assert len(calls) == len(shifts)
+    products = [{}, {}]  # the eliminated shifts' first and second vectors
+    for unknowns, (eliminated, vectors) in zip(shifts.values(), calls):
+        for product, vec in zip(products, vectors if eliminated else ()):
+            for (i, j, t), q in zip(unknowns, vec):
+                product[i, j] = product.get((i, j), Element.zero()) + Element.basis(elements[t], q)
+    tables = [ProductTable(p, window) for _ in products]
+    for table, product in zip(tables, products):
+        for (i, j), value in product.items():
+            table.set(elements[i], elements[j], value)
+    group = kind_automorphisms(p)
+    for unknowns, (eliminated, vectors) in zip(shifts.values(), calls):
+        if eliminated:
+            continue
+        images = [[tuple(dict(_moved(p, g, tables[k].multiply(
+                      _moved(p, g, Element.basis(elements[i]), True),
+                      _moved(p, g, Element.basis(elements[j]), True))).items()).get(
+                          elements[t], 0) for i, j, t in unknowns) for k in range(2)]
+                  for g in group]
+        assert [list(v) for v in vectors] in [[list(w) for w in im] for im in images]

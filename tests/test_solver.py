@@ -567,6 +567,43 @@ def test_a_wrong_reflection_fails_loudly(flip, monkeypatch, capsys):
         assert capsys.readouterr().out == "", wrong
 
 
+# witt plus a kind A in L's sector that brackets to zero with everything
+_A0 = BasisKind("A", (0, 0))
+WITT_BESIDE_ABELIAN = AlgebraPresentation("witt-beside-abelian", (_L, _A0), (
+    BracketRule(_L, _L, (BracketTerm(_L, affine(cm=1, cn=-1)),)),))
+
+
+def test_a_wrong_automorphism_fails_loudly_on_the_product_path(monkeypatch):
+    # classify_products takes a mirrored membership shift's kernel as g's
+    # image of its partner's and checks it against the shift's own rows.
+    # A wrong sign does not show there on these fixtures: every nonzero
+    # kernel vector is one product A_m.A_n -> A_k, and witt+abelian's theta
+    # with s_L flipped is -1 times theta with s_A flipped, an automorphism,
+    # as A brackets to zero (tests/test_poisson.py checks the signs of the
+    # image itself).  g exchanging L and A is no automorphism, and sends
+    # A_m.A_n -> A_k to L_-m.L_-n -> L_-k, which fails the rows
+    (theta,) = kind_automorphisms(WITT_BESIDE_ABELIAN)
+    bad = theta._replace(perm={"L": "A", "A": "L"})
+    monkeypatch.setattr(poisson, "kind_automorphisms", lambda p: [bad])
+    with pytest.raises(linalg.LinalgError,
+                       match="^internal error: kernel vector fails verification$"):
+        poisson.classify_products(WITT_BESIDE_ABELIAN, VERDICT_NOT_SCALAR_ONLY, 1)
+
+
+def test_a_presentation_without_automorphisms_eliminates_every_membership_shift(
+        monkeypatch):
+    # with no automorphism every shift is the first of its orbit: all 26 at
+    # N = 2 are eliminated, and their kernels sum to the whole window's
+    assert kind_automorphisms(WITT_MODULE) == []
+    eliminated = []
+    monkeypatch.setattr(poisson, "nullspace",
+                        lambda matrix: eliminated.append(1) or linalg.nullspace(matrix))
+    result = poisson.classify_products(WITT_MODULE, VERDICT_NOT_SCALAR_ONLY, 2)
+    assert len(eliminated) == len(poisson._shift_blocks(WITT_MODULE, 2)[1]) == 26
+    whole = reference_loops.membership_system(WITT_MODULE, HALF, 2)
+    assert result.solution_dim == len(linalg.nullspace(whole))
+
+
 # ---------------------------------------------------------------------------
 # layer boundaries
 
@@ -784,11 +821,7 @@ def _frozen(row):
 # ---------------------------------------------------------------------------
 # kernel certificate: affine kernel vectors checked on the rows of the window N = 1
 
-# witt plus a kind A that brackets to zero with everything: at (0, 0, 0)
-# every u[A, m] is free, so the kernel holds vectors that are not affine
-_A = BasisKind("A", (0, 1))
-WITT_PLUS_ABELIAN = AlgebraPresentation("witt+abelian", (_L, _A), (
-    BracketRule(_L, _L, (BracketTerm(_L, affine(cm=1, cn=-1)),)),))
+WITT_PLUS_ABELIAN = reference_loops.WITT_PLUS_ABELIAN
 
 
 # one kind with [A_m, A_n] = (1 + m - n) A_{m+n}: no central kind, but a
