@@ -16,7 +16,6 @@ N = LOAD_VALIDATION_WINDOW.
 from __future__ import annotations
 
 import json
-from dataclasses import fields
 from pathlib import Path
 
 from .core import (AffinePoly, AlgebraPresentation, BasisKind, BracketRule,
@@ -126,8 +125,7 @@ def get(key: str) -> AlgebraPresentation:
 
 def _coeff_dict(poly: AffinePoly | CubicPoly) -> dict:
     """The nonzero coefficients of a polynomial, by field name."""
-    return {f.name: format_rational(v) for f in fields(poly)
-            if (v := getattr(poly, f.name))}
+    return {name: format_rational(v) for name, v in zip(poly._fields, poly) if v}
 
 
 def to_dict(p: AlgebraPresentation) -> dict:
@@ -159,7 +157,7 @@ def _parse_coeff(cls: type[AffinePoly] | type[CubicPoly], obj, where: str):
     """A cls polynomial from its coefficients by field name; absent ones are 0."""
     if not isinstance(obj, dict):
         raise PresentationFormatError(f"{where}: coeff must be an object")
-    names = [f.name for f in fields(cls)]
+    names = cls._fields
     extra = set(obj) - set(names)
     if extra:
         raise PresentationFormatError(f"{where}: unknown coeff fields {sorted(extra)}")

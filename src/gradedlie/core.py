@@ -28,12 +28,24 @@ A kind may be marked central: it then has a single basis element at index
 0, brackets trivially with everything, and appears in a bracket only as an
 explicit central term (a cubic coefficient that fires when the two indices
 sum to zero): the constructor rejects a rule with a central argument.
+
+The value types (degrees, kinds, basis elements, coefficient polynomials,
+terms and rules, solver's problems and the oracle's recurrences) are
+namedtuples of their fields, validated in __new__, so they compare, hash
+and sort as plain tuples do: GradingDegree(0, 0, 1) == (0, 0, 1).  No
+dict, set or comparison in the package mixes them with plain tuples of one
+shape: solver's Mirror.kernels is keyed by GradingDegree only,
+KindAutomorphism.sectors and _SECTOR_MAPS by plain Z2 pairs only, and
+Element terms by BasisElement only; the plain (kind position, index) and
+(name, index) keys elsewhere never equal a BasisElement, whose first field
+is a kind.  Mutable results are __slots__ classes; those that tests
+compare take Record's field-wise == and repr.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import astuple, dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, lcm
@@ -76,17 +88,16 @@ def format_rational(value: Fraction, den: int = 1) -> str:
     return str(Fraction(value, den))
 
 
-@dataclass(frozen=True, order=True)
-class GradingDegree:
+class GradingDegree(namedtuple("GradingDegree", "eps1 eps2 index")):
     """Degree in Z2 x Z2 x Z: two mod-2 components and an integer index."""
 
-    eps1: int
-    eps2: int
-    index: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.eps1 not in (0, 1) or self.eps2 not in (0, 1):
+    def __new__(cls, eps1: int, eps2: int, index: int):
+        self = super().__new__(cls, eps1, eps2, index)
+        if eps1 not in (0, 1) or eps2 not in (0, 1):
             raise PresentationError(f"Z2 components must be 0 or 1: {self}")
+        return self
 
     def __add__(self, other: "GradingDegree") -> "GradingDegree":
         return GradingDegree((self.eps1 + other.eps1) % 2,
@@ -97,24 +108,21 @@ class GradingDegree:
         return f"({self.eps1},{self.eps2},{self.index})"
 
 
-@dataclass(frozen=True, order=True)
-class BasisKind:
+class BasisKind(namedtuple("BasisKind", "name z2")):
     """A Z-indexed family of basis vectors with a fixed Z2 x Z2 degree."""
 
-    name: str
-    z2: tuple[int, int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.z2 not in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            raise PresentationError(f"bad Z2 x Z2 degree for kind {self.name!r}: {self.z2}")
+    def __new__(cls, name: str, z2: tuple[int, int]):
+        if z2 not in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            raise PresentationError(f"bad Z2 x Z2 degree for kind {name!r}: {z2}")
+        return super().__new__(cls, name, z2)
 
 
-@dataclass(frozen=True, order=True)
-class BasisElement:
+class BasisElement(namedtuple("BasisElement", "kind index")):
     """One basis vector: a kind plus an integer index."""
 
-    kind: BasisKind
-    index: int
+    __slots__ = ()
 
     @property
     def degree(self) -> GradingDegree:
@@ -203,13 +211,13 @@ class Element:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-@dataclass(frozen=True)
-class AffinePoly:
+_ZERO = Fraction(0)
+
+
+class AffinePoly(namedtuple("AffinePoly", "c0 cm cn", defaults=(_ZERO,) * 3)):
     """Coefficient polynomial c0 + cm*m + cn*n in the two bracket indices."""
 
-    c0: Fraction = Fraction(0)
-    cm: Fraction = Fraction(0)
-    cn: Fraction = Fraction(0)
+    __slots__ = ()
 
     @property
     def is_zero(self) -> bool:
@@ -224,14 +232,10 @@ def affine(c0=0, cm=0, cn=0) -> AffinePoly:
     return AffinePoly(Fraction(c0), Fraction(cm), Fraction(cn))
 
 
-@dataclass(frozen=True)
-class CubicPoly:
+class CubicPoly(namedtuple("CubicPoly", "c0 c1 c2 c3", defaults=(_ZERO,) * 4)):
     """c0 + c1*m + c2*m^2 + c3*m^3, used for central-term coefficients."""
 
-    c0: Fraction = Fraction(0)
-    c1: Fraction = Fraction(0)
-    c2: Fraction = Fraction(0)
-    c3: Fraction = Fraction(0)
+    __slots__ = ()
 
     @property
     def is_zero(self) -> bool:
@@ -243,42 +247,33 @@ class CubicPoly:
         return CubicPoly(-self.c0, self.c1, -self.c2, self.c3)
 
 
-@dataclass(frozen=True)
-class BracketTerm:
-    target: BasisKind
-    coeff: AffinePoly
+class BracketTerm(namedtuple("BracketTerm", "target coeff")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CentralTerm:
+class CentralTerm(namedtuple("CentralTerm", "target coeff")):
     """Extra bracket output c(m) * target_0, emitted only when m + n = 0."""
 
-    target: BasisKind
-    coeff: CubicPoly
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BracketRule:
+class BracketRule(namedtuple("BracketRule", "left right terms central_terms")):
     """[left_m, right_n] = sum coeff(m, n) * target_{m+n} (+ central terms)."""
 
-    left: BasisKind
-    right: BasisKind
-    terms: tuple[BracketTerm, ...]
-    central_terms: tuple[CentralTerm, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        want = ((self.left.z2[0] + self.right.z2[0]) % 2,
-                (self.left.z2[1] + self.right.z2[1]) % 2)
-        for t in self.terms + self.central_terms:
+    def __new__(cls, left: BasisKind, right: BasisKind, terms: tuple[BracketTerm, ...],
+                central_terms: tuple[CentralTerm, ...] = ()):
+        want = ((left.z2[0] + right.z2[0]) % 2, (left.z2[1] + right.z2[1]) % 2)
+        for t in terms + central_terms:
             if t.target.z2 != want:
                 central = "central " if isinstance(t, CentralTerm) else ""
                 raise PresentationError(
-                    f"rule [{self.left.name},{self.right.name}]: {central}target "
+                    f"rule [{left.name},{right.name}]: {central}target "
                     f"{t.target.name} has Z2 degree {t.target.z2}, expected {want}")
-        object.__setattr__(self, "terms",
-                           tuple(t for t in self.terms if not t.coeff.is_zero))
-        object.__setattr__(self, "central_terms",
-                           tuple(t for t in self.central_terms if not t.coeff.is_zero))
+        return super().__new__(cls, left, right,
+                               tuple(t for t in terms if not t.coeff.is_zero),
+                               tuple(t for t in central_terms if not t.coeff.is_zero))
 
     def reversed(self) -> "BracketRule":
         return BracketRule(
@@ -297,7 +292,7 @@ def _summed(rule: BracketRule, order: Mapping[str, int]) -> tuple[dict, dict]:
     for terms in (rule.terms, rule.central_terms):
         table = {}
         for t in terms:
-            k, c = order[t.target.name], astuple(t.coeff)
+            k, c = order[t.target.name], t.coeff
             table[k] = tuple(map(add, table[k], c)) if k in table else c
         tables.append({k: c for k, c in table.items() if any(c)})
     return tables[0], tables[1]
@@ -416,8 +411,8 @@ class AlgebraPresentation:
         return kind.name in self.central
 
     def _check_owned(self, element: BasisElement):
-        # bracket_indexed passes the declared kinds themselves: skip the
-        # dataclass comparison for them
+        # bracket_indexed passes the declared kinds themselves: skip
+        # comparing their fields
         kind = self._kind_by_name.get(element.kind.name)
         if kind is not element.kind and kind != element.kind:
             raise PresentationError(
@@ -512,16 +507,33 @@ def bracket(p: AlgebraPresentation, x, y) -> Element:
     return out
 
 
-@dataclass
-class ValidationReport:
-    presentation: str
-    window: int
-    passed: bool
-    pairs_checked: int = 0
-    triples_checked: int = 0
-    check: str | None = None
-    witnesses: tuple[BasisElement, ...] = ()
-    detail: str = ""
+class Record:
+    """Base of a mutable record whose fields are its __slots__: equal to a
+    record of its own class with equal fields, and shown by them."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({shown})"
+
+
+class ValidationReport(Record):
+    __slots__ = ("presentation", "window", "passed", "pairs_checked", "triples_checked",
+                 "check", "witnesses", "detail")
+
+    def __init__(self, presentation: str, window: int, passed: bool, pairs_checked: int = 0,
+                 triples_checked: int = 0, check: str | None = None,
+                 witnesses: tuple[BasisElement, ...] = (), detail: str = ""):
+        self.presentation, self.window, self.passed = presentation, window, passed
+        self.pairs_checked, self.triples_checked = pairs_checked, triples_checked
+        self.check, self.witnesses, self.detail = check, witnesses, detail
 
     def describe(self) -> str:
         if self.passed:

@@ -34,10 +34,11 @@ the source to the end first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable
+
+from .core import Record
 
 
 class LinalgError(Exception):
@@ -370,17 +371,16 @@ def rref(m: SparseMatrix) -> tuple[SparseMatrix, list[int]]:
     return out, [col for col, _ in pivots]
 
 
-@dataclass
-class VectorBasis:
+class VectorBasis(Record):
     """A list of linearly independent dense rational vectors."""
 
-    dimension: int
-    vectors: list[tuple[Fraction, ...]]
+    __slots__ = ("dimension", "vectors")
 
-    def __post_init__(self):
-        for v in self.vectors:
-            if len(v) != self.dimension:
+    def __init__(self, dimension: int, vectors: list[tuple[Fraction, ...]]):
+        for v in vectors:
+            if len(v) != dimension:
                 raise LinalgError("basis vector length mismatch")
+        self.dimension, self.vectors = dimension, vectors
 
     def __len__(self):
         return len(self.vectors)

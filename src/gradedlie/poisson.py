@@ -28,7 +28,6 @@ past the window boundary is invisible here, which the verdict wording
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .core import AlgebraPresentation, BasisElement, Element, bracket
@@ -102,14 +101,15 @@ class ProductTable:
         return not self._entries
 
 
-@dataclass
 class AxiomReport:
-    passed: bool
-    window: int
-    triples_checked: int = 0
-    triples_skipped: int = 0
-    violation: str | None = None
-    witnesses: tuple[BasisElement, ...] = ()
+    __slots__ = ("passed", "window", "triples_checked", "triples_skipped", "violation",
+                 "witnesses")
+
+    def __init__(self, passed: bool, window: int):
+        self.passed, self.window = passed, window
+        self.triples_checked = self.triples_skipped = 0
+        self.violation: str | None = None
+        self.witnesses: tuple[BasisElement, ...] = ()
 
     def describe(self) -> str:
         if self.passed:
@@ -177,18 +177,18 @@ TP_TRIVIAL = "trivial"
 TP_NONTRIVIAL_POSSIBLE = "nontrivial possible"
 
 
-@dataclass
 class TPClassification:
-    algebra: str
-    window: int
-    verdict: str
-    solution_dim: int
-    path: str
-    basis_count: int
-    derivation_verdict: str
+    __slots__ = ("algebra", "window", "verdict", "solution_dim", "path", "basis_count",
+                 "derivation_verdict")
+
+    def __init__(self, algebra: str, window: int, verdict: str, solution_dim: int,
+                 path: str, basis_count: int, derivation_verdict: str):
+        self.algebra, self.window, self.verdict = algebra, window, verdict
+        self.solution_dim, self.path, self.basis_count = solution_dim, path, basis_count
+        self.derivation_verdict = derivation_verdict
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 def _shift_blocks(p: AlgebraPresentation, window: int):

@@ -21,8 +21,7 @@ gamma throughout; every equation constrains a window m, n, m+n in [-N, N].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .core import GradingDegree
 from .linalg import SparseMatrix, affine_certificate, nullspace
@@ -44,8 +43,7 @@ def _e20_rows(gamma: int, N: int) -> Iterator[dict]:
         yield {("L", 0): 4 * m * (gamma - m) * (gamma + m) - 4 * m * gamma * gamma}
 
 
-@dataclass(frozen=True)
-class Recurrence:
+class Recurrence(NamedTuple):
     """One displayed recurrence: a tag, the families it touches, and its
     rows at (gamma, N), an iterator of {(family, index): nonzero int}.
     full marks rows over every pair of the window (_pair with no only_m,
@@ -227,21 +225,21 @@ LEMMA_EXPECTATIONS = {
 LEMMA_GAMMA_RANGE = 3
 
 
-@dataclass
 class LemmaCheck:
-    tag: str
-    gamma: int
-    expected: str
-    interior_dim: int
-    classification: str
-    passed: bool
+    __slots__ = ("tag", "gamma", "expected", "interior_dim", "classification", "passed")
+
+    def __init__(self, tag: str, gamma: int, expected: str, interior_dim: int,
+                 classification: str, passed: bool):
+        self.tag, self.gamma, self.expected = tag, gamma, expected
+        self.interior_dim, self.classification = interior_dim, classification
+        self.passed = passed
 
 
-@dataclass
 class LemmaCheckReport:
-    window: int
-    interior: int
-    checks: list[LemmaCheck]
+    __slots__ = ("window", "interior", "checks")
+
+    def __init__(self, window: int, interior: int, checks: list[LemmaCheck]):
+        self.window, self.interior, self.checks = window, interior, checks
 
     @property
     def all_passed(self) -> bool:

@@ -46,11 +46,11 @@ and against every row otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import AlgebraPresentation, BasisKind, GradingDegree, format_rational
+from .core import AlgebraPresentation, BasisKind, GradingDegree, Record, format_rational
 from .linalg import (SparseMatrix, VectorBasis, affine_certificate, nullspace,
                      project_basis, verify_kernel)
 
@@ -87,22 +87,19 @@ def check_window(window: int, gamma: int, interior: int | None = None) -> int:
     return window // 2 if interior is None else interior
 
 
-@dataclass(frozen=True)
-class HomogeneousSolveProblem:
+class HomogeneousSolveProblem(namedtuple("HomogeneousSolveProblem",
+                                          "presentation delta degree window interior")):
     """One homogeneous solve: algebra, delta, degree and window sizes."""
 
-    presentation: AlgebraPresentation
-    delta: Fraction
-    degree: GradingDegree
-    window: int
-    interior: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.window < 1:
+    def __new__(cls, presentation: AlgebraPresentation, delta: Fraction,
+                degree: GradingDegree, window: int, interior: int):
+        if window < 1:
             raise SolverError("window must be positive")
-        if not (0 <= self.interior <= self.window):
+        if not (0 <= interior <= window):
             raise SolverError("interior must lie inside the window")
-        object.__setattr__(self, "delta", Fraction(self.delta))
+        return super().__new__(cls, presentation, Fraction(delta), degree, window, interior)
 
     @property
     def shift(self) -> tuple[int, int]:
@@ -113,7 +110,6 @@ class HomogeneousSolveProblem:
         return self.degree.index
 
 
-@dataclass
 class UnknownLayout:
     """Column layout: one unknown u[X>T, m] per source kind X, target kind
     T and index m where X_m and T_{m+gamma} both exist, and images, the map
@@ -124,13 +120,13 @@ class UnknownLayout:
     and "X>T" otherwise; families maps each label to its (X, T).
     """
 
-    columns: list[tuple[str, int]]
-    families: dict[str, tuple[BasisKind, BasisKind]]
-    images: dict[tuple[int, int], list[tuple[int, tuple[int, int]]]]
-    index: dict[tuple[str, int], int] = field(default_factory=dict)
+    __slots__ = ("columns", "families", "images", "index")
 
-    def __post_init__(self):
-        self.index = {key: i for i, key in enumerate(self.columns)}
+    def __init__(self, columns: list[tuple[str, int]],
+                 families: dict[str, tuple[BasisKind, BasisKind]],
+                 images: dict[tuple[int, int], list[tuple[int, tuple[int, int]]]]):
+        self.columns, self.families, self.images = columns, families, images
+        self.index = {key: i for i, key in enumerate(columns)}
 
 
 def unknown_layout(problem: HomogeneousSolveProblem) -> UnknownLayout:
@@ -342,15 +338,15 @@ def classify_interior(layout_keys: Sequence[tuple[str, int]],
     return "nontrivial"
 
 
-@dataclass
-class SolveReport:
+class SolveReport(Record):
     """Outcome of one homogeneous solve, read off the interior sub-window."""
 
-    degree: GradingDegree
-    full_dim: int
-    interior_dim: int
-    classification: str
-    basis_summary: list[dict[str, str]]
+    __slots__ = ("degree", "full_dim", "interior_dim", "classification", "basis_summary")
+
+    def __init__(self, degree: GradingDegree, full_dim: int, interior_dim: int,
+                 classification: str, basis_summary: list[dict[str, str]]):
+        self.degree, self.full_dim, self.interior_dim = degree, full_dim, interior_dim
+        self.classification, self.basis_summary = classification, basis_summary
 
     def to_json_dict(self) -> dict:
         return {
@@ -470,14 +466,15 @@ def _matches(p: AlgebraPresentation, perm: list[int], flip: int, a: int, b: int,
     return True
 
 
-@dataclass
 class Mirror:
     """A scan's automorphisms (kind_automorphisms) and the layouts and
     kernels of the degrees it solved."""
 
-    group: list[KindAutomorphism]
-    kernels: dict[GradingDegree, tuple[UnknownLayout, VectorBasis]] = field(
-        default_factory=dict)
+    __slots__ = ("group", "kernels")
+
+    def __init__(self, group: list[KindAutomorphism]):
+        self.group = group
+        self.kernels: dict[GradingDegree, tuple[UnknownLayout, VectorBasis]] = {}
 
     def mirrored(self, problem: HomogeneousSolveProblem,
                  layout: UnknownLayout) -> VectorBasis | None:
@@ -529,14 +526,13 @@ VERDICT_SCALAR_ONLY = "scalar-only"
 VERDICT_NOT_SCALAR_ONLY = "not-scalar-only"
 
 
-@dataclass
 class ScanResult:
-    algebra: str
-    delta: Fraction
-    window: int
-    interior: int
-    reports: list[SolveReport]
-    verdict: str
+    __slots__ = ("algebra", "delta", "window", "interior", "reports", "verdict")
+
+    def __init__(self, algebra: str, delta: Fraction, window: int, interior: int,
+                 reports: list[SolveReport], verdict: str):
+        self.algebra, self.delta, self.window, self.interior = algebra, delta, window, interior
+        self.reports, self.verdict = reports, verdict
 
     def to_json_dict(self) -> dict:
         return {

@@ -414,3 +414,26 @@ def test_tp_classify_rejects_a_negative_window_before_scanning(monkeypatch, caps
     assert code == EXIT_USAGE
     assert out == ""
     assert err == "error: window must be non-negative\n"
+
+
+# ---------------------------------------------------------------------------
+# start-up
+
+
+def test_a_command_starts_without_code_generating_modules():
+    # every command pays for what `import gradedlie.cli` loads: every
+    # package module, and none of the modules that generate or inspect
+    # code (dataclasses and the inspect, ast, dis and tokenize it pulls in)
+    src = str(Path(gradedlie.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import gradedlie.cli; "
+            "from gradedlie import catalog; catalog.get('pgca'); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'gradedlie')); "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} "
+            "& set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded, unwanted = done.stdout.splitlines()
+    assert loaded == str([f"gradedlie{m}" for m in (
+        "", ".catalog", ".cli", ".core", ".linalg", ".poisson", ".recurrences", ".solver")])
+    assert unwanted == "[]"

@@ -157,7 +157,7 @@ def test_oracle_imports_no_bracket_or_row_code():
     assert imported.get("core", set()) <= {"GradingDegree"}
     assert imported.get("solver", set()) <= {
         "SolveReport", "check_window", "report_from_kernel"}
-    assert set(imported) <= {"__future__", "dataclasses", "fractions",
+    assert set(imported) <= {"__future__", "fractions",
                              "typing", "core", "linalg", "solver"}
 
 

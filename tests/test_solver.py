@@ -7,7 +7,6 @@ the derivation identity itself.
 """
 
 from collections import Counter
-from dataclasses import astuple
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -514,7 +513,7 @@ def _direct_solves_agree(p, delta, gamma_max, window):
                       lambda matrix: direct.append(1) or linalg.nullspace(matrix))
         result = scan(p, delta, gamma_max, window)
     for r in result.reports:
-        prob = problem(p, delta, astuple(r.degree), window)
+        prob = problem(p, delta, tuple(r.degree), window)
         assert r.to_json_dict() == solve_degree(prob).to_json_dict(), r.degree
     return len(direct)
 
@@ -737,7 +736,7 @@ def test_each_kernel_is_certified_once(monkeypatch):
     monkeypatch.setattr(solver, "verify_kernel", mirrored)
     scan(PGCA, Fraction(1), 1, 6)
     assert [w for w, _, _ in calls].count("elimination") == 33
-    assert [(astuple(d), passed) for w, d, passed in calls if w == "mirrored"] == [
+    assert [(tuple(d), passed) for w, d, passed in calls if w == "mirrored"] == [
         ((0, 0, 1), True), ((0, 1, 1), True), ((1, 0, -1), True), ((1, 0, 0), True),
         ((1, 0, 1), True), ((1, 1, 1), True)]
     passes = [d for _, d, passed in calls if passed]
@@ -1137,7 +1136,7 @@ def test_scan_equals_a_full_reading_of_every_degree(p, delta):
     kinds = [k.name for k in p.kinds]
     direct = []
     for report in result.reports:
-        layout = unknown_layout(problem(p, delta, astuple(report.degree), 6))
+        layout = unknown_layout(problem(p, delta, tuple(report.degree), 6))
         matrix = solver.identity_rows(p, delta, [layout.images], 6, len(layout.columns))
         direct.append(solver.report_from_kernel(linalg.nullspace(matrix), layout.columns,
                                                 kinds, report.degree, result.interior))
