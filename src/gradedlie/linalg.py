@@ -1,13 +1,13 @@
 """Exact sparse linear algebra over the rationals.
 
-Everything here is exact: Fractions at the interface, integers inside;
-there is no floating point fallback anywhere.  A matrix is stored row-wise:
-each row is a {column: int} dict over one positive int denominator.  That
-is how the constraint systems of this package arrive, very many short
-integer rows over a common denominator and a modest number of columns.
-Rationals become ints in from_rows, for rows, and in verify_kernel and
-project_basis, for the vectors they take.  from_stream builds a matrix
-over a source of int rows, made only when something reads them.
+Everything here is exact: integers inside, no floating point anywhere.  A
+matrix is stored row-wise: each row is a {column: int} dict over one
+positive int denominator.  That is how the constraint systems of this
+package arrive, very many short integer rows over a common denominator
+and a modest number of columns.  Rationals become ints only in from_rows,
+and Fractions are made only by entries.  A kernel vector is a dense int
+vector standing for its span, so nothing divides one.  from_stream builds
+a matrix over a source of int rows, made only when something reads them.
 
 Elimination streams the rows in order, fraction-free, pulling each from
 the source as it is reached.  Once every column holds a pivot, or a run
@@ -372,14 +372,17 @@ def rref(m: SparseMatrix) -> tuple[SparseMatrix, list[int]]:
 
 
 class VectorBasis(Record):
-    """A list of linearly independent dense rational vectors."""
+    """A list of linearly independent dense int vectors.  Only their span
+    is meant: any nonzero multiple of a vector stands for the same one."""
 
     __slots__ = ("dimension", "vectors")
 
-    def __init__(self, dimension: int, vectors: list[tuple[Fraction, ...]]):
+    def __init__(self, dimension: int, vectors: list[list[int]]):
         for v in vectors:
             if len(v) != dimension:
                 raise LinalgError("basis vector length mismatch")
+            if (bad := next((x for x in v if type(x) is not int), None)) is not None:
+                raise LinalgError(f"basis vector entry {bad!r} is not an int")
         self.dimension, self.vectors = dimension, vectors
 
     def __len__(self):
@@ -387,8 +390,9 @@ class VectorBasis(Record):
 
 
 def nullspace(m: SparseMatrix) -> VectorBasis:
-    """Basis of the exact kernel {v : m v = 0}: an integer kernel, each
-    vector divided by its free-column entry.
+    """Basis of the exact kernel {v : m v = 0}: _kernel's int vectors, the
+    one at free column f scaled to a positive int there and 0 at every
+    other free column.
 
     Where elimination stopped early, on the zero-kernel or the kernel
     certificate, that is the kernel it stopped on (m._proved), taken as it
@@ -405,19 +409,16 @@ def nullspace(m: SparseMatrix) -> VectorBasis:
     if kernel is None:
         kernel = _kernel(dict(zip(pivot_cols, reduced._rows)), m.cols)
         _verify(m, kernel)
-    zero = Fraction(0)
-    vectors = [tuple(Fraction(x, w[f]) if x else zero for x in w) for f, w in kernel]
-    return VectorBasis(m.cols, vectors)
+    return VectorBasis(m.cols, [w for _, w in kernel])
 
 
 def verify_kernel(m: SparseMatrix, basis: VectorBasis) -> VectorBasis:
-    """basis, once each vector, cleared of denominators, passes m's kernel
-    certificate before any row is read, or else multiplies to zero through
-    every row of m, as in nullspace's postcondition."""
+    """basis, once its vectors pass m's kernel certificate before any row
+    is read, or else multiply to zero through every row of m, as in
+    nullspace's postcondition."""
     if basis.dimension != m.cols:
         raise LinalgError(f"basis of dimension {basis.dimension} for {m.cols} columns")
-    kernel = [(d, [q.numerator * (d // q.denominator) for q in vec])
-              for vec in basis.vectors for d in [lcm(*(q.denominator for q in vec))]]
+    kernel = list(enumerate(basis.vectors))
     if kernel and not (m._certify is not None and m._certify(kernel)):
         _verify(m, kernel)
     return basis
@@ -432,9 +433,9 @@ def _verify(m: SparseMatrix, kernel):
 
 
 def project_basis(basis: VectorBasis, coords: Iterable[int]) -> list[tuple[int, list[int]]]:
-    """Row-reduced basis of the projection onto the given coordinates, each
-    vector's cleared to one int row: rref's reduced rows w, dense, as
-    (lead, w) pairs, lead the pivot entry, so w / lead is the leading-1 row."""
+    """Row-reduced basis of the projection onto the given coordinates:
+    rref's reduced rows w of the projected int vectors, dense, as (lead, w)
+    pairs, lead the pivot entry, so w / lead is the leading-1 row."""
     cols = sorted(set(coords))
     for c in cols:
         if not (0 <= c < basis.dimension):
@@ -442,12 +443,8 @@ def project_basis(basis: VectorBasis, coords: Iterable[int]) -> list[tuple[int, 
     if not cols or not basis.vectors:
         return []
     proj = SparseMatrix(len(cols))
-    for vec in basis.vectors:
-        part = [vec[c] for c in cols]
-        d = lcm(*(q.denominator for q in part))
-        proj._rows.append({i: q.numerator * (d // q.denominator)
-                           for i, q in enumerate(part) if q})
-        proj._dens.append(d)
+    proj._rows = [{i: x for i, c in enumerate(cols) if (x := vec[c])} for vec in basis.vectors]
+    proj._dens = [1] * len(proj._rows)
     reduced, pivots = rref(proj)
     return [(row[col], [row.get(i, 0) for i in range(len(cols))])
             for col, row in zip(pivots, reduced._rows)]

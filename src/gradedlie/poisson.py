@@ -17,9 +17,9 @@ Two classification paths:
 * general path: otherwise, solve for all window-valued commutative
   products whose left multiplications satisfy the 1/2-derivation identity
   on every in-window source pair, one product shift at a time, and report
-  the solution dimension.  Only one shift per orbit of the certified kind
-  automorphisms (solver.kind_automorphisms) is eliminated; every other
-  shift of the orbit takes g's image of that kernel, as scan's degrees do.
+  the solution dimension.  A solver.Mirror, as in scan, eliminates one
+  shift per orbit of the certified kind automorphisms
+  (solver.kind_automorphisms) and gives each other shift g's image of it.
 
 Both paths are windowed statements; a structure whose products push mass
 past the window boundary is invisible here, which the verdict wording
@@ -30,9 +30,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import AlgebraPresentation, BasisElement, Element, bracket
-from .linalg import VectorBasis, nullspace, verify_kernel
-from .solver import (VERDICT_NOT_SCALAR_ONLY, VERDICT_SCALAR_ONLY, identity_rows,
+from .core import AlgebraPresentation, BasisElement, Element, GradingDegree, bracket
+from .solver import (VERDICT_NOT_SCALAR_ONLY, VERDICT_SCALAR_ONLY, Mirror, identity_rows,
                      kind_automorphisms)
 
 
@@ -241,33 +240,26 @@ def _membership_system(p: AlgebraPresentation, delta: Fraction, window: int):
 
 def _membership_dim(p: AlgebraPresentation, window: int) -> int:
     """The kernel dimension of the membership system at delta = 1/2, one
-    shift per orbit of kind_automorphisms(p) eliminated (classify_products)."""
+    shift per orbit of kind_automorphisms(p) eliminated by a solver.Mirror
+    (classify_products), each shift (z, d) its degree (z >> 1, z & 1, d)."""
     half, elements = Fraction(1, 2), p.basis_elements(window)
     basis, blocks = _shift_blocks(p, window)
     where = {(b.kind.name, b.index): i for i, b in enumerate(elements)}
-    # per g: A^-1 on two-bit sectors, f, and (position, sign) of g(b) per b
-    group = [({2 * u + v: 2 * a + b for (a, b), (u, v) in g.sectors.items()}, g.flip,
-              [(where[g.perm[b.kind.name], g.flip * b.index], g.signs[b.kind.name])
-               for b in elements]) for g in kind_automorphisms(p)]
-    solved, dim = {}, 0  # each eliminated shift -> its unknowns and kernel
-    for (z, d), unknowns in blocks.items():
-        partner = next(((image, *solved[key]) for back, f, image in group
-                        if (key := (back[z], f * d)) in solved), None)
-        if partner is None:
-            kernel = nullspace(_block(p, half, window, basis, unknowns))
-            solved[z, d] = (unknowns, kernel)
-        else:
-            image, source, kernel = partner
-        if partner and kernel:
-            col = {u: c for c, u in enumerate(unknowns)}
-            # (column of g's image, its sign, column) per unknown of source
-            place = sorted((col[min(gi, gj), max(gi, gj), gt], si * sj * st, c)
-                           for c, (i, j, t) in enumerate(source)
-                           for (gi, si), (gj, sj), (gt, st) in [(image[i], image[j], image[t])])
-            verify_kernel(_block(p, half, window, basis, unknowns), VectorBasis(
-                len(unknowns), [tuple(s * vec[c] for _, s, c in place) for vec in kernel.vectors]))
-        dim += len(kernel)
-    return dim
+
+    def image(g, source, unknowns):
+        # (position, sign) of g(b) per b; g's image of each source unknown
+        moved = [(where[g.perm[b.kind.name], g.flip * b.index], g.signs[b.kind.name])
+                 for b in elements]
+        col = {u: c for c, u in enumerate(unknowns)}
+        return [(c, s) for _, c, s in sorted(
+            (col[min(gi, gj), max(gi, gj), gt], c, si * sj * st)
+            for c, (i, j, t) in enumerate(source)
+            for (gi, si), (gj, sj), (gt, st) in [(moved[i], moved[j], moved[t])])]
+
+    mirror = Mirror(kind_automorphisms(p))
+    return sum(len(mirror.kernel(GradingDegree(z >> 1, z & 1, d), unknowns,
+                                 lambda: _block(p, half, window, basis, unknowns), image))
+               for (z, d), unknowns in blocks.items())
 
 
 def classify_products(p: AlgebraPresentation, verdict: str,
@@ -279,18 +271,19 @@ def classify_products(p: AlgebraPresentation, verdict: str,
     'trivial' only when the zero product is the sole solution of the
     windowed system.
 
-    The general path eliminates the first shift of each orbit of
-    solver.kind_automorphisms(p), in _membership_system's order, and takes
-    the orbit's other kernels from it.  Why that is exact: g(X_m) =
-    s_X perm(X)_{f*m} maps the symmetric window's basis onto itself (perm
-    keeps central kinds central), and the unknowns of shift (eps, d) onto
-    those of (A eps, f*d), q'[{gx, gy}, gt] = s_X s_Y s_T q[{x, y}, t], the
-    product g(g^-1(x).g^-1(y)).  As g is an automorphism, it carries the
-    rows of z, x, y at output o onto those of gz, gx, gy at go, so it
-    carries solutions onto solutions and the kernels have one dimension.
-    A later shift whose partner's kernel is zero gets 0, and none of its
-    rows is made; any other takes g's image, checked against its own rows
-    by linalg.verify_kernel, which raises if g is no automorphism.
+    The general path hands each shift, in _membership_system's order, to a
+    solver.Mirror over solver.kind_automorphisms(p), which eliminates the
+    first shift of each orbit and takes the orbit's other kernels from it.
+    Why that is exact: g(X_m) = s_X perm(X)_{f*m} maps the symmetric
+    window's basis onto itself (perm keeps central kinds central), and the
+    unknowns of shift (eps, d) onto those of (A eps, f*d), q'[{gx, gy}, gt]
+    = s_X s_Y s_T q[{x, y}, t], the product g(g^-1(x).g^-1(y)).  As g is an
+    automorphism, it carries the rows of z, x, y at output o onto those of
+    gz, gx, gy at go, so it carries solutions onto solutions and the
+    kernels have one dimension.  A later shift whose partner's kernel is
+    zero gets 0, and none of its rows is made; any other takes g's image,
+    checked against its own rows by linalg.verify_kernel, which raises if g
+    is no automorphism.
     """
     if window < 0:
         raise ProductError("window must be non-negative")

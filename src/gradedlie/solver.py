@@ -37,11 +37,12 @@ kind_automorphisms certifies signed kind permutations
 g(X_m) = s_X perm[X]_{f*m}, automorphisms at every index: theta
 (X_m -> s_X X_{-m}), and for pgca sigma (I <-> J, H -> -H) and theta sigma.
 D -> g D g^-1 maps the window system of (eps, gamma) onto that of
-(A eps, f*gamma), u[X>T, m] to s_X s_T u[perm X>perm T, f*m].  scan solves
-the first degree of each orbit directly and keeps its kernel; each later
-degree checks g's image of it against its own system and does not
+(A eps, f*gamma), u[X>T, m] to s_X s_T u[perm X>perm T, f*m].  A Mirror
+solves the first degree of each orbit directly and keeps its kernel; each
+later degree checks g's image of it against its own system and does not
 eliminate: through the certificate where that passes, so reading no row,
-and against every row otherwise.
+and against every row otherwise; a zero kernel is taken as it is.
+poisson.classify_products hands the same Mirror its map of product shifts.
 """
 
 from __future__ import annotations
@@ -467,56 +468,63 @@ def _matches(p: AlgebraPresentation, perm: list[int], flip: int, a: int, b: int,
 
 
 class Mirror:
-    """A scan's automorphisms (kind_automorphisms) and the layouts and
-    kernels of the degrees it solved."""
+    """Automorphisms (kind_automorphisms) and the columns and kernels of
+    the degrees solved under them: scan's, or classify_products' shifts."""
 
     __slots__ = ("group", "kernels")
 
     def __init__(self, group: list[KindAutomorphism]):
-        self.group = group
-        self.kernels: dict[GradingDegree, tuple[UnknownLayout, VectorBasis]] = {}
+        self.group, self.kernels = group, {}  # degree -> (columns, kernel)
 
-    def mirrored(self, problem: HomogeneousSolveProblem,
-                 layout: UnknownLayout) -> VectorBasis | None:
-        """g's image u'[perm X>perm T, m] = s_X s_T u[X>T, f*m], on layout's
-        columns, of the kernel of a solved degree that g maps to the
-        problem's, for the first g with one; None if no g has one."""
-        d = problem.degree
+    def kernel(self, degree: GradingDegree, columns, matrix, image) -> VectorBasis:
+        """The kernel of degree's system on columns, matrix() its matrix.
+
+        The first g mapping a solved degree here gives g's image of that
+        kernel, image(g, source columns, columns) the (source column, sign)
+        of each column; verify_kernel checks it against matrix(), raising if
+        g is no automorphism.  A zero kernel is taken as it is, and no
+        matrix is made.  With no such g, nullspace(matrix()), kept here.
+        """
         for g in self.group:
-            eps = next(e for e, image in g.sectors.items() if image == (d.eps1, d.eps2))
-            if held := self.kernels.get(GradingDegree(*eps, g.flip * d.index)):
-                break
-        else:
-            return None
-        (source, kernel), back = held, {image: x for x, image in g.perm.items()}
-        labels = {(x.name, t.name): label for label, (x, t) in source.families.items()}
-        cols = {label: (labels[back[x.name], back[t.name]],
-                        g.signs[back[x.name]] != g.signs[back[t.name]])
-                for label, (x, t) in layout.families.items()}
-        sources = [(source.index[cols[k][0], g.flip * m], cols[k][1]) for k, m in layout.columns]
-        return VectorBasis(len(sources), [tuple(-vec[i] if f else vec[i] for i, f in sources)
-                                          for vec in kernel.vectors])
+            eps = next(e for e, im in g.sectors.items() if im == (degree.eps1, degree.eps2))
+            if held := self.kernels.get(GradingDegree(*eps, g.flip * degree.index)):
+                source, kernel = held
+                if not kernel:
+                    return kernel
+                place = image(g, source, columns)
+                return verify_kernel(matrix(), VectorBasis(
+                    len(place), [[s * vec[i] for i, s in place] for vec in kernel.vectors]))
+        kernel = nullspace(matrix())
+        self.kernels[degree] = (columns, kernel)
+        return kernel
+
+
+def _layout_image(g: KindAutomorphism, source: UnknownLayout,
+                  layout: UnknownLayout) -> list[tuple[int, int]]:
+    """Mirror.kernel's image map for D -> g D g^-1:
+    u'[perm X>perm T, m] = s_X s_T u[X>T, f*m]."""
+    back = {image: x for x, image in g.perm.items()}
+    labels = {(x.name, t.name): label for label, (x, t) in source.families.items()}
+    cols = {label: (labels[back[x.name], back[t.name]],
+                    g.signs[back[x.name]] * g.signs[back[t.name]])
+            for label, (x, t) in layout.families.items()}
+    return [(source.index[cols[k][0], g.flip * m], cols[k][1]) for k, m in layout.columns]
 
 
 def solve_degree(problem: HomogeneousSolveProblem,
                  mirror: Mirror | None = None) -> SolveReport:
     """Solve one homogeneous degree and classify the interior solution space.
 
-    Given a mirror, a degree it maps a solved one to checks that image
-    against its own system (linalg.verify_kernel: the kernel certificate,
-    else every row) instead of eliminating, and a degree solved directly
-    leaves its kernel there.
+    Every degree assembles its matrix.  Given a mirror, a degree it maps a
+    solved one to checks that image against it (linalg.verify_kernel: the
+    kernel certificate, else every row) instead of eliminating, and a
+    degree solved directly leaves its kernel there.
     """
     interior = check_window(problem.window, problem.gamma, problem.interior)
     layout = unknown_layout(problem)
     matrix = assemble(problem, layout)
-    mirrored = None if mirror is None else mirror.mirrored(problem, layout)
-    if mirrored is not None:
-        kernel = verify_kernel(matrix, mirrored)
-    else:
-        kernel = nullspace(matrix)
-        if mirror is not None:
-            mirror.kernels[problem.degree] = (layout, kernel)
+    kernel = (mirror or Mirror([])).kernel(problem.degree, layout, lambda: matrix,
+                                           _layout_image)
     return report_from_kernel(kernel, layout.columns,
                               [k.name for k in problem.presentation.kinds],
                               problem.degree, interior)

@@ -275,16 +275,17 @@ def rref_rows(rows: list[dict[int, int]], cols: int) -> list[tuple[int, dict[int
     return pivots
 
 
-def project_basis(basis: VectorBasis, coords) -> VectorBasis:
-    """Row-reduced basis of the projection onto the given coordinates."""
+def project_basis(basis: VectorBasis, coords) -> list[list[Fraction]]:
+    """Row-reduced basis of the projection onto the given coordinates, as
+    dense leading-1 rows of Fractions."""
     cols = sorted(set(coords))
     if not cols or not basis.vectors:
-        return VectorBasis(len(cols), [])
+        return []
     proj = SparseMatrix.from_rows(
         len(cols),
         [{i: vec[c] for i, c in enumerate(cols) if vec[c]} for vec in basis.vectors])
     reduced, _ = rref(proj)
-    return VectorBasis(len(cols), [tuple(row) for row in dense(reduced)])
+    return dense(reduced)
 
 
 def describe_values(values: dict[int, Fraction]) -> str:
@@ -339,5 +340,5 @@ def report_from_kernel(kernel: VectorBasis, layout_keys, kinds, degree,
     interior_keys = [layout_keys[i] for i in interior_cols]
     projected = project_basis(kernel, interior_cols)
     return SolveReport(degree, len(kernel), len(projected),
-                       classify_interior(interior_keys, kinds, projected.vectors),
-                       summarize_interior(interior_keys, kinds, projected.vectors))
+                       classify_interior(interior_keys, kinds, projected),
+                       summarize_interior(interior_keys, kinds, projected))

@@ -4,6 +4,7 @@ The property tests compare against a deliberately naive dense elimination
 written inline, so the two implementations share no code.
 """
 
+import re
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import islice, product
@@ -181,7 +182,7 @@ def test_rref_normalizes_a_single_row():
 def test_rref_collapses_duplicate_rows():
     m = from_dense([[1, 1], [1, 1]])
     assert rank(m) == 1
-    assert nullspace(m).vectors == [(F(-1), F(1))]
+    assert nullspace(m).vectors == [[-1, 1]]
 
 
 def test_rref_of_invertible_matrix_is_identity():
@@ -196,7 +197,9 @@ def test_rref_of_invertible_matrix_is_identity():
 def test_rref_handles_fractional_dependent_rows():
     m = from_dense([[F("1/2"), F("1/3")], [F("1/4"), F("1/6")]])
     assert rank(m) == 1
-    assert nullspace(m).vectors == [(F("-2/3"), F(1))]
+    # the reduced row (1/2, 1/3) is the primitive int row (3, 2), and the
+    # kernel vector is the int vector (-2, 3), not (-2/3, 1)
+    assert nullspace(m).vectors == [[-2, 3]]
 
 
 def test_rref_is_idempotent():
@@ -210,7 +213,7 @@ def test_rref_is_idempotent():
 def test_zero_matrix_has_full_nullspace():
     m = SparseMatrix.from_rows(2, [{}] * 3)
     assert rank(m) == 0
-    assert nullspace(m).vectors == [(F(1), F(0)), (F(0), F(1))]
+    assert nullspace(m).vectors == [[1, 0], [0, 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +621,7 @@ def test_rref_checks_rather_than_eliminates_after_a_redundant_run():
     assert built == [1, 0]
     assert pivots == [0, 1, 2]
     assert nullspace(from_dense(data)).vectors == []
-    assert nullspace(from_dense(data[:5])).vectors == [(F(1), F(-1), F(1))]
+    assert nullspace(from_dense(data[:5])).vectors == [[1, -1, 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -667,15 +670,15 @@ def test_a_passing_kernel_certificate_stops_reading_rows():
     # certificate has already passed, and neither rebuilds nor re-checks it
     calls.clear()
     m = _certified_then_raising(data, 7, calls)
-    assert nullspace(m).vectors == [(F(-1), F(-1), F(0), F(1))]
+    assert nullspace(m).vectors == [[-1, -1, 0, 1]]
     assert calls == [2, 1] and len(m._rows) == 7
     # verify_kernel tries it before reading any row, and reads the rows
     # only when it fails
     m = _certified_then_raising(data, 0, calls)
-    assert verify_kernel(m, VectorBasis(4, [(F(1), F(1), F(0), F(-1))]))
+    assert verify_kernel(m, VectorBasis(4, [[1, 1, 0, -1]]))
     assert m._rows == []
     with pytest.raises(AssertionError, match="past the kernel certificate"):
-        verify_kernel(m, VectorBasis(4, [(F(1), F(0), F(0), F(0))]))
+        verify_kernel(m, VectorBasis(4, [[1, 0, 0, 0]]))
 
 
 @given(st.one_of(dense_matrices, resumed_matrices().map(lambda case: case[0])))
@@ -781,8 +784,8 @@ def test_verify_kernel_passes_the_kernel_and_fails_any_other_vector(data, choice
         assert verify_kernel(m, kernel) is kernel
         if used:
             c = choice.draw(st.sampled_from(used))
-            base = choice.draw(st.sampled_from(kernel.vectors or [(Fraction(0),) * m.cols]))
-            bad = tuple(v + (i == c) for i, v in enumerate(base))
+            base = choice.draw(st.sampled_from(kernel.vectors or [[0] * m.cols]))
+            bad = [v + (i == c) for i, v in enumerate(base)]
             with pytest.raises(LinalgError,
                                match="^internal error: kernel vector fails verification$"):
                 verify_kernel(m, VectorBasis(m.cols, [bad]))
@@ -796,7 +799,7 @@ def test_verify_kernel_of_no_vector_reads_no_row():
     m = SparseMatrix.from_stream(3, rows())
     assert verify_kernel(m, VectorBasis(3, [])).vectors == []
     with pytest.raises(LinalgError, match="^basis of dimension 2 for 3 columns$"):
-        verify_kernel(m, VectorBasis(2, [(Fraction(1), Fraction(0))]))
+        verify_kernel(m, VectorBasis(2, [[1, 0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -804,26 +807,26 @@ def test_verify_kernel_of_no_vector_reads_no_row():
 
 
 def test_projection_rank_and_basis():
-    basis = VectorBasis(3, [(F(1), F(0), F(2)), (F(0), F(1), F(3))])
+    basis = VectorBasis(3, [[1, 0, 2], [0, 1, 3]])
     assert len(project_basis(basis, [0, 1])) == 2
     assert len(project_basis(basis, [2])) == 1
     assert project_basis(basis, [2]) == [(1, [1])]
 
 
 def test_projection_is_row_reduced_and_canonical():
-    basis = VectorBasis(3, [(F(2), F(2), F(1)), (F(0), F(2), F(1))])
+    basis = VectorBasis(3, [[2, 2, 1], [0, 2, 1]])
     proj = project_basis(basis, [0, 1])
     # span{(2,2),(0,2)} is the whole plane; canonical basis is the identity
     assert proj == [(1, [1, 0]), (1, [0, 1])]
-    # (1/2, 1/3) is cleared to (3, 2), primitive over its pivot entry 3, so
+    # (9, 6) is reduced to (3, 2), primitive over its pivot entry 3, so
     # the leading-1 row is (1, 2/3)
-    assert project_basis(VectorBasis(2, [(F("1/2"), F("1/3"))]), [0, 1]) == [(3, [3, 2])]
+    assert project_basis(VectorBasis(2, [[9, 6]]), [0, 1]) == [(3, [3, 2])]
     # coordinates are taken in order, and the pivot entry is positive
-    assert project_basis(VectorBasis(2, [(F("-1/2"), F("1/3"))]), [1, 0]) == [(3, [3, -2])]
+    assert project_basis(VectorBasis(2, [[-3, 2]]), [1, 0]) == [(3, [3, -2])]
 
 
 def test_projection_coordinate_bounds():
-    basis = VectorBasis(2, [(F(1), F(0))])
+    basis = VectorBasis(2, [[1, 0]])
     with pytest.raises(LinalgError, match="coordinate 5 outside dimension 2"):
         project_basis(basis, [5])
     with pytest.raises(LinalgError, match="coordinate -1 outside dimension 2"):
@@ -835,4 +838,13 @@ def test_projection_coordinate_bounds():
 
 def test_vector_basis_length_check():
     with pytest.raises(LinalgError):
-        VectorBasis(2, [(F(1),)])
+        VectorBasis(2, [[1]])
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(1), 1.0, True])
+def test_vector_basis_takes_only_int_entries(entry):
+    # a rational basis would pass verify_kernel's products and then fail
+    # as a TypeError inside project_basis; it fails here, by name
+    with pytest.raises(LinalgError, match=f"^basis vector entry {re.escape(repr(entry))} "
+                                          "is not an int$"):
+        VectorBasis(2, [[0, entry]])

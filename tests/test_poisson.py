@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 import reference_loops
-from gradedlie import catalog, poisson
+from gradedlie import catalog, poisson, solver
 from gradedlie.core import (AlgebraPresentation, BasisElement, BasisKind,
                             BracketRule, BracketTerm, Element, affine,
                             certify_presentation)
@@ -346,9 +346,9 @@ def _classify_counting(monkeypatch, p, window):
     """classify_products' membership path, and the counts of shifts it
     eliminated, of mirrored kernels it checked, and of rows it made."""
     eliminated, checked, built = [], [], []
-    monkeypatch.setattr(poisson, "nullspace",
+    monkeypatch.setattr(solver, "nullspace",
                         lambda m: eliminated.append(m) or nullspace(m))
-    monkeypatch.setattr(poisson, "verify_kernel",
+    monkeypatch.setattr(solver, "verify_kernel",
                         lambda m, basis: checked.append(m) or verify_kernel(m, basis))
     monkeypatch.setattr(poisson, "identity_rows",
                         lambda *args: built.append(identity_rows(*args)) or built[-1])
@@ -376,6 +376,26 @@ def test_sigma_mirrors_nonzero_membership_kernels_across_sectors(monkeypatch):
     assert (result.solution_dim, eliminated, checked, rows) == (126, 12, 10, 336)
 
 
+def test_classify_products_counts_int_kernels(monkeypatch):
+    # every kernel the membership path counts, eliminated or g's image of
+    # a partner's, holds only ints; witt+pair has nonzero ones of each
+    counted = []  # (eliminated, kernel) per shift
+    kernel = solver.Mirror.kernel
+
+    def recording(mirror, *args):
+        solved = len(mirror.kernels)
+        out = kernel(mirror, *args)
+        counted.append((len(mirror.kernels) > solved, out))
+        return out
+
+    monkeypatch.setattr(solver.Mirror, "kernel", recording)
+    classify_products(WITT, VERDICT_NOT_SCALAR_ONLY, 6)
+    classify_products(WITT_PLUS_PAIR, VERDICT_NOT_SCALAR_ONLY, 1)
+    assert len(counted) == 37 + 28
+    assert all(type(x) is int for _, k in counted for vec in k.vectors for x in vec)
+    assert {solved for solved, k in counted if len(k)} == {True, False}
+
+
 def _moved(p, g, e, inverse=False):
     """g(e), or g^-1(e), for g(X_m) = s_X perm[X]_{flip*m}, through Element
     arithmetic."""
@@ -401,13 +421,12 @@ def test_a_mirrored_shift_checks_g_of_its_partner_product(window, monkeypatch):
     calls = []  # per shift in order: (eliminated, the vectors given or checked)
 
     def drawn(matrix):
-        vectors = [tuple(Fraction(rng.randint(-9, 9)) for _ in range(matrix.cols))
-                   for _ in range(2)]
+        vectors = [[rng.randint(-9, 9) for _ in range(matrix.cols)] for _ in range(2)]
         calls.append((True, vectors))
         return VectorBasis(matrix.cols, vectors)
 
-    monkeypatch.setattr(poisson, "nullspace", drawn)
-    monkeypatch.setattr(poisson, "verify_kernel",
+    monkeypatch.setattr(solver, "nullspace", drawn)
+    monkeypatch.setattr(solver, "verify_kernel",
                         lambda matrix, basis: calls.append((False, basis.vectors)) or basis)
     classify_products(p, VERDICT_NOT_SCALAR_ONLY, window)
     assert len(calls) == len(shifts)

@@ -10,7 +10,6 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -345,7 +344,7 @@ _LABELS = ("L", "H", "I", "J", "L>H", "H>L", "I>J", "J>I", "L>C", "J>C")
 def _values(draw, shape, ms, q):
     """One label's values at ms: zero, constant, affine in m, or free."""
     if shape == "zero":
-        return [Fraction(0)] * len(ms)
+        return [0] * len(ms)
     if shape == "free":
         return [draw(q) for _ in ms]
     a, b = draw(q), draw(q) if shape == "affine" else 0
@@ -354,7 +353,7 @@ def _values(draw, shape, ms, q):
 
 @st.composite
 def interior_reports(draw):
-    """A kernel with Fraction entries on a layout of several labels, X>T
+    """A kernel of int vectors on a layout of several labels, X>T
     ones among them, each on a run of indices; kinds, some without a
     column or with none in the interior; and an interior."""
     window = draw(st.integers(1, 4))
@@ -365,20 +364,20 @@ def interior_reports(draw):
         lo = draw(st.integers(-window, window))
         runs[label] = range(lo, draw(st.integers(lo, window)) + 1)
     keys = [(label, m) for label in labels for m in runs[label]]
-    q = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+    q = st.integers(-12, 12)
     vectors = []
     for _ in range(draw(st.integers(0, 3))):
         if draw(st.booleans()):
             # a scalar map on the kinds' own columns, scaled
             s = draw(q.filter(bool))
-            vectors.append(tuple(s if k in kinds else Fraction(0) for k, _ in keys))
+            vectors.append([s if k in kinds else 0 for k, _ in keys])
             continue
         shapes = {label: draw(st.sampled_from(["zero", "constant", "affine", "free"]))
                   for label in labels}
         vector = []
         for label in labels:
             vector += _values(draw, shapes[label], runs[label], q)
-        vectors.append(tuple(vector))
+        vectors.append(vector)
     return (linalg.VectorBasis(len(keys), vectors), keys, kinds,
             draw(st.integers(0, window)))
 
@@ -530,6 +529,28 @@ def test_reports_at_minus_gamma_mirror_those_at_gamma(key, delta):
     assert _direct_solves_agree(catalog.get(key), delta, 3, 8) == direct
 
 
+def _ints_only(kernel):
+    return all(type(x) is int for vec in kernel.vectors for x in vec)
+
+
+@pytest.mark.parametrize("delta", [HALF, Fraction(1)], ids=str)
+def test_scan_hands_the_report_int_kernels(delta, monkeypatch):
+    # linalg's kernel vectors are ints from elimination to the report, in
+    # the degrees scan eliminates and in those Mirror takes as g's image;
+    # pgca's derivations and witt's shift maps give nonzero ones of each
+    eliminated, reported, report = [], [], solver.report_from_kernel
+    monkeypatch.setattr(solver, "nullspace",
+                        lambda m: eliminated.append(linalg.nullspace(m)) or eliminated[-1])
+    monkeypatch.setattr(solver, "report_from_kernel",
+                        lambda kernel, *args: reported.append(kernel) or report(kernel, *args))
+    for key in catalog.keys():
+        scan(catalog.get(key), delta, 2, 6)
+    assert all(map(_ints_only, reported))
+    solved = {id(kernel) for kernel in eliminated}
+    assert any(len(k) and id(k) in solved for k in reported)
+    assert any(len(k) and id(k) not in solved for k in reported)
+
+
 # Witt and its intermediate-series module, [L_m, I_n] = -(n + 1/2) I_{m+n}:
 # a Lie algebra at every index, but -(n + 1/2) is neither even nor odd
 _L, _I = BasisKind("L", (0, 0)), BasisKind("I", (0, 1))
@@ -551,7 +572,12 @@ def test_a_wrong_reflection_fails_loudly(flip, monkeypatch, capsys):
     # mirrors kernel vectors that fail their own rows, and the check raises
     # before any report is printed.  At delta = 1/2 every mirrored pgca
     # kernel is zero, so no row is checked and a wrong theta would pass
-    # silently; the table certificate guards it there
+    # silently; the table certificate guards it there.  The true group's
+    # images pass, so the raise is the wrong sign's, and a mirror that drops
+    # every sign raises on the true group too
+    command = ["solve", "--algebra", "pgca", "--delta", "1", "--gamma-max", "2",
+               "--window", "6", "--format", "json"]
+    assert cli.main(command) == 0 and capsys.readouterr().out
     group = kind_automorphisms(PGCA)
     for wrong in range(2):
         g = group[wrong]
@@ -561,8 +587,7 @@ def test_a_wrong_reflection_fails_loudly(flip, monkeypatch, capsys):
                             lambda p: group[:wrong] + [bad] + group[wrong + 1:])
         with pytest.raises(linalg.LinalgError,
                            match="^internal error: kernel vector fails verification$"):
-            cli.main(["solve", "--algebra", "pgca", "--delta", "1", "--gamma-max", "2",
-                      "--window", "6", "--format", "json"])
+            cli.main(command)
         assert capsys.readouterr().out == "", wrong
 
 
@@ -595,7 +620,7 @@ def test_a_presentation_without_automorphisms_eliminates_every_membership_shift(
     # N = 2 are eliminated, and their kernels sum to the whole window's
     assert kind_automorphisms(WITT_MODULE) == []
     eliminated = []
-    monkeypatch.setattr(poisson, "nullspace",
+    monkeypatch.setattr(solver, "nullspace",
                         lambda matrix: eliminated.append(1) or linalg.nullspace(matrix))
     result = poisson.classify_products(WITT_MODULE, VERDICT_NOT_SCALAR_ONLY, 2)
     assert len(eliminated) == len(poisson._shift_blocks(WITT_MODULE, 2)[1]) == 26
@@ -841,13 +866,6 @@ def _presentation(key):
     return _TEST_PRESENTATIONS.get(key) or catalog.get(key)
 
 
-def _ints(vectors):
-    """Rational vectors as linalg's (label, int vector) pairs, each cleared
-    of denominators."""
-    return [(i, [q.numerator * (d // q.denominator) for q in vec])
-            for i, vec in enumerate(vectors) for d in [lcm(*(q.denominator for q in vec))]]
-
-
 def _unread(prob):
     """prob's matrix without its kernel certificate, read as before it."""
     matrix = assemble(prob)
@@ -886,11 +904,11 @@ def test_a_changed_candidate_fails_the_certificate():
     certify = kernel_certificate(prob, layout)
     unread = _unread(prob)
     kernel = linalg.nullspace(unread)
-    assert len(kernel) == 2 and certify(_ints(kernel.vectors))
+    assert len(kernel) == 2 and certify(list(enumerate(kernel.vectors)))
     cols = len(layout.columns)
     for vec, c in product(kernel.vectors, range(cols)):
-        changed = tuple(v + (i == c) for i, v in enumerate(vec))
-        assert not certify(_ints([changed])), c
+        changed = [v + (i == c) for i, v in enumerate(vec)]
+        assert not certify([(0, changed)]), c
         with pytest.raises(linalg.LinalgError,
                            match="^internal error: kernel vector fails verification$"):
             linalg.verify_kernel(assemble(prob), linalg.VectorBasis(cols, [changed]))
@@ -916,11 +934,11 @@ def test_an_affine_candidate_passes_exactly_when_every_row_holds(key, delta):
         unread = _unread(prob)
         kernel = linalg.nullspace(unread).vectors
         outcomes = set()
-        for vec, kind, slope in product(kernel + [(0,) * len(layout.columns)],
+        for vec, kind, slope in product(kernel + [[0] * len(layout.columns)],
                                         [k.name for k in p.kinds], (0, 1)):
-            changed = tuple(v + (slope * m if slope else 1) * (k == kind)
-                            for v, (k, m) in zip(vec, layout.columns))
-            passed = certify(_ints([changed]))
+            changed = [v + (slope * m if slope else 1) * (k == kind)
+                       for v, (k, m) in zip(vec, layout.columns)]
+            passed = certify([(0, changed)])
             assert passed == _rows_hold(unread, changed), (degree, kind, slope)
             outcomes.add(passed)
         assert False in outcomes or not layout.columns, degree
@@ -934,7 +952,7 @@ def test_a_kernel_that_is_not_affine_reads_every_row():
     assert len(kernel) == 1 + 9
     assert len(matrix._rows) == matrix.rows > 0
     assert kernel == linalg.nullspace(_unread(prob))
-    assert not matrix._certify(_ints(kernel.vectors))
+    assert not matrix._certify(list(enumerate(kernel.vectors)))
 
 
 @pytest.mark.parametrize("key", ["virasoro", "lopsided"])
@@ -986,9 +1004,9 @@ def _certificate_cases(draw):
     layout = unknown_layout(prob)
     kernel = linalg.nullspace(_unread(prob)).vectors
     small = st.integers(-2, 2)
-    vec = [sum((k * v[i] for k, v in zip(draw(st.lists(small, min_size=len(kernel),
-                                                       max_size=len(kernel))), kernel)),
-               Fraction(0)) for i in range(len(layout.columns))]
+    vec = [sum(k * v[i] for k, v in zip(draw(st.lists(small, min_size=len(kernel),
+                                                      max_size=len(kernel))), kernel))
+           for i in range(len(layout.columns))]
     if draw(st.booleans()):
         lines = {k.name: (draw(small), draw(small)) for k in prob.presentation.kinds}
         vec = [v + lines[k][0] + lines[k][1] * m for v, (k, m) in zip(vec, layout.columns)]
@@ -1005,7 +1023,7 @@ def test_the_certificate_passes_only_vectors_every_row_holds_for(case):
     # window N = 1 (for A = B, where only m < n gives a row, at (-1, 0) and
     # (0, 1), these presentations' same-kind tables being skew)
     prob, layout, vec = case
-    passed = kernel_certificate(prob, layout)(_ints([vec]))
+    passed = kernel_certificate(prob, layout)([(0, vec)])
     assert passed == (_rows_hold(_unread(prob), vec) and _is_affine(layout, vec))
 
 
