@@ -16,23 +16,33 @@ Two classification paths:
   and the structure is trivial.
 * general path: otherwise, solve for all window-valued commutative
   products whose left multiplications satisfy the 1/2-derivation identity
-  on every in-window source pair, one product shift at a time, and report
-  the solution dimension.  A solver.Mirror, as in scan, eliminates one
-  shift per orbit of the certified kind automorphisms
-  (solver.kind_automorphisms) and gives each other shift g's image of it.
+  on every in-window source pair, and report the solution dimension.  In
+  the paper's kernel form: for one product shift each z.- is a
+  1/2-derivation of degree deg z plus the shift with targets in the
+  window, so it lies in the kernel of that degree's solver system on an
+  inside layout (solver.unknown_layout), and products are the commutative
+  choices, z.w = w.z, of one kernel element per z.  Each degree is solved
+  once, one per orbit of the certified kind automorphisms, by a
+  solver.Mirror of this path's own.
 
 Both paths are windowed statements; a structure whose products push mass
 past the window boundary is invisible here, which the verdict wording
-("nontrivial possible") keeps honest.
+("nontrivial possible") keeps honest.  The degrees' kernels are windowed
+kernels only: solver.check_window does not apply, as no interior is read
+off them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .core import AlgebraPresentation, BasisElement, Element, GradingDegree, bracket
-from .solver import (VERDICT_NOT_SCALAR_ONLY, VERDICT_SCALAR_ONLY, Mirror, identity_rows,
-                     kind_automorphisms)
+from .linalg import SparseMatrix, rref
+from .solver import (VERDICT_NOT_SCALAR_ONLY, VERDICT_SCALAR_ONLY, HomogeneousSolveProblem,
+                     Mirror, assemble, kind_automorphisms, unknown_layout)
+
+HALF = Fraction(1, 2)
 
 
 class ProductError(Exception):
@@ -190,76 +200,55 @@ class TPClassification:
         return {name: getattr(self, name) for name in self.__slots__}
 
 
-def _shift_blocks(p: AlgebraPresentation, window: int):
-    """The window's basis keys, and each product shift's unknowns (x, y, t)
-    by position in basis, in the order of the shifts' first unknowns."""
-    elements = p.basis_elements(window)
-    basis = [(p.kind_order(b.kind), b.index) for b in elements]
-    # degrees with the Z2 x Z2 part as two bits, so that its sums are xors
-    degrees = [(2 * b.kind.z2[0] + b.kind.z2[1], b.index) for b in elements]
-    blocks = {}  # shift -> its unknowns (x, y, t), by position in basis
-    for i, (zx, m) in enumerate(degrees):
-        for j, (zy, n) in enumerate(degrees[i:], i):
-            for t, (zt, k) in enumerate(degrees):
-                blocks.setdefault((zt ^ zx ^ zy, k - m - n), []).append((i, j, t))
-    return basis, blocks
+def _degree_kernels(p: AlgebraPresentation, window: int) -> dict:
+    """(layout images, int kernel vectors) of each degree whose windowed
+    1/2-derivations with targets in the window are not all zero; no degree
+    with |gamma| > 2N has a column.  One degree per orbit of
+    kind_automorphisms(p) is solved, in a solver.Mirror of this window's
+    own.  _make skips the constructor's N >= 1 check: products take N = 0."""
+    mirror, found = Mirror(kind_automorphisms(p)), {}
+    for degree in product((0, 1), (0, 1), range(-2 * window, 2 * window + 1)):
+        problem = HomogeneousSolveProblem._make((p, HALF, GradingDegree(*degree), window, 0))
+        layout = unknown_layout(problem, inside=True)
+        if layout.columns and (kernel := mirror.kernel(
+                problem.degree, layout, lambda: assemble(problem, layout))):
+            found[problem.degree] = (layout.images, kernel.vectors)
+    return found
 
 
-def _block(p: AlgebraPresentation, delta: Fraction, window: int, basis, unknowns):
-    """One shift's matrix (_membership_system), its rows streamed."""
-    maps = [{} for _ in basis]
-    for col, (i, j, t) in enumerate(unknowns):
-        maps[i].setdefault(basis[j], []).append((col, basis[t]))
-        if j != i:
-            maps[j].setdefault(basis[i], []).append((col, basis[t]))
-    return identity_rows(p, delta, maps, window, len(unknowns))
+def _shift_dims(p: AlgebraPresentation, window: int) -> dict:
+    """The solution dimension of each product shift with unknowns, keyed
+    (eps1, eps2, d) as deg t - deg x - deg y for q[{x, y}, t].
 
-
-def _membership_system(p: AlgebraPresentation, delta: Fraction, window: int):
-    """Unknown product coefficients constrained by the derivation identity,
-    as one matrix per product shift, their kernels summing to the system's.
-
-    Unknowns: q[{x, y}, t] for unordered in-window pairs and in-window
-    targets t, already commutative by construction, of shift
-    deg t - deg x - deg y in Z2 x Z2 x Z.  For every in-window z the
-    operator w -> z.w must satisfy the delta-derivation identity, whose row
-    at output o reads only unknowns of shift deg o - deg z - deg x - deg y,
-    as the bracket has degree 0.  A shift's matrix, in the order of its
-    first unknown, is solver.identity_rows with one map per z, D(w) the
-    unknowns of {z, w} at that shift in (pair, target) order.  Its rows
-    come source pair by source pair, every z in turn, so every z's columns
-    fill in together and a zero kernel is certified before most rows are
-    made (witt at window 6: 1,958 of 13,832 rows over 37 shifts).  Rows are
-    indexed by output basis elements, which may lie outside the window
-    (they are equation labels, not unknowns).  classify_products makes only
-    one shift per orbit of these matrices (_membership_dim).
+    z.w = sum of c[z, i] v_i(w) over the kernel basis v_i of the degree of
+    z.-, deg z plus the shift (_degree_kernels); the shift's dimension is
+    the number of its c minus the rank of the rows z.w - w.z = 0, one per
+    pair z != w and target t.
     """
-    basis, blocks = _shift_blocks(p, window)
-    return (_block(p, delta, window, basis, unknowns) for unknowns in blocks.values())
-
-
-def _membership_dim(p: AlgebraPresentation, window: int) -> int:
-    """The kernel dimension of the membership system at delta = 1/2, one
-    shift per orbit of kind_automorphisms(p) eliminated by a solver.Mirror
-    (classify_products), each shift (z, d) its degree (z >> 1, z & 1, d)."""
-    half, elements = Fraction(1, 2), p.basis_elements(window)
-    basis, blocks = _shift_blocks(p, window)
-    where = {(b.kind.name, b.index): i for i, b in enumerate(elements)}
-
-    def image(g, source, unknowns):
-        # (position, sign) of g(b) per b; g's image of each source unknown
-        moved = [(where[g.perm[b.kind.name], g.flip * b.index], g.signs[b.kind.name])
-                 for b in elements]
-        col = {u: c for c, u in enumerate(unknowns)}
-        return [(c, s) for _, c, s in sorted(
-            (col[min(gi, gj), max(gi, gj), gt], c, si * sj * st)
-            for c, (i, j, t) in enumerate(source)
-            for (gi, si), (gj, sj), (gt, st) in [(moved[i], moved[j], moved[t])])]
-
-    mirror = Mirror(kind_automorphisms(p))
-    return sum(len(mirror.kernel(GradingDegree(z >> 1, z & 1, d), unknowns,
-                                 lambda: _block(p, half, window, basis, unknowns), image))
-               for (z, d), unknowns in blocks.items())
+    elements = p.basis_elements(window)
+    keys = [(p.kind_order(b.kind), b.index) for b in elements]
+    kernels = _degree_kernels(p, window)
+    shifts = {}  # shift -> (z, images, vectors) for each z whose degree has a kernel
+    for z, b in enumerate(elements):
+        for degree, held in kernels.items():
+            shift = ((degree.eps1 - b.kind.z2[0]) % 2, (degree.eps2 - b.kind.z2[1]) % 2,
+                     degree.index - b.index)
+            shifts.setdefault(shift, []).append((z, *held))
+    dims = {}
+    for shift, members in shifts.items():
+        cols, rows = 0, {}  # (z, w, t) for z < w -> z.w - w.z at t, over the c
+        for z, images, vectors in members:
+            for w, key in enumerate(keys):
+                if w == z:
+                    continue  # z.z is one unknown, in no row
+                sign = 1 if z < w else -1
+                for col, t in images.get(key, ()):
+                    rows.setdefault((min(z, w), max(z, w), t), {}).update(
+                        (cols + i, sign * v[col]) for i, v in enumerate(vectors) if v[col])
+            cols += len(vectors)
+        matrix = SparseMatrix.from_stream(cols, (row for row in rows.values() if row))
+        dims[shift] = cols - len(rref(matrix)[1])
+    return dims
 
 
 def classify_products(p: AlgebraPresentation, verdict: str,
@@ -271,19 +260,21 @@ def classify_products(p: AlgebraPresentation, verdict: str,
     'trivial' only when the zero product is the sole solution of the
     windowed system.
 
-    The general path hands each shift, in _membership_system's order, to a
-    solver.Mirror over solver.kind_automorphisms(p), which eliminates the
-    first shift of each orbit and takes the orbit's other kernels from it.
-    Why that is exact: g(X_m) = s_X perm(X)_{f*m} maps the symmetric
-    window's basis onto itself (perm keeps central kinds central), and the
-    unknowns of shift (eps, d) onto those of (A eps, f*d), q'[{gx, gy}, gt]
-    = s_X s_Y s_T q[{x, y}, t], the product g(g^-1(x).g^-1(y)).  As g is an
-    automorphism, it carries the rows of z, x, y at output o onto those of
-    gz, gx, gy at go, so it carries solutions onto solutions and the
-    kernels have one dimension.  A later shift whose partner's kernel is
-    zero gets 0, and none of its rows is made; any other takes g's image,
-    checked against its own rows by linalg.verify_kernel, which raises if g
-    is no automorphism.
+    Why the general path is exact.  Its unknowns q[{x, y}, t], for
+    in-window pairs and targets, fall into product shifts deg t - deg x -
+    deg y.  For one shift s and one z the rows of the derivation identity
+    for D_z: w -> z.w are the delta = 1/2 identity rows (solver) of a map
+    of degree deg z + s whose targets lie in the window, and its unknowns
+    q[{z, w}, t] are the columns of that degree's inside layout: a central
+    w may map into every kind of its sector, as q[{z, w}, t] exists for
+    every t.  So q solves the system exactly when every D_z lies in the
+    kernel K of its degree's system and z.w = w.z for every pair z != w;
+    in the coordinates c of each D_z over a basis of K, those equations
+    are _shift_dims' rows.  K depends only on the degree, so each is
+    solved once (_degree_kernels), and solver.Mirror takes a degree's
+    kernel as g's image of its partner's under an automorphism g, as in
+    scan: a zero one as it is, any other checked against the degree's own
+    rows by linalg.verify_kernel, which raises if g is no automorphism.
     """
     if window < 0:
         raise ProductError("window must be non-negative")
@@ -296,7 +287,7 @@ def classify_products(p: AlgebraPresentation, verdict: str,
         dim = 1 if basis_count == 1 else 0
         path = "scalar-functional"
     elif verdict == VERDICT_NOT_SCALAR_ONLY:
-        dim = _membership_dim(p, window)
+        dim = sum(_shift_dims(p, window).values())
         path = "derivation-membership"
     else:
         raise ProductError(f"unknown derivation verdict {verdict!r}; expected "

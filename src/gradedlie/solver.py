@@ -13,19 +13,20 @@ delta [DC, y] = D[C, y] = 0 for every y puts DC in the centre, which the
 rule takes to be spanned by the central kinds, as it is for every catalog
 algebra with one.  At delta = 0 nothing forces DC into the centre, so there
 the rule is an assumption: maps from a central kind to a non-central one
-are not searched.
+are not searched.  The product path's inside layouts have no such rule.
 
 Constraint rows come from expanding D[x, y] - delta([Dx, y] + [x, Dy]) over
 all unordered source pairs whose indices m, n, m+n all lie in the window.
-assemble visits source elements boundary-first, stably by decreasing
+identity_rows visits source elements boundary-first, stably by decreasing
 |index|, each pair in declared orientation: the declared order's rows,
-which poisson keeps, moved so that elimination reaches each rank sooner.
+moved so that elimination reaches each rank sooner.
 Truncation can only leak at the window boundary, so classification is read
 off an interior sub-window; shrinking it further never changes the verdict
 for a well-sized window.
 
 Each assembled system carries kernel_certificate's check, unless p has a
-central kind or a same-kind table that is not skew: for a kernel vector
+central kind or a same-kind table that is not skew (or a label lacks an
+index of the window): for a kernel vector
 affine in m per column label on the window, each family of rows is one
 polynomial of degree at most 2 in (m, n), which is zero once it vanishes on
 the rows of the same system on the window N = 1, made from the layout's
@@ -41,8 +42,9 @@ D -> g D g^-1 maps the window system of (eps, gamma) onto that of
 solves the first degree of each orbit directly and keeps its kernel; each
 later degree checks g's image of it against its own system and does not
 eliminate: through the certificate where that passes, so reading no row,
-and against every row otherwise; a zero kernel is taken as it is.
-poisson.classify_products hands the same Mirror its map of product shifts.
+and against every row otherwise; a zero kernel is taken as it is.  A
+Mirror holds the kernels of one window and one kind of layout, so
+poisson.classify_products keeps one of its own for its inside degrees.
 """
 
 from __future__ import annotations
@@ -130,78 +132,74 @@ class UnknownLayout:
         self.index = {key: i for i, key in enumerate(columns)}
 
 
-def unknown_layout(problem: HomogeneousSolveProblem) -> UnknownLayout:
-    p, gamma = problem.presentation, problem.gamma
+def unknown_layout(problem: HomogeneousSolveProblem, inside: bool = False) -> UnknownLayout:
+    """The problem's columns, a central source keeping only central targets;
+    inside, only those whose target T_{m+gamma} lies in the window, and a
+    central source's in every kind of its sector, as poisson's z.- needs."""
+    p, gamma, window = problem.presentation, problem.gamma, problem.window
     e1, e2 = problem.shift
-    span = range(-problem.window, problem.window + 1)
+    span = range(-window, window + 1)
     columns, families, images = [], {}, {}
     for x in p.kinds:
         z2 = ((x.z2[0] + e1) % 2, (x.z2[1] + e2) % 2)
         targets = [t for t in p.kinds
-                   if t.z2 == z2 and (p.is_central(t) or not p.is_central(x))]
+                   if t.z2 == z2 and (inside or p.is_central(t) or not p.is_central(x))]
         a = p.kind_order(x)
         for t in targets:
             label = x.name if len(targets) == 1 or t == x else f"{x.name}>{t.name}"
             families[label] = (x, t)
             b = p.kind_order(t)
             for m in span:
-                if p.element_exists(x, m) and p.element_exists(t, m + gamma):
+                if (p.element_exists(x, m) and p.element_exists(t, m + gamma)
+                        and (not inside or abs(m + gamma) <= window)):
                     images.setdefault((a, m), []).append((len(columns), (b, m + gamma)))
                     columns.append((label, m))
     return UnknownLayout(columns, families, images)
 
 
 def identity_rows(p: AlgebraPresentation, delta: Fraction,
-                  maps: Iterable[dict[tuple[int, int], list[tuple[int, tuple[int, int]]]]],
-                  window: int, cols: int, certify=None, order=None) -> SparseMatrix:
+                  images: dict[tuple[int, int], list[tuple[int, tuple[int, int]]]],
+                  window: int, cols: int, certify=None) -> SparseMatrix:
     """The rows of D[x, y] - delta([Dx, y] + [x, Dy]), source pair by
-    source pair, each pair's rows one map D after another.
+    source pair.
 
-    Each D is given by images: a (kind position, index) basis key maps to D
-    of that element as (column, target key) pairs, and a missing key means
-    D = 0 there.  Each unordered source pair whose indices m, n and m+n
-    lie in the window evaluates [x, y] once and gives, for each D in turn,
-    one row {column: int} per output basis element, its outputs in (kind
-    position, index) order.  So with several maps every map's columns
-    appear from the first pairs on, not only in the last map's rows.  The
-    bracket [x, y] sits at index m+n, so D[x, y] reads D only inside the
-    window.  Every entry is a column of D, so a D that is zero on the
-    window gives no rows, and if every D is, no bracket is evaluated.
-    Brackets come from bracket_indexed, so with delta = dn/dd the rows are
-    integers over p.scale * dd, the denominator of the returned
-    cols-column matrix.  Source elements are visited in declared order, or
-    stably sorted by the key order on their keys; x is the one declared
-    first, so order moves rows but, even on a table that is not skew, never
-    changes them.
+    D is given by images: a (kind position, index) basis key maps to D of
+    that element as (column, target key) pairs, and a missing key means
+    D = 0 there.  Source elements are visited boundary-first, stably by
+    decreasing |index|, so that elimination reaches each rank sooner; x
+    is the one declared first, so even on a table that is not skew the
+    order moves rows but never changes them.  Each unordered source pair
+    whose indices m, n and m+n lie in the window evaluates [x, y] once and
+    gives one row {column: int} per output basis element, its outputs in
+    (kind position, index) order.  The bracket [x, y] sits at index m+n,
+    so D[x, y] reads D only inside the window.  Every entry is a column of
+    D, so a D that is zero on the window gives no rows and evaluates no
+    bracket.  Brackets come from bracket_indexed, so with delta = dn/dd
+    the rows are integers over p.scale * dd, the denominator of the
+    returned cols-column matrix.
 
-    The maps are read, and their columns checked against cols, here and
-    once.  The rows are not: the matrix streams them, and a source pair's
+    The map is read, and its columns checked against cols, here and once.
+    The rows are not: the matrix streams them, and a source pair's
     brackets are evaluated only when elimination reaches its rows.  Once
     the rows read leave a zero candidate kernel (linalg.nullspace), the
     remaining pairs are never visited.
     """
-    maps = list(maps)
-    used = {col for images in maps for targets in images.values() for col, _ in targets}
+    used = [col for targets in images.values() for col, _ in targets]
     if used and (min(used) < 0 or max(used) >= cols):
         bad = min(used) if min(used) < 0 else max(used)
         raise SolverError(f"image column {bad} outside {cols} columns")
-    return SparseMatrix.from_stream(cols, _identity_rows(p, delta, maps, window, order),
+    return SparseMatrix.from_stream(cols, _identity_rows(p, delta, images, window),
                                     p.scale * delta.denominator, certify)
 
 
-def _identity_rows(p: AlgebraPresentation, delta: Fraction, maps: list, window: int,
-                   order=None):
+def _identity_rows(p: AlgebraPresentation, delta: Fraction, images: dict, window: int):
     # declared order is key order, so x is the pair's smaller key
     basis = sorted(((p.kind_order(b.kind), b.index) for b in p.basis_elements(window)),
-                   key=order)
+                   key=lambda key: -abs(key[1]))
     dd, neg = delta.denominator, -delta.numerator
-    br = p.bracket_indexed
-    sources = []
-    for images in maps:
-        source = [images.get(key, ()) for key in basis]
-        if any(source):
-            sources.append((images.get, source))
-    if not sources:
+    br, image = p.bracket_indexed, images.get
+    source = [image(key, ()) for key in basis]
+    if not any(source):
         return
     for i, key in enumerate(basis):
         for j in range(i + 1, len(basis)):
@@ -209,37 +207,35 @@ def _identity_rows(p: AlgebraPresentation, delta: Fraction, maps: list, window: 
             if abs(key[1] + other[1]) > window:
                 continue
             (a, m), (b, n), x, y = (key, other, i, j) if key < other else (other, key, j, i)
-            lie = br(a, m, b, n)
-            for image, source in sources:
-                acc: dict[tuple[int, int], dict[int, int]] = {}
-                for t, c in lie:
-                    c *= dd
-                    for col, out in image(t, ()):
-                        if (row := acc.get(out)) is None:
-                            acc[out] = {col: c}
-                        else:
-                            row[col] = row.get(col, 0) + c
-                for col, (ta, tm) in source[x]:
-                    for t, c in br(ta, tm, b, n):
-                        c *= neg
-                        if (row := acc.get(t)) is None:
-                            acc[t] = {col: c}
-                        else:
-                            row[col] = row.get(col, 0) + c
-                for col, (ta, tm) in source[y]:
-                    for t, c in br(a, m, ta, tm):
-                        c *= neg
-                        if (row := acc.get(t)) is None:
-                            acc[t] = {col: c}
-                        else:
-                            row[col] = row.get(col, 0) + c
-                for out in sorted(acc) if len(acc) > 1 else acc:
-                    row = acc[out]
-                    if 0 in row.values():
-                        row = {c: v for c, v in row.items() if v}
-                        if not row:
-                            continue
-                    yield row
+            acc: dict[tuple[int, int], dict[int, int]] = {}
+            for t, c in br(a, m, b, n):
+                c *= dd
+                for col, out in image(t, ()):
+                    if (row := acc.get(out)) is None:
+                        acc[out] = {col: c}
+                    else:
+                        row[col] = row.get(col, 0) + c
+            for col, (ta, tm) in source[x]:
+                for t, c in br(ta, tm, b, n):
+                    c *= neg
+                    if (row := acc.get(t)) is None:
+                        acc[t] = {col: c}
+                    else:
+                        row[col] = row.get(col, 0) + c
+            for col, (ta, tm) in source[y]:
+                for t, c in br(a, m, ta, tm):
+                    c *= neg
+                    if (row := acc.get(t)) is None:
+                        acc[t] = {col: c}
+                    else:
+                        row[col] = row.get(col, 0) + c
+            for out in sorted(acc) if len(acc) > 1 else acc:
+                row = acc[out]
+                if 0 in row.values():
+                    row = {c: v for c, v in row.items() if v}
+                    if not row:
+                        continue
+                yield row
 
 
 def assemble(problem: HomogeneousSolveProblem,
@@ -247,20 +243,20 @@ def assemble(problem: HomogeneousSolveProblem,
     """Constraint matrix whose kernel is the degree-homogeneous solution set.
 
     The rows are those of identity_rows for layout.images on the
-    problem's window, source elements by decreasing |index|, with
-    kernel_certificate's check.
+    problem's window, with kernel_certificate's check.
     """
     if layout is None:
         layout = unknown_layout(problem)
-    return identity_rows(problem.presentation, problem.delta, [layout.images],
+    return identity_rows(problem.presentation, problem.delta, layout.images,
                          problem.window, len(layout.columns),
-                         kernel_certificate(problem, layout), lambda key: -abs(key[1]))
+                         kernel_certificate(problem, layout))
 
 
 def kernel_certificate(problem: HomogeneousSolveProblem, layout: UnknownLayout):
     """A check that int vectors on layout's columns satisfy every row of
     the problem's system, reading none of them, or None if p has a central
-    kind or a same-kind table that is not skew.
+    kind or a same-kind table that is not skew, or if a label misses one of
+    the 2N+1 columns of a window N >= 1, as inside layouts do at gamma != 0.
 
     The check is linalg.affine_certificate: it passes linalg's (label, w)
     pairs only if each w is affine in m per column label on the window,
@@ -281,13 +277,14 @@ def kernel_certificate(problem: HomogeneousSolveProblem, layout: UnknownLayout):
     so (m - n)*(alpha + beta*(m + n)), and the rows at (-1, 0) and (0, 1)
     force alpha = beta = 0.
     """
-    p = problem.presentation
-    if p.central or any(c0 or cm + cn for (a, b), (terms, _) in p._tables.items()
-                        if a == b for c0, cm, cn in terms.values()):
+    p, window = problem.presentation, problem.window
+    # affine_certificate reads the 2N+1 columns of every label, two at least
+    if (p.central or not window or len(layout.columns) != len(layout.families) * (2 * window + 1)
+            or any(c0 or cm + cn for (a, b), (terms, _) in p._tables.items()
+                   if a == b for c0, cm, cn in terms.values())):
         return None
-    return affine_certificate([layout.index[label, 0] for label in layout.families],
-                              problem.window,
-                              lambda: _identity_rows(p, problem.delta, [layout.images], 1))
+    return affine_certificate([layout.index[label, 0] for label in layout.families], window,
+                              lambda: _identity_rows(p, problem.delta, layout.images, 1))
 
 
 def describe_values(values: dict[int, int], lead: int = 1) -> str:
@@ -468,22 +465,24 @@ def _matches(p: AlgebraPresentation, perm: list[int], flip: int, a: int, b: int,
 
 
 class Mirror:
-    """Automorphisms (kind_automorphisms) and the columns and kernels of
-    the degrees solved under them: scan's, or classify_products' shifts."""
+    """Automorphisms (kind_automorphisms) and the layouts and kernels of
+    the degrees solved under them, of one window and kind of layout: scan's,
+    or classify_products' inside degrees."""
 
     __slots__ = ("group", "kernels")
 
     def __init__(self, group: list[KindAutomorphism]):
-        self.group, self.kernels = group, {}  # degree -> (columns, kernel)
+        self.group, self.kernels = group, {}  # degree -> (layout, kernel)
 
-    def kernel(self, degree: GradingDegree, columns, matrix, image) -> VectorBasis:
-        """The kernel of degree's system on columns, matrix() its matrix.
+    def kernel(self, degree: GradingDegree, layout: UnknownLayout, matrix) -> VectorBasis:
+        """The kernel of degree's system on layout, matrix() its matrix.
 
         The first g mapping a solved degree here gives g's image of that
-        kernel, image(g, source columns, columns) the (source column, sign)
-        of each column; verify_kernel checks it against matrix(), raising if
-        g is no automorphism.  A zero kernel is taken as it is, and no
-        matrix is made.  With no such g, nullspace(matrix()), kept here.
+        kernel, _layout_image(g, source layout, layout) the (source column,
+        sign) of each column; verify_kernel checks it against matrix(),
+        raising if g is no automorphism.  A zero kernel is taken as it is,
+        and no matrix is made.  With no such g, nullspace(matrix()), kept
+        here.
         """
         for g in self.group:
             eps = next(e for e, im in g.sectors.items() if im == (degree.eps1, degree.eps2))
@@ -491,17 +490,17 @@ class Mirror:
                 source, kernel = held
                 if not kernel:
                     return kernel
-                place = image(g, source, columns)
+                place = _layout_image(g, source, layout)
                 return verify_kernel(matrix(), VectorBasis(
                     len(place), [[s * vec[i] for i, s in place] for vec in kernel.vectors]))
         kernel = nullspace(matrix())
-        self.kernels[degree] = (columns, kernel)
+        self.kernels[degree] = (layout, kernel)
         return kernel
 
 
 def _layout_image(g: KindAutomorphism, source: UnknownLayout,
                   layout: UnknownLayout) -> list[tuple[int, int]]:
-    """Mirror.kernel's image map for D -> g D g^-1:
+    """The image map of D -> g D g^-1 in Mirror.kernel:
     u'[perm X>perm T, m] = s_X s_T u[X>T, f*m]."""
     back = {image: x for x, image in g.perm.items()}
     labels = {(x.name, t.name): label for label, (x, t) in source.families.items()}
@@ -523,8 +522,7 @@ def solve_degree(problem: HomogeneousSolveProblem,
     interior = check_window(problem.window, problem.gamma, problem.interior)
     layout = unknown_layout(problem)
     matrix = assemble(problem, layout)
-    kernel = (mirror or Mirror([])).kernel(problem.degree, layout, lambda: matrix,
-                                           _layout_image)
+    kernel = (mirror or Mirror([])).kernel(problem.degree, layout, lambda: matrix)
     return report_from_kernel(kernel, layout.columns,
                               [k.name for k in problem.presentation.kinds],
                               problem.degree, interior)

@@ -1,21 +1,22 @@
-"""Element-based reference versions of the two constraint-row assemblers.
+"""Element-based reference versions of the constraint-row assemblers.
 
-`solver.assemble` and `poisson._membership_system` run on integer keys and
-scaled integer coefficients.  These loops build the same systems from
-BasisElement and Element objects: they read brackets only through the
-public `bracket_basis` and accumulate exact Fractions, so comparing
-matrices checks the integer loops (their scaling, their keys, their row
-order) against a direct transcription of the same definition.  Both emit
-the rows of one source pair in the (kind position, index) order of their
-outputs, and the membership system emits every z's rows of one source pair
-before the next pair's.  `_pairs` visits the source pairs: in declared
-order for the membership system, and boundary-first, by decreasing
-|index|, for `assemble`, each pair in declared orientation.  The
-membership system is one whole-window matrix where
-`poisson._membership_system` makes one per product shift, so comparing
-them also checks that split.  `identity_rows` is the same transcription
-for one map in the form `solver.identity_rows` takes, its rows cut by
-source pair.  `_lopsided` is a non-Lie test presentation whose rules reach
+`solver.assemble` runs on integer keys and scaled integer coefficients.
+These loops build the same systems from BasisElement and Element objects:
+they read brackets only through the public `bracket_basis` and accumulate
+exact Fractions, so comparing matrices checks the integer loops (their
+scaling, their keys, their row order) against a direct transcription of
+the same definition.  Each emits the rows of one source pair in the (kind
+position, index) order of their outputs.  `_pairs` visits the source
+pairs: in declared order, or boundary-first, by decreasing |index|, as
+`assemble` does, each pair in declared orientation.  `identity_rows` is
+the same transcription for one map in the form `solver.identity_rows`
+takes, in declared order.  `membership_system` is the whole-window
+product-membership system, a column per (pair, target), every z's rows
+of one source pair before the next pair's.  `poisson` never builds it:
+it glues each product shift from the kernels of the solver's inside
+degrees, so comparing each shift's dimension with the deficiency of that
+shift's columns here checks the gluing against the definition.
+`_lopsided` is a non-Lie test presentation whose rules reach
 every path of the integer bracket tables, so that the comparisons see more
 than the catalog does.  `WITT_PLUS_ABELIAN`, witt and a kind that brackets
 to zero, is a fixture of the solver's and the product path's tests.
@@ -70,8 +71,8 @@ def _lopsided():
 
 # witt plus a kind A that brackets to zero with everything: at (0, 0, 0)
 # every u[A, m] is free, so the kernel holds vectors that are not affine,
-# and theta (s_L = -1) maps membership shifts with nonzero kernels and rows
-# onto each other
+# and theta (s_L = -1) maps the product path's degrees with nonzero kernels
+# and rows onto each other
 _WL, _WA = BasisKind("L", (0, 0)), BasisKind("A", (0, 1))
 WITT_PLUS_ABELIAN = AlgebraPresentation("witt+abelian", (_WL, _WA), (
     BracketRule(_WL, _WL, (BracketTerm(_WL, affine(cm=1, cn=-1)),)),))
@@ -142,19 +143,18 @@ def assemble(problem) -> SparseMatrix:
     return SparseMatrix.from_rows(len(layout.columns), rows)
 
 
-def identity_rows(p, delta: Fraction, images, window: int,
-                  boundary_first: bool = False) -> list[list[dict]]:
+def identity_rows(p, delta: Fraction, images, window: int) -> list[dict]:
     """Rows of D[x, y] - delta([Dx, y] + [x, Dy]) for one map D, given as
-    `solver.identity_rows` takes it, in one list per source pair of
-    `_pairs`, in the order of the pairs."""
+    `solver.identity_rows` takes it, source pair by source pair in
+    declared order."""
     br = _bracket(p)
 
     def image(b):
         return [(col, BasisElement(p.kinds[a], m))
                 for col, (a, m) in images.get((p.kind_order(b.kind), b.index), ())]
 
-    by_pair = []
-    for x, y in _pairs(p, window, boundary_first):
+    rows = []
+    for x, y in _pairs(p, window, False):
         acc = {}
 
         def add(out, col, coeff):
@@ -170,19 +170,17 @@ def identity_rows(p, delta: Fraction, images, window: int,
         for col, target in image(y):
             for t, c in br(x, target).items():
                 add(t, col, -delta * c)
-        rows = []
         for out in sorted(acc, key=lambda b: (p.kind_order(b.kind), b.index)):
             row = {c: v for c, v in acc[out].items() if v}
             if row:
                 rows.append(row)
-        by_pair.append(rows)
-    return by_pair
+    return rows
 
 
 def membership_system(p, delta: Fraction, window: int) -> SparseMatrix:
-    """Rows of the whole-window product-membership system: those of
-    `poisson._membership_system`'s matrices, one per product shift, in one
-    matrix with a column per (pair, target), source pair by source pair."""
+    """Rows of the whole-window product-membership system, in one matrix
+    with a column per (pair, target), source pair by source pair: for
+    every in-window z, the delta identity rows of w -> z.w."""
     br = _bracket(p)
     basis = p.basis_elements(window)
     pair_index = {}

@@ -135,13 +135,21 @@ def test_assembled_pgca_matrices_store_int_rows(delta):
         assert set(m._dens) == {p.scale * delta.denominator}
 
 
-def test_membership_system_stores_int_rows():
-    p = catalog.get("witt")
-    blocks = list(poisson._membership_system(p, F("1/2"), 3))
-    assert len(blocks) > 1
-    for m in blocks:
+def test_membership_system_stores_int_rows(monkeypatch):
+    # the product path's matrices: each solved degree's assembled rows, over
+    # the presentation's denominator, and each shift's commutativity rows
+    # over the kernel coordinates, over 1
+    assembled, glued = [], []
+    monkeypatch.setattr(poisson, "assemble",
+                        lambda *args: assembled.append(solver.assemble(*args)) or assembled[-1])
+    monkeypatch.setattr(poisson, "rref", lambda m: glued.append(m) or rref(m))
+    poisson.classify_products(catalog.get("witt"), solver.VERDICT_NOT_SCALAR_ONLY, 3)
+    assert len(assembled) > 1 and len(glued) > 1
+    for m in assembled + glued:
         _assert_int_storage(m)
-    assert any(m.nnz for m in blocks)
+    assert {d for m in assembled for d in m._dens} == {2}
+    assert {d for m in glued for d in m._dens} == {1}
+    assert all(m.nnz for m in assembled) and any(m.nnz for m in glued)
 
 
 def test_oracle_matrices_store_int_rows(monkeypatch):
@@ -504,21 +512,18 @@ def _assert_rref_equals_full_elimination(m):
 
 def _catalog_builders():
     """Builders of every assembled catalog system at N = 6, delta in
-    {1/2, 1} and |gamma| <= 1, then of each product shift's matrix of
-    witt's membership system at N = 6."""
+    {1/2, 1} and |gamma| <= 1, then of each degree of witt's product path
+    at N = 6, |gamma| <= 12 on an inside layout."""
     for key, delta, eps1, eps2, gamma in product(
             catalog.keys(), (F("1/2"), F(1)), (0, 1), (0, 1), (-1, 0, 1)):
         problem = solver.HomogeneousSolveProblem(
             catalog.get(key), delta, GradingDegree(eps1, eps2, gamma), 6, 3)
         yield lambda problem=problem: solver.assemble(problem)
-    # the arguments poisson hands identity_rows, so that each builder makes
-    # its own shift's matrix alone
-    handed = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(poisson, "identity_rows", lambda *args: handed.append(args))
-        list(poisson._membership_system(catalog.get("witt"), F("1/2"), 6))
-    for args in handed:
-        yield lambda args=args: solver.identity_rows(*args)
+    for gamma in range(-12, 13):
+        problem = solver.HomogeneousSolveProblem(
+            catalog.get("witt"), F("1/2"), GradingDegree(0, 0, gamma), 6, 0)
+        yield lambda problem=problem: solver.assemble(
+            problem, solver.unknown_layout(problem, inside=True))
 
 
 @contextmanager

@@ -6,6 +6,7 @@ test.
 """
 
 import random
+from itertools import product
 from fractions import Fraction
 
 import pytest
@@ -14,15 +15,16 @@ from hypothesis import assume, given, settings
 import reference_loops
 from gradedlie import catalog, poisson, solver
 from gradedlie.core import (AlgebraPresentation, BasisElement, BasisKind,
-                            BracketRule, BracketTerm, Element, affine,
+                            BracketRule, BracketTerm, Element, GradingDegree, affine,
                             certify_presentation)
-from gradedlie.linalg import VectorBasis, nullspace, rref, verify_kernel
+from gradedlie.linalg import (SparseMatrix, VectorBasis, nullspace, project_basis, rref,
+                              verify_kernel)
 from gradedlie.poisson import (AxiomReport, ProductError, ProductTable,
-                               TP_NONTRIVIAL_POSSIBLE, TP_TRIVIAL,
-                               _membership_system, check_axioms,
-                               classify_products)
+                               TP_NONTRIVIAL_POSSIBLE, TP_TRIVIAL, _shift_dims,
+                               check_axioms, classify_products)
 from gradedlie.solver import (VERDICT_NOT_SCALAR_ONLY, VERDICT_SCALAR_ONLY,
-                              identity_rows, kind_automorphisms, scan)
+                              HomogeneousSolveProblem, assemble, identity_rows,
+                              kind_automorphisms, scan, unknown_layout)
 from matrices import from_dense, sparse_rows
 from test_core import _presentations
 
@@ -41,6 +43,13 @@ def el(p, kind_name, index):
 # membership shifts with nonzero kernels and rows are mirrored across them
 _L, _P, _Q = BasisKind("L", (0, 0)), BasisKind("P", (0, 1)), BasisKind("Q", (1, 0))
 WITT_PLUS_PAIR = AlgebraPresentation("witt+pair", (_L, _P, _Q), (
+    BracketRule(_L, _L, (BracketTerm(_L, affine(cm=1, cn=-1)),)),))
+
+# witt+pair and R in sector (1, 1), brackets zero too: P, Q and R may be
+# permuted at will, so the degrees of sectors (1, 0) and (1, 1), whose
+# maps between the three kinds are free, take nonzero kernels from (0, 1)
+_R = BasisKind("R", (1, 1))
+WITT_PLUS_THREE = AlgebraPresentation("witt+three", (_L, _P, _Q, _R), (
     BracketRule(_L, _L, (BracketTerm(_L, affine(cm=1, cn=-1)),)),))
 
 _TEST_PRESENTATIONS = {"lopsided": reference_loops._lopsided(),
@@ -270,13 +279,14 @@ def _column_shifts(p, window):
 @pytest.mark.parametrize("key", catalog.keys() + ("lopsided",))
 @pytest.mark.parametrize("delta", [HALF, Fraction(1), Fraction(2, 3), Fraction(-3, 5)],
                          ids=str)
-def test_membership_system_equals_the_element_reference(key, delta):
+def test_membership_system_equals_the_element_reference(key, delta, monkeypatch):
     # the reference builds the whole-window system; each of its rows reads
-    # unknowns of one product shift, and the rows of each shift, in order
-    # and with the shift's columns renumbered in column order, are the rows
-    # of that shift's matrix, the shifts in the order of their first column;
-    # pgca at N=3 is a 248,668-row system, too large for a unit test, so it
-    # runs at N=1; the lopsided presentation has five kinds, so it runs at N=2
+    # unknowns of one product shift, and each shift's dimension is the
+    # deficiency of its columns there.  The rows of z are the delta
+    # identity rows of z.- at every delta, so the gluing is checked at
+    # four, with poisson's 1/2 set to each; pgca at N=3 is a 248,668-row
+    # system, too large for a unit test, so it runs at N=1; the lopsided
+    # presentation has five kinds, so it runs at N=2
     if key == "lopsided":
         p, window = reference_loops._lopsided(), 2
     else:
@@ -284,26 +294,30 @@ def test_membership_system_equals_the_element_reference(key, delta):
     columns = {}
     for c, shift in enumerate(_column_shifts(p, window)):
         columns.setdefault(shift, []).append(c)
-    where = {c: (k, i) for k, cols in enumerate(columns.values())
-             for i, c in enumerate(cols)}
+    where = {c: (shift, i) for shift, cols in columns.items() for i, c in enumerate(cols)}
     reference = reference_loops.membership_system(p, delta, window)
     assert reference.cols == len(where)
-    rows = [[] for _ in columns]
+    rows = {shift: [] for shift in columns}
     for row in sparse_rows(reference):
-        (k,) = {where[c][0] for c in row}
-        rows[k].append({where[c][1]: v for c, v in row.items()})
-    blocks = list(_membership_system(p, delta, window))
-    assert [block.cols for block in blocks] == [len(cols) for cols in columns.values()]
-    assert [sparse_rows(block) for block in blocks] == rows
+        (shift,) = {where[c][0] for c in row}
+        rows[shift].append({where[c][1]: v for c, v in row.items()})
+    monkeypatch.setattr(poisson, "HALF", delta)
+    dims = _shift_dims(p, window)
+    assert set(dims) <= set(columns)
+    assert {shift: dims.get(shift, 0) for shift in columns} == {
+        shift: len(cols) - len(rref(SparseMatrix.from_rows(len(cols), rows[shift]))[1])
+        for shift, cols in columns.items()}
 
 
 @pytest.mark.parametrize("key", catalog.keys() + tuple(_TEST_PRESENTATIONS))
-@pytest.mark.parametrize("window", [1, 2])
+@pytest.mark.parametrize("window", [0, 1, 2])
 def test_membership_dimension_equals_the_whole_window_kernel(key, window):
-    # the kernels of the shifts' matrices sum to the kernel of the
-    # whole-window system; abelian's are nonzero, so the sum is tested, and
-    # witt+abelian's and witt+pair's nonzero kernels, with rows, are also
-    # taken from a partner shift by theta, and by sigma for witt+pair
+    # the shifts' dimensions sum to the kernel of the whole-window system;
+    # abelian's are nonzero, so the sum is tested, and witt+abelian's and
+    # witt+pair's nonzero degree kernels, with rows, are also taken from a
+    # partner degree by theta, and by sigma for witt+pair.  At N = 0
+    # virasoro's answer is 6, where keeping C_0's products central, the
+    # scan's rule, would give 5
     p = _TEST_PRESENTATIONS.get(key) or catalog.get(key)
     whole = reference_loops.membership_system(p, HALF, window)
     result = classify_products(p, VERDICT_NOT_SCALAR_ONLY, window)
@@ -316,8 +330,9 @@ def test_membership_dimension_equals_the_whole_window_kernel(key, window):
 def test_a_drawn_algebra_with_shift_half_derivations_classifies_as_the_whole_window(p):
     # the path the catalog takes only for witt and abelian, on certified
     # draws whose half-derivation scan is not scalar-only: the product
-    # shifts' kernels, each found with every fast path, sum to the kernel
-    # of the Element reference's whole-window system, every row read; its
+    # shifts' dimensions, glued from degree kernels found with every fast
+    # path, sum to the kernel of the Element reference's whole-window
+    # system, every row read; its
     # rank is enough, as building and checking a kernel of up to 2,176
     # vectors would take most of the test's time
     assume(certify_presentation(p))
@@ -328,18 +343,40 @@ def test_a_drawn_algebra_with_shift_half_derivations_classifies_as_the_whole_win
         result = classify_products(p, verdict, window)
         assert result.solution_dim == whole.cols - len(rref(whole)[1]), window
 
+
+@pytest.mark.parametrize("key", catalog.keys() + tuple(_TEST_PRESENTATIONS) + ("witt+three",))
+def test_each_degree_kernel_equals_a_full_reading_of_its_rows(key):
+    # the product path takes a later degree of each orbit as g's image of
+    # its partner's kernel, and stops reading rows at a certificate; each
+    # equals, as a span, the kernel of the degree's own rows, every row
+    # read, and a degree left out has a zero kernel
+    p = {"witt+three": WITT_PLUS_THREE}.get(key) or _TEST_PRESENTATIONS.get(key) or catalog.get(key)
+    kernels = poisson._degree_kernels(p, 2)
+    for degree in product((0, 1), (0, 1), range(-4, 5)):
+        layout = unknown_layout(HomogeneousSolveProblem(p, HALF, GradingDegree(*degree), 2, 0),
+                                inside=True)
+        cols = len(layout.columns)
+        direct = nullspace(identity_rows(p, HALF, layout.images, 2, cols))
+        held = kernels.get(degree, (None, []))[1]
+        assert project_basis(VectorBasis(cols, held), range(cols)) == project_basis(
+            direct, range(cols)), degree
+
+
 def test_witt_membership_certifies_its_zero_kernel_from_early_rows():
-    # 37 shifts, none wider than 67 columns; each source pair's rows come
-    # for every z in turn, so every z's columns fill in together and each
-    # shift reaches full rank long before its last pair's rows: 1,958 of
-    # the 13,832 rows are made
-    blocks = list(_membership_system(catalog.get("witt"), HALF, 6))
-    assert sum(len(nullspace(block)) for block in blocks) == 0
-    assert len(blocks) == 37
-    assert sum(block.cols for block in blocks) == 1183
-    assert max(block.cols for block in blocks) == 67
-    assert sum(len(block._rows) for block in blocks) == 1958
-    assert sum(block.rows for block in blocks) == 13832
+    # the 25 degrees of z.- with columns at N = 6, |gamma| <= 12, none wider
+    # than 13 columns; each zero kernel is certified once the rows read
+    # reach full rank, and gamma = 0's kernel, the identity, where the
+    # kernel certificate passes it after 13 rows: 195 of the 1,064 rows are
+    # made
+    matrices = []
+    for gamma in range(-12, 13):
+        problem = HomogeneousSolveProblem(WITT, HALF, GradingDegree(0, 0, gamma), 6, 0)
+        matrices.append(assemble(problem, unknown_layout(problem, inside=True)))
+    assert [len(nullspace(m)) for m in matrices] == [0] * 12 + [1] + [0] * 12
+    assert sum(m.cols for m in matrices) == 169
+    assert max(m.cols for m in matrices) == 13
+    assert sum(len(m._rows) for m in matrices) == 195
+    assert sum(m.rows for m in matrices) == 1064
 
 
 def _classify_counting(monkeypatch, p, window):
@@ -350,36 +387,44 @@ def _classify_counting(monkeypatch, p, window):
                         lambda m: eliminated.append(m) or nullspace(m))
     monkeypatch.setattr(solver, "verify_kernel",
                         lambda m, basis: checked.append(m) or verify_kernel(m, basis))
-    monkeypatch.setattr(poisson, "identity_rows",
-                        lambda *args: built.append(identity_rows(*args)) or built[-1])
+    monkeypatch.setattr(poisson, "assemble",
+                        lambda *args: built.append(assemble(*args)) or built[-1])
     result = classify_products(p, VERDICT_NOT_SCALAR_ONLY, window)
     return result, len(eliminated), len(checked), sum(len(m._rows) for m in built)
 
 
 def test_witt_membership_solves_one_shift_per_orbit(monkeypatch):
-    # theta maps the shift d onto -d: of the 37 shifts above, 19 are
-    # eliminated and 18 take their partner's zero kernel with no matrix
-    # built, so 1,003 of the 1,958 rows read there are made
+    # theta maps the degree gamma onto -gamma: of the 25 degrees above, 13
+    # are eliminated and 12 take their partner's zero kernel with no matrix
+    # built, so 109 of the 195 rows read there are made
     result, eliminated, checked, rows = _classify_counting(monkeypatch, WITT, 6)
     assert result.solution_dim == 0
-    assert (eliminated, 37 - eliminated, checked, rows) == (19, 18, 0, 1003)
+    assert (eliminated, 25 - eliminated, checked, rows) == (13, 12, 0, 109)
 
 
 def test_sigma_mirrors_nonzero_membership_kernels_across_sectors(monkeypatch):
-    # theta, sigma and theta sigma: each orbit of shifts (eps, d) is
-    # (A eps, +-d), A the identity or the swap of sectors (0, 1) and
-    # (1, 0); at N = 1, 12 of the 28 shifts are eliminated and 10 of the
-    # 16 others take a nonzero kernel, checked against their own rows
+    # theta, sigma and theta sigma: each orbit of degrees (eps, gamma) is
+    # (A eps, +-gamma), A the identity or the swap of sectors (0, 1) and
+    # (1, 0).  On witt+pair at N = 1, 9 of the 20 degrees with columns are
+    # eliminated; sigma gives sector (1, 0) the zero kernels of (0, 1), and
+    # theta gives gamma = 1, 2 in sectors (0, 0) and (1, 1) nonzero ones,
+    # checked against their own rows.  On witt+three, where P, Q and R are
+    # permuted at will, 6 are eliminated and the other 14 check a nonzero
+    # kernel, 10 of them in sectors (1, 0) and (1, 1), taken from (0, 1)
     assert [(g.perm["P"], g.flip) for g in kind_automorphisms(WITT_PLUS_PAIR)] == [
         ("P", -1), ("Q", 1), ("Q", -1)]
     result, eliminated, checked, rows = _classify_counting(monkeypatch, WITT_PLUS_PAIR, 1)
-    assert (result.solution_dim, eliminated, checked, rows) == (126, 12, 10, 336)
+    assert (result.solution_dim, eliminated, checked, rows) == (126, 9, 4, 21)
+    result, eliminated, checked, rows = _classify_counting(monkeypatch, WITT_PLUS_THREE, 1)
+    assert (result.solution_dim, eliminated, checked, rows) == (405, 6, 14, 78)
+    whole = reference_loops.membership_system(WITT_PLUS_THREE, HALF, 1)
+    assert result.solution_dim == len(nullspace(whole))
 
 
 def test_classify_products_counts_int_kernels(monkeypatch):
     # every kernel the membership path counts, eliminated or g's image of
     # a partner's, holds only ints; witt+pair has nonzero ones of each
-    counted = []  # (eliminated, kernel) per shift
+    counted = []  # (eliminated, kernel) per degree
     kernel = solver.Mirror.kernel
 
     def recording(mirror, *args):
@@ -391,7 +436,7 @@ def test_classify_products_counts_int_kernels(monkeypatch):
     monkeypatch.setattr(solver.Mirror, "kernel", recording)
     classify_products(WITT, VERDICT_NOT_SCALAR_ONLY, 6)
     classify_products(WITT_PLUS_PAIR, VERDICT_NOT_SCALAR_ONLY, 1)
-    assert len(counted) == 37 + 28
+    assert len(counted) == 25 + 20
     assert all(type(x) is int for _, k in counted for vec in k.vectors for x in vec)
     assert {solved for solved, k in counted if len(k)} == {True, False}
 
@@ -410,42 +455,54 @@ def _moved(p, g, e, inverse=False):
 
 @pytest.mark.parametrize("window", [1, 2])
 def test_a_mirrored_shift_checks_g_of_its_partner_product(window, monkeypatch):
-    # every eliminated shift is handed two drawn vectors in place of its
-    # kernel, so each mirrored shift checks g's image of them: as products,
-    # x.'y = g(g^-1(x).g^-1(y)), taken through a ProductTable and Element
-    # arithmetic; theta's s_L = -1 and sigma's P <-> Q both show in the
-    # image, which a dropped sign or a misplaced index would change
+    # every eliminated degree of z.- is handed two drawn vectors in place
+    # of its kernel, so each mirrored degree checks g's image of them, g the
+    # first automorphism that maps a solved degree there: as maps,
+    # D' = g D g^-1, taken through Element arithmetic; theta, sigma and
+    # theta sigma are each used, and theta's s_L = -1 and sigma's P <-> Q
+    # both show in the image, which a dropped sign or a misplaced index
+    # would change
     p, rng = WITT_PLUS_PAIR, random.Random(window)
-    elements = p.basis_elements(window)
-    shifts = poisson._shift_blocks(p, window)[1]
-    calls = []  # per shift in order: (eliminated, the vectors given or checked)
+    calls = []  # per degree with columns: (degree, layout, eliminated, vectors)
+    kernel = solver.Mirror.kernel
 
-    def drawn(matrix):
-        vectors = [[rng.randint(-9, 9) for _ in range(matrix.cols)] for _ in range(2)]
-        calls.append((True, vectors))
-        return VectorBasis(matrix.cols, vectors)
+    def recording(mirror, degree, layout, matrix):
+        solved = len(mirror.kernels)
+        out = kernel(mirror, degree, layout, matrix)
+        calls.append((degree, layout, len(mirror.kernels) > solved, out.vectors))
+        return out
 
-    monkeypatch.setattr(solver, "nullspace", drawn)
-    monkeypatch.setattr(solver, "verify_kernel",
-                        lambda matrix, basis: calls.append((False, basis.vectors)) or basis)
+    monkeypatch.setattr(solver.Mirror, "kernel", recording)
+    monkeypatch.setattr(solver, "nullspace", lambda matrix: VectorBasis(matrix.cols, [
+        [rng.randint(-9, 9) for _ in range(matrix.cols)] for _ in range(2)]))
+    monkeypatch.setattr(solver, "verify_kernel", lambda matrix, basis: basis)
     classify_products(p, VERDICT_NOT_SCALAR_ONLY, window)
-    assert len(calls) == len(shifts)
-    products = [{}, {}]  # the eliminated shifts' first and second vectors
-    for unknowns, (eliminated, vectors) in zip(shifts.values(), calls):
-        for product, vec in zip(products, vectors if eliminated else ()):
-            for (i, j, t), q in zip(unknowns, vec):
-                product[i, j] = product.get((i, j), Element.zero()) + Element.basis(elements[t], q)
-    tables = [ProductTable(p, window) for _ in products]
-    for table, product in zip(tables, products):
-        for (i, j), value in product.items():
-            table.set(elements[i], elements[j], value)
-    group = kind_automorphisms(p)
-    for unknowns, (eliminated, vectors) in zip(shifts.values(), calls):
+
+    def arrows(degree, layout):
+        return [(BasisElement(x, m), BasisElement(t, m + degree.index))
+                for label, m in layout.columns for x, t in [layout.families[label]]]
+
+    solved = {}  # degree -> each drawn vector as D: basis element -> Element
+    for degree, layout, eliminated, vectors in calls:
+        if eliminated:
+            solved[degree] = [{} for _ in vectors]
+            for images, vec in zip(solved[degree], vectors):
+                for (x, t), c in zip(arrows(degree, layout), vec):
+                    images[x] = images.get(x, Element.zero()) + Element.basis(t, c)
+    used = set()
+    for degree, layout, eliminated, vectors in calls:
         if eliminated:
             continue
-        images = [[tuple(dict(_moved(p, g, tables[k].multiply(
-                      _moved(p, g, Element.basis(elements[i]), True),
-                      _moved(p, g, Element.basis(elements[j]), True))).items()).get(
-                          elements[t], 0) for i, j, t in unknowns) for k in range(2)]
-                  for g in group]
-        assert [list(v) for v in vectors] in [[list(w) for w in im] for im in images]
+        g, partner = next((g, d) for g in kind_automorphisms(p) for e, im in g.sectors.items()
+                          if im == degree[:2] and (d := GradingDegree(*e, g.flip * degree.index))
+                          in solved)
+        used.add((g.perm["P"], g.flip))
+        images = []
+        for maps in solved[partner]:
+            moved = {x: Element.zero() for x, _ in arrows(degree, layout)}
+            for x in moved:
+                for b, c in _moved(p, g, Element.basis(x), True).items():
+                    moved[x] = moved[x] + _moved(p, g, maps.get(b, Element.zero())).scale(c)
+            images.append([dict(moved[x].items()).get(t, 0) for x, t in arrows(degree, layout)])
+        assert [list(v) for v in vectors] == images, degree
+    assert used == {("P", -1), ("Q", 1), ("Q", -1)}

@@ -171,8 +171,29 @@ def test_the_layout_holds_the_image_map_assembly_and_the_certificate_read(
         certify = kernel_certificate(prob, layout)
         if certify is not None:
             assert certify([(0, [0] * len(layout.columns))])
-        assert [(len(maps), maps[0] is layout.images, window) for maps, window in seen] \
-            == [(1, True, 4)] + [(1, True, 1)] * (certify is not None), degree
+        assert [(images is layout.images, window) for images, window in seen] \
+            == [(True, 4)] + [(True, 1)] * (certify is not None), degree
+
+
+@pytest.mark.parametrize("key", catalog.keys())
+def test_an_inside_layout_has_a_column_per_pair_with_both_ends_in_the_window(key):
+    # the product path's columns of z.-, z.w = sum over t of q[{z, w}, t] t:
+    # one per in-window w and in-window t of degree deg w + the degree, a
+    # central w included; virasoro's C_0 maps to L_gamma under C>L, where
+    # the scan's layout keeps it central
+    p = catalog.get(key)
+    elements = p.basis_elements(3)
+    for degree in product((0, 1), (0, 1), range(-7, 8)):
+        prob = problem(p, HALF, degree, 3, 0)
+        layout = unknown_layout(prob, inside=True)
+        pairs = [(BasisElement(x, m), BasisElement(t, m + degree[2]))
+                 for label, m in layout.columns for x, t in [layout.families[label]]]
+        assert sorted(pairs) == sorted(
+            (w, t) for w in elements for t in elements if t.index == w.index + degree[2]
+            and t.kind.z2 == ((w.kind.z2[0] + degree[0]) % 2, (w.kind.z2[1] + degree[1]) % 2))
+        if key == "virasoro":
+            assert (("C>L", 0) in layout.index) == (degree[:2] == (0, 0) and abs(degree[2]) <= 3)
+            assert "C>L" not in unknown_layout(prob).families
 
 
 # ---------------------------------------------------------------------------
@@ -598,14 +619,14 @@ WITT_BESIDE_ABELIAN = AlgebraPresentation("witt-beside-abelian", (_L, _A0), (
 
 
 def test_a_wrong_automorphism_fails_loudly_on_the_product_path(monkeypatch):
-    # classify_products takes a mirrored membership shift's kernel as g's
-    # image of its partner's and checks it against the shift's own rows.
-    # A wrong sign does not show there on these fixtures: every nonzero
-    # kernel vector is one product A_m.A_n -> A_k, and witt+abelian's theta
-    # with s_L flipped is -1 times theta with s_A flipped, an automorphism,
-    # as A brackets to zero (tests/test_poisson.py checks the signs of the
-    # image itself).  g exchanging L and A is no automorphism, and sends
-    # A_m.A_n -> A_k to L_-m.L_-n -> L_-k, which fails the rows
+    # classify_products takes a mirrored degree's kernel as g's image of
+    # its partner's and checks it against the degree's own rows.  A wrong
+    # sign does not show there on these fixtures: every nonzero kernel
+    # vector of a mirrored degree is one coefficient A_m -> A_{m+gamma},
+    # which a flipped s_L leaves alone and a flipped s_A multiplies by
+    # s_A s_A = 1 (tests/test_poisson.py checks the signs of the image
+    # itself).  g exchanging L and A is no automorphism, and sends
+    # A_m -> A_{m+gamma} to L_-m -> L_{-m-gamma}, which fails the rows
     (theta,) = kind_automorphisms(WITT_BESIDE_ABELIAN)
     bad = theta._replace(perm={"L": "A", "A": "L"})
     monkeypatch.setattr(poisson, "kind_automorphisms", lambda p: [bad])
@@ -616,14 +637,17 @@ def test_a_wrong_automorphism_fails_loudly_on_the_product_path(monkeypatch):
 
 def test_a_presentation_without_automorphisms_eliminates_every_membership_shift(
         monkeypatch):
-    # with no automorphism every shift is the first of its orbit: all 26 at
-    # N = 2 are eliminated, and their kernels sum to the whole window's
+    # with no automorphism every degree is the first of its orbit: all 18
+    # with columns at N = 2 are eliminated, and the commutative products
+    # glued from their kernels are the whole window's
     assert kind_automorphisms(WITT_MODULE) == []
     eliminated = []
     monkeypatch.setattr(solver, "nullspace",
                         lambda matrix: eliminated.append(1) or linalg.nullspace(matrix))
     result = poisson.classify_products(WITT_MODULE, VERDICT_NOT_SCALAR_ONLY, 2)
-    assert len(eliminated) == len(poisson._shift_blocks(WITT_MODULE, 2)[1]) == 26
+    solved = [d for d in product((0, 1), (0, 1), range(-4, 5))
+              if unknown_layout(problem(WITT_MODULE, HALF, d, 2, 0), inside=True).columns]
+    assert len(eliminated) == len(solved) == 18
     whole = reference_loops.membership_system(WITT_MODULE, HALF, 2)
     assert result.solution_dim == len(linalg.nullspace(whole))
 
@@ -769,54 +793,20 @@ def test_each_kernel_is_certified_once(monkeypatch):
 
 
 def test_identity_rows_checks_each_map_once_before_any_row():
-    # a column outside the matrix fails when the maps are handed over, not
-    # when elimination reaches a row holding it; no bracket is evaluated
+    # a column outside the matrix fails when the map is handed over, not
+    # when elimination reaches a row holding it; no bracket is evaluated,
+    # nor for a map with no key in the window, which gives no rows
     p = catalog.get("witt")
     good = {(0, m): [(m + 2, (0, m))] for m in range(-2, 3)}
     bad = dict(good)
     bad[(0, 2)] = [(5, (0, 2))]
     with pytest.raises(SolverError, match="^image column 5 outside 5 columns$"):
-        solver.identity_rows(p, HALF, [good, bad], 2, 5)
+        solver.identity_rows(p, HALF, bad, 2, 5)
     assert not p._indexed
-    matrix = solver.identity_rows(p, HALF, iter([good]), 2, 5)
+    assert not solver.identity_rows(p, HALF, {(0, 3): [(0, (0, 3))]}, 2, 5).rows
+    matrix = solver.identity_rows(p, HALF, good, 2, 5)
     assert not p._indexed
     assert matrix.rows and p._indexed
-
-
-@pytest.mark.parametrize("key", catalog.keys() + ("lopsided",))
-@pytest.mark.parametrize("delta", (HALF, Fraction(1), Fraction(-3, 5)), ids=str)
-def test_several_maps_interleave_their_rows_source_pair_by_source_pair(
-        key, delta, monkeypatch):
-    # the membership maps of poisson._membership_system's widest product
-    # shift, each moved to a column block of its own, plus one map with no
-    # key in the window; the single-map streams are cut by source pair
-    # through the reference, and the several-map stream is theirs
-    # interleaved pair by pair, map by map, in declared order as the
-    # membership system visits it and boundary-first as assembly does
-    if key == "lopsided":
-        p, window = reference_loops._lopsided(), 2
-    else:
-        p, window = catalog.get(key), 2 if key == "pgca" else 3
-    handed = []
-    monkeypatch.setattr(poisson, "identity_rows", lambda *args: handed.append(args))
-    list(poisson._membership_system(p, delta, window))
-    _, _, maps, _, width = max(handed, key=lambda args: args[4])
-    maps = [{w: [(k * width + col, target) for col, target in targets]
-             for w, targets in images.items()} for k, images in enumerate(maps)]
-    maps.insert(1, {(0, window + 1): [(len(maps) * width, (0, 0))]})
-    cols = len(maps) * width
-    for order in (None, lambda key: -abs(key[1])):
-        by_pair = []
-        for images in maps:
-            pieces = reference_loops.identity_rows(p, delta, images, window,
-                                                   order is not None)
-            single = solver.identity_rows(p, delta, [images], window, cols, order=order)
-            assert sparse_rows(single) == [row for rows in pieces for row in rows]
-            by_pair.append(pieces)
-        assert not any(by_pair[1])
-        interleaved = [row for pair in zip(*by_pair) for rows in pair for row in rows]
-        assert sparse_rows(solver.identity_rows(p, delta, maps, window, cols,
-                                                order=order)) == interleaved
 
 
 @pytest.mark.parametrize("key", catalog.keys() + ("lopsided", "witt-module", "not-skew"))
@@ -830,8 +820,7 @@ def test_boundary_first_assembly_moves_rows_but_keeps_them(key, delta):
     moved = 0
     for degree in product((0, 1), (0, 1), (-1, 0, 1)):
         prob = problem(p, delta, degree, 4)
-        declared = [row for rows in reference_loops.identity_rows(
-            p, delta, unknown_layout(prob).images, 4) for row in rows]
+        declared = reference_loops.identity_rows(p, delta, unknown_layout(prob).images, 4)
         rows = sparse_rows(assemble(prob))
         assert Counter(map(_frozen, rows)) == Counter(map(_frozen, declared)), degree
         moved += rows != declared
@@ -955,6 +944,23 @@ def test_a_kernel_that_is_not_affine_reads_every_row():
     assert not matrix._certify(list(enumerate(kernel.vectors)))
 
 
+def test_an_inside_layout_is_certified_only_where_each_label_owns_the_window():
+    # the product path's witt degrees at N = 6: an inside layout's label
+    # owns all 13 columns only at gamma = 0, as affine_certificate assumes,
+    # and there it is the scan's layout; its kernel, the identity, is
+    # passed by the certificate after 13 of the 60 rows
+    for gamma in range(-12, 13):
+        prob = problem(WITT, HALF, (0, 0, gamma), 6, 0)
+        layout = unknown_layout(prob, inside=True)
+        assert (kernel_certificate(prob, layout) is None) == (gamma != 0), gamma
+    prob = problem(WITT, HALF, (0, 0, 0), 6, 0)
+    layout = unknown_layout(prob, inside=True)
+    assert layout.columns == unknown_layout(prob).columns
+    matrix = assemble(prob, layout)
+    assert linalg.nullspace(matrix).vectors == [[1] * 13]
+    assert (len(matrix._rows), matrix.rows) == (13, 60)
+
+
 @pytest.mark.parametrize("key", ["virasoro", "lopsided"])
 def test_a_presentation_with_a_central_kind_reads_every_row(key):
     prob = problem(_presentation(key), Fraction(1), (0, 0, 0), 6)
@@ -970,8 +976,7 @@ def test_a_same_kind_table_that_is_not_skew_reads_every_row():
     # u[A, m] = m - 1 holds on every row of the window N = 1, and not on
     # every row of the window N = 4
     line = [m - 1 for _, m in layout.columns]
-    sample = solver.identity_rows(NOT_SKEW, HALF, [layout.images], 1,
-                                  len(layout.columns))
+    sample = solver.identity_rows(NOT_SKEW, HALF, layout.images, 1, len(layout.columns))
     assert sample.rows and _rows_hold(sample, line)
     assert not _rows_hold(_unread(prob), line)
     assert kernel_certificate(prob, layout) is None
@@ -1155,7 +1160,7 @@ def test_scan_equals_a_full_reading_of_every_degree(p, delta):
     direct = []
     for report in result.reports:
         layout = unknown_layout(problem(p, delta, tuple(report.degree), 6))
-        matrix = solver.identity_rows(p, delta, [layout.images], 6, len(layout.columns))
+        matrix = solver.identity_rows(p, delta, layout.images, 6, len(layout.columns))
         direct.append(solver.report_from_kernel(linalg.nullspace(matrix), layout.columns,
                                                 kinds, report.degree, result.interior))
         assert report.to_json_dict() == direct[-1].to_json_dict(), report.degree
