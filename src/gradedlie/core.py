@@ -15,11 +15,10 @@ at the source.
 ints on one table built per presentation, keyed by the kind positions
 (a, b) of both orientations, that maps each target kind position to its
 summed coefficients times the presentation's `scale`.  The hot loops
-(validation, row assembly, the membership system) read brackets through
-`bracket_indexed` instead: an
-integer view keyed by (kind position, index), with every coefficient
-multiplied by `scale`, memoised per presentation and filled from
-`bracket_basis`.  `certify_presentation` proves skew-symmetry and Jacobi
+(validation and row assembly) read brackets through `bracket_indexed`
+instead: an integer view keyed by (kind position, index), with every
+coefficient multiplied by `scale`, memoised per presentation and filled
+from `bracket_basis`.  `certify_presentation` proves skew-symmetry and Jacobi
 for all indices by evaluating them through `bracket_indexed` at a few
 index points that determine each identity as a polynomial;
 `validate_presentation` decides by it and enumerates only to name a witness.
@@ -57,11 +56,11 @@ class PresentationError(Exception):
     """Structural problem in a presentation or a mismatched element."""
 
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
+_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?", re.ASCII)
 
 
 def parse_rational(text) -> Fraction:
-    """Parse 'p', 'p/q' (or an int) into an exact Fraction.
+    """Parse 'p', 'p/q' in ASCII digits (or an int) into an exact Fraction.
 
     Decimal and exponent notation are rejected on purpose: presentation
     files must never route coefficients through floating point.

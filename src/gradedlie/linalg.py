@@ -10,16 +10,17 @@ vector standing for its span, so nothing divides one.  from_stream builds
 a matrix over a source of int rows, made only when something reads them.
 
 Elimination streams the rows in order, fraction-free, pulling each from
-the source as it is reached.  Once every column holds a pivot, or a run
-of rows that add no pivot is as long as the integer kernel of the pivot
-rows so far is wide (as the column count, without a kernel certificate),
-it stops eliminating and checks each further row against that kernel; a
-row outside their span is eliminated and cuts the kernel by one vector.
-Reading stops early in two places.  With every column pivotal that kernel
-is empty, an exact zero-kernel certificate.  A streamed matrix may also
-carry a kernel certificate from whoever made its rows: a check that int
-vectors satisfy every row, read or not, without reading any.  When it
-passes the candidate kernel, that kernel is the true one.
+the source as it is reached.  Reading stops early in two places.  Once
+every column holds a pivot, the integer kernel of the pivot rows is empty,
+an exact zero-kernel certificate.  A streamed matrix may also carry a
+kernel certificate from whoever made its rows: a check that int vectors
+satisfy every row, read or not, without reading any.  Each run of rows
+that add no pivot tries it once, on a candidate kernel built fresh from
+the pivot rows so far, when the run is as long as the candidate is wide;
+when it passes, that candidate is the true kernel.  A matrix without one
+instead switches, after a run as long as the column count, to checking
+each further row against the candidate: a row inside its span is skipped,
+and a row outside is eliminated and the candidate built again.
 affine_certificate is the one such check the package makes, for solver's
 systems and for the recurrence oracle's: each vector affine per column
 label, then zero on a small sample of rows, which each caller proves is
@@ -169,33 +170,26 @@ def _rref_rows(rows: Iterable[dict[int, int]], cols: int, certify=None
     pivot, which is then cleared from each pivot row holding it, found by
     scanning the pivot rows.
 
-    Once every column holds a pivot, or the run of consecutive rows that
-    added no pivot is as long as the candidate kernel is wide, cols minus
-    the number of pivots, the stream stops eliminating and starts checking:
-    it builds the integer kernel of the pivot rows so far (the candidate
-    kernel, which contains the true one) and multiplies each further row
-    through it.  A row with every product zero lies in the span of the
-    pivot rows and is skipped.  A row with a nonzero product is eliminated
-    as above, which gives a new pivot, and cuts the candidate (_update).
-    The candidate is tried in one place, at the switch and after each new
-    pivot from then on.  An empty candidate kernel (every column a pivot)
-    fails no row, so the stream stops there, without pulling another row:
-    the exact zero-kernel certificate.  A nonzero candidate kernel stops it
-    the same way when certify (see SparseMatrix.from_stream) passes it:
-    every row, read or not, then holds for it, so it is the true kernel.
-    affine_certificate's answer depends only on the span, so a cut
-    candidate is tried as it is, and rebuilt once by _kernel if it passes.
-    The pivots do not depend on when the switch fires, and from then on
-    every candidate is tried, so no later switch stops reading sooner.
-    Without certify only an empty candidate stops the stream, and an early
-    switch would only cut a wide candidate after each new pivot, so there
-    the run must be cols rows long.  Whichever rows are read, they span
+    The candidate kernel is _kernel's integer kernel of the pivot rows so
+    far, cols minus the number of pivots wide; it contains the true one.
+    Once every column holds a pivot it is empty and fails no row, so the
+    stream stops there, without pulling another row: the exact zero-kernel
+    certificate.  With certify (see SparseMatrix.from_stream), each run of
+    consecutive rows that add no pivot, once it is as long as the candidate
+    is wide, builds the candidate and tries it once; a new pivot starts a
+    new run.  A candidate certify passes holds for every row, read or not,
+    so it is contained in the true kernel and is that kernel, and the
+    stream stops on it.  Without certify only an empty candidate stops the
+    stream; there a run as long as cols switches it to checking: each
+    further row is multiplied through the candidate, and one with every
+    product zero lies in the span of the pivot rows and is skipped.  A row
+    with a nonzero product always gives a new pivot, eliminated as above,
+    and the candidate is built again.  Whichever rows are read, they span
     the row space of the whole input, whose reduced row echelon form is
     unique, so the result is that of full elimination.
     """
     pivots: dict[int, dict[int, int]] = {}  # pivot column -> reduced integer row
     kernel: list | None = None              # candidate kernel, once checking
-    built = None                            # the candidate _kernel built at the switch
     idle = 0                                # consecutive rows that added no pivot
     for row in rows:
         if kernel is not None:
@@ -215,21 +209,20 @@ def _rref_rows(rows: Iterable[dict[int, int]], cols: int, certify=None
                     _divide_content(target)
             pivots[col] = new
             idle = 0
-        else:
-            idle += 1
-        # a row outside the candidate kernel always gives a pivot, so once
-        # checking, every row that gets here cuts it; the new pivot row is
-        # the row times a nonzero int plus pivot rows, so the row, shorter,
-        # cuts it the same way
-        if kernel is not None:
-            kernel = _update(kernel, row)
-        elif not (width := cols - len(pivots)) or idle >= (cols if certify is None else width):
-            kernel = built = _kernel(pivots, cols)
-        else:
-            continue
-        if not kernel or certify is not None and certify(kernel):
-            if kernel and kernel is not built:
+            if len(pivots) == cols:
+                kernel = []
+                break
+            if kernel is not None:
                 kernel = _kernel(pivots, cols)
+            continue
+        # a checked row outside the candidate always gives a pivot, so only
+        # eliminating reaches here
+        idle += 1
+        if certify is None:
+            if idle == cols:
+                kernel = _kernel(pivots, cols)
+        elif idle == cols - len(pivots) and certify(candidate := _kernel(pivots, cols)):
+            kernel = candidate
             break
     else:
         kernel = None
@@ -271,28 +264,6 @@ def _kernel(pivots: dict[int, dict[int, int]], cols: int) -> list[tuple[int, lis
     return kernel
 
 
-def _update(kernel: list[tuple[int, list[int]]], row: dict[int, int]
-            ) -> list[tuple[int, list[int]]]:
-    """The kernel cut by one more int row, with a nonzero product v_j with
-    some vector w_j: with j0 the first such j, every other w_j becomes
-    v_j0 * w_j - v_j * w_j0, divided by its content, and w_j0 is dropped.
-    These are zero on the row and independent.  Each pair keeps its label,
-    which then names no free column: _kernel is the one builder of that
-    labelled basis."""
-    products = [sum([a * w[c] for c, a in row.items()]) for _, w in kernel]
-    j0 = next(j for j, v in enumerate(products) if v)
-    v0, w0 = products[j0], kernel[j0][1]
-    cut = []
-    for j, ((f, w), v) in enumerate(zip(kernel, products)):
-        if v and j != j0:
-            w = [v0 * x - v * y for x, y in zip(w, w0)]
-            g = gcd(*w)
-            w = [x // g for x in w]
-        cut.append((f, w))
-    del cut[j0]
-    return cut
-
-
 def _outside(row: dict[int, int], kernel) -> bool:
     """Whether an int row has a nonzero product with some kernel vector,
     that is, lies outside the span of the rows whose kernel it is."""
@@ -313,7 +284,8 @@ def affine_certificate(origins: list[int], window: int, sample) -> Callable:
     origin.  The check passes int vectors only if each is affine on every
     label, w[c + i] = a + b*i, and zero on every row of sample(), called
     once, on the first try whose vectors are all affine.  Why the sample
-    is enough is the caller's to prove; a failure only means reading rows.
+    is enough is the caller's to prove; a failure only means reading rows,
+    until elimination tries a fresh candidate after its next idle run.
     """
     span = range(-window, window + 1)
     rows = None

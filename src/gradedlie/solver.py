@@ -31,8 +31,9 @@ affine in m per column label on the window, each family of rows is one
 polynomial of degree at most 2 in (m, n), which is zero once it vanishes on
 the rows of the same system on the window N = 1, made from the layout's
 image map.
-Elimination stops reading rows as soon as its candidate kernel passes, and
-nullspace returns that kernel without checking it again.
+Elimination tries a candidate kernel once per run of rows that add no
+pivot, stops reading rows as soon as one passes, and nullspace returns
+that kernel without checking it again.
 
 kind_automorphisms certifies signed kind permutations
 g(X_m) = s_X perm[X]_{f*m}, automorphisms at every index: theta

@@ -103,6 +103,9 @@ def test_undersized_window_is_a_usage_error(capsys):
 def test_malformed_delta_and_interior_are_usage_errors(capsys):
     base = ["solve", "--algebra", "witt", "--window", "6"]
     assert run(base + ["--delta", "0.5"], capsys)[0] == EXIT_USAGE
+    # Fraction() reads any Unicode digit; a delta takes ASCII ones only
+    code, _, err = run(base + ["--delta", "\uff13/\uff14"], capsys)
+    assert code == EXIT_USAGE and "bad --delta value: not a rational" in err
     assert run(base + ["--interior", "x"], capsys)[0] == EXIT_USAGE
     assert run(base + ["--interior", "9"], capsys)[0] == EXIT_USAGE
 
@@ -369,6 +372,16 @@ def test_tp_classify_matches_the_recorded_abelian_golden(tmp_path, capsys):
                       "--format", "json", "--output", str(target)], capsys)
     assert code == EXIT_OK
     assert target.read_bytes() == (GOLDENS / "abelian_products.json").read_bytes()
+
+
+def test_tp_classify_matches_the_recorded_pgca_golden(tmp_path, capsys):
+    # the paper's headline: pgca's 1/2-derivations are scalar only, so its
+    # transposed Poisson structures are trivial
+    target = tmp_path / "products.json"
+    code, _, _ = run(["tp-classify", "--algebra", "pgca", "--window", "4",
+                      "--format", "json", "--output", str(target)], capsys)
+    assert code == EXIT_OK
+    assert target.read_bytes() == (GOLDENS / "pgca_products.json").read_bytes()
 
 
 def test_tp_classify_json_includes_both_verdicts(capsys):

@@ -62,7 +62,8 @@ def test_parse_rational_accepts_integers_and_ratios(text, value):
 
 
 @pytest.mark.parametrize("bad", ["1.5", "1e3", "", "one", "1/0", "2/", "/3",
-                                 "1 / 2", True, 1.5, None])
+                                 "1 / 2", "\u0663", "\uff13/\uff14", "1/\uff12",
+                                 True, 1.5, None])
 def test_parse_rational_rejects_non_rationals(bad):
     with pytest.raises(PresentationError):
         parse_rational(bad)

@@ -452,68 +452,98 @@ def test_from_stream_checks_its_denominator():
 
 @contextmanager
 def _kernels_built():
-    """Widths of the candidate kernels elimination tries, in order: built by
-    _kernel at the switch or cut by _update for a new pivot, and then the
-    one rebuild by _kernel of a cut candidate the certificate passes.
+    """The candidate kernels elimination builds, in order, as (rows read,
+    width) pairs, and the list of rows the last stream read.  Each
+    candidate is checked to be _kernel's basis of the reference loop's
+    reduced form of the rows read so far, so a fresh one, as wide as the
+    column count less their rank."""
+    built, read = [], []
+    kernel, stream = linalg._kernel, SparseMatrix._stream
 
-    Each cut is checked against the pivot rows elimination holds then, the
-    dict it handed _kernel at the switch: every cut vector has a zero
-    product with each of them, and the cut candidate is as wide as
-    _kernel's of the same rows and spans the same space."""
-    built, held = [], []
-    kernel, update = linalg._kernel, linalg._update
+    def reading(self):
+        read.clear()
+        for row in stream(self):
+            read.append(row)
+            yield row
 
     def build(pivots, cols):
-        held[:] = [pivots, cols]
         made = kernel(pivots, cols)
-        built.append(len(made))
-        return made
-
-    def cut(candidate, row):
-        made = update(candidate, row)
-        pivots, cols = held
-        assert all(sum(a * w[c] for c, a in row.items()) == 0
-                   for _, w in made for row in pivots.values())
-        rebuilt = [w for _, w in kernel(pivots, cols)]
-        assert len(made) == len(rebuilt)
-        if made:
-            vectors = [w for _, w in made]
-            assert rank(from_dense(vectors)) == rank(from_dense(vectors + rebuilt)) == len(made)
-        built.append(len(made))
+        assert made == kernel(dict(reference_loops.rref_rows(read, cols)), cols)
+        built.append((len(read), len(made)))
         return made
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SparseMatrix, "_stream", reading)
         mp.setattr(linalg, "_kernel", build)
-        mp.setattr(linalg, "_update", cut)
-        yield built
+        yield built, read
+
+
+def _adds_pivot(rows, cols):
+    """For each int row, whether it adds a pivot to the rows before it, or
+    None for an empty row, by one pass of forward elimination."""
+    echelon = {}  # leading column -> row
+    for row in rows:
+        if not row:
+            yield None
+            continue
+        new = dict(row)
+        while new and (col := min(new)) in echelon:
+            linalg._eliminate(new, echelon[col], col)
+        if new:
+            linalg._divide_content(new)
+            echelon[min(new)] = new
+        yield bool(new)
+
+
+def _candidates_due(rows, cols, certified):
+    """Where the stopping rule builds candidate kernels over the rows read,
+    as (rows read, width) pairs.  With a certificate, once per run of rows
+    that add no pivot, when the run is as long as the candidate is wide;
+    without one, once such a run is as long as the column count, from
+    which on rows inside the candidate are skipped, and after each later
+    pivot.  Empty rows are skipped, and a last pivot stops the stream."""
+    built, rank, idle, checking = [], 0, 0, False
+    for read, adds in enumerate(_adds_pivot(rows, cols), 1):
+        if adds is None or checking and not adds:
+            continue
+        if adds:
+            rank, idle = rank + 1, 0
+            if rank == cols:
+                break
+            if checking:
+                built.append((read, cols - rank))
+            continue
+        idle += 1
+        if idle == (cols - rank if certified else cols):
+            built.append((read, cols - rank))
+            checking = not certified
+    return built
 
 
 def _assert_rref_equals_full_elimination(m):
-    """rref of m equals the eliminate-every-row loop; after the switch to
-    checking, each resume adds one pivot and cuts the candidate kernel by
-    one, and the one the last rows were checked against is the true
-    kernel, rebuilt once if the certificate passed it after a cut."""
-    with _kernels_built() as built:
+    """rref of m equals the eliminate-every-row loop, and builds a fresh
+    candidate kernel exactly where the stopping rule is due to; a
+    candidate the certificate passed is the last one built, on the last
+    row read.  Returns the candidates built, as _kernels_built does."""
+    with _kernels_built() as (built, read):
         reduced, pivots = rref(m)
     m.rows  # read what elimination left of a streamed matrix's source
     want = reference_loops.rref_rows(m._rows, m.cols)
     assert pivots == [col for col, _ in want]
     assert reduced._rows == [row for _, row in want]
     assert reduced._dens == [row[col] for col, row in want]
-    tried = built
-    if m._proved and len(built) > 1:
-        tried = built[:-1]
-        assert built[-1] == built[-2]
-    assert all(before - after == 1 for before, after in zip(tried, tried[1:]))
-    if built:
-        assert built[-1] == m.cols - len(want)
+    assert read == m._rows[:len(read)]
+    assert built == _candidates_due(read, m.cols, m._certify is not None)
+    if m._proved:
+        assert built[-1] == (len(read), len(m._proved))
     return built
 
 
 def _catalog_builders():
     """Builders of every assembled catalog system at N = 6, delta in
     {1/2, 1} and |gamma| <= 1, then of each degree of witt's product path
-    at N = 6, |gamma| <= 12 on an inside layout."""
+    at N = 6, |gamma| <= 12, and of pgca's at N = 2, |gamma| <= 4, on
+    inside layouts."""
     for key, delta, eps1, eps2, gamma in product(
             catalog.keys(), (F("1/2"), F(1)), (0, 1), (0, 1), (-1, 0, 1)):
         problem = solver.HomogeneousSolveProblem(
@@ -522,6 +552,11 @@ def _catalog_builders():
     for gamma in range(-12, 13):
         problem = solver.HomogeneousSolveProblem(
             catalog.get("witt"), F("1/2"), GradingDegree(0, 0, gamma), 6, 0)
+        yield lambda problem=problem: solver.assemble(
+            problem, solver.unknown_layout(problem, inside=True))
+    for eps1, eps2, gamma in product((0, 1), (0, 1), range(-4, 5)):
+        problem = solver.HomogeneousSolveProblem(
+            catalog.get("pgca"), F("1/2"), GradingDegree(eps1, eps2, gamma), 2, 0)
         yield lambda problem=problem: solver.assemble(
             problem, solver.unknown_layout(problem, inside=True))
 
@@ -539,7 +574,7 @@ def _built_from_lists():
 
 
 def test_rref_equals_full_elimination_on_every_catalog_system():
-    switched = resumed = stopped = 0
+    switched = resumed = retried = stopped = 0
     for build in _catalog_builders():
         m = build()
         with _built_from_lists():
@@ -554,12 +589,17 @@ def test_rref_equals_full_elimination_on_every_catalog_system():
         _assert_int_storage(m)
         assert m == listed
         assert rref(m) == rref(listed)
-        switched += bool(built and built[0])
-        resumed += len([dim for dim in built[1:] if dim])
-    # the stream did switch to checking, and resumed elimination, on the
-    # catalog itself (pgca's delta = 1 degrees at gamma = 0), and it did
-    # stop reading rows at the zero-kernel certificate
-    assert switched and resumed and stopped
+        if m._certify is None:
+            switched += bool(built)
+            resumed += len(built[1:])
+        else:
+            retried += len(built) > 1
+    # on the catalog itself, systems without a certificate did switch to
+    # checking and resume elimination (pgca's product path at |gamma| = 4),
+    # certified ones did try a fresh candidate after a failed one (among
+    # them pgca's delta = 1 degrees at gamma = 0), and reading did stop
+    # early
+    assert switched and resumed and retried and stopped
 
 
 @st.composite
@@ -600,33 +640,51 @@ def resumed_matrices(draw):
 @given(resumed_matrices())
 def test_rref_resumes_on_a_row_outside_the_checked_span(case):
     data, span, run = case
-    width = len(data[0]) - span
+    cols = len(data[0])
+    width = cols - span
     _assert_rref_matches_oracle(data)
-    # with a kernel certificate, here one that never passes, checking starts
-    # with the span's kernel once as many rows of the span as it is wide
-    # have added no pivot, and resumes on the outside row
+    # with a kernel certificate, here one that never passes, the span's
+    # kernel is tried once as many rows of the span as it is wide have
+    # added no pivot, and not again in that run; every later candidate is
+    # built after the outside row, so it is narrower
     built = _assert_rref_equals_full_elimination(_streamed(data, lambda kernel: False))
-    assert built[:2] == [width, width - 1]
-    # without one, the redundant run must be as long as the column count
+    assert built[0] == (span + width, width)
+    assert all(dim < width for _, dim in built[1:])
+    # without one, checking starts once the run is as long as the column
+    # count, and the outside row resumes elimination with a fresh candidate
     plain = _assert_rref_equals_full_elimination(from_dense(data))
     assert _assert_rref_equals_full_elimination(_streamed(data)) == plain
-    if run >= len(data[0]):
-        assert plain[:2] == [width, width - 1]
+    if run >= cols:
+        assert plain[0] == (span + cols, width)
+        assert plain[1:2] == ([(span + run + 1, width - 1)] if width > 1 else [])
     else:
-        assert not plain or plain[0] < width
+        assert all(read > span + run + 1 for read, _ in plain)
 
 
-def test_rref_checks_rather_than_eliminates_after_a_redundant_run():
-    # counting from 0, rows 2-4 are combinations of rows 0 and 1, as many
+def test_rref_checks_rather_than_eliminates_after_a_redundant_run(monkeypatch):
+    # counting from 1, rows 3-6 are combinations of rows 1 and 2, as many
     # as there are columns, which a matrix without a kernel certificate
-    # waits for before it checks; row 5 leaves their span
-    data = [[1, 1, 0], [0, 1, 1], [1, 2, 1], [2, 3, 1], [1, 0, -1], [0, 0, 1]]
-    with _kernels_built() as built:
-        _, pivots = rref(from_dense(data))
-    assert built == [1, 0]
-    assert pivots == [0, 1, 2]
-    assert nullspace(from_dense(data)).vectors == []
-    assert nullspace(from_dense(data[:5])).vectors == [[1, -1, 1]]
+    # waits for before it checks; row 7 is in their span, row 8 leaves it,
+    # row 9 is in the new span but not in the first candidate's, and row
+    # 10 gives the last pivot, so row 11 is never read
+    data = [[1, 0, 0, 1], [0, 1, 0, 1], [1, 1, 0, 2], [1, -1, 0, 0], [2, 0, 0, 2],
+            [0, 3, 0, 3], [2, 1, 0, 3], [0, 0, 1, 0], [1, 0, 1, 1], [0, 0, 0, 1],
+            [1, 1, 1, 1]]
+    checked, outside = [], linalg._outside
+
+    def logged(row, kernel):
+        checked.append(outside(row, kernel))
+        return checked[-1]
+
+    monkeypatch.setattr(linalg, "_outside", logged)
+    with _kernels_built() as (built, read):
+        _, pivots = rref(_raising_after(data, 10))
+    assert pivots == [0, 1, 2, 3] and len(read) == 10
+    # the candidate of width 2 is built after row 6, and rebuilt fresh,
+    # of width 1, after row 8, so that row 9 is skipped as well as row 7
+    assert built == [(6, 2), (8, 1)]
+    assert checked == [False, True, False, True]
+    assert nullspace(from_dense(data[:9])).vectors == [[-1, -1, 0, 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -658,25 +716,26 @@ def _certified_then_raising(data, prefix, calls):
 
 
 def test_a_passing_kernel_certificate_stops_reading_rows():
-    # counting from 0: rows 2-5 are combinations of rows 0 and 1; after
-    # rows 2 and 3, as many idle rows as their kernel is wide, checking
-    # starts with that candidate kernel of dimension 2, which fails the
-    # certificate; row 6 leaves the span, and the rebuilt candidate passes
-    # it, so row 7 is never made
+    # counting from 0: rows 2-5 and 7-8 are combinations of rows 0, 1 and
+    # 6; after rows 2 and 3, as many idle rows as their kernel is wide, the
+    # candidate kernel of dimension 2 is tried and fails the certificate,
+    # and rows 4 and 5, in the same run, try nothing; row 6 leaves the
+    # span, and the fresh candidate tried after row 7 passes, so row 8 is
+    # never made
     data = [[1, 0, 0, 1], [0, 1, 0, 1], [1, 1, 0, 2], [1, -1, 0, 0], [2, 0, 0, 2],
-            [0, 3, 0, 3], [0, 0, 1, 0], [1, 0, 1, 1]]
+            [0, 3, 0, 3], [0, 0, 1, 0], [1, 0, 1, 1], [0, 1, 1, 1]]
     want_rows, want_pivots = _dense_rref(data)
     calls = []
-    m = _certified_then_raising(data, 7, calls)
+    m = _certified_then_raising(data, 8, calls)
     reduced, pivots = rref(m)
     assert (dense(reduced), pivots) == (want_rows, want_pivots)
-    assert calls == [2, 1] and len(m._rows) == 7
+    assert calls == [2, 1] and len(m._rows) == 8
     # nullspace takes the kernel elimination stopped on, which the
     # certificate has already passed, and neither rebuilds nor re-checks it
     calls.clear()
-    m = _certified_then_raising(data, 7, calls)
+    m = _certified_then_raising(data, 8, calls)
     assert nullspace(m).vectors == [[-1, -1, 0, 1]]
-    assert calls == [2, 1] and len(m._rows) == 7
+    assert calls == [2, 1] and len(m._rows) == 8
     # verify_kernel tries it before reading any row, and reads the rows
     # only when it fails
     m = _certified_then_raising(data, 0, calls)

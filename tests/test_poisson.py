@@ -231,10 +231,11 @@ def test_one_family_membership_is_windowed_trivial():
     assert result.path == "derivation-membership"
 
 
-@pytest.mark.parametrize("window", [1, 2])
+@pytest.mark.parametrize("window", range(1, 9))
 def test_pgca_membership_agrees_with_the_scalar_shortcut(window):
-    # the membership system checks the scalar path independently: every
-    # 1/2-derivation of pgca is scalar, so it too admits only zero
+    # the general path checks the scalar path independently: every
+    # 1/2-derivation of pgca is scalar, so it too admits only zero, on
+    # every window up to the 8 that tp-classify runs at in test_acceptance
     result = classify_products(PGCA, VERDICT_NOT_SCALAR_ONLY, window)
     assert result.path == "derivation-membership"
     assert result.verdict == TP_TRIVIAL

@@ -26,7 +26,7 @@ from gradedlie.solver import (HomogeneousSolveProblem, KindAutomorphism, SolveRe
                               describe_values, kernel_certificate, kind_automorphisms,
                               required_window, scan, scan_verdict, solve_degree,
                               unknown_layout)
-from matrices import mul_vec, sparse_rows
+from matrices import from_dense, mul_vec, rank, sparse_rows
 from test_core import _brackets, _preserves, _presentations
 
 PGCA = catalog.get("pgca")
@@ -480,6 +480,36 @@ def test_scan_json_shape():
     assert len(data["reports"]) == 4
 
 
+def test_known_solutions_lie_in_the_scan_kernels():
+    # every inner derivation ad Y is a derivation and the identity a
+    # 1/2-derivation, so on each degree's layout columns, the L>C ones
+    # carrying virasoro's central term, each lies in the kernel the scan
+    # takes, solved or mirrored, at N = 8 and |gamma| <= 2: 39 ad Y that
+    # are not zero (pgca 20, witt 5, virasoro 5, heisenberg-virasoro 9) and
+    # 5 identities
+    witnesses = 0
+    for key, delta in product(catalog.keys(), (Fraction(1), HALF)):
+        p = catalog.get(key)
+        mirror = solver.Mirror(kind_automorphisms(p))
+        for degree in product((0, 1), (0, 1), range(-2, 3)):
+            prob = problem(p, delta, degree, 8)
+            layout = unknown_layout(prob)
+            kernel = mirror.kernel(prob.degree, layout, lambda: assemble(prob, layout))
+            pairs = [(layout.families[label], m) for label, m in layout.columns]
+            if delta == 1:
+                gamma = degree[2]
+                found = [[dict(p.bracket_basis(BasisElement(y, gamma), BasisElement(x, m))
+                               .items()).get(BasisElement(t, m + gamma), 0)
+                          for (x, t), m in pairs]
+                         for y in p.kinds if y.z2 == degree[:2] and p.element_exists(y, gamma)]
+            else:
+                found = [[int(x == t) for (x, t), _ in pairs]] * (degree == (0, 0, 0))
+            for w in filter(any, found):
+                witnesses += 1
+                assert rank(from_dense(kernel.vectors + [w])) == len(kernel), (key, delta, degree)
+    assert witnesses == 44
+
+
 # ---------------------------------------------------------------------------
 # kind automorphisms g(X_m) = s_X perm[X]_{flip*m}
 
@@ -716,8 +746,8 @@ def test_zero_kernel_degrees_stop_making_rows():
     # the half-scan at N = 6, |gamma| <= 1: elimination reaches the
     # zero-kernel certificate in every degree but (0, 0, 0), and the rows
     # past it are never made; the degree with a kernel stops where the
-    # kernel certificate passes the identity, after 54 of its 668 rows.
-    # Boundary-first rows reach full rank sooner: 640 rows are read, where
+    # kernel certificate passes the identity, after 55 of its 668 rows.
+    # Boundary-first rows reach full rank sooner: 641 rows are read, where
     # the declared order read 749
     read = total = 0
     for degree in [(e1, e2, g) for e1 in (0, 1) for e2 in (0, 1) for g in (-1, 0, 1)]:
@@ -727,7 +757,7 @@ def test_zero_kernel_degrees_stop_making_rows():
         assert len(kernel) == (degree == (0, 0, 0)) and made < matrix.rows, degree
         read += made
         total += matrix.rows
-    assert (read, total) == (640, 10292)
+    assert (read, total) == (641, 10292)
 
 
 def test_nonzero_kernel_degrees_stop_making_rows(monkeypatch):
@@ -736,10 +766,9 @@ def test_nonzero_kernel_degrees_stop_making_rows(monkeypatch):
     # kernel certificate passes it and each mirrored one (gamma = 1, and
     # sector (1, 0), which sigma and theta sigma take from (0, 1)) is
     # certified without a row.  Boundary-first rows give each degree its
-    # last pivot sooner, and the certificate is tried once the idle rows
-    # outnumber the candidate kernel: 506 rows are read, where solving
-    # sector (1, 0) too read 636, and the declared order with a switch
-    # after 52 idle rows 2,122
+    # last pivot sooner, and the certificate is tried once each run of idle
+    # rows reaches the candidate kernel's width: 509 rows are read, 161 of
+    # them at (0, 0, 0)
     made = []
     monkeypatch.setattr(solver, "assemble",
                         lambda *args: made.append(assemble(*args)) or made[-1])
@@ -749,19 +778,18 @@ def test_nonzero_kernel_degrees_stop_making_rows(monkeypatch):
         d = report.degree
         assert report.full_dim > 0
         assert rows == 0 if d.index == 1 or (d.eps1, d.eps2) == (1, 0) else 0 < rows < matrix.rows
-    assert (sum(read), sum(matrix.rows for matrix in made)) == (506, 10240)
+    assert (sum(read), sum(matrix.rows for matrix in made)) == (509, 10240)
 
 
 def test_each_kernel_is_certified_once(monkeypatch):
     # pgca's derivations at N = 6, |gamma| <= 1: elimination tries the
-    # certificate 33 times over the 6 solved degrees, and nullspace takes
+    # certificate 11 times over the 6 solved degrees, and nullspace takes
     # the kernel it passed without trying it again; each of the 6 mirrored
     # degrees (gamma = 1, and sector (1, 0)) tries g's image once, in
-    # verify_kernel.  The switch fires while the candidate kernel is still
-    # wide, so (0, 0, 0) tries it after each of its 22 later pivots, and
-    # (1, 1, 0) 6 times; a candidate that is not affine fails on the
-    # affine check, before any sample row is made.  Solving sector (1, 0)
-    # too made 35 tries in elimination, 2 of them at (1, 0, -1) and (1, 0, 0)
+    # verify_kernel.  A candidate is tried once per run of idle rows as
+    # long as it is wide, so (0, 0, 0) tries candidates of widths 24, 12,
+    # 7, 3 and 2, and (1, 1, 0) of widths 6 and 1; a candidate that is not
+    # affine fails on the affine check, before any sample row is made
     calls, where = [], ["elimination"]
     certificate, verify = solver.kernel_certificate, solver.verify_kernel
 
@@ -770,7 +798,7 @@ def test_each_kernel_is_certified_once(monkeypatch):
 
         def counted(kernel):
             passed = certify(kernel)
-            calls.append((where[0], prob.degree, passed))
+            calls.append((where[0], prob.degree, passed, len(kernel)))
             return passed
         return counted
 
@@ -784,11 +812,13 @@ def test_each_kernel_is_certified_once(monkeypatch):
     monkeypatch.setattr(solver, "kernel_certificate", counting)
     monkeypatch.setattr(solver, "verify_kernel", mirrored)
     scan(PGCA, Fraction(1), 1, 6)
-    assert [w for w, _, _ in calls].count("elimination") == 33
-    assert [(tuple(d), passed) for w, d, passed in calls if w == "mirrored"] == [
+    assert [w for w, _, _, _ in calls].count("elimination") == 11
+    assert [width for w, d, _, width in calls
+            if w == "elimination" and tuple(d) == (0, 0, 0)] == [24, 12, 7, 3, 2]
+    assert [(tuple(d), passed) for w, d, passed, _ in calls if w == "mirrored"] == [
         ((0, 0, 1), True), ((0, 1, 1), True), ((1, 0, -1), True), ((1, 0, 0), True),
         ((1, 0, 1), True), ((1, 1, 1), True)]
-    passes = [d for _, d, passed in calls if passed]
+    passes = [d for _, d, passed, _ in calls if passed]
     assert len(passes) == len(set(passes)) == 12
 
 
