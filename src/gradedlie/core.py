@@ -37,8 +37,12 @@ shape: solver's Mirror.kernels is keyed by GradingDegree only,
 KindAutomorphism.sectors and _SECTOR_MAPS by plain Z2 pairs only, and
 Element terms by BasisElement only; the plain (kind position, index) and
 (name, index) keys elsewhere never equal a BasisElement, whose first field
-is a kind.  Mutable results are __slots__ classes; those that tests
-compare take Record's field-wise == and repr.
+is a kind.  Results (reports, layouts, scans, classifications and lemma
+checks) are namedtuples too, each built once by the one function that
+makes it, and never a dict key, a set member or compared with anything but
+its own type.  The record classes left are solver's Mirror, whose kernels
+fill as degrees are solved, and linalg's VectorBasis, whose len is its
+vector count.
 """
 
 from __future__ import annotations
@@ -506,33 +510,13 @@ def bracket(p: AlgebraPresentation, x, y) -> Element:
     return out
 
 
-class Record:
-    """Base of a mutable record whose fields are its __slots__: equal to a
-    record of its own class with equal fields, and shown by them."""
+class ValidationReport(namedtuple(
+        "ValidationReport",
+        "presentation window passed pairs_checked triples_checked check witnesses detail",
+        defaults=(0, 0, None, (), ""))):
+    """validate_presentation's counts; a failure names its check, witnesses and residue."""
 
     __slots__ = ()
-    __hash__ = None
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
-
-    def __repr__(self):
-        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__name__}({shown})"
-
-
-class ValidationReport(Record):
-    __slots__ = ("presentation", "window", "passed", "pairs_checked", "triples_checked",
-                 "check", "witnesses", "detail")
-
-    def __init__(self, presentation: str, window: int, passed: bool, pairs_checked: int = 0,
-                 triples_checked: int = 0, check: str | None = None,
-                 witnesses: tuple[BasisElement, ...] = (), detail: str = ""):
-        self.presentation, self.window, self.passed = presentation, window, passed
-        self.pairs_checked, self.triples_checked = pairs_checked, triples_checked
-        self.check, self.witnesses, self.detail = check, witnesses, detail
 
     def describe(self) -> str:
         if self.passed:
@@ -577,8 +561,7 @@ def enumerate_window(p: AlgebraPresentation, window: int) -> ValidationReport:
         raise PresentationError("validation window must be at least 2")
     basis = p.basis_elements(window)
     keys = [(p.kind_order(b.kind), b.index) for b in basis]
-    br = p.bracket_indexed
-    report = ValidationReport(p.name, window, True)
+    br, pairs, triples = p.bracket_indexed, 0, 0
 
     for x, (a, m) in zip(basis, keys):
         for y, (b, n) in zip(basis, keys):
@@ -586,13 +569,10 @@ def enumerate_window(p: AlgebraPresentation, window: int) -> ValidationReport:
             for t, v in br(b, n, a, m):
                 anti[t] = anti.get(t, 0) + v
             if any(anti.values()):
-                report.passed = False
-                report.check = "skew-symmetry"
-                report.witnesses = (x, y)
-                report.detail = (f"[{x},{y}] + [{y},{x}] = "
-                                 f"{_scaled_element(p, anti, p.scale)!r}")
-                return report
-            report.pairs_checked += 1
+                return ValidationReport(p.name, window, False, pairs, triples, "skew-symmetry",
+                                        (x, y), f"[{x},{y}] + [{y},{x}] = "
+                                        f"{_scaled_element(p, anti, p.scale)!r}")
+            pairs += 1
 
     size = len(keys)
     for i in range(size):
@@ -609,15 +589,12 @@ def enumerate_window(p: AlgebraPresentation, window: int) -> ValidationReport:
                     for t, u in bc:
                         for s, v in br(*a, *t):
                             acc[s] = acc.get(s, 0) + u * v
-                report.triples_checked += 1
+                triples += 1
                 if any(acc.values()):
-                    report.passed = False
-                    report.check = "jacobi"
-                    report.witnesses = (basis[i], basis[j], basis[k])
-                    report.detail = (f"jacobiator = "
-                                     f"{_scaled_element(p, acc, p.scale ** 2)!r}")
-                    return report
-    return report
+                    return ValidationReport(p.name, window, False, pairs, triples, "jacobi",
+                                            (basis[i], basis[j], basis[k]), f"jacobiator = "
+                                            f"{_scaled_element(p, acc, p.scale ** 2)!r}")
+    return ValidationReport(p.name, window, True, pairs, triples)
 
 
 # The index points certify_presentation evaluates at; its docstring gives

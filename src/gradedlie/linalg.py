@@ -39,8 +39,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable
 
-from .core import Record
-
 
 class LinalgError(Exception):
     pass
@@ -343,9 +341,10 @@ def rref(m: SparseMatrix) -> tuple[SparseMatrix, list[int]]:
     return out, [col for col, _ in pivots]
 
 
-class VectorBasis(Record):
+class VectorBasis:
     """A list of linearly independent dense int vectors.  Only their span
-    is meant: any nonzero multiple of a vector stands for the same one."""
+    is meant: any nonzero multiple of a vector stands for the same one.
+    Its len is the vector count, and it equals a basis with equal fields."""
 
     __slots__ = ("dimension", "vectors")
 
@@ -359,6 +358,13 @@ class VectorBasis(Record):
 
     def __len__(self):
         return len(self.vectors)
+
+    def __eq__(self, other):
+        return (isinstance(other, VectorBasis) and self.dimension == other.dimension
+                and self.vectors == other.vectors)
+
+    def __repr__(self):
+        return f"VectorBasis(dimension={self.dimension!r}, vectors={self.vectors!r})"
 
 
 def nullspace(m: SparseMatrix) -> VectorBasis:

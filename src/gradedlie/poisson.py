@@ -34,6 +34,7 @@ off them.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 
@@ -110,15 +111,10 @@ class ProductTable:
         return not self._entries
 
 
-class AxiomReport:
-    __slots__ = ("passed", "window", "triples_checked", "triples_skipped", "violation",
-                 "witnesses")
-
-    def __init__(self, passed: bool, window: int):
-        self.passed, self.window = passed, window
-        self.triples_checked = self.triples_skipped = 0
-        self.violation: str | None = None
-        self.witnesses: tuple[BasisElement, ...] = ()
+class AxiomReport(namedtuple(
+        "AxiomReport", "passed window triples_checked triples_skipped violation witnesses",
+        defaults=(0, 0, None, ()))):
+    __slots__ = ()
 
     def describe(self) -> str:
         if self.passed:
@@ -136,9 +132,9 @@ def check_axioms(table: ProductTable) -> AxiomReport:
     [x, z.y] needs the product of z with [x, y]; when [x, y] leaves the
     window that triple is skipped and counted, never silently truncated.
     """
-    p = table.presentation
-    basis = p.basis_elements(table.window)
-    report = AxiomReport(True, table.window)
+    p, window = table.presentation, table.window
+    basis = p.basis_elements(window)
+    checked = skipped = 0
 
     for i, x in enumerate(basis):
         for y in basis:
@@ -149,55 +145,46 @@ def check_axioms(table: ProductTable) -> AxiomReport:
                 left = table.multiply(xy, z)
                 yz = table.get(y, z)
                 right = table.multiply(x, yz)
-                report.triples_checked += 1
+                checked += 1
                 if left is None or right is None:
-                    report.triples_skipped += 1
+                    skipped += 1
                     continue
                 if left != right:
-                    report.passed = False
-                    report.violation = (f"associativity: ({x}.{y}).{z} = {left!r} "
-                                        f"but {x}.({y}.{z}) = {right!r}")
-                    report.witnesses = (x, y, z)
-                    return report
+                    return AxiomReport(False, window, checked, skipped,
+                                       f"associativity: ({x}.{y}).{z} = {left!r} "
+                                       f"but {x}.({y}.{z}) = {right!r}", (x, y, z))
 
     for i, x in enumerate(basis):
         for y in basis[i:]:
             lie = p.bracket_basis(x, y)
             for z in basis:
-                report.triples_checked += 1
+                checked += 1
                 lhs = table.multiply(z, lie)
                 if lhs is None:
-                    report.triples_skipped += 1
+                    skipped += 1
                     continue
                 zx = table.get(z, x)
                 zy = table.get(z, y)
                 rhs = bracket(p, zx, Element.basis(y)) + bracket(p, Element.basis(x), zy)
                 if lhs.scale(2) != rhs:
-                    report.passed = False
-                    report.violation = (f"compatibility: 2 {z}.[{x},{y}] = "
-                                        f"{lhs.scale(2)!r} but [{z}.{x},{y}] + "
-                                        f"[{x},{z}.{y}] = {rhs!r}")
-                    report.witnesses = (x, y, z)
-                    return report
-    return report
+                    return AxiomReport(False, window, checked, skipped,
+                                       f"compatibility: 2 {z}.[{x},{y}] = {lhs.scale(2)!r} "
+                                       f"but [{z}.{x},{y}] + [{x},{z}.{y}] = {rhs!r}",
+                                       (x, y, z))
+    return AxiomReport(True, window, checked, skipped)
 
 
 TP_TRIVIAL = "trivial"
 TP_NONTRIVIAL_POSSIBLE = "nontrivial possible"
 
 
-class TPClassification:
-    __slots__ = ("algebra", "window", "verdict", "solution_dim", "path", "basis_count",
-                 "derivation_verdict")
-
-    def __init__(self, algebra: str, window: int, verdict: str, solution_dim: int,
-                 path: str, basis_count: int, derivation_verdict: str):
-        self.algebra, self.window, self.verdict = algebra, window, verdict
-        self.solution_dim, self.path, self.basis_count = solution_dim, path, basis_count
-        self.derivation_verdict = derivation_verdict
+class TPClassification(namedtuple(
+        "TPClassification",
+        "algebra window verdict solution_dim path basis_count derivation_verdict")):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
+        return self._asdict()
 
 
 def _degree_kernels(p: AlgebraPresentation, window: int) -> dict:

@@ -225,21 +225,19 @@ LEMMA_EXPECTATIONS = {
 LEMMA_GAMMA_RANGE = 3
 
 
-class LemmaCheck:
-    __slots__ = ("tag", "gamma", "expected", "interior_dim", "classification", "passed")
+class LemmaCheck(NamedTuple):
+    tag: str
+    gamma: int
+    expected: str
+    interior_dim: int
+    classification: str
+    passed: bool
 
-    def __init__(self, tag: str, gamma: int, expected: str, interior_dim: int,
-                 classification: str, passed: bool):
-        self.tag, self.gamma, self.expected = tag, gamma, expected
-        self.interior_dim, self.classification = interior_dim, classification
-        self.passed = passed
 
-
-class LemmaCheckReport:
-    __slots__ = ("window", "interior", "checks")
-
-    def __init__(self, window: int, interior: int, checks: list[LemmaCheck]):
-        self.window, self.interior, self.checks = window, interior, checks
+class LemmaCheckReport(NamedTuple):
+    window: int
+    interior: int
+    checks: list[LemmaCheck]
 
     @property
     def all_passed(self) -> bool:

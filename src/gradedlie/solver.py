@@ -54,7 +54,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import AlgebraPresentation, BasisKind, GradingDegree, Record, format_rational
+from .core import AlgebraPresentation, GradingDegree, format_rational
 from .linalg import (SparseMatrix, VectorBasis, affine_certificate, nullspace,
                      project_basis, verify_kernel)
 
@@ -114,23 +114,18 @@ class HomogeneousSolveProblem(namedtuple("HomogeneousSolveProblem",
         return self.degree.index
 
 
-class UnknownLayout:
+class UnknownLayout(namedtuple("UnknownLayout", "columns families images index")):
     """Column layout: one unknown u[X>T, m] per source kind X, target kind
     T and index m where X_m and T_{m+gamma} both exist, and images, the map
     D(X_m) = sum of u[X>T, m] * T_{m+gamma} in identity_rows' form that
     assembly and kernel_certificate's sample read.
 
     A column (label, m) is labelled X when X has one target kind or T = X,
-    and "X>T" otherwise; families maps each label to its (X, T).
+    and "X>T" otherwise; families maps each label to its (X, T), and index
+    each column to its position.
     """
 
-    __slots__ = ("columns", "families", "images", "index")
-
-    def __init__(self, columns: list[tuple[str, int]],
-                 families: dict[str, tuple[BasisKind, BasisKind]],
-                 images: dict[tuple[int, int], list[tuple[int, tuple[int, int]]]]):
-        self.columns, self.families, self.images = columns, families, images
-        self.index = {key: i for i, key in enumerate(columns)}
+    __slots__ = ()
 
 
 def unknown_layout(problem: HomogeneousSolveProblem, inside: bool = False) -> UnknownLayout:
@@ -155,7 +150,8 @@ def unknown_layout(problem: HomogeneousSolveProblem, inside: bool = False) -> Un
                         and (not inside or abs(m + gamma) <= window)):
                     images.setdefault((a, m), []).append((len(columns), (b, m + gamma)))
                     columns.append((label, m))
-    return UnknownLayout(columns, families, images)
+    return UnknownLayout(columns, families, images,
+                         {key: i for i, key in enumerate(columns)})
 
 
 def identity_rows(p: AlgebraPresentation, delta: Fraction,
@@ -337,15 +333,11 @@ def classify_interior(layout_keys: Sequence[tuple[str, int]],
     return "nontrivial"
 
 
-class SolveReport(Record):
+class SolveReport(namedtuple("SolveReport",
+                             "degree full_dim interior_dim classification basis_summary")):
     """Outcome of one homogeneous solve, read off the interior sub-window."""
 
-    __slots__ = ("degree", "full_dim", "interior_dim", "classification", "basis_summary")
-
-    def __init__(self, degree: GradingDegree, full_dim: int, interior_dim: int,
-                 classification: str, basis_summary: list[dict[str, str]]):
-        self.degree, self.full_dim, self.interior_dim = degree, full_dim, interior_dim
-        self.classification, self.basis_summary = classification, basis_summary
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -533,13 +525,8 @@ VERDICT_SCALAR_ONLY = "scalar-only"
 VERDICT_NOT_SCALAR_ONLY = "not-scalar-only"
 
 
-class ScanResult:
-    __slots__ = ("algebra", "delta", "window", "interior", "reports", "verdict")
-
-    def __init__(self, algebra: str, delta: Fraction, window: int, interior: int,
-                 reports: list[SolveReport], verdict: str):
-        self.algebra, self.delta, self.window, self.interior = algebra, delta, window, interior
-        self.reports, self.verdict = reports, verdict
+class ScanResult(namedtuple("ScanResult", "algebra delta window interior reports verdict")):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

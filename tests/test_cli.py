@@ -59,6 +59,26 @@ def test_validate_reports_jacobi_counterexamples(tmp_path, capsys):
     assert len(report["witnesses"]) == 3
 
 
+def test_validate_failure_matches_the_recorded_golden(tmp_path, capsys):
+    # the sign-flipped pgca file CI builds: the certificate rejects it, so
+    # the window N = 4 is enumerated up to the first failing triple
+    data = catalog.to_dict(catalog.get("pgca"))
+    rule = next(r for r in data["brackets"] if (r["left"], r["right"]) == ("L", "I"))
+    rule["terms"][0]["coeff"] = {"cm": "-1", "cn": "1"}
+    path = tmp_path / "flipped.json"
+    catalog.save(catalog.from_dict(data), path)
+    target = tmp_path / "validate.json"
+    code, _, _ = run(["validate", "--algebra", str(path), "--window", "4",
+                      "--format", "json", "--output", str(target)], capsys)
+    assert code == EXIT_MATH_FAIL
+    assert target.read_bytes() == (GOLDENS / "pgca_flipped_validate.json").read_bytes()
+
+    code, out, _ = run(["validate", "--algebra", str(path), "--window", "4"], capsys)
+    assert code == EXIT_MATH_FAIL
+    assert out == ("pgca: FAIL [jacobi] at (L_-4, L_-3, I_-4): "
+                   "jacobiator = 6*I_-11\n")
+
+
 def test_validate_json_output_is_canonical(capsys):
     code, out, _ = run(["validate", "--algebra", "witt", "--window", "2",
                         "--format", "json"], capsys)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import reference_loops
 from gradedlie import catalog, cli, linalg, poisson, solver
 from gradedlie.core import (AlgebraPresentation, BasisElement, BasisKind,
-                            BracketRule, BracketTerm, CentralTerm, CubicPoly,
+                            BracketRule, BracketTerm, CentralTerm, CubicPoly, Element,
                             GradingDegree, affine, bracket, certify_presentation)
 from gradedlie.solver import (HomogeneousSolveProblem, KindAutomorphism, SolveReport,
                               SolverError, VERDICT_NOT_SCALAR_ONLY, VERDICT_SCALAR_ONLY,
@@ -95,6 +95,44 @@ def test_partner_of_a_central_kind_stays_central():
         "L": ("L", "L"), "L>C": ("L", "C"), "C": ("C", "C")}
     # no kind sits in the shifted sector
     assert _families(VIRASORO, (0, 1, 0)) == {}
+
+
+# kinds L (witt), A (no bracket) and a central C, all in sector (0, 0)
+_GAP_L, _GAP_A, _GAP_C = (BasisKind(name, (0, 0)) for name in "LAC")
+CENTRAL_GAP = AlgebraPresentation(
+    "central-gap", (_GAP_L, _GAP_A, _GAP_C),
+    (BracketRule(_GAP_L, _GAP_L, (BracketTerm(_GAP_L, affine(cm=1, cn=-1)),)),),
+    central=("C",))
+
+
+def test_a_central_source_into_a_non_central_kind_gives_a_derivation():
+    # D(C_0) = A_0, zero elsewhere: D[x, y] = [Dx, y] + [x, Dy] on N = 4
+    c0, a0 = BasisElement(_GAP_C, 0), BasisElement(_GAP_A, 0)
+
+    def d(x):
+        return Element({a0: c for b, c in x.items() if b == c0})
+
+    basis = [Element.basis(b) for b in CENTRAL_GAP.basis_elements(4)]
+    for x in basis:
+        for y in basis:
+            assert d(bracket(CENTRAL_GAP, x, y)) == (
+                bracket(CENTRAL_GAP, d(x), y) + bracket(CENTRAL_GAP, x, d(y)))
+    assert d(basis[-1]) == Element.basis(a0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a central source keeps only central targets (ROADMAP item 6)")
+def test_a_central_source_may_map_into_a_non_central_kind():
+    # the derivation D(C_0) = A_0 above must lie in the kernel of (0,0,0)
+    # at delta = 1, yet the layout gives C only the label C: its labels
+    # are A, A>C, A>L, C, L, L>A and L>C, with no C>A column to hold D
+    prob = problem(CENTRAL_GAP, Fraction(1), (0, 0, 0), 4)
+    layout = unknown_layout(prob)
+    assert ("C>A", 0) in layout.index
+    vec = [0] * len(layout.columns)
+    vec[layout.index["C>A", 0]] = 1
+    kernel = linalg.nullspace(assemble(prob, layout))
+    assert rank(from_dense(kernel.vectors + [vec])) == len(kernel)
 
 
 def test_two_noncentral_kinds_in_one_sector_map_into_each_other():
