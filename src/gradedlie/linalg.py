@@ -53,7 +53,8 @@ class SparseMatrix:
     certificate.  Elimination reads them through _stream, which stops
     where rref stops; everything else that looks at rows reads the source
     to the end first.  _proved is the int kernel the last rref stopped on,
-    empty or passed by the certificate, and None when it read every row.
+    empty or passed by the certificate, or the basis verify_kernel's
+    certificate passed; None when rref read every row.
     """
 
     __slots__ = ("cols", "_rows", "_dens", "_source", "_den", "_certify", "_proved")
@@ -392,12 +393,14 @@ def nullspace(m: SparseMatrix) -> VectorBasis:
 
 def verify_kernel(m: SparseMatrix, basis: VectorBasis) -> VectorBasis:
     """basis, once its vectors pass m's kernel certificate before any row
-    is read, or else multiply to zero through every row of m, as in
-    nullspace's postcondition."""
+    is read, kept then as m._proved, or else multiply to zero through every
+    row of m, as in nullspace's postcondition."""
     if basis.dimension != m.cols:
         raise LinalgError(f"basis of dimension {basis.dimension} for {m.cols} columns")
     kernel = list(enumerate(basis.vectors))
-    if kernel and not (m._certify is not None and m._certify(kernel)):
+    if kernel and m._certify is not None and m._certify(kernel):
+        m._proved = kernel
+    elif kernel:
         _verify(m, kernel)
     return basis
 

@@ -35,6 +35,18 @@ Elimination tries a candidate kernel once per run of rows that add no
 pivot, stops reading rows as soon as one passes, and nullspace returns
 that kernel without checking it again.
 
+A degree is decided on the window W = propagation_window(p) when W < N.
+Restriction: a pair's rows read D only at m, n and m+n, so the rows of W
+are rows of N over W's columns, and a kernel vector of N restricted to
+W's columns is one of W.  Propagation: for |k| >= W the rows of the pair
+(P_{+-1}, X_k), one per output T, read the column u[t(X)>T, k+-1] times
+a_X(+-1, k) != 0 and otherwise only columns of index +-1 and k, and t is
+onto; so a kernel vector of N zero on W's columns is zero at +-(W+1), and
+so on out to N.  Restriction is injective and dim K_N <= dim K_W.  So a
+zero kernel on W is N's; and a kernel on W the certificate passed holds,
+extended affinely per label, on every row of every window, so those
+dim K_W independent extensions span K_N.  Any other kernel is solved on N.
+
 kind_automorphisms certifies signed kind permutations
 g(X_m) = s_X perm[X]_{f*m}, automorphisms at every index: theta
 (X_m -> s_X X_{-m}), and for pgca sigma (I <-> J, H -> -H) and theta sigma.
@@ -44,8 +56,8 @@ solves the first degree of each orbit directly and keeps its kernel; each
 later degree checks g's image of it against its own system and does not
 eliminate: through the certificate where that passes, so reading no row,
 and against every row otherwise; a zero kernel is taken as it is.  A
-Mirror holds the kernels of one window and one kind of layout, so
-poisson.classify_products keeps one of its own for its inside degrees.
+Mirror holds the kernels of one window and one kind of layout: scan's, all
+on the window min(W, N), or poisson.classify_products' inside degrees.
 """
 
 from __future__ import annotations
@@ -276,12 +288,46 @@ def kernel_certificate(problem: HomogeneousSolveProblem, layout: UnknownLayout):
     """
     p, window = problem.presentation, problem.window
     # affine_certificate reads the 2N+1 columns of every label, two at least
-    if (p.central or not window or len(layout.columns) != len(layout.families) * (2 * window + 1)
-            or any(c0 or cm + cn for (a, b), (terms, _) in p._tables.items()
-                   if a == b for c0, cm, cn in terms.values())):
+    if (not _skew(p) or not window
+            or len(layout.columns) != len(layout.families) * (2 * window + 1)):
         return None
     return affine_certificate([layout.index[label, 0] for label in layout.families], window,
                               lambda: _identity_rows(p, problem.delta, layout.images, 1))
+
+
+def _skew(p: AlgebraPresentation) -> bool:
+    """Whether p has no central kind and every same-kind table is skew."""
+    return not p.central and not any(c0 or cm + cn for (a, b), (terms, _) in p._tables.items()
+                                     if a == b for c0, cm, cn in terms.values())
+
+
+def propagation_window(p: AlgebraPresentation) -> int | None:
+    """The least W past every integer root m of a_X(+-1, m) = c0 +- cm + cn*m,
+    the one term of each table [P, X] of a propagator kind P, whose targets
+    t(X) are a bijection of the kinds: restricting a kernel of a window
+    N >= W to W is then injective (module docstring).  P's own table, skew,
+    has the root 1, where (P_1, P_1) is no row.  None if no kind is one, or
+    if not _skew(p)."""
+    if not _skew(p):
+        return None
+    k, windows = len(p.kinds), []
+    for a in range(k):
+        roots, targets = set(), set()
+        for b in range(k):
+            terms = p._tables.get((a, b), ({}, {}))[0]
+            if len(terms) != 1:
+                break
+            (t, (c0, cm, cn)), = terms.items()
+            if not cn and not (c0 + cm and c0 - cm):  # zero at every m
+                break
+            targets.add(t)
+            for c in (c0 + cm, c0 - cm):
+                if cn and not c % cn:
+                    roots.add(abs(c // cn))
+        else:
+            if len(targets) == k:
+                windows.append(max(roots) + 1)
+    return min(windows, default=None)
 
 
 def describe_values(values: dict[int, int], lead: int = 1) -> str:
@@ -460,7 +506,7 @@ def _matches(p: AlgebraPresentation, perm: list[int], flip: int, a: int, b: int,
 class Mirror:
     """Automorphisms (kind_automorphisms) and the layouts and kernels of
     the degrees solved under them, of one window and kind of layout: scan's,
-    or classify_products' inside degrees."""
+    on solve_degree's window, or classify_products' inside degrees."""
 
     __slots__ = ("group", "kernels")
 
@@ -507,16 +553,31 @@ def solve_degree(problem: HomogeneousSolveProblem,
                  mirror: Mirror | None = None) -> SolveReport:
     """Solve one homogeneous degree and classify the interior solution space.
 
-    Every degree assembles its matrix.  Given a mirror, a degree it maps a
-    solved one to checks that image against it (linalg.verify_kernel: the
-    kernel certificate, else every row) instead of eliminating, and a
-    degree solved directly leaves its kernel there.
+    Assembled on the window W = propagation_window(p) if W < N, else on N.
+    Given a mirror, a degree it maps a solved one to checks that image
+    against it (linalg.verify_kernel) instead of eliminating, and a degree
+    solved directly leaves its kernel there.  On W < N a zero kernel stands,
+    one the certificate passed is extended to N per label by w[m] = w[0] +
+    (w[1] - w[0])*m (module docstring), and any other is solved on N.
     """
     interior = check_window(problem.window, problem.gamma, problem.interior)
-    layout = unknown_layout(problem)
-    matrix = assemble(problem, layout)
+    window = min(propagation_window(problem.presentation) or problem.window, problem.window)
+    small = problem._replace(window=window, interior=0)
+    layout = unknown_layout(small)
+    matrix = assemble(small, layout)
     kernel = (mirror or Mirror([])).kernel(problem.degree, layout, lambda: matrix)
-    return report_from_kernel(kernel, layout.columns,
+    columns = layout.columns
+    if kernel and window < problem.window:
+        if matrix._proved:  # certified, so each label owns every index of N
+            span = range(-problem.window, problem.window + 1)
+            columns = [(label, m) for label in layout.families for m in span]
+            origins = [layout.index[label, 0] for label in layout.families]
+            kernel = VectorBasis(len(columns), [[w[c] + (w[c + 1] - w[c]) * m for c in origins
+                                                 for m in span] for w in kernel.vectors])
+        else:
+            layout = unknown_layout(problem)
+            columns, kernel = layout.columns, nullspace(assemble(problem, layout))
+    return report_from_kernel(kernel, columns,
                               [k.name for k in problem.presentation.kinds],
                               problem.degree, interior)
 
@@ -552,7 +613,7 @@ def scan_verdict(reports: Iterable[SolveReport]) -> str:
 
 def scan(p: AlgebraPresentation, delta: Fraction, gamma_max: int,
          window: int, interior: int | None = None) -> ScanResult:
-    """Solve every degree in {0,1}^2 x [-gamma_max, gamma_max]."""
+    """Solve every degree in {0,1}^2 x [-gamma_max, gamma_max], one Mirror for all."""
     if gamma_max < 0:
         raise SolverError("gamma_max must be non-negative")
     interior = check_window(window, gamma_max, interior)

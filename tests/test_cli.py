@@ -334,6 +334,17 @@ def test_scan_reports_match_recorded_goldens(algebra, golden, tmp_path, capsys):
     assert target.read_bytes() == (GOLDENS / golden).read_bytes()
 
 
+def test_the_half_scan_at_window_64_matches_its_golden(tmp_path, capsys):
+    # recorded when each degree was solved on the window 64; each is now
+    # decided on pgca's propagation window 2, the zero kernels as they are
+    # and (0, 0, 0)'s identity extended to the window 64
+    target = tmp_path / "scan.json"
+    code, _, _ = run(["solve", "--algebra", "pgca", "--delta", "1/2", "--gamma-max", "16",
+                      "--window", "64", "--format", "json", "--output", str(target)], capsys)
+    assert code == EXIT_OK
+    assert target.read_bytes() == (GOLDENS / "pgca_half_scan_64.json").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # lemmas
 

@@ -356,22 +356,22 @@ def test_every_memo_miss_calls_bracket_basis_once():
     original = AlgebraPresentation.bracket_basis
     p = catalog.get("pgca")
     with _counted_bracket_basis() as calls:
-        # rows are streamed into elimination, so the 5 zero-kernel degrees
-        # solved directly stop evaluating brackets at the zero-kernel
-        # certificate and (0, 0, 0) where the kernel certificate passes its
-        # candidate kernel; the 6 others, at gamma = 1 and in sector
-        # (1, 0), take the image of a solved degree's kernel under theta,
-        # sigma or theta sigma, which is zero or certified without a row,
-        # and evaluate none: 400 of the 2550 brackets a full assembly of
-        # every row evaluates (512 when sector (1, 0) was solved too).
-        # (0, 0, 0) fills 54 of them, all for the certificate, which checks
-        # its candidate against that degree's rows on the window N = 1;
-        # (0, 0, -1), solved before it, had filled every bracket of the
-        # rows it reads
+        # each degree is solved on pgca's propagation window 2, its rows
+        # streamed into elimination, so the 5 zero-kernel degrees solved
+        # directly stop evaluating brackets at the zero-kernel certificate
+        # and (0, 0, 0) where the kernel certificate passes its candidate
+        # kernel; the 6 others, at gamma = 1 and in sector (1, 0), take the
+        # image of a solved degree's kernel under theta, sigma or theta
+        # sigma, which is zero or certified without a row, and evaluate
+        # none: 181 of the 526 brackets a full assembly of every row on the
+        # window 2 evaluates (400 of 2550 when solved on the window 6).
+        # (0, 0, 0) fills 47 of them, for its rows and for the certificate,
+        # which checks its candidate against that degree's rows on the
+        # window N = 1
         solver.scan(p, Fraction(1, 2), 1, 6)
-        assert calls[0] == len(p._indexed) == 400
+        assert calls[0] == len(p._indexed) == 181
         solver.scan(p, Fraction(1, 2), 1, 6)
-        assert calls[0] == 400
+        assert calls[0] == 181
     # validate decides with the certificate, whose points fill 108 entries;
     # enumerating the window N = 4 fills 2356
     with _counted_bracket_basis() as calls:

@@ -24,8 +24,8 @@ from gradedlie.solver import (HomogeneousSolveProblem, KindAutomorphism, SolveRe
                               SolverError, VERDICT_NOT_SCALAR_ONLY, VERDICT_SCALAR_ONLY,
                               WindowTooSmallError, assemble, classify_interior,
                               describe_values, kernel_certificate, kind_automorphisms,
-                              required_window, scan, scan_verdict, solve_degree,
-                              unknown_layout)
+                              propagation_window, required_window, scan, scan_verdict,
+                              solve_degree, unknown_layout)
 from matrices import from_dense, mul_vec, rank, sparse_rows
 from test_core import _brackets, _preserves, _presentations
 
@@ -803,10 +803,10 @@ def test_nonzero_kernel_degrees_stop_making_rows(monkeypatch):
     # affine in m per kind, so each solved degree stops reading where the
     # kernel certificate passes it and each mirrored one (gamma = 1, and
     # sector (1, 0), which sigma and theta sigma take from (0, 1)) is
-    # certified without a row.  Boundary-first rows give each degree its
-    # last pivot sooner, and the certificate is tried once each run of idle
-    # rows reaches the candidate kernel's width: 509 rows are read, 161 of
-    # them at (0, 0, 0)
+    # certified without a row.  Each degree is solved on the propagation
+    # window 2, not on 6 (509 of 10,240 rows read there), and the
+    # certificate is tried once each run of idle rows reaches the candidate
+    # kernel's width: 188 of the 1,468 rows are read, 56 of them at (0, 0, 0)
     made = []
     monkeypatch.setattr(solver, "assemble",
                         lambda *args: made.append(assemble(*args)) or made[-1])
@@ -816,17 +816,22 @@ def test_nonzero_kernel_degrees_stop_making_rows(monkeypatch):
         d = report.degree
         assert report.full_dim > 0
         assert rows == 0 if d.index == 1 or (d.eps1, d.eps2) == (1, 0) else 0 < rows < matrix.rows
-    assert (sum(read), sum(matrix.rows for matrix in made)) == (509, 10240)
+    # every degree's four labels own the 5 indices of the window 2
+    assert {matrix.cols for matrix in made} == {4 * 5}
+    assert (sum(read), sum(matrix.rows for matrix in made)) == (188, 1468)
+    assert read[1] == 56
 
 
 def test_each_kernel_is_certified_once(monkeypatch):
-    # pgca's derivations at N = 6, |gamma| <= 1: elimination tries the
-    # certificate 11 times over the 6 solved degrees, and nullspace takes
-    # the kernel it passed without trying it again; each of the 6 mirrored
-    # degrees (gamma = 1, and sector (1, 0)) tries g's image once, in
-    # verify_kernel.  A candidate is tried once per run of idle rows as
-    # long as it is wide, so (0, 0, 0) tries candidates of widths 24, 12,
-    # 7, 3 and 2, and (1, 1, 0) of widths 6 and 1; a candidate that is not
+    # pgca's derivations at N = 6, |gamma| <= 1, each degree solved on the
+    # propagation window 2: elimination tries the certificate 13 times over
+    # the 6 solved degrees (11 on the window 6), and nullspace takes the
+    # kernel it passed without trying it again, nor does the extension to
+    # the window 6; each of the 6 mirrored degrees (gamma = 1, and sector
+    # (1, 0)) tries g's image once, in verify_kernel.  A candidate is tried
+    # once per run of idle rows as long as it is wide, so (0, 0, 0) tries
+    # candidates of widths 8, 4, 3 and 2 (24, 12, 7, 3 and 2 on the window
+    # 6), and (1, 1, 0) of widths 4, 3, 2 and 1; a candidate that is not
     # affine fails on the affine check, before any sample row is made
     calls, where = [], ["elimination"]
     certificate, verify = solver.kernel_certificate, solver.verify_kernel
@@ -850,9 +855,11 @@ def test_each_kernel_is_certified_once(monkeypatch):
     monkeypatch.setattr(solver, "kernel_certificate", counting)
     monkeypatch.setattr(solver, "verify_kernel", mirrored)
     scan(PGCA, Fraction(1), 1, 6)
-    assert [w for w, _, _, _ in calls].count("elimination") == 11
+    assert [w for w, _, _, _ in calls].count("elimination") == 13
     assert [width for w, d, _, width in calls
-            if w == "elimination" and tuple(d) == (0, 0, 0)] == [24, 12, 7, 3, 2]
+            if w == "elimination" and tuple(d) == (0, 0, 0)] == [8, 4, 3, 2]
+    assert [width for w, d, _, width in calls
+            if w == "elimination" and tuple(d) == (1, 1, 0)] == [4, 3, 2, 1]
     assert [(tuple(d), passed) for w, d, passed, _ in calls if w == "mirrored"] == [
         ((0, 0, 1), True), ((0, 1, 1), True), ((1, 0, -1), True), ((1, 0, 0), True),
         ((1, 0, 1), True), ((1, 1, 1), True)]
@@ -1209,6 +1216,20 @@ SIGMA_ONLY = AlgebraPresentation("sigma-only", (_L, _P, _Q), (
     BracketRule(_L, _Q, (BracketTerm(_Q, affine(c0=-1, cn=-1)),))))
 
 
+# witt with [L_m, L_n] = (n - m) L_{m+n} and the intermediate series
+# [L_m, A_n] = (m + n - 3) A_{m+n}: [L_m, A_{3-m}] = 0 for every m, so A_3 is
+# no bracket, and at delta = 0 the map sending A_3 to A_{3+gamma} (or to
+# L_{3+gamma}) and every other element to 0 lies in the kernel of each
+# window N >= 3.  The propagator L's coefficient on A_n at L_1 and at L_-1,
+# n - 2 and n - 4, has the integer roots 2 and 4, so W = 5: no window
+# smaller than 3 sees that map, and the window 5's kernel holds it, which
+# is not affine, so the degree is solved on N
+_RA = BasisKind("A", (0, 1))
+ROOT_FOUR = AlgebraPresentation("root-four", (_L, _RA), (
+    BracketRule(_L, _L, (BracketTerm(_L, affine(cm=-1, cn=1)),)),
+    BracketRule(_L, _RA, (BracketTerm(_RA, affine(c0=-3, cm=1, cn=1)),))))
+
+
 @settings(max_examples=50)
 @given(_presentations(), st.sampled_from((HALF, Fraction(1), Fraction(2, 3),
                                           Fraction(0), Fraction(-1))))
@@ -1217,6 +1238,7 @@ SIGMA_ONLY = AlgebraPresentation("sigma-only", (_L, _P, _Q), (
 @example(NO_THETA, Fraction(1))
 @example(HV_CENTRAL, Fraction(1))
 @example(SIGMA_ONLY, Fraction(1))
+@example(ROOT_FOUR, Fraction(0))
 def test_scan_equals_a_full_reading_of_every_degree(p, delta):
     # every fast path (the kernel certificate, the mirror of each orbit's
     # first degree by theta, sigma or any other automorphism found, the
@@ -1233,3 +1255,123 @@ def test_scan_equals_a_full_reading_of_every_degree(p, delta):
                                                 kinds, report.degree, result.interior))
         assert report.to_json_dict() == direct[-1].to_json_dict(), report.degree
     assert result.verdict == scan_verdict(direct)
+
+
+# ---------------------------------------------------------------------------
+# the propagation window: each degree decided on W, its kernel extended to N
+
+# witt and two kinds A, B with [L_m, A_n] = [L_m, B_n] = -n B_{m+n}: a Lie
+# algebra, but [L_{+-1}, X_m] reaches B from both, and nothing reaches A
+_NA, _NB = BasisKind("A", (0, 0)), BasisKind("B", (0, 0))
+NOT_ONTO = AlgebraPresentation("not-onto", (_L, _NA, _NB), (
+    BracketRule(_L, _L, (BracketTerm(_L, affine(cm=1, cn=-1)),)),
+    BracketRule(_L, _NA, (BracketTerm(_NB, affine(cn=-1)),)),
+    BracketRule(_L, _NB, (BracketTerm(_NB, affine(cn=-1)),))))
+
+# witt and [L_m, A_n] = (1 - m) A_{m+n}, no Lie algebra: [L_1, A_n] = 0 at
+# every n, so L_1 carries nothing outward on A
+DEAD_AT_ONE = AlgebraPresentation("dead-at-one", (_L, _RA), (
+    BracketRule(_L, _L, (BracketTerm(_L, affine(cm=1, cn=-1)),)),
+    BracketRule(_L, _RA, (BracketTerm(_RA, affine(c0=1, cm=-1)),))))
+
+
+@pytest.mark.parametrize("p,bound", [
+    (PGCA, 2), (WITT, 2), (catalog.get("heisenberg-virasoro"), 2), (WITT_MODULE, 2),
+    (SHARED_SECTOR, 2), (NO_THETA, 2), (SIGMA_ONLY, 2), (ROOT_FOUR, 5),
+    (VIRASORO, None), (HV_CENTRAL, None), (catalog.get("abelian"), None),
+    (WITT_PLUS_ABELIAN, None), (NOT_SKEW, None), (NOT_ONTO, None), (DEAD_AT_ONE, None)],
+    ids=lambda v: getattr(v, "name", v))
+def test_the_propagation_window_is_read_from_the_tables(p, bound):
+    # L (shared-sector's A) propagates: [L_{+-1}, X_m] has one target kind,
+    # each kind is one, and the coefficient vanishes only at m = +-1 for
+    # X = L, where (L_1, L_1) is no row anyway, at m = 0 (pgca's H,
+    # heisenberg-virasoro's I), at m = -1 (no-theta's and sigma-only's
+    # 1 + m) or nowhere (witt-module's -(m + 1/2)).  virasoro and
+    # hv-central have a central kind, abelian no bracket, witt+abelian a
+    # kind that nothing reaches, not-skew a same-kind table that is not
+    # skew, not-onto two kinds sent to one, and dead-at-one a coefficient
+    # that vanishes at every m
+    assert propagation_window(p) == bound
+
+
+def _windows(monkeypatch):
+    """The window of each problem assembled from now on, in order."""
+    windows = []
+    monkeypatch.setattr(solver, "assemble",
+                        lambda prob, *args: windows.append(prob.window) or assemble(prob, *args))
+    return windows
+
+
+def _whole_kernel(p, delta, degree, window):
+    """degree's kernel on window, every row read, and its layout's columns."""
+    layout = unknown_layout(problem(p, delta, tuple(degree), window))
+    matrix = solver.identity_rows(p, delta, layout.images, window, len(layout.columns))
+    return linalg.nullspace(matrix), layout.columns
+
+
+def test_a_root_beyond_two_widens_the_window_or_falls_back(monkeypatch):
+    assert certify_presentation(ROOT_FOUR) and kind_automorphisms(ROOT_FOUR) == []
+    windows = _windows(monkeypatch)
+    # at delta = 1/2 each kernel is zero or certified, so each degree is
+    # assembled once, on min(W, N)
+    for window in (4, 5, 6):
+        windows.clear()
+        scan(ROOT_FOUR, HALF, 1, window)
+        assert windows == [min(window, 5)] * 12, window
+    # at delta = 0 the window 5 holds the map on A_3, so the certificate
+    # fails it and sectors (0, 0) and (0, 1) are solved on N as well;
+    # sectors (1, 0) and (1, 1) have no columns.  The window 6's interior 3
+    # shows the map
+    windows.clear()
+    result = scan(ROOT_FOUR, Fraction(0), 1, 6)
+    assert windows == [5, 6] * 6 + [5] * 6
+    assert [(r.full_dim, r.interior_dim) for r in result.reports] == [(1, 1)] * 6 + [(0, 0)] * 6
+    for report in result.reports:
+        kernel, columns = _whole_kernel(ROOT_FOUR, Fraction(0), report.degree, 6)
+        assert report == solver.report_from_kernel(kernel, columns, ["L", "A"], report.degree, 3)
+
+
+@pytest.mark.parametrize("key", ["abelian", "virasoro", "not-skew"])
+def test_a_presentation_without_a_bound_solves_each_degree_on_its_window(key, monkeypatch):
+    windows = _windows(monkeypatch)
+    scan(_presentation(key), HALF, 1, 6)
+    assert windows == [6] * 12
+
+
+@pytest.mark.parametrize("p", [PGCA, WITT, catalog.get("heisenberg-virasoro"), WITT_MODULE,
+                               SHARED_SECTOR, SIGMA_ONLY], ids=lambda p: p.name)
+@pytest.mark.parametrize("delta", [HALF, Fraction(1)], ids=str)
+def test_an_extended_kernel_spans_the_kernel_of_the_whole_window(p, delta, monkeypatch):
+    # the report gets each nonzero kernel on the columns of the window 8,
+    # extended from the window 2 or mirrored there: it spans the kernel of
+    # the window 8's rows read in full, not only its interior projection
+    windows, seen, report = _windows(monkeypatch), [], solver.report_from_kernel
+    monkeypatch.setattr(solver, "report_from_kernel",
+                        lambda kernel, columns, *args:
+                        seen.append((kernel, columns)) or report(kernel, columns, *args))
+    result = scan(p, delta, 2, 8)
+    assert windows == [2] * 20
+    extended = 0
+    for r, (kernel, columns) in zip(result.reports, seen, strict=True):
+        whole, whole_columns = _whole_kernel(p, delta, r.degree, 8)
+        assert len(kernel) == len(whole), r.degree
+        if whole:
+            assert columns == whole_columns
+            assert rank(from_dense(kernel.vectors + whole.vectors)) == len(whole), r.degree
+            extended += 1
+    assert extended > 0
+
+
+@pytest.mark.parametrize("delta", [Fraction(2), Fraction(-1), Fraction(1, 3), Fraction(-1, 2),
+                                   Fraction(3, 4), Fraction(0)], ids=str)
+def test_off_one_and_one_half_only_abelian_has_delta_derivations(delta):
+    # the catalog at N = 10, |gamma| <= 3: every degree of pgca, witt,
+    # virasoro and heisenberg-virasoro has a zero kernel, decided on the
+    # window 2 but for virasoro, and abelian's 7 degrees of sector (0, 0)
+    # each hold every map A_m -> c_m A_{m+gamma}, 2N + 1 = 21, 147 in all
+    # (which delta admit nonzero delta-derivations: Filippov, on prime Lie
+    # algebras)
+    for key in catalog.keys():
+        result = scan(catalog.get(key), delta, 3, 10)
+        dims = {tuple(r.degree): r.full_dim for r in result.reports if r.full_dim}
+        assert dims == ({(0, 0, g): 21 for g in range(-3, 4)} if key == "abelian" else {}), key
