@@ -24,8 +24,9 @@ and a row outside is eliminated and the candidate built again.
 affine_certificate is the one such check the package makes, for solver's
 systems and for the recurrence oracle's: each vector affine per column
 label, then zero on a small sample of rows, which each caller proves is
-enough.  Either way rows past that point are never made, and the matrix
-keeps the kernel elimination stopped on.  The reduced form is that of
+enough; extend_affine writes such a kernel out on a wider window.  Either
+way rows past that point are never made, and the matrix keeps the kernel
+elimination stopped on.  The reduced form is that of
 full elimination, one row per pivot, each primitive over its leading
 entry.  nullspace returns the kept kernel as it is; any other kernel it
 builds from the reduced rows and checks against every row of the input.
@@ -411,6 +412,16 @@ def _verify(m: SparseMatrix, kernel):
     for row in m._stream():
         if _outside(row, kernel):
             raise LinalgError("internal error: kernel vector fails verification")
+
+
+def extend_affine(basis: VectorBasis, origins: list[int], window: int) -> VectorBasis:
+    """basis's vectors, each affine per column label, on labels of 2*window
+    + 1 columns, label by label in origins' order: w[m] = w[0] + (w[1] -
+    w[0])*m, w[0] at the label's origin column and w[1] after it."""
+    span = range(-window, window + 1)
+    return VectorBasis(len(origins) * len(span), [[w[c] + (w[c + 1] - w[c]) * m
+                                                   for c in origins for m in span]
+                                                  for w in basis.vectors])
 
 
 def project_basis(basis: VectorBasis, coords: Iterable[int]) -> list[tuple[int, list[int]]]:

@@ -10,13 +10,26 @@ e18/e19 are e17's terms at m = 0, and e20's rational coefficient is
 multiplied by its denominator, so every row is a dict of plain ints.  The
 two code paths share exact linear algebra, the affine kernel certificate
 (linalg.affine_certificate, which each samples on its own rows at the
-window N = 1) and report formatting, but no assembly logic, so agreement
-between them checks the assembler and the hand derivation against each
-other.
+window N = 1), its extension (linalg.extend_affine) and report formatting,
+but no assembly logic, so agreement between them checks the assembler and
+the hand derivation against each other.
 
 Unknowns are keyed by source kind: the family tagged "L" collects the
 coefficients of the images of L_m, and so on.  Degree shift is written
 gamma throughout; every equation constrains a window m, n, m+n in [-N, N].
+
+A system of full recurrences (e1..e17) is decided on the window W that its
+own table gives (_window), when W < N.  Restriction: a pair's rows read f
+only at m, n and m+n, so the rows of W are rows of N over W's columns, and
+a kernel vector of N restricted to W's columns is one of W.  Propagation:
+each family F is the one m+n unknown of some recurrence, whose row at
+(m, n) = (+-1, k) reads F_{k+-1} with coefficient a*(+-1) + b*k +
+g*gamma + c, nonzero for |k| >= W, and otherwise only unknowns of index
++-1 and k; so a kernel vector of N zero on W's columns is zero at +-(W+1),
+and so on out to N.  Restriction is injective and dim K_N <= dim K_W.  So
+a zero kernel on W is N's; and a kernel on W the certificate passed holds,
+extended affinely per family, on every row of every window, so those
+dim K_W independent extensions span K_N.  Any other kernel is solved on N.
 """
 
 from __future__ import annotations
@@ -24,7 +37,7 @@ from __future__ import annotations
 from typing import Callable, Iterator, NamedTuple
 
 from .core import GradingDegree
-from .linalg import SparseMatrix, affine_certificate, nullspace
+from .linalg import SparseMatrix, VectorBasis, affine_certificate, extend_affine, nullspace
 from .solver import SolveReport, check_window, report_from_kernel
 
 FAMILIES = ("L", "H", "I", "J")
@@ -46,13 +59,15 @@ def _e20_rows(gamma: int, N: int) -> Iterator[dict]:
 class Recurrence(NamedTuple):
     """One displayed recurrence: a tag, the families it touches, and its
     rows at (gamma, N), an iterator of {(family, index): nonzero int}.
-    full marks rows over every pair of the window (_pair with no only_m,
-    resonant): the rows _solve_rows may certify a kernel with."""
+    terms, for rows over every pair of the window (_pair with no only_m,
+    resonant), are _pair's (family, m multiple, n multiple, coefficient),
+    which _solve_rows reads its window from and certifies a kernel with;
+    () for the others."""
 
     tag: str
     families: tuple[str, ...]
     rows: Callable[[int, int], Iterator[dict]]
-    full: bool = False
+    terms: tuple = ()
 
 
 def _pair(tag: str, families: tuple[str, ...], *terms, only_m: int | None = None,
@@ -64,9 +79,10 @@ def _pair(tag: str, families: tuple[str, ...], *terms, only_m: int | None = None
     coefficient a*m + b*n + g*gamma + c, on the side that makes the row
     "left-hand side minus right-hand side".  Every row is a dict of nonzero
     plain ints.  only_m keeps the pairs with that m, and resonant=False
-    leaves out the pairs with n = gamma; either makes it not full.
+    leaves out the pairs with n = gamma; either makes it not full, its
+    Recurrence's terms ().
     """
-    terms = [(fam, *_SLOTS[slot], coeff) for fam, slot, coeff in terms]
+    terms = tuple((fam, *_SLOTS[slot], coeff) for fam, slot, coeff in terms)
 
     def rows(gamma: int, N: int) -> Iterator[dict]:
         for m in range(-N, N + 1) if only_m is None else (only_m,):
@@ -80,7 +96,7 @@ def _pair(tag: str, families: tuple[str, ...], *terms, only_m: int | None = None
                 row = {key: v for key, v in row.items() if v}
                 if row:
                     yield row
-    return Recurrence(tag, families, rows, only_m is None and resonant)
+    return Recurrence(tag, families, rows, terms if only_m is None and resonant else ())
 
 
 # Coefficients are (m, n, gamma, 1) multipliers; "g" is gamma.
@@ -164,33 +180,79 @@ SECTOR_SYSTEMS: dict[tuple[int, int], tuple[str, ...]] = {
 }
 
 
-def _solve_rows(recs: list[Recurrence], families: tuple[str, ...], gamma: int,
-                window: int, interior: int, degree: GradingDegree) -> SolveReport:
-    """Solve the recurrences' streamed int rows together: a zero-kernel
-    degree stops making rows once every column pivots, and a system of
-    full recurrences once its candidate kernel passes
-    linalg.affine_certificate on its own rows at the window N = 1.
+def _window(recs: list[Recurrence], families: tuple[str, ...], gamma: int) -> int | None:
+    """The least W >= 1 past every integer root k of the coefficient
+    a*(+-1) + b*k + g*gamma + c of the one m+n term, at (m, n) = (+-1, k),
+    of some recurrence of each family, the best recurrence per family and
+    the worst family; None if a recurrence is not full or has two m+n
+    terms, or if a family is the m+n unknown of no recurrence whose
+    coefficient is nonzero at some k."""
+    if not all(rec.terms for rec in recs):
+        return None
+    best: dict[str, int] = {}
+    for rec in recs:
+        ahead = [(fam, coeff) for fam, sm, sn, coeff in rec.terms if sm == sn == 1]
+        if len(ahead) > 1:
+            return None
+        for fam, (a, b, g, c) in ahead:
+            roots = []
+            for v in (a + g * gamma + c, -a + g * gamma + c):  # b*k + v = 0
+                if not b and not v:
+                    break
+                if b and not v % b:
+                    roots.append(abs(v // b))
+            else:
+                w = max(roots, default=0) + 1
+                best[fam] = min(best.get(fam, w), w)
+    return max(best.values()) if best.keys() == set(families) else None
 
-    That is a proof: for unknowns affine in the index, the unknown at
-    m + n, m or n and each coefficient are affine in (m, n), so each
-    recurrence's rows are one polynomial of degree at most 2 over every
-    pair with |m|, |n|, |m + n| <= N.  It vanishes at the 7 such pairs of
-    N = 1 only if it is zero: then it is zero on the line m + n = 0, so it
-    is (m + n)*L, and the affine L vanishes at (1, 0), (-1, 0) and (0, 1).
-    e18, e19 and e20 keep only some pairs, so a system with one reads
-    every row.
-    """
-    layout = [(fam, m) for fam in families for m in range(-window, window + 1)]
-    index = {key: i for i, key in enumerate(layout)}
+
+def _kernel(recs: list[Recurrence], families: tuple[str, ...], gamma: int,
+            window: int) -> tuple[VectorBasis, bool]:
+    """The kernel of the recurrences' streamed int rows on the window,
+    each family's columns the indices -window..window, and whether
+    linalg.affine_certificate, on its own rows at the window N = 1, passed
+    it nonzero: a zero-kernel window stops making rows once every column
+    pivots, and a system of full recurrences once its candidate passes."""
+    width = 2 * window + 1
+    origins = {fam: i * width + window for i, fam in enumerate(families)}
 
     def rows(N: int) -> Iterator[dict]:
-        return ({index[key]: v for key, v in row.items()}
+        return ({origins[fam] + m: v for (fam, m), v in row.items()}
                 for rec in recs for row in rec.rows(gamma, N))
     certify = None
-    if all(rec.full for rec in recs):
-        certify = affine_certificate([index[fam, 0] for fam in families], window,
-                                     lambda: rows(1))
-    kernel = nullspace(SparseMatrix.from_stream(len(layout), rows(window), certify=certify))
+    if all(rec.terms for rec in recs):
+        certify = affine_certificate(list(origins.values()), window, lambda: rows(1))
+    matrix = SparseMatrix.from_stream(len(families) * width, rows(window), certify=certify)
+    return nullspace(matrix), bool(matrix._proved)
+
+
+def _solve_rows(recs: list[Recurrence], families: tuple[str, ...], gamma: int,
+                window: int, interior: int, degree: GradingDegree) -> SolveReport:
+    """Solve the recurrences together on the window N, a system of full
+    recurrences decided on min(W, N), W = _window's (module docstring): a
+    zero kernel there is N's, one the certificate passed is extended to N
+    per family by w[m] = w[0] + (w[1] - w[0])*m, and any other is solved on
+    N.  e18, e19 and e20 keep only some pairs, so a system with one is
+    solved on N, reading every row.
+
+    The certificate is a proof on every window: for unknowns affine in the
+    index, the unknown at m + n, m or n and each coefficient are affine in
+    (m, n), so each recurrence's rows are one polynomial of degree at most
+    2 over every pair with |m|, |n|, |m + n| <= N.  It vanishes at the 7
+    such pairs of N = 1 only if it is zero: then it is zero on the line
+    m + n = 0, so it is (m + n)*L, and the affine L vanishes at (1, 0),
+    (-1, 0) and (0, 1).
+    """
+    small = min(_window(recs, families, gamma) or window, window)
+    kernel, proved = _kernel(recs, families, gamma, small)
+    if kernel and small < window:
+        width = 2 * small + 1
+        kernel = (extend_affine(kernel, [i * width + small for i in range(len(families))], window)
+                  if proved else _kernel(recs, families, gamma, window)[0])
+        small = window
+    # a zero kernel's report reads no column, so its own window's layout serves
+    layout = [(fam, m) for fam in families for m in range(-small, small + 1)]
     return report_from_kernel(kernel, layout, list(families), degree, interior)
 
 

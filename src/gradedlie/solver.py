@@ -67,8 +67,8 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import AlgebraPresentation, GradingDegree, format_rational
-from .linalg import (SparseMatrix, VectorBasis, affine_certificate, nullspace,
-                     project_basis, verify_kernel)
+from .linalg import (SparseMatrix, VectorBasis, affine_certificate, extend_affine,
+                     nullspace, project_basis, verify_kernel)
 
 
 class SolverError(Exception):
@@ -152,13 +152,13 @@ def unknown_layout(problem: HomogeneousSolveProblem, inside: bool = False) -> Un
         z2 = ((x.z2[0] + e1) % 2, (x.z2[1] + e2) % 2)
         targets = [t for t in p.kinds
                    if t.z2 == z2 and (inside or p.is_central(t) or not p.is_central(x))]
-        a = p.kind_order(x)
+        a, x_all = p.kind_order(x), not p.is_central(x)
         for t in targets:
             label = x.name if len(targets) == 1 or t == x else f"{x.name}>{t.name}"
             families[label] = (x, t)
-            b = p.kind_order(t)
-            for m in span:
-                if (p.element_exists(x, m) and p.element_exists(t, m + gamma)
+            b, t_all = p.kind_order(t), not p.is_central(t)
+            for m in span:  # a kind that is not central owns every index
+                if ((x_all or p.element_exists(x, m)) and (t_all or p.element_exists(t, m + gamma))
                         and (not inside or abs(m + gamma) <= window)):
                     images.setdefault((a, m), []).append((len(columns), (b, m + gamma)))
                     columns.append((label, m))
@@ -506,12 +506,15 @@ def _matches(p: AlgebraPresentation, perm: list[int], flip: int, a: int, b: int,
 class Mirror:
     """Automorphisms (kind_automorphisms) and the layouts and kernels of
     the degrees solved under them, of one window and kind of layout: scan's,
-    on solve_degree's window, or classify_products' inside degrees."""
+    on solve_degree's window, or classify_products' inside degrees.  bound
+    is the presentation's propagation_window, which the first solve_degree
+    reads and keeps, so a scan reads it once; Ellipsis until then."""
 
-    __slots__ = ("group", "kernels")
+    __slots__ = ("group", "kernels", "bound")
 
     def __init__(self, group: list[KindAutomorphism]):
         self.group, self.kernels = group, {}  # degree -> (layout, kernel)
+        self.bound = ...
 
     def kernel(self, degree: GradingDegree, layout: UnknownLayout, matrix) -> VectorBasis:
         """The kernel of degree's system on layout, matrix() its matrix.
@@ -553,27 +556,30 @@ def solve_degree(problem: HomogeneousSolveProblem,
                  mirror: Mirror | None = None) -> SolveReport:
     """Solve one homogeneous degree and classify the interior solution space.
 
-    Assembled on the window W = propagation_window(p) if W < N, else on N.
-    Given a mirror, a degree it maps a solved one to checks that image
-    against it (linalg.verify_kernel) instead of eliminating, and a degree
-    solved directly leaves its kernel there.  On W < N a zero kernel stands,
+    Assembled on the window W = propagation_window(p) if W < N, else on N;
+    a mirror reads W once and keeps it (Mirror.bound).  Given a mirror, a
+    degree it maps a solved one to checks that image against it
+    (linalg.verify_kernel) instead of eliminating, and a degree solved
+    directly leaves its kernel there.  On W < N a zero kernel stands,
     one the certificate passed is extended to N per label by w[m] = w[0] +
     (w[1] - w[0])*m (module docstring), and any other is solved on N.
     """
     interior = check_window(problem.window, problem.gamma, problem.interior)
-    window = min(propagation_window(problem.presentation) or problem.window, problem.window)
+    mirror = mirror or Mirror([])
+    if mirror.bound is ...:
+        mirror.bound = propagation_window(problem.presentation)
+    window = min(mirror.bound or problem.window, problem.window)
     small = problem._replace(window=window, interior=0)
     layout = unknown_layout(small)
     matrix = assemble(small, layout)
-    kernel = (mirror or Mirror([])).kernel(problem.degree, layout, lambda: matrix)
+    kernel = mirror.kernel(problem.degree, layout, lambda: matrix)
     columns = layout.columns
     if kernel and window < problem.window:
         if matrix._proved:  # certified, so each label owns every index of N
             span = range(-problem.window, problem.window + 1)
             columns = [(label, m) for label in layout.families for m in span]
-            origins = [layout.index[label, 0] for label in layout.families]
-            kernel = VectorBasis(len(columns), [[w[c] + (w[c + 1] - w[c]) * m for c in origins
-                                                 for m in span] for w in kernel.vectors])
+            kernel = extend_affine(kernel, [layout.index[label, 0] for label in layout.families],
+                                   problem.window)
         else:
             layout = unknown_layout(problem)
             columns, kernel = layout.columns, nullspace(assemble(problem, layout))

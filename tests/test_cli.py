@@ -371,6 +371,16 @@ def test_lemmas_match_the_recorded_golden(tmp_path, capsys):
     assert target.read_bytes() == (GOLDENS / "lemmas_window_20.json").read_bytes()
 
 
+def test_lemmas_at_window_64_match_the_recorded_golden(tmp_path, capsys):
+    # recorded when each system was solved on the window 64; each is now
+    # decided on its own window, 1 or 2, and e1's constants extended to 64
+    target = tmp_path / "lemmas.json"
+    code, _, _ = run(["lemmas", "--window", "64", "--format", "json",
+                      "--output", str(target)], capsys)
+    assert code == EXIT_OK
+    assert target.read_bytes() == (GOLDENS / "lemmas_window_64.json").read_bytes()
+
+
 def test_lemmas_window_guard_is_a_usage_error(capsys):
     assert run(["lemmas", "--window", "6"], capsys)[0] == EXIT_USAGE
 

@@ -28,12 +28,14 @@ HALF = Fraction(1, 2)
 
 
 def _full_reading(tags, families, gamma, N):
-    """The kernel of the tags' rows on the window N, every row read and
-    the kernel checked against each, and the layout it is written on."""
+    """The kernel of the rows of the tags, or of hand-built Recurrences, on
+    the window N, every row read and the kernel checked against each, and
+    the layout it is written on."""
     layout = [(fam, m) for fam in families for m in range(-N, N + 1)]
     index = {key: i for i, key in enumerate(layout)}
+    recs = [RECURRENCES[tag] if isinstance(tag, str) else tag for tag in tags]
     rows = [{index[key]: v for key, v in row.items()}
-            for tag in tags for row in RECURRENCES[tag].rows(gamma, N)]
+            for rec in recs for row in rec.rows(gamma, N)]
     return nullspace(SparseMatrix.from_rows(len(layout), rows)), layout
 
 
@@ -344,12 +346,13 @@ def _streamed_matrices(monkeypatch):
 @pytest.mark.parametrize("system", _FULL_TAGS + sorted(SECTOR_SYSTEMS), ids=str)
 def test_the_certified_oracle_equals_a_full_reading(system, monkeypatch):
     # each full tag on its own and each sector system carries the affine
-    # certificate, and its kernel is, vector by vector, that of all its
-    # rows read through from_rows and verified against every one of them
+    # certificate, and the kernel its report reads on the window N, zero or
+    # extended from its own window, is, vector by vector, that of all its
+    # rows on N read through from_rows and verified against every one of them
     made = _streamed_matrices(monkeypatch)
     kernels = []
-    monkeypatch.setattr(recurrences, "nullspace",
-                        lambda m: kernels.append(nullspace(m)) or kernels[-1])
+    monkeypatch.setattr(recurrences, "report_from_kernel", lambda kernel, *rest: (
+        kernels.append(kernel) or report_from_kernel(kernel, *rest)))
     if isinstance(system, str):
         tags, families = [system], RECURRENCES[system].families
     else:
@@ -371,14 +374,16 @@ def test_the_certified_oracle_equals_a_full_reading(system, monkeypatch):
                                   ["e17", "e18"], ["e1", "e20"]], ids="+".join)
 def test_a_system_holding_e18_e19_or_e20_carries_no_certificate(tags, monkeypatch):
     # those rows cover only some pairs of the window, so the window N = 1
-    # does not prove an affine kernel; such a system reads every row
+    # does not prove an affine kernel; such a system reads every row of
+    # the window N = 8, and no other
     made = _streamed_matrices(monkeypatch)
     recs = [RECURRENCES[tag] for tag in tags]
     families = tuple(dict.fromkeys(fam for rec in recs for fam in rec.families))
     for gamma in (-2, 0, 3):
+        del made[:]
         report = recurrences._solve_rows(recs, families, gamma, 8, 4,
                                          GradingDegree(0, 0, gamma))
-        assert made[-1]._certify is None
+        assert [(m._certify, m.cols) for m in made] == [(None, 17 * len(families))]
         want, layout = _full_reading(tags, families, gamma, 8)
         assert report == report_from_kernel(want, layout, list(families),
                                             report.degree, 4)
@@ -388,12 +393,73 @@ def test_a_system_holding_e18_e19_or_e20_carries_no_certificate(tags, monkeypatc
 
 
 def test_lemma_checks_stop_making_rows(monkeypatch):
-    # the 35 checks at N = 12: e7, e8, e13 and e17 stop at the zero-kernel
-    # certificate, and each of e1's seven systems stops at the affine one
-    # after 25 of its rows, where reading them all took 454 (456 at
-    # gamma = 0); 988 rows are made, where 3,993 were
+    # the 35 checks at N = 12, each decided on its own window, one matrix
+    # each: e13 on W = 1 (3 columns), every other on W = 2 (5 columns).
+    # e7, e8, e13 and e17 stop at the zero-kernel certificate, and each of
+    # e1's seven systems at the affine one after 5 or 6 of its rows, its
+    # constants then extended to N; 183 of the 512 rows of those windows
+    # are made, where on N = 12 the certificate made 988 of 16,176 (e1's
+    # 25 of 454, 456 at gamma = 0) and reading every row made 3,993
     made = _streamed_matrices(monkeypatch)
     assert check_lemma_conclusions(12).all_passed
+    assert [matrix.cols for matrix in made] == [5] * 21 + [3] * 7 + [5] * 7
     read = [len(matrix._rows) for matrix in made]
-    assert read[:7] == [25] * 7
-    assert (sum(read), sum(matrix.rows for matrix in made)) == (988, 16176)
+    assert read[:7] == [6, 6, 5, 5, 5, 5, 5]
+    assert (sum(read), sum(matrix.rows for matrix in made)) == (183, 512)
+
+
+# ---------------------------------------------------------------------------
+# the window each system is decided on, read from the hand table
+
+# (n - 3)(f_{m+n} - f_m - f_n) = 0: the root k = 3 of n - 3 gives W = 4,
+# and the kernel, f_k = k, is extended from it with its slope
+ROOT_THREE = recurrences._pair("root-three", ("L",), ("L", "m+n", (0, 1, 0, -3)),
+                               ("L", "m", (0, -1, 0, 3)), ("L", "n", (0, -1, 0, 3)))
+# (m + n - 3) f_{m+n} = 0: the roots k = 2 and 4 give W = 5, past the
+# kernel's one vector f = [k = 3], which no window below 3 holds and which
+# is no affine vector, so it is solved on N again
+FREE_THREE = recurrences._pair("free-three", ("L",), ("L", "m+n", (1, 1, 0, -3)))
+# (m - 1)(f_{m+n} - f_n) = 0: the m+n coefficient vanishes at m = 1 for
+# every n, so the rows (1, k) fix nothing and the system reads N
+DEAD_AT_ONE = recurrences._pair("dead-at-one", ("L",), ("L", "m+n", (1, 0, 0, -1)),
+                                ("L", "n", (-1, 0, 0, 1)))
+# 2(m - n) f_{m+n} = (m + g - n) f_m + (m - n - g) h_n: h is the m+n
+# unknown of no recurrence, so the system reads N
+NONE_AHEAD = recurrences._pair("none-ahead", ("L", "H"), ("L", "m+n", (2, -2, 0, 0)),
+                               ("L", "m", (-1, 1, -1, 0)), ("H", "n", (-1, 1, 1, 0)))
+
+
+@pytest.mark.parametrize("rec,bound", [(ROOT_THREE, 4), (FREE_THREE, 5), (DEAD_AT_ONE, None),
+                                       (NONE_AHEAD, None)], ids=lambda x: getattr(x, "tag", x))
+def test_each_system_is_decided_on_the_window_its_table_gives(rec, bound, monkeypatch):
+    # the first matrix made is on min(W, N), and the report equals a full
+    # reading on N; root-three reports f_k = k, scaled to 1 at the interior's
+    # first index, and free-three, solved again on N, [k = 3]
+    made = _streamed_matrices(monkeypatch)
+    for N in (8, 12, 20):
+        for gamma in (-1, 0, 2):
+            assert recurrences._window([rec], rec.families, gamma) == bound
+            del made[:]
+            report = recurrences._solve_rows([rec], rec.families, gamma, N, N // 2,
+                                             GradingDegree(0, 0, gamma))
+            window = min(bound or N, N)
+            assert made[0].cols == len(rec.families) * (2 * window + 1)
+            want, layout = _full_reading([rec], rec.families, gamma, N)
+            assert report == report_from_kernel(want, layout, list(rec.families),
+                                                report.degree, N // 2)
+            if rec is ROOT_THREE:
+                assert (len(made), report.basis_summary) == (1, [{"L": f"-1/{N // 2}*m"}])
+            if rec is FREE_THREE:
+                assert len(made) == 2 and report.interior_dim == 1
+
+
+def test_the_window_is_read_from_the_one_m_plus_n_term():
+    # the better recurrence of a family counts; a family whose only m+n
+    # coefficient vanishes at every k, or that is another family's
+    # recurrence's, and a recurrence with two m+n terms give no window
+    assert recurrences._window([FREE_THREE, ROOT_THREE], ("L",), 0) == 4
+    assert recurrences._window([DEAD_AT_ONE, RECURRENCES["e13"]], ("L",), 0) is None
+    two = recurrences._pair("two-ahead", ("L", "H"), ("L", "m+n", (2, -2, 0, 0)),
+                            ("H", "m+n", (2, -2, 0, 0)))
+    assert recurrences._window([two], ("L", "H"), 0) is None
+    assert recurrences._window([RECURRENCES["e13"]], ("H",), 3) == 1

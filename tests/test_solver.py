@@ -234,6 +234,26 @@ def test_an_inside_layout_has_a_column_per_pair_with_both_ends_in_the_window(key
             assert "C>L" not in unknown_layout(prob).families
 
 
+@pytest.mark.parametrize("key", catalog.keys())
+def test_the_layout_asks_only_central_kinds_which_indices_exist(key, monkeypatch):
+    # a kind that is not central owns every index, so only a central kind
+    # is asked, index by index, and the columns are those that asking every
+    # kind at every index gives, in the same order
+    p = catalog.get(key)
+    asked, exists = [], AlgebraPresentation.element_exists
+    monkeypatch.setattr(AlgebraPresentation, "element_exists",
+                        lambda self, kind, m: asked.append(kind) or exists(self, kind, m))
+    for degree, inside in product(product((0, 1), (0, 1), range(-4, 5)), (False, True)):
+        prob = problem(p, HALF, degree, 3, 0)
+        layout = unknown_layout(prob, inside)
+        gamma = degree[2]
+        assert layout.columns == [
+            (label, m) for label, (x, t) in layout.families.items() for m in range(-3, 4)
+            if exists(p, x, m) and exists(p, t, m + gamma) and (not inside or abs(m + gamma) <= 3)]
+    assert all(p.is_central(kind) for kind in asked)
+    assert bool(asked) == bool(p.central)
+
+
 # ---------------------------------------------------------------------------
 # assembled constraint rows
 
@@ -1336,6 +1356,19 @@ def test_a_presentation_without_a_bound_solves_each_degree_on_its_window(key, mo
     windows = _windows(monkeypatch)
     scan(_presentation(key), HALF, 1, 6)
     assert windows == [6] * 12
+
+
+def test_a_scan_reads_the_propagation_window_once(monkeypatch):
+    # the scan's Mirror keeps it for all 36 degrees; solve_degree without
+    # a mirror reads it on each call
+    calls = []
+    monkeypatch.setattr(solver, "propagation_window",
+                        lambda p: calls.append(p) or propagation_window(p))
+    scan(PGCA, Fraction(1), 4, 16)
+    assert len(calls) == 1 and calls[0] is PGCA
+    for degree in ((0, 0, 0), (0, 0, 1)):
+        solve_degree(problem(PGCA, HALF, degree, 8))
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("p", [PGCA, WITT, catalog.get("heisenberg-virasoro"), WITT_MODULE,

@@ -43,7 +43,7 @@ FIELDS = {
     CentralTerm: ("target", "coeff"),
     BracketRule: ("left", "right", "terms", "central_terms"),
     HomogeneousSolveProblem: ("presentation", "delta", "degree", "window", "interior"),
-    Recurrence: ("tag", "families", "rows", "full"),
+    Recurrence: ("tag", "families", "rows", "terms"),
 }
 
 Z2 = [(0, 0), (0, 1), (1, 0), (1, 1)]
