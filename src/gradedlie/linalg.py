@@ -10,26 +10,22 @@ vector standing for its span, so nothing divides one.  from_stream builds
 a matrix over a source of int rows, made only when something reads them.
 
 Elimination streams the rows in order, fraction-free, pulling each from
-the source as it is reached.  Reading stops early in two places.  Once
-every column holds a pivot, the integer kernel of the pivot rows is empty,
-an exact zero-kernel certificate.  A streamed matrix may also carry a
-kernel certificate from whoever made its rows: a check that int vectors
-satisfy every row, read or not, without reading any.  Each run of rows
-that add no pivot tries it once, on a candidate kernel built fresh from
-the pivot rows so far, when the run is as long as the candidate is wide;
-when it passes, that candidate is the true kernel.  A matrix without one
-instead switches, after a run as long as the column count, to checking
-each further row against the candidate: a row inside its span is skipped,
-and a row outside is eliminated and the candidate built again.
-affine_certificate is the one such check the package makes, for solver's
-systems and for the recurrence oracle's: each vector affine per column
-label, then zero on a small sample of rows, which each caller proves is
-enough; extend_affine writes such a kernel out on a wider window.  Either
-way rows past that point are never made, and the matrix keeps the kernel
-elimination stopped on.  The reduced form is that of
-full elimination, one row per pivot, each primitive over its leading
-entry.  nullspace returns the kept kernel as it is; any other kernel it
-builds from the reduced rows and checks against every row of the input.
+the source as it is reached, and stops reading by one rule (_rref_rows):
+once every column holds a pivot, an exact zero-kernel certificate, or on
+a candidate kernel that passes the kernel certificate a streamed matrix
+may carry from whoever made its rows, a check that int vectors satisfy
+every row, read or not, without reading any.  The candidate is built once
+a run of rows that add no pivot is as long as it is wide; each further
+row is then checked against it, and one outside its span is eliminated
+and the candidate built again.  affine_certificate is the one such
+certificate the package makes, for solver's systems and the recurrence
+oracle's: each vector affine per column label, then zero on a small
+sample of rows, which each caller proves is enough; extend_affine writes
+a kernel that passes the same affine test out on a wider window.  The
+reduced form is that of full elimination, one row per pivot, each
+primitive over its leading entry.  nullspace returns the kernel
+elimination stopped on as it is; any other kernel it builds from the
+reduced rows and checks against every row of the input.
 Anything else that looks at rows (rows, nnz, entries, ==, repr) reads
 the source to the end first.
 """
@@ -54,8 +50,8 @@ class SparseMatrix:
     certificate.  Elimination reads them through _stream, which stops
     where rref stops; everything else that looks at rows reads the source
     to the end first.  _proved is the int kernel the last rref stopped on,
-    empty or passed by the certificate, or the basis verify_kernel's
-    certificate passed; None when rref read every row.
+    empty or passed by the certificate, None when it read every row: rref
+    hands it to nullspace, so the certificate is not tried twice.
     """
 
     __slots__ = ("cols", "_rows", "_dens", "_source", "_den", "_certify", "_proved")
@@ -172,21 +168,18 @@ def _rref_rows(rows: Iterable[dict[int, int]], cols: int, certify=None
 
     The candidate kernel is _kernel's integer kernel of the pivot rows so
     far, cols minus the number of pivots wide; it contains the true one.
-    Once every column holds a pivot it is empty and fails no row, so the
-    stream stops there, without pulling another row: the exact zero-kernel
-    certificate.  With certify (see SparseMatrix.from_stream), each run of
-    consecutive rows that add no pivot, once it is as long as the candidate
-    is wide, builds the candidate and tries it once; a new pivot starts a
-    new run.  A candidate certify passes holds for every row, read or not,
-    so it is contained in the true kernel and is that kernel, and the
-    stream stops on it.  Without certify only an empty candidate stops the
-    stream; there a run as long as cols switches it to checking: each
-    further row is multiplied through the candidate, and one with every
-    product zero lies in the span of the pivot rows and is skipped.  A row
-    with a nonzero product always gives a new pivot, eliminated as above,
-    and the candidate is built again.  Whichever rows are read, they span
-    the row space of the whole input, whose reduced row echelon form is
-    unique, so the result is that of full elimination.
+    Once every column holds a pivot it is empty, so the stream stops there
+    without pulling another row: the exact zero-kernel certificate.  Once
+    a run of consecutive rows that add no pivot is as long as the candidate
+    is wide, the candidate is built, and each further row is multiplied
+    through it: one with every product zero lies in the span of the pivot
+    rows and is skipped, and one with a nonzero product gives a new pivot,
+    eliminated as above, and the candidate is built again.  Each candidate
+    built is offered to certify (SparseMatrix.from_stream), if given; one
+    it passes holds for every row, read or not, so it is the true kernel,
+    and the stream stops on it.  Whichever rows are read span the row
+    space of the whole input, whose reduced row echelon form is unique, so
+    the result is that of full elimination.
     """
     pivots: dict[int, dict[int, int]] = {}  # pivot column -> reduced integer row
     kernel: list | None = None              # candidate kernel, once checking
@@ -212,17 +205,16 @@ def _rref_rows(rows: Iterable[dict[int, int]], cols: int, certify=None
             if len(pivots) == cols:
                 kernel = []
                 break
-            if kernel is not None:
-                kernel = _kernel(pivots, cols)
-            continue
-        # a checked row outside the candidate always gives a pivot, so only
-        # eliminating reaches here
-        idle += 1
-        if certify is None:
-            if idle == cols:
-                kernel = _kernel(pivots, cols)
-        elif idle == cols - len(pivots) and certify(candidate := _kernel(pivots, cols)):
-            kernel = candidate
+            if kernel is None:
+                continue
+        else:
+            # a checked row outside the candidate always gives a pivot, so
+            # only eliminating reaches here
+            idle += 1
+            if idle < cols - len(pivots):
+                continue
+        kernel = _kernel(pivots, cols)
+        if certify is not None and certify(kernel):
             break
     else:
         kernel = None
@@ -281,26 +273,33 @@ def affine_certificate(origins: list[int], window: int, sample) -> Callable:
     at vectors affine per column label, vanish once they vanish on sample.
 
     Each label owns the columns of indices -window..window, index 0 at its
-    origin.  The check passes int vectors only if each is affine on every
-    label, w[c + i] = a + b*i, and zero on every row of sample(), called
-    once, on the first try whose vectors are all affine.  Why the sample
-    is enough is the caller's to prove; a failure only means reading rows,
-    until elimination tries a fresh candidate after its next idle run.
+    origin.  The check passes int vectors only if they are _affine on
+    those labels and zero on every row of sample(), made once, on the
+    first try whose vectors are all affine.  Why the sample is enough is
+    the caller's to prove; a failure only means reading on.
     """
-    span = range(-window, window + 1)
     rows = None
 
     def certify(kernel) -> bool:
         nonlocal rows
-        for _, w in kernel:
-            for c in origins:
-                a, b = w[c], w[c + 1] - w[c]
-                if w[c - window:c + window + 1] != [a + b * i for i in span]:
-                    return False
+        if not _affine([w for _, w in kernel], origins, window):
+            return False
         if rows is None:
             rows = list(sample())
         return not any(_outside(row, kernel) for row in rows)
     return certify
+
+
+def _affine(vectors: list[list[int]], origins: list[int], window: int) -> bool:
+    """Whether each int vector is w[c + i] = a + b*i, i in -window..window,
+    on every label, c the label's origin column."""
+    span = range(-window, window + 1)
+    for w in vectors:
+        for c in origins:
+            a, b = w[c], w[c + 1] - w[c]
+            if w[c - window:c + window + 1] != [a + b * i for i in span]:
+                return False
+    return True
 
 
 def _divide_content(row: dict[int, int]):
@@ -334,7 +333,7 @@ def rref(m: SparseMatrix) -> tuple[SparseMatrix, list[int]]:
 
     The reduced matrix has one row per pivot, in pivot column order.
     Building or reading it reads none of m's rows that elimination left
-    unread.  The kernel elimination stopped on is kept as m._proved.
+    unread.  The kernel elimination stopped on is kept for nullspace.
     """
     pivots, m._proved = _rref_rows(m._stream(), m.cols, m._certify)
     out = SparseMatrix(m.cols)
@@ -394,14 +393,12 @@ def nullspace(m: SparseMatrix) -> VectorBasis:
 
 def verify_kernel(m: SparseMatrix, basis: VectorBasis) -> VectorBasis:
     """basis, once its vectors pass m's kernel certificate before any row
-    is read, kept then as m._proved, or else multiply to zero through every
-    row of m, as in nullspace's postcondition."""
+    is read, or else multiply to zero through every row of m, as in
+    nullspace's postcondition.  m is left as it was, but for rows read."""
     if basis.dimension != m.cols:
         raise LinalgError(f"basis of dimension {basis.dimension} for {m.cols} columns")
     kernel = list(enumerate(basis.vectors))
-    if kernel and m._certify is not None and m._certify(kernel):
-        m._proved = kernel
-    elif kernel:
+    if kernel and not (m._certify is not None and m._certify(kernel)):
         _verify(m, kernel)
     return basis
 
@@ -414,10 +411,14 @@ def _verify(m: SparseMatrix, kernel):
             raise LinalgError("internal error: kernel vector fails verification")
 
 
-def extend_affine(basis: VectorBasis, origins: list[int], window: int) -> VectorBasis:
-    """basis's vectors, each affine per column label, on labels of 2*window
-    + 1 columns, label by label in origins' order: w[m] = w[0] + (w[1] -
-    w[0])*m, w[0] at the label's origin column and w[1] after it."""
+def extend_affine(basis: VectorBasis, origins: list[int], small: int,
+                  window: int) -> VectorBasis | None:
+    """basis's vectors, on labels of 2*small + 1 columns, index 0 at origins,
+    written out label by label on 2*window + 1 by w[m] = w[0] + (w[1] -
+    w[0])*m; None unless each is _affine on small, as affine_certificate
+    demands.  That they span the wider window's kernel is the caller's."""
+    if not _affine(basis.vectors, origins, small):
+        return None
     span = range(-window, window + 1)
     return VectorBasis(len(origins) * len(span), [[w[c] + (w[c + 1] - w[c]) * m
                                                    for c in origins for m in span]

@@ -193,7 +193,7 @@ def _degree_kernels(p: AlgebraPresentation, window: int) -> dict:
     with |gamma| > 2N has a column.  One degree per orbit of
     kind_automorphisms(p) is solved, in a solver.Mirror of this window's
     own.  _make skips the constructor's N >= 1 check: products take N = 0."""
-    mirror, found = Mirror(kind_automorphisms(p)), {}
+    mirror, found = Mirror(kind_automorphisms(p), None), {}
     for degree in product((0, 1), (0, 1), range(-2 * window, 2 * window + 1)):
         problem = HomogeneousSolveProblem._make((p, HALF, GradingDegree(*degree), window, 0))
         layout = unknown_layout(problem, inside=True)

@@ -27,9 +27,10 @@ each family F is the one m+n unknown of some recurrence, whose row at
 g*gamma + c, nonzero for |k| >= W, and otherwise only unknowns of index
 +-1 and k; so a kernel vector of N zero on W's columns is zero at +-(W+1),
 and so on out to N.  Restriction is injective and dim K_N <= dim K_W.  So
-a zero kernel on W is N's; and a kernel on W the certificate passed holds,
-extended affinely per family, on every row of every window, so those
-dim K_W independent extensions span K_N.  Any other kernel is solved on N.
+a zero kernel on W is N's.  K_W is exact on W, which holds the sample, the
+rows of N = 1, so a vector of K_W affine per family passes the certificate
+and, extended affinely, holds on every window: if every vector is, the
+dim K_W extensions span K_N (linalg.extend_affine).  Any other is solved on N.
 """
 
 from __future__ import annotations
@@ -208,12 +209,12 @@ def _window(recs: list[Recurrence], families: tuple[str, ...], gamma: int) -> in
 
 
 def _kernel(recs: list[Recurrence], families: tuple[str, ...], gamma: int,
-            window: int) -> tuple[VectorBasis, bool]:
+            window: int) -> VectorBasis:
     """The kernel of the recurrences' streamed int rows on the window,
-    each family's columns the indices -window..window, and whether
-    linalg.affine_certificate, on its own rows at the window N = 1, passed
-    it nonzero: a zero-kernel window stops making rows once every column
-    pivots, and a system of full recurrences once its candidate passes."""
+    each family's columns the indices -window..window: a zero-kernel
+    window stops making rows once every column pivots, and a system of
+    full recurrences, which carries linalg.affine_certificate on its own
+    rows at the window N = 1, once a candidate passes it."""
     width = 2 * window + 1
     origins = {fam: i * width + window for i, fam in enumerate(families)}
 
@@ -223,16 +224,16 @@ def _kernel(recs: list[Recurrence], families: tuple[str, ...], gamma: int,
     certify = None
     if all(rec.terms for rec in recs):
         certify = affine_certificate(list(origins.values()), window, lambda: rows(1))
-    matrix = SparseMatrix.from_stream(len(families) * width, rows(window), certify=certify)
-    return nullspace(matrix), bool(matrix._proved)
+    return nullspace(SparseMatrix.from_stream(len(families) * width, rows(window),
+                                              certify=certify))
 
 
 def _solve_rows(recs: list[Recurrence], families: tuple[str, ...], gamma: int,
                 window: int, interior: int, degree: GradingDegree) -> SolveReport:
     """Solve the recurrences together on the window N, a system of full
     recurrences decided on min(W, N), W = _window's (module docstring): a
-    zero kernel there is N's, one the certificate passed is extended to N
-    per family by w[m] = w[0] + (w[1] - w[0])*m, and any other is solved on
+    zero kernel there is N's, one whose every vector is affine per family
+    is extended to N by linalg.extend_affine, and any other is solved on
     N.  e18, e19 and e20 keep only some pairs, so a system with one is
     solved on N, reading every row.
 
@@ -245,11 +246,11 @@ def _solve_rows(recs: list[Recurrence], families: tuple[str, ...], gamma: int,
     (-1, 0) and (0, 1).
     """
     small = min(_window(recs, families, gamma) or window, window)
-    kernel, proved = _kernel(recs, families, gamma, small)
+    kernel = _kernel(recs, families, gamma, small)
     if kernel and small < window:
-        width = 2 * small + 1
-        kernel = (extend_affine(kernel, [i * width + small for i in range(len(families))], window)
-                  if proved else _kernel(recs, families, gamma, window)[0])
+        origins = [i * (2 * small + 1) + small for i in range(len(families))]
+        kernel = (extend_affine(kernel, origins, small, window)
+                  or _kernel(recs, families, gamma, window))
         small = window
     # a zero kernel's report reads no column, so its own window's layout serves
     layout = [(fam, m) for fam in families for m in range(-small, small + 1)]

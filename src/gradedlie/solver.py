@@ -26,14 +26,13 @@ for a well-sized window.
 
 Each assembled system carries kernel_certificate's check, unless p has a
 central kind or a same-kind table that is not skew (or a label lacks an
-index of the window): for a kernel vector
-affine in m per column label on the window, each family of rows is one
-polynomial of degree at most 2 in (m, n), which is zero once it vanishes on
-the rows of the same system on the window N = 1, made from the layout's
-image map.
-Elimination tries a candidate kernel once per run of rows that add no
-pivot, stops reading rows as soon as one passes, and nullspace returns
-that kernel without checking it again.
+index of the window): for a kernel vector affine in m per column label on
+the window, each family of rows is one polynomial of degree at most 2 in
+(m, n), which is zero once it vanishes on the rows of the same system on
+the window N = 1, made from the layout's image map.  Elimination offers
+the certificate each candidate kernel it builds (linalg._rref_rows), stops
+reading rows as soon as one passes, and nullspace returns that kernel
+without trying it again.
 
 A degree is decided on the window W = propagation_window(p) when W < N.
 Restriction: a pair's rows read D only at m, n and m+n, so the rows of W
@@ -43,9 +42,12 @@ W's columns is one of W.  Propagation: for |k| >= W the rows of the pair
 a_X(+-1, k) != 0 and otherwise only columns of index +-1 and k, and t is
 onto; so a kernel vector of N zero on W's columns is zero at +-(W+1), and
 so on out to N.  Restriction is injective and dim K_N <= dim K_W.  So a
-zero kernel on W is N's; and a kernel on W the certificate passed holds,
-extended affinely per label, on every row of every window, so those
-dim K_W independent extensions span K_N.  Any other kernel is solved on N.
+zero kernel on W is N's.  Any K_W is exact on W, eliminated, verified or
+certified, and the certificate's sample, the rows of N = 1, are rows of W:
+so a vector of K_W affine per label passes the certificate's check and,
+extended affinely, holds on every row of every window.  If every vector
+of K_W is affine, the dim K_W extensions span K_N (linalg.extend_affine);
+any other kernel is solved on N.
 
 kind_automorphisms certifies signed kind permutations
 g(X_m) = s_X perm[X]_{f*m}, automorphisms at every index: theta
@@ -56,8 +58,8 @@ solves the first degree of each orbit directly and keeps its kernel; each
 later degree checks g's image of it against its own system and does not
 eliminate: through the certificate where that passes, so reading no row,
 and against every row otherwise; a zero kernel is taken as it is.  A
-Mirror holds the kernels of one window and one kind of layout: scan's, all
-on the window min(W, N), or poisson.classify_products' inside degrees.
+Mirror holds the kernels of one window and kind of layout, and its W:
+scan's, on min(W, N), or poisson.classify_products' inside degrees, W None.
 """
 
 from __future__ import annotations
@@ -152,14 +154,13 @@ def unknown_layout(problem: HomogeneousSolveProblem, inside: bool = False) -> Un
         z2 = ((x.z2[0] + e1) % 2, (x.z2[1] + e2) % 2)
         targets = [t for t in p.kinds
                    if t.z2 == z2 and (inside or p.is_central(t) or not p.is_central(x))]
-        a, x_all = p.kind_order(x), not p.is_central(x)
+        a, central = p.kind_order(x), p.is_central(x)
         for t in targets:
             label = x.name if len(targets) == 1 or t == x else f"{x.name}>{t.name}"
             families[label] = (x, t)
-            b, t_all = p.kind_order(t), not p.is_central(t)
-            for m in span:  # a kind that is not central owns every index
-                if ((x_all or p.element_exists(x, m)) and (t_all or p.element_exists(t, m + gamma))
-                        and (not inside or abs(m + gamma) <= window)):
+            b, t_central = p.kind_order(t), p.is_central(t)
+            for m in [0] if central else span:  # a central kind's one element is C_0
+                if (not t_central or m == -gamma) and (not inside or abs(m + gamma) <= window):
                     images.setdefault((a, m), []).append((len(columns), (b, m + gamma)))
                     columns.append((label, m))
     return UnknownLayout(columns, families, images,
@@ -504,17 +505,16 @@ def _matches(p: AlgebraPresentation, perm: list[int], flip: int, a: int, b: int,
 
 
 class Mirror:
-    """Automorphisms (kind_automorphisms) and the layouts and kernels of
-    the degrees solved under them, of one window and kind of layout: scan's,
-    on solve_degree's window, or classify_products' inside degrees.  bound
-    is the presentation's propagation_window, which the first solve_degree
-    reads and keeps, so a scan reads it once; Ellipsis until then."""
+    """Automorphisms (kind_automorphisms), and the layouts and kernels of
+    the degrees solved under them, of one window and kind of layout:
+    scan's, on solve_degree's window min(bound, N), bound =
+    propagation_window(p), or classify_products' inside degrees, bound None."""
 
     __slots__ = ("group", "kernels", "bound")
 
-    def __init__(self, group: list[KindAutomorphism]):
-        self.group, self.kernels = group, {}  # degree -> (layout, kernel)
-        self.bound = ...
+    def __init__(self, group: list[KindAutomorphism], bound: int | None):
+        self.group, self.bound = group, bound
+        self.kernels = {}  # degree -> (layout, kernel)
 
     def kernel(self, degree: GradingDegree, layout: UnknownLayout, matrix) -> VectorBasis:
         """The kernel of degree's system on layout, matrix() its matrix.
@@ -556,30 +556,28 @@ def solve_degree(problem: HomogeneousSolveProblem,
                  mirror: Mirror | None = None) -> SolveReport:
     """Solve one homogeneous degree and classify the interior solution space.
 
-    Assembled on the window W = propagation_window(p) if W < N, else on N;
-    a mirror reads W once and keeps it (Mirror.bound).  Given a mirror, a
-    degree it maps a solved one to checks that image against it
+    Assembled on the window W = mirror.bound if W < N, else on N; without
+    a mirror, one with no automorphisms and W = propagation_window(p).  A
+    degree the mirror maps a solved one to checks that image against it
     (linalg.verify_kernel) instead of eliminating, and a degree solved
-    directly leaves its kernel there.  On W < N a zero kernel stands,
-    one the certificate passed is extended to N per label by w[m] = w[0] +
-    (w[1] - w[0])*m (module docstring), and any other is solved on N.
+    directly leaves its kernel there.  On W < N a zero kernel stands, one
+    whose every vector is affine per label is extended to N (module
+    docstring), and any other is solved on N.
     """
     interior = check_window(problem.window, problem.gamma, problem.interior)
-    mirror = mirror or Mirror([])
-    if mirror.bound is ...:
-        mirror.bound = propagation_window(problem.presentation)
+    mirror = mirror or Mirror([], propagation_window(problem.presentation))
     window = min(mirror.bound or problem.window, problem.window)
     small = problem._replace(window=window, interior=0)
     layout = unknown_layout(small)
-    matrix = assemble(small, layout)
+    matrix = assemble(small, layout)  # mirrored or not, each degree is assembled once
     kernel = mirror.kernel(problem.degree, layout, lambda: matrix)
     columns = layout.columns
     if kernel and window < problem.window:
-        if matrix._proved:  # certified, so each label owns every index of N
+        origins = [layout.index[label, 0] for label in layout.families]
+        if extended := extend_affine(kernel, origins, window, problem.window):
+            # W < N, so p has no central kind and each label owns every index
             span = range(-problem.window, problem.window + 1)
-            columns = [(label, m) for label in layout.families for m in span]
-            kernel = extend_affine(kernel, [layout.index[label, 0] for label in layout.families],
-                                   problem.window)
+            kernel, columns = extended, [(label, m) for label in layout.families for m in span]
         else:
             layout = unknown_layout(problem)
             columns, kernel = layout.columns, nullspace(assemble(problem, layout))
@@ -623,7 +621,7 @@ def scan(p: AlgebraPresentation, delta: Fraction, gamma_max: int,
     if gamma_max < 0:
         raise SolverError("gamma_max must be non-negative")
     interior = check_window(window, gamma_max, interior)
-    mirror = Mirror(kind_automorphisms(p))
+    mirror = Mirror(kind_automorphisms(p), propagation_window(p))
     reports = []
     for eps1 in (0, 1):
         for eps2 in (0, 1):

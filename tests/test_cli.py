@@ -345,6 +345,17 @@ def test_the_half_scan_at_window_64_matches_its_golden(tmp_path, capsys):
     assert target.read_bytes() == (GOLDENS / "pgca_half_scan_64.json").read_bytes()
 
 
+def test_the_virasoro_scan_at_window_32_matches_its_golden(tmp_path, capsys):
+    # virasoro has a central kind, so no certificate and no propagation
+    # window: each degree is read on N = 32, its elimination switching to
+    # checking once a run of idle rows is as long as the candidate is wide
+    target = tmp_path / "scan.json"
+    code, _, _ = run(["solve", "--algebra", "virasoro", "--delta", "1", "--gamma-max", "8",
+                      "--window", "32", "--format", "json", "--output", str(target)], capsys)
+    assert code == EXIT_OK
+    assert target.read_bytes() == (GOLDENS / "virasoro_derivation_scan_32.json").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # lemmas
 
@@ -423,6 +434,16 @@ def test_tp_classify_matches_the_recorded_pgca_golden(tmp_path, capsys):
                       "--format", "json", "--output", str(target)], capsys)
     assert code == EXIT_OK
     assert target.read_bytes() == (GOLDENS / "pgca_products.json").read_bytes()
+
+
+def test_tp_classify_matches_the_recorded_witt_golden(tmp_path, capsys):
+    # witt's product path at window 10: inside layouts carry a certificate
+    # only at gamma = 0, so most of its degrees stop by checking alone
+    target = tmp_path / "products.json"
+    code, _, _ = run(["tp-classify", "--algebra", "witt", "--window", "10",
+                      "--format", "json", "--output", str(target)], capsys)
+    assert code == EXIT_OK
+    assert target.read_bytes() == (GOLDENS / "witt_products_10.json").read_bytes()
 
 
 def test_tp_classify_json_includes_both_verdicts(capsys):

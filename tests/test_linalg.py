@@ -495,13 +495,13 @@ def _adds_pivot(rows, cols):
         yield bool(new)
 
 
-def _candidates_due(rows, cols, certified):
+def _candidates_due(rows, cols):
     """Where the stopping rule builds candidate kernels over the rows read,
-    as (rows read, width) pairs.  With a certificate, once per run of rows
-    that add no pivot, when the run is as long as the candidate is wide;
-    without one, once such a run is as long as the column count, from
-    which on rows inside the candidate are skipped, and after each later
-    pivot.  Empty rows are skipped, and a last pivot stops the stream."""
+    as (rows read, width) pairs: once a run of rows that add no pivot is as
+    long as the candidate is wide, from which on rows inside the candidate
+    are skipped, and after each later pivot.  It is the same rule with a
+    certificate or without; a passing certificate only ends the rows read.
+    Empty rows are skipped, and a last pivot stops the stream."""
     built, rank, idle, checking = [], 0, 0, False
     for read, adds in enumerate(_adds_pivot(rows, cols), 1):
         if adds is None or checking and not adds:
@@ -514,9 +514,9 @@ def _candidates_due(rows, cols, certified):
                 built.append((read, cols - rank))
             continue
         idle += 1
-        if idle == (cols - rank if certified else cols):
+        if idle == cols - rank:
             built.append((read, cols - rank))
-            checking = not certified
+            checking = True
     return built
 
 
@@ -533,7 +533,7 @@ def _assert_rref_equals_full_elimination(m):
     assert reduced._rows == [row for _, row in want]
     assert reduced._dens == [row[col] for col, row in want]
     assert read == m._rows[:len(read)]
-    assert built == _candidates_due(read, m.cols, m._certify is not None)
+    assert built == _candidates_due(read, m.cols)
     if m._proved:
         assert built[-1] == (len(read), len(m._proved))
     return built
@@ -574,7 +574,7 @@ def _built_from_lists():
 
 
 def test_rref_equals_full_elimination_on_every_catalog_system():
-    switched = resumed = retried = stopped = 0
+    resumed = retried = stopped = 0
     for build in _catalog_builders():
         m = build()
         with _built_from_lists():
@@ -590,16 +590,15 @@ def test_rref_equals_full_elimination_on_every_catalog_system():
         assert m == listed
         assert rref(m) == rref(listed)
         if m._certify is None:
-            switched += bool(built)
-            resumed += len(built[1:])
+            resumed += len(built) > 1
         else:
-            retried += len(built) > 1
+            retried += len(built) > 1 and bool(m._proved)
     # on the catalog itself, systems without a certificate did switch to
     # checking and resume elimination (pgca's product path at |gamma| = 4),
-    # certified ones did try a fresh candidate after a failed one (among
-    # them pgca's delta = 1 degrees at gamma = 0), and reading did stop
-    # early
-    assert switched and resumed and retried and stopped
+    # certified ones did switch to checking after a failed candidate and
+    # stop on a rebuilt one (among them pgca's delta = 1 degrees at
+    # gamma = 0), and reading did stop early
+    assert resumed and retried and stopped
 
 
 @st.composite
@@ -643,30 +642,27 @@ def test_rref_resumes_on_a_row_outside_the_checked_span(case):
     cols = len(data[0])
     width = cols - span
     _assert_rref_matches_oracle(data)
-    # with a kernel certificate, here one that never passes, the span's
-    # kernel is tried once as many rows of the span as it is wide have
-    # added no pivot, and not again in that run; every later candidate is
-    # built after the outside row, so it is narrower
-    built = _assert_rref_equals_full_elimination(_streamed(data, lambda kernel: False))
+    # with a kernel certificate, here one that never passes, and without
+    # one, the span's kernel is built as soon as as many rows of the span
+    # as it is wide have added no pivot, and the rest of the run is
+    # checked against it; the outside row resumes elimination with a fresh
+    # candidate, offered to the certificate like the first
+    offered = []
+    never = _streamed(data, lambda kernel: offered.append(len(kernel)) and False)
+    built = _assert_rref_equals_full_elimination(never)
     assert built[0] == (span + width, width)
-    assert all(dim < width for _, dim in built[1:])
-    # without one, checking starts once the run is as long as the column
-    # count, and the outside row resumes elimination with a fresh candidate
-    plain = _assert_rref_equals_full_elimination(from_dense(data))
-    assert _assert_rref_equals_full_elimination(_streamed(data)) == plain
-    if run >= cols:
-        assert plain[0] == (span + cols, width)
-        assert plain[1:2] == ([(span + run + 1, width - 1)] if width > 1 else [])
-    else:
-        assert all(read > span + run + 1 for read, _ in plain)
+    assert built[1:2] == ([(span + run + 1, width - 1)] if width > 1 else [])
+    assert offered == [dim for _, dim in built]
+    assert _assert_rref_equals_full_elimination(from_dense(data)) == built
+    assert _assert_rref_equals_full_elimination(_streamed(data)) == built
 
 
 def test_rref_checks_rather_than_eliminates_after_a_redundant_run(monkeypatch):
-    # counting from 1, rows 3-6 are combinations of rows 1 and 2, as many
-    # as there are columns, which a matrix without a kernel certificate
-    # waits for before it checks; row 7 is in their span, row 8 leaves it,
-    # row 9 is in the new span but not in the first candidate's, and row
-    # 10 gives the last pivot, so row 11 is never read
+    # counting from 1, rows 3 and 4 are combinations of rows 1 and 2, as
+    # many as their kernel is wide, so checking starts there; rows 5-7 are
+    # in their span, row 8 leaves it, row 9 is in the new span but not in
+    # the first candidate's, and row 10 gives the last pivot, so row 11 is
+    # never read
     data = [[1, 0, 0, 1], [0, 1, 0, 1], [1, 1, 0, 2], [1, -1, 0, 0], [2, 0, 0, 2],
             [0, 3, 0, 3], [2, 1, 0, 3], [0, 0, 1, 0], [1, 0, 1, 1], [0, 0, 0, 1],
             [1, 1, 1, 1]]
@@ -680,10 +676,10 @@ def test_rref_checks_rather_than_eliminates_after_a_redundant_run(monkeypatch):
     with _kernels_built() as (built, read):
         _, pivots = rref(_raising_after(data, 10))
     assert pivots == [0, 1, 2, 3] and len(read) == 10
-    # the candidate of width 2 is built after row 6, and rebuilt fresh,
-    # of width 1, after row 8, so that row 9 is skipped as well as row 7
-    assert built == [(6, 2), (8, 1)]
-    assert checked == [False, True, False, True]
+    # the candidate of width 2 is built after row 4, and rebuilt fresh,
+    # of width 1, after row 8, so that row 9 is skipped as well as rows 5-7
+    assert built == [(4, 2), (8, 1)]
+    assert checked == [False, False, False, True, False, True]
     assert nullspace(from_dense(data[:9])).vectors == [[-1, -1, 0, 1]]
 
 
@@ -718,31 +714,57 @@ def _certified_then_raising(data, prefix, calls):
 def test_a_passing_kernel_certificate_stops_reading_rows():
     # counting from 0: rows 2-5 and 7-8 are combinations of rows 0, 1 and
     # 6; after rows 2 and 3, as many idle rows as their kernel is wide, the
-    # candidate kernel of dimension 2 is tried and fails the certificate,
-    # and rows 4 and 5, in the same run, try nothing; row 6 leaves the
-    # span, and the fresh candidate tried after row 7 passes, so row 8 is
-    # never made
+    # candidate kernel of dimension 2 is built and fails the certificate,
+    # and rows 4 and 5 are checked against it; row 6 leaves the span, and
+    # the candidate rebuilt on it passes, so rows 7 and 8 are never made
     data = [[1, 0, 0, 1], [0, 1, 0, 1], [1, 1, 0, 2], [1, -1, 0, 0], [2, 0, 0, 2],
             [0, 3, 0, 3], [0, 0, 1, 0], [1, 0, 1, 1], [0, 1, 1, 1]]
     want_rows, want_pivots = _dense_rref(data)
     calls = []
-    m = _certified_then_raising(data, 8, calls)
+    m = _certified_then_raising(data, 7, calls)
     reduced, pivots = rref(m)
     assert (dense(reduced), pivots) == (want_rows, want_pivots)
-    assert calls == [2, 1] and len(m._rows) == 8
+    assert calls == [2, 1] and len(m._rows) == 7
     # nullspace takes the kernel elimination stopped on, which the
     # certificate has already passed, and neither rebuilds nor re-checks it
     calls.clear()
-    m = _certified_then_raising(data, 8, calls)
+    m = _certified_then_raising(data, 7, calls)
     assert nullspace(m).vectors == [[-1, -1, 0, 1]]
-    assert calls == [2, 1] and len(m._rows) == 8
-    # verify_kernel tries it before reading any row, and reads the rows
-    # only when it fails
+    assert calls == [2, 1] and len(m._rows) == 7
+    # verify_kernel tries it before reading any row, reads the rows only
+    # when it fails, and stores nothing on the matrix
     m = _certified_then_raising(data, 0, calls)
     assert verify_kernel(m, VectorBasis(4, [[1, 1, 0, -1]]))
-    assert m._rows == []
+    assert m._rows == [] and m._proved is None
     with pytest.raises(AssertionError, match="past the kernel certificate"):
         verify_kernel(m, VectorBasis(4, [[1, 0, 0, 0]]))
+
+
+def test_a_failed_candidate_switches_a_certified_system_to_checking(monkeypatch):
+    # counting from 0, rows 0 and 1 pivot columns 0 and 2; rows 2 and 3 are
+    # in their span, as many as the candidate is wide, so it is built
+    # (width 2) and fails the certificate; rows 4 and 5 are checked and
+    # skipped; row 6 leaves the span and the candidate rebuilt on it
+    # (width 1) passes, so row 7, in the final span, is never made
+    data = [[1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1], [2, 2, -1, -1], [0, 0, 3, 3],
+            [1, 1, 0, 0], [0, 1, 0, 0], [1, 0, 1, 1]]
+    calls, checked, outside = [], [], linalg._outside
+
+    def logged(row, kernel):
+        checked.append(outside(row, kernel))
+        return checked[-1]
+
+    monkeypatch.setattr(linalg, "_outside", logged)
+    m = _certified_then_raising(data, 7, calls)
+    with _kernels_built() as (built, read):
+        reduced, pivots = rref(m)
+    assert built == [(4, 2), (7, 1)] and calls == [2, 1] and len(read) == 7
+    assert checked == [False, False, True]
+    want = reference_loops.rref_rows(m._rows, m.cols)
+    assert pivots == [col for col, _ in want]
+    assert reduced._rows == [row for _, row in want]
+    assert want == reference_loops.rref_rows(_streamed(data)._read()[0], m.cols)
+    assert nullspace(_certified_then_raising(data, 7, [])).vectors == [[0, 0, -1, 1]]
 
 
 @given(st.one_of(dense_matrices, resumed_matrices().map(lambda case: case[0])))

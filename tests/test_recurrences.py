@@ -453,6 +453,26 @@ def test_each_system_is_decided_on_the_window_its_table_gives(rec, bound, monkey
                 assert len(made) == 2 and report.interior_dim == 1
 
 
+def test_extension_reads_the_kernel_shape_not_how_it_was_found(monkeypatch):
+    # a certificate that passes nothing makes elimination read every row of
+    # the window W; root-three's kernel f_k = k and e1's constants are
+    # affine, so each is still extended with no matrix on N, while
+    # free-three's [k = 3] is not, and is solved on N again
+    made = _streamed_matrices(monkeypatch)
+    tried, extend = [], recurrences.extend_affine
+    monkeypatch.setattr(recurrences, "affine_certificate",
+                        lambda *args: lambda kernel: False)
+    monkeypatch.setattr(recurrences, "extend_affine",
+                        lambda *args: tried.append(extend(*args)) or tried[-1])
+    for rec, affine in ((ROOT_THREE, True), (RECURRENCES["e1"], True), (FREE_THREE, False)):
+        del made[:], tried[:]
+        report = recurrences._solve_rows([rec], rec.families, 0, 12, 6, GradingDegree(0, 0, 0))
+        assert len(made[0]._rows) == made[0].rows
+        assert (len(made), len(tried), tried[0] is None) == (1 if affine else 2, 1, not affine)
+        want, layout = _full_reading([rec], rec.families, 0, 12)
+        assert report == report_from_kernel(want, layout, list(rec.families), report.degree, 6)
+
+
 def test_the_window_is_read_from_the_one_m_plus_n_term():
     # the better recurrence of a family counts; a family whose only m+n
     # coefficient vanishes at every k, or that is another family's

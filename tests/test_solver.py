@@ -236,9 +236,9 @@ def test_an_inside_layout_has_a_column_per_pair_with_both_ends_in_the_window(key
 
 @pytest.mark.parametrize("key", catalog.keys())
 def test_the_layout_asks_only_central_kinds_which_indices_exist(key, monkeypatch):
-    # a kind that is not central owns every index, so only a central kind
-    # is asked, index by index, and the columns are those that asking every
-    # kind at every index gives, in the same order
+    # a kind that is not central owns every index and a central one only
+    # 0, so no kind is asked at any index, and the columns are those that
+    # asking every kind at every index gives, in the same order
     p = catalog.get(key)
     asked, exists = [], AlgebraPresentation.element_exists
     monkeypatch.setattr(AlgebraPresentation, "element_exists",
@@ -250,8 +250,7 @@ def test_the_layout_asks_only_central_kinds_which_indices_exist(key, monkeypatch
         assert layout.columns == [
             (label, m) for label, (x, t) in layout.families.items() for m in range(-3, 4)
             if exists(p, x, m) and exists(p, t, m + gamma) and (not inside or abs(m + gamma) <= 3)]
-    assert all(p.is_central(kind) for kind in asked)
-    assert bool(asked) == bool(p.central)
+    assert asked == []
 
 
 # ---------------------------------------------------------------------------
@@ -541,14 +540,14 @@ def test_scan_json_shape():
 def test_known_solutions_lie_in_the_scan_kernels():
     # every inner derivation ad Y is a derivation and the identity a
     # 1/2-derivation, so on each degree's layout columns, the L>C ones
-    # carrying virasoro's central term, each lies in the kernel the scan
-    # takes, solved or mirrored, at N = 8 and |gamma| <= 2: 39 ad Y that
-    # are not zero (pgca 20, witt 5, virasoro 5, heisenberg-virasoro 9) and
-    # 5 identities
+    # carrying virasoro's central term, each lies in the kernel a Mirror
+    # with no propagation window takes on the window 8, solved or
+    # mirrored, at |gamma| <= 2: 39 ad Y that are not zero (pgca 20, witt
+    # 5, virasoro 5, heisenberg-virasoro 9) and 5 identities
     witnesses = 0
     for key, delta in product(catalog.keys(), (Fraction(1), HALF)):
         p = catalog.get(key)
-        mirror = solver.Mirror(kind_automorphisms(p))
+        mirror = solver.Mirror(kind_automorphisms(p), None)
         for degree in product((0, 1), (0, 1), range(-2, 3)):
             prob = problem(p, delta, degree, 8)
             layout = unknown_layout(prob)
@@ -763,7 +762,7 @@ def test_solve_degree_crosses_each_layer_once(delta, degree, projected,
     # Each call is logged with its nesting depth among the wrapped names.
     # A mirrored degree assembles its rows to check g's image against
     # them, and eliminates nothing
-    mirror = solver.Mirror(kind_automorphisms(PGCA))
+    mirror = solver.Mirror(kind_automorphisms(PGCA), propagation_window(PGCA))
     mirrored = degree in _MIRRORED_FROM
     if mirrored:
         solve_degree(problem(PGCA, delta, _MIRRORED_FROM[degree], 6), mirror)
@@ -804,8 +803,8 @@ def test_zero_kernel_degrees_stop_making_rows():
     # the half-scan at N = 6, |gamma| <= 1: elimination reaches the
     # zero-kernel certificate in every degree but (0, 0, 0), and the rows
     # past it are never made; the degree with a kernel stops where the
-    # kernel certificate passes the identity, after 55 of its 668 rows.
-    # Boundary-first rows reach full rank sooner: 641 rows are read, where
+    # kernel certificate passes the identity, after 54 of its 668 rows.
+    # Boundary-first rows reach full rank sooner: 640 rows are read, where
     # the declared order read 749
     read = total = 0
     for degree in [(e1, e2, g) for e1 in (0, 1) for e2 in (0, 1) for g in (-1, 0, 1)]:
@@ -815,7 +814,7 @@ def test_zero_kernel_degrees_stop_making_rows():
         assert len(kernel) == (degree == (0, 0, 0)) and made < matrix.rows, degree
         read += made
         total += matrix.rows
-    assert (read, total) == (641, 10292)
+    assert (read, total) == (640, 10292)
 
 
 def test_nonzero_kernel_degrees_stop_making_rows(monkeypatch):
@@ -824,9 +823,10 @@ def test_nonzero_kernel_degrees_stop_making_rows(monkeypatch):
     # kernel certificate passes it and each mirrored one (gamma = 1, and
     # sector (1, 0), which sigma and theta sigma take from (0, 1)) is
     # certified without a row.  Each degree is solved on the propagation
-    # window 2, not on 6 (509 of 10,240 rows read there), and the
-    # certificate is tried once each run of idle rows reaches the candidate
-    # kernel's width: 188 of the 1,468 rows are read, 56 of them at (0, 0, 0)
+    # window 2, not on 6 (509 of 10,240 rows read there), and elimination
+    # switches to checking once a run of idle rows reaches the candidate
+    # kernel's width, offering each candidate it builds to the
+    # certificate: 184 of the 1,468 rows are read, 54 of them at (0, 0, 0)
     made = []
     monkeypatch.setattr(solver, "assemble",
                         lambda *args: made.append(assemble(*args)) or made[-1])
@@ -838,21 +838,22 @@ def test_nonzero_kernel_degrees_stop_making_rows(monkeypatch):
         assert rows == 0 if d.index == 1 or (d.eps1, d.eps2) == (1, 0) else 0 < rows < matrix.rows
     # every degree's four labels own the 5 indices of the window 2
     assert {matrix.cols for matrix in made} == {4 * 5}
-    assert (sum(read), sum(matrix.rows for matrix in made)) == (188, 1468)
-    assert read[1] == 56
+    assert (sum(read), sum(matrix.rows for matrix in made)) == (184, 1468)
+    assert read[1] == 54
 
 
 def test_each_kernel_is_certified_once(monkeypatch):
     # pgca's derivations at N = 6, |gamma| <= 1, each degree solved on the
-    # propagation window 2: elimination tries the certificate 13 times over
-    # the 6 solved degrees (11 on the window 6), and nullspace takes the
-    # kernel it passed without trying it again, nor does the extension to
-    # the window 6; each of the 6 mirrored degrees (gamma = 1, and sector
-    # (1, 0)) tries g's image once, in verify_kernel.  A candidate is tried
-    # once per run of idle rows as long as it is wide, so (0, 0, 0) tries
-    # candidates of widths 8, 4, 3 and 2 (24, 12, 7, 3 and 2 on the window
-    # 6), and (1, 1, 0) of widths 4, 3, 2 and 1; a candidate that is not
-    # affine fails on the affine check, before any sample row is made
+    # propagation window 2: elimination tries the certificate 18 times over
+    # the 6 solved degrees, and nullspace takes the kernel it passed without
+    # trying it again, nor does the extension to the window 6, which tests
+    # the kernel's shape alone; each of the 6 mirrored degrees (gamma = 1,
+    # and sector (1, 0)) tries g's image once, in verify_kernel.  The first
+    # candidate is built once a run of idle rows is as long as it is wide,
+    # and then one after each pivot that a checked row outside it gives, so
+    # (0, 0, 0) tries candidates of widths 8, 7, 6, 5, 4, 3 and 2, and
+    # (1, 1, 0) of widths 4, 3, 2 and 1; a candidate that is not affine
+    # fails on the affine check, before any sample row is made
     calls, where = [], ["elimination"]
     certificate, verify = solver.kernel_certificate, solver.verify_kernel
 
@@ -875,9 +876,9 @@ def test_each_kernel_is_certified_once(monkeypatch):
     monkeypatch.setattr(solver, "kernel_certificate", counting)
     monkeypatch.setattr(solver, "verify_kernel", mirrored)
     scan(PGCA, Fraction(1), 1, 6)
-    assert [w for w, _, _, _ in calls].count("elimination") == 13
+    assert [w for w, _, _, _ in calls].count("elimination") == 18
     assert [width for w, d, _, width in calls
-            if w == "elimination" and tuple(d) == (0, 0, 0)] == [8, 4, 3, 2]
+            if w == "elimination" and tuple(d) == (0, 0, 0)] == [8, 7, 6, 5, 4, 3, 2]
     assert [width for w, d, _, width in calls
             if w == "elimination" and tuple(d) == (1, 1, 0)] == [4, 3, 2, 1]
     assert [(tuple(d), passed) for w, d, passed, _ in calls if w == "mirrored"] == [
@@ -1349,6 +1350,56 @@ def test_a_root_beyond_two_widens_the_window_or_falls_back(monkeypatch):
     for report in result.reports:
         kernel, columns = _whole_kernel(ROOT_FOUR, Fraction(0), report.degree, 6)
         assert report == solver.report_from_kernel(kernel, columns, ["L", "A"], report.degree, 3)
+
+
+@pytest.mark.parametrize("p", [PGCA, WITT, catalog.get("heisenberg-virasoro")],
+                         ids=lambda p: p.name)
+def test_an_affine_kernel_read_in_full_is_extended_without_solving_n(p, monkeypatch):
+    # a certificate that passes nothing makes elimination read every row
+    # of the window 2, and verify_kernel every row of a mirrored degree;
+    # extension reads only the kernel's shape, so each nonzero kernel is
+    # still extended, no degree is assembled on N = 8, and each report is
+    # the full reading of N's rows
+    windows = _windows(monkeypatch)
+    made, offered, certificate = [], [], solver.kernel_certificate
+    monkeypatch.setattr(solver, "kernel_certificate", lambda prob, layout: made.append(
+        certificate(prob, layout)) or (lambda kernel: offered.append(len(kernel)) and False))
+    result = scan(p, Fraction(1), 2, 8)
+    assert windows == [2] * 20 and all(made) and offered
+    extended = 0
+    for r in result.reports:
+        kernel, columns = _whole_kernel(p, Fraction(1), r.degree, 8)
+        assert r == solver.report_from_kernel(kernel, columns, [k.name for k in p.kinds],
+                                              r.degree, 4), r.degree
+        extended += bool(kernel)
+    assert extended
+
+
+@settings(max_examples=25)
+@given(_presentations())
+@example(ROOT_FOUR)
+def test_a_kernel_that_is_not_affine_is_solved_on_n(p):
+    # at delta = 0, a degree decided on W < N whose kernel is not affine
+    # per label (root-four's map on A_3) is assembled again on N, and only
+    # such a degree; every report is the full reading of N's rows
+    assume(certify_presentation(p))
+    windows, tried = [], []
+    extend = solver.extend_affine
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "assemble", lambda prob, *args:
+                      windows.append(prob.window) or assemble(prob, *args))
+        patch.setattr(solver, "extend_affine", lambda *args:
+                      tried.append(extend(*args)) or tried[-1])
+        result = scan(p, Fraction(0), 1, 6)
+    bound = propagation_window(p)
+    assert windows.count(6) == (12 if bound is None or bound >= 6
+                                else sum(extended is None for extended in tried))
+    if p is ROOT_FOUR:
+        assert tried == [None] * 6
+    for r in result.reports:
+        kernel, columns = _whole_kernel(p, Fraction(0), r.degree, 6)
+        assert r == solver.report_from_kernel(kernel, columns, [k.name for k in p.kinds],
+                                              r.degree, 3), r.degree
 
 
 @pytest.mark.parametrize("key", ["abelian", "virasoro", "not-skew"])
